@@ -12,7 +12,6 @@ from .attribution import (
     AttributionResult,
     GlobalAttribution,
     TableValueFunction,
-    accuracy_of_coalition,
     coalition_accuracy,
     exact_asv,
     exact_shapley_subset_form,
@@ -62,11 +61,8 @@ from .errors import (
 )
 from .models import (
     BayesPredictor,
-    LogisticModel,
-    MlpModel,
     TrainConfig,
     TrainedModel,
-    bayes_predict,
     max_class_accuracy,
     sampled_label_accuracy,
     train_logistic,
@@ -92,18 +88,9 @@ from .values import (
     ExactMatchSampler,
     GenerativeSampler,
     KNNSampler,
-    OffManifoldValueFunction,
-    OnManifoldValueFunction,
     as_mask,
-    cached_value_fn,
     make_sampler,
-    mask_indices,
     normalize_strategy,
-    off_manifold_fn,
-    off_manifold_value,
-    on_manifold_fn,
-    on_manifold_value,
-    splice,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .coalitions import (
 )
 from .data import Dataset
 from .errors import ValidationError
-from .values import BackgroundSet, ConditionalSampler, cached_value_fn
+from .values import BackgroundSet, CachedValueFunction, ConditionalSampler, as_mask
 
 MAX_MASK_FEATURES = 62  # coalition masks live in int64
 
@@ -51,8 +51,6 @@ class TableValueFunction:
         return self.value_only(S), 0.0
 
     def value_only(self, S) -> float:
-        from .values import as_mask
-
         mask = as_mask(S, self.n)
         if mask in self._seen:
             self.hits += 1
@@ -328,7 +326,7 @@ def global_asv(
 
     def run_point(j: int) -> None:
         row = int(idx[j])
-        vf = cached_value_fn(
+        vf = CachedValueFunction(
             pred, dataset.X[row], int(dataset.y[row]),
             bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
         )
@@ -392,15 +390,13 @@ def coalition_accuracy(
 ) -> tuple[float, float]:
     """Sampled-label accuracy attainable from the features in U alone:
     the dataset average of v_{f_y(x)}(U). Returns (mean, stderr)."""
-    from .values import as_mask
-
     mask = as_mask(U, dataset.n)
     idx = _point_budget(dataset.n_rows, budget, seed)
     B = idx.shape[0]
     vals = np.empty(B)
     for j, row in enumerate(idx):
         row = int(row)
-        vf = cached_value_fn(
+        vf = CachedValueFunction(
             pred, dataset.X[row], int(dataset.y[row]),
             bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
         )
@@ -408,10 +404,6 @@ def coalition_accuracy(
     mean = math.fsum(map(float, vals)) / B
     stderr = float(np.std(vals, ddof=1)) / math.sqrt(B) if B > 1 else 0.0
     return mean, stderr
-
-
-def accuracy_of_coalition(pred, dataset, U, **kwargs) -> float:
-    return coalition_accuracy(pred, dataset, U, **kwargs)[0]
 
 
 def partition_sum_check(

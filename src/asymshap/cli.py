@@ -17,7 +17,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
     OrderingSpec,
     WeightedOrdering,
+    count_consistent,
     enumerate_consistent,
     random_ordering_spec,
 )
@@ -56,11 +56,13 @@ from .scenarios import (
     run_fairness_audit,
     run_feature_selection_study,
 )
-from .values import BackgroundSet, cached_value_fn, make_sampler
+from .values import BackgroundSet, CachedValueFunction, make_sampler
 
 logger = logging.getLogger(__name__)
 
 GEN_SCENARIOS = ("fair-admissions", "unfair-admissions", "chain", "collider", "mixed", "markov")
+# Automatic exact enumeration warns above this many consistent orders per point.
+AUTO_EXACT_WARN_ORDERS = math.factorial(8)
 
 
 def _sha256_file(path) -> str:
@@ -132,20 +134,20 @@ def _load_ordering(path, ds: Dataset) -> WeightedOrdering:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed ordering-spec JSON {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"ordering spec {path} must be a JSON object")
 
     def to_index(entry):
-        if isinstance(entry, str):
-            return ds.schema.index_of(entry)
-        return int(entry)
+        return ds.schema.index_of(entry) if isinstance(entry, str) else entry
 
-    n = int(obj.get("n", ds.n))
-    if n != ds.n:
-        raise ValidationError(f"ordering spec covers {n} features, dataset has {ds.n}")
-    groups = obj.get("groups")
-    if groups is not None:
-        groups = tuple(tuple(to_index(e) for e in g) for g in groups)
-    edges = frozenset((to_index(i), to_index(j)) for i, j in obj.get("edges") or [])
-    return WeightedOrdering(OrderingSpec(n, groups, edges), obj.get("direction", "distal"))
+    obj = {**obj, "n": obj.get("n", ds.n)}
+    if obj.get("groups") is not None:
+        obj["groups"] = [[to_index(e) for e in g] for g in obj["groups"]]
+    obj["edges"] = [[to_index(i), to_index(j)] for i, j in obj.get("edges") or []]
+    ordering = WeightedOrdering.from_json_dict(obj)
+    if ordering.spec.n != ds.n:
+        raise ValidationError(f"ordering spec covers {ordering.spec.n} features, dataset has {ds.n}")
+    return ordering
 
 
 def _split_names(raw) -> list[str]:
@@ -276,12 +278,39 @@ def _build_marginalizer(resolved: dict, ds: Dataset):
     return None, make_sampler(strategy, dataset=ds, k=int(resolved["k"]))
 
 
+def _choose_estimator(resolved: dict, ordering: WeightedOrdering, n_points: int) -> str:
+    """--exact or --mc when given, else exact up to the enumeration cap.
+
+    Automatic exact enumeration materialises every consistent order for every
+    point, so it warns when a point has more than AUTO_EXACT_WARN_ORDERS of
+    them. The count is closed-form for specs without edges; with edges n! is
+    the bound, so the estimate never enumerates.
+    """
+    if resolved["exact"] and resolved["mc"]:
+        raise ValidationError("--exact and --mc are mutually exclusive")
+    if resolved["exact"]:
+        return "exact"
+    if resolved["mc"]:
+        return "mc"
+    spec = ordering.effective()
+    if spec.n > int(resolved["cap"]):
+        return "mc"
+    orders = math.factorial(spec.n) if spec.edges else count_consistent(spec)
+    if orders > AUTO_EXACT_WARN_ORDERS:
+        logger.warning(
+            "exact estimator chosen automatically for %d features: up to %d consistent orders "
+            "per point, %d permutation rows over %d points; pass --mc to sample instead",
+            spec.n, orders, orders * n_points, n_points,
+        )
+    return "exact"
+
+
 def cmd_explain(args) -> int:
     defaults = {
         "model": None, "data": None, "schema": None, "spec": None,
         "strategy": "off-manifold", "k": 10, "samples": 100,
         "exact": None, "mc": None, "perms": 200, "budget": None,
-        "index": None, "target": "label", "workers": _default_workers(),
+        "index": None, "target": "label", "workers": 1,
         "cap": DEFAULT_ENUMERATION_CAP, "seed": None,
         "out": "attribution.json", "locals_csv": None,
     }
@@ -297,14 +326,13 @@ def cmd_explain(args) -> int:
         hashes["spec"] = _sha256_file(resolved["spec"])
     else:
         ordering = WeightedOrdering(OrderingSpec(ds.n))
-    if resolved["exact"] and resolved["mc"]:
-        raise ValidationError("--exact and --mc are mutually exclusive")
-    if resolved["exact"]:
-        estimator = "exact"
-    elif resolved["mc"]:
-        estimator = "mc"
+    if resolved["index"] is not None:
+        n_points = 1
+    elif resolved["budget"] is None:
+        n_points = ds.n_rows
     else:
-        estimator = "exact" if ds.n <= int(resolved["cap"]) else "mc"
+        n_points = min(int(resolved["budget"]), ds.n_rows)
+    estimator = _choose_estimator(resolved, ordering, n_points)
     bg, sampler = _build_marginalizer(resolved, ds)
     seed = int(resolved["seed"])
     m = int(resolved["samples"])
@@ -319,7 +347,7 @@ def cmd_explain(args) -> int:
             y = int(ds.y[row])
         else:
             raise ValidationError(f"target must be 'label' or 'argmax', got {resolved['target']!r}")
-        vf = cached_value_fn(model, x, y, bg=bg, sampler=sampler, m=m, seed=seed, point_index=row)
+        vf = CachedValueFunction(model, x, y, bg=bg, sampler=sampler, m=m, seed=seed, point_index=row)
         if estimator == "exact":
             res = exact_asv(vf, ordering, cap=int(resolved["cap"]))
         else:
@@ -361,7 +389,7 @@ def cmd_fairness(args) -> int:
         "resolving": None, "sensitive": None,
         "strategy": "exact-match", "k": 10, "samples": 64,
         "estimator": "exact", "perms": 200, "budget": 2000,
-        "workers": _default_workers(), "seed": None, "out": "fairness.json",
+        "workers": 1, "seed": None, "out": "fairness.json",
     }
     resolved = _resolve(defaults, args)
     if not resolved["resolving"] or not resolved["sensitive"]:
@@ -491,13 +519,6 @@ def cmd_oracle_check(args) -> int:
 
 
 # ---------------------------------------------------------------- wiring
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("ASYMSHAP_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

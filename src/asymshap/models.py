@@ -210,14 +210,6 @@ class TrainedModel:
         )
 
 
-class LogisticModel(TrainedModel):
-    pass
-
-
-class MlpModel(TrainedModel):
-    pass
-
-
 def max_class_accuracy(pred, X: np.ndarray, y: np.ndarray) -> float:
     """Fraction of rows whose argmax class matches the label."""
     return float((pred.predict(X).argmax(axis=1) == y).mean())
@@ -274,8 +266,7 @@ def _fit(ds: Dataset, config: TrainConfig, hidden: tuple[int, ...], kind: str) -
             if since_best >= config.patience:
                 break
     net.restore_params(best_params)
-    cls = {"logistic": LogisticModel, "mlp": MlpModel}[kind]
-    model = cls(
+    model = TrainedModel(
         kind=kind,
         net=net,
         schema=ds.schema,
@@ -301,11 +292,11 @@ def _fit(ds: Dataset, config: TrainConfig, hidden: tuple[int, ...], kind: str) -
     return model
 
 
-def train_logistic(ds: Dataset, config: TrainConfig = TrainConfig()) -> LogisticModel:
+def train_logistic(ds: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
     return _fit(ds, config, hidden=(), kind="logistic")
 
 
-def train_mlp(ds: Dataset, config: TrainConfig = TrainConfig()) -> MlpModel:
+def train_mlp(ds: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
     if not config.hidden:
         config = replace(config, hidden=(10, 10))
     return _fit(ds, config, hidden=config.hidden, kind="mlp")
@@ -332,8 +323,3 @@ class BayesPredictor:
         if X.shape[1] != self.n_features:
             raise SchemaError(f"input has {X.shape[1]} features, process expects {self.n_features}")
         return self.process.label_probs(X)
-
-
-def bayes_predict(process, x: np.ndarray) -> np.ndarray:
-    """Exact conditional class probabilities of the process at one point."""
-    return BayesPredictor(process).predict(np.asarray(x, dtype=np.float64))[0]

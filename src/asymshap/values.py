@@ -1,9 +1,11 @@
 """Coalition value functions: what a prediction is worth when only some features are known.
 
-Two marginalization modes. Off-manifold splices background draws into the
-out-of-coalition slots unconditionally. On-manifold draws the out-of-coalition
-slots from p(x' | x_S) via a ConditionalSampler (exact-match, k-NN, or a
-generative process with closed-form conditionals).
+CachedValueFunction is the game v(S) = E[f_y(x_S, x'_{S-bar})] for one point
+x and class y, memoized per coalition. The out-of-coalition slots x' come from
+one of two marginalizations. Off-manifold splices unconditional background
+draws (a BackgroundSet). On-manifold draws them from p(x' | x_S) through a
+ConditionalSampler: exact-match, k-NN, or a generative process with
+closed-form conditionals.
 
 Per-instance draws are frozen: the off-manifold background subsample is drawn
 once and shared by every coalition, and on-manifold per-coalition draws are
@@ -16,12 +18,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .coalitions import Coalition
-from .data import Dataset, Schema
+from .data import Dataset
 from .errors import EstimatorError, SchemaError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -51,22 +53,6 @@ def as_mask(S, n: int) -> int:
             raise ValidationError(f"mask {mask} outside [0, 2^{n})")
         return mask
     return Coalition.of(S, n).mask
-
-
-def mask_indices(mask: int, n: int) -> np.ndarray:
-    return np.array([i for i in range(n) if mask >> i & 1], dtype=np.int64)
-
-
-def splice(x: np.ndarray, S, x_prime: np.ndarray) -> np.ndarray:
-    """x_S joined with x'_{S-bar}: feature i from x when i is in S, else from x'."""
-    x = np.asarray(x, dtype=np.float64)
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    if x.shape != x_prime.shape:
-        raise SchemaError(f"spliced points disagree in shape: {x.shape} vs {x_prime.shape}")
-    n = x.shape[-1]
-    mask = as_mask(S, n)
-    keep = np.array([bool(mask >> i & 1) for i in range(n)])
-    return np.where(keep, x, x_prime)
 
 
 @dataclass
@@ -309,37 +295,78 @@ def _check_point(x: np.ndarray, y: int, pred: Predictor) -> np.ndarray:
 
 
 class CachedValueFunction:
-    """Memoized v(S) for one (predictor, point, class, strategy, seed) context.
+    """Memoized v(S) for one (predictor, point, class) context.
 
-    Construct through off_manifold_fn / on_manifold_fn / cached_value_fn.
-    Tracks distinct coalition evaluations, cache hits, and total predictor rows.
+    Give exactly one completion source. With bg (off-manifold) the slots
+    outside S are spliced from m background draws, frozen once per point from
+    (seed, point_index) and shared by every coalition; an unweighted
+    background no larger than m is used whole, once per row, so v(S) carries
+    no sampling error. With sampler (on-manifold) they are drawn from
+    p(x' | x_S), m conditional completions per coalition on a stream keyed by
+    (seed, point_index, mask); the full coalition is the prediction at x.
+
+    Each distinct coalition calls the predictor once. Tracks distinct
+    coalition evaluations, cache hits, and total predictor rows.
     """
 
-    def __init__(self, pred: Predictor, x, y: int, n: int):
+    def __init__(
+        self,
+        pred: Predictor,
+        x,
+        y: int,
+        *,
+        bg: BackgroundSet | None = None,
+        sampler: ConditionalSampler | None = None,
+        m: int = 100,
+        seed: int = 0,
+        point_index: int = 0,
+    ):
+        if (bg is None) == (sampler is None):
+            raise ValidationError("give exactly one of bg (off-manifold) or sampler (on-manifold)")
         self.pred = pred
         self.x = _check_point(x, y, pred)
         self.y = int(y)
-        self.n = n
+        self.n = pred.n_features
+        if m < 1:
+            raise ValidationError(f"sample count must be positive, got {m}")
+        self.sampler = sampler
+        self.m = m
+        self.seed = int(seed)
+        self.point_index = int(point_index)
+        if bg is not None:
+            if bg.rows.shape[1] != self.n:
+                raise SchemaError(f"background rows have {bg.rows.shape[1]} features, expected {self.n}")
+            if bg.weights is None and m >= len(bg):
+                self._draws, self._exhaustive = bg.rows, True
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence([self.seed, self.point_index]))
+                sel = rng.choice(len(bg), size=m, replace=True, p=bg.weights)
+                self._draws, self._exhaustive = bg.rows[sel], False
         self._cache: dict[int, tuple[float, float]] = {}
         self.evaluations = 0
         self.hits = 0
         self.prediction_rows = 0
 
-    def _fy(self, rows: np.ndarray) -> np.ndarray:
-        self.prediction_rows += rows.shape[0]
-        return self.pred.predict(rows)[:, self.y]
-
-    def _compute(self, mask: int) -> tuple[float, float]:
-        raise NotImplementedError
-
     def value(self, S) -> tuple[float, float]:
+        """(mean, stderr) of f_y over the completions of x_S."""
         mask = as_mask(S, self.n)
         hit = self._cache.get(mask)
         if hit is not None:
             self.hits += 1
             return hit
         self.evaluations += 1
-        out = self._compute(mask)
+        bits = np.array([mask >> i & 1 for i in range(self.n)], dtype=bool)
+        if self.sampler is None:
+            rows, exhaustive = np.where(bits, self.x, self._draws), self._exhaustive
+        elif bits.all():
+            rows, exhaustive = self.x[None, :], True
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence([self.seed, self.point_index, mask])
+            )
+            rows, exhaustive = self.sampler.complete(self.x, np.flatnonzero(bits), self.m, rng)
+        self.prediction_rows += rows.shape[0]
+        out = _mean_and_stderr(self.pred.predict(rows)[:, self.y], exhaustive)
         self._cache[mask] = out
         return out
 
@@ -348,109 +375,3 @@ class CachedValueFunction:
 
     def __len__(self) -> int:
         return len(self._cache)
-
-
-class OffManifoldValueFunction(CachedValueFunction):
-    """v(S) by splicing frozen unconditional background draws (drawn once,
-    shared across every coalition)."""
-
-    def __init__(self, pred, x, y, bg: BackgroundSet, m: int, seed: int = 0, point_index: int = 0):
-        super().__init__(pred, x, y, pred.n_features)
-        if m < 1:
-            raise ValidationError(f"sample count must be positive, got {m}")
-        if bg.rows.shape[1] != self.n:
-            raise SchemaError(f"background rows have {bg.rows.shape[1]} features, expected {self.n}")
-        rng = np.random.default_rng(np.random.SeedSequence([seed, point_index]))
-        if bg.weights is None and m >= len(bg):
-            self._draws = bg.rows
-            self._exhaustive = True
-        else:
-            sel = rng.choice(len(bg), size=m, replace=True, p=bg.weights)
-            self._draws = bg.rows[sel]
-            self._exhaustive = False
-
-    def _compute(self, mask: int) -> tuple[float, float]:
-        keep = np.array([bool(mask >> i & 1) for i in range(self.n)])
-        spliced = np.where(keep, self.x, self._draws)
-        return _mean_and_stderr(self._fy(spliced), self._exhaustive)
-
-
-class OnManifoldValueFunction(CachedValueFunction):
-    """v(S) by conditional completion; fresh draws per coalition, frozen by
-    deriving the coalition RNG from (seed, point index, mask)."""
-
-    def __init__(self, pred, x, y, sampler: ConditionalSampler, m: int, seed: int = 0, point_index: int = 0):
-        super().__init__(pred, x, y, pred.n_features)
-        if m < 1:
-            raise ValidationError(f"sample count must be positive, got {m}")
-        self.sampler = sampler
-        self.m = m
-        self.seed = int(seed)
-        self.point_index = int(point_index)
-
-    def _compute(self, mask: int) -> tuple[float, float]:
-        if mask == (1 << self.n) - 1:
-            return float(self._fy(self.x[None, :])[0]), 0.0
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed, self.point_index, mask])
-        )
-        rows, exhaustive = self.sampler.complete(self.x, mask_indices(mask, self.n), self.m, rng)
-        return _mean_and_stderr(self._fy(rows), exhaustive)
-
-
-def off_manifold_fn(pred, x, y, bg: BackgroundSet, m: int, seed: int = 0, point_index: int = 0) -> OffManifoldValueFunction:
-    return OffManifoldValueFunction(pred, x, y, bg, m, seed, point_index)
-
-
-def on_manifold_fn(pred, x, y, sampler: ConditionalSampler, m: int, seed: int = 0, point_index: int = 0) -> OnManifoldValueFunction:
-    return OnManifoldValueFunction(pred, x, y, sampler, m, seed, point_index)
-
-
-def cached_value_fn(
-    pred,
-    x,
-    y: int,
-    *,
-    bg: BackgroundSet | None = None,
-    sampler: ConditionalSampler | None = None,
-    m: int = 100,
-    seed: int = 0,
-    point_index: int = 0,
-) -> CachedValueFunction:
-    """Factory for a memoized value function; give exactly one of bg or sampler."""
-    if (bg is None) == (sampler is None):
-        raise ValidationError("give exactly one of bg (off-manifold) or sampler (on-manifold)")
-    if bg is not None:
-        return off_manifold_fn(pred, x, y, bg, m, seed, point_index)
-    return on_manifold_fn(pred, x, y, sampler, m, seed, point_index)
-
-
-def off_manifold_value(pred, x, y, S, bg: BackgroundSet, m: int, rng) -> tuple[float, float]:
-    """One-shot off-manifold v(S): m background draws (exhaustive when m covers
-    an unweighted background), spliced and averaged."""
-    x = _check_point(x, y, pred)
-    n = pred.n_features
-    if m < 1:
-        raise ValidationError(f"sample count must be positive, got {m}")
-    if bg.weights is None and m >= len(bg):
-        draws, exhaustive = bg.rows, True
-    else:
-        sel = rng.choice(len(bg), size=m, replace=True, p=bg.weights)
-        draws, exhaustive = bg.rows[sel], False
-    mask = as_mask(S, n)
-    keep = np.array([bool(mask >> i & 1) for i in range(n)])
-    spliced = np.where(keep, x, draws)
-    return _mean_and_stderr(pred.predict(spliced)[:, y], exhaustive)
-
-
-def on_manifold_value(pred, x, y, S, cond: ConditionalSampler, m: int, rng) -> tuple[float, float]:
-    """One-shot on-manifold v(S): m conditional completions of x on S, averaged."""
-    x = _check_point(x, y, pred)
-    n = pred.n_features
-    if m < 1:
-        raise ValidationError(f"sample count must be positive, got {m}")
-    mask = as_mask(S, n)
-    if mask == (1 << n) - 1:
-        return float(pred.predict(x[None, :])[0, y]), 0.0
-    rows, exhaustive = cond.complete(x, mask_indices(mask, n), m, rng)
-    return _mean_and_stderr(pred.predict(rows)[:, y], exhaustive)

@@ -21,7 +21,6 @@ from asymshap import (
     TableValueFunction,
     ValidationError,
     WeightedOrdering,
-    accuracy_of_coalition,
     coalition_accuracy,
     exact_asv,
     exact_shapley_subset_form,
@@ -395,8 +394,8 @@ class TestCoalitionAccuracy:
         y = X[:, 0].astype(np.int64)
         ds = Dataset(X, y, schema)
         pred = FirstFeatureProbPredictor(n_features=1)
-        full = accuracy_of_coalition(pred, ds, [0], bg=BackgroundSet(ds.X), m=ds.n_rows)
-        empty = accuracy_of_coalition(pred, ds, [], bg=BackgroundSet(ds.X), m=ds.n_rows)
+        full = coalition_accuracy(pred, ds, [0], bg=BackgroundSet(ds.X), m=ds.n_rows)[0]
+        empty = coalition_accuracy(pred, ds, [], bg=BackgroundSet(ds.X), m=ds.n_rows)[0]
         assert full == 1.0
         assert empty == 0.5
 

@@ -1,0 +1,136 @@
+"""The command line end to end, at toy size: round trip, determinism, exit codes."""
+
+import json
+import logging
+import math
+
+import pytest
+
+from asymshap import OrderingSpec, WeightedOrdering
+from asymshap.cli import _choose_estimator, main
+
+
+def pipeline(d, tag):
+    """gen-data -> train -> explain -> fairness in directory d; returns the two outputs."""
+    assert main(["gen-data", "unfair-admissions", "--rows", "400", "--seed", "0",
+                 "--out", str(d / "data")]) == 0
+    assert main(["train", "--data", str(d / "data.csv"), "--model", "mlp", "--epochs", "20",
+                 "--patience", "20", "--seed", "0", "--out", str(d / "model.json")]) == 0
+    common = ["--model", str(d / "model.json"), "--data", str(d / "data.csv"),
+              "--budget", "20", "--samples", "8", "--seed", "0"]
+    explain, fairness = d / f"explain-{tag}.json", d / f"fairness-{tag}.json"
+    assert main(["explain", *common, "--out", str(explain)]) == 0
+    assert main(["fairness", *common, "--resolving", "department", "--sensitive", "gender",
+                 "--out", str(fairness)]) == 0
+    return explain, fairness
+
+
+def blank_out(path):
+    doc = json.loads(path.read_text())
+    doc["config"]["out"] = None
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    pipeline(d, "first")
+    return d
+
+
+def test_round_trip_reruns_byte_identical(trained):
+    first = [trained / "explain-first.json", trained / "fairness-first.json"]
+    again = pipeline(trained, "again")
+    for a, b in zip(first, again):
+        assert a.read_bytes() != b.read_bytes()  # the echoed out path differs
+        assert blank_out(a) == blank_out(b)
+
+
+def test_round_trip_outputs(trained):
+    glob = json.loads((trained / "explain-first.json").read_text())
+    assert glob["mode"] == "global" and glob["n_points"] == 20
+    assert glob["features"] == ["gender", "score", "department"]
+    assert glob["metadata"]["estimator"] == "exact"
+    gap = sum(glob["means"]) - (glob["accuracy_full"] - glob["accuracy_empty"])
+    assert abs(gap) < 1e-9
+    report = json.loads((trained / "fairness-first.json").read_text())
+    assert report["sensitive"] == ["gender"] and report["resolving"] == ["department"]
+    # gender is the only sensitive feature, so its ASV is the whole sensitive mass.
+    assert report["sensitive_asv"] == report["means"][0]
+
+
+def test_explain_with_name_based_spec(trained):
+    spec = trained / "spec.json"
+    spec.write_text(json.dumps({
+        "groups": [["department", "gender"], ["score"]],
+        "edges": [["department", "gender"]],
+        "direction": "proximate",
+    }))
+    out = trained / "spec-explain.json"
+    assert main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--spec", str(spec), "--index", "3", "--samples", "8", "--seed", "0",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["mode"] == "local" and doc["index"] == 3
+    # Names resolved to indices (gender 0, score 1, department 2), then reversed.
+    assert doc["metadata"]["ordering"] == {"n": 3, "groups": [[1], [0, 2]], "edges": [[0, 2]]}
+    assert doc["n_samples"] == 1  # score, then gender before department
+    assert "spec" in doc["input_hashes"]
+
+
+@pytest.mark.parametrize("content", [{"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]]])
+def test_bad_spec_is_rejected(trained, content):
+    spec = trained / "bad-spec.json"
+    spec.write_text(json.dumps(content))
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--spec", str(spec), "--index", "0", "--seed", "0", "--out", str(trained / "x.json")])
+    assert code == 2
+
+
+def test_missing_model_exits_2(trained, capsys):
+    code = main(["explain", "--model", str(trained / "absent.json"), "--data", str(trained / "data.csv"),
+                 "--seed", "0"])
+    assert code == 2
+    assert "model file not found" in capsys.readouterr().err
+
+
+def test_failed_oracle_check_exits_4(capsys):
+    # Two permutation draws give stderrs too loose to be meaningful: coverage 0.80.
+    assert main(["oracle-check", "--n", "4", "--games", "5", "--perms", "2", "--seed", "0"]) == 4
+    assert capsys.readouterr().out.startswith("FAIL")
+
+
+AUTO = {"exact": None, "mc": None, "cap": 10}
+
+
+def test_auto_exact_warns_above_8_factorial_orders(caplog):
+    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
+        assert _choose_estimator(AUTO, WeightedOrdering(OrderingSpec(9)), 100) == "exact"
+    (record,) = caplog.records
+    assert str(math.factorial(9)) in record.message
+    assert str(100 * math.factorial(9)) in record.message
+
+
+def test_auto_exact_bounds_edge_specs_by_n_factorial(caplog):
+    # A chain has one consistent order, but counting it would enumerate.
+    chain = OrderingSpec(9, edges=frozenset((i, i + 1) for i in range(8)))
+    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
+        assert _choose_estimator(AUTO, WeightedOrdering(chain), 1) == "exact"
+    (record,) = caplog.records
+    assert str(math.factorial(9)) in record.message
+
+
+@pytest.mark.parametrize(
+    "resolved, spec, want",
+    [
+        (AUTO, OrderingSpec(8), "exact"),  # exactly 8! orders
+        (AUTO, OrderingSpec(9, groups=((0, 1, 2, 3), (4, 5, 6, 7, 8))), "exact"),  # 4!5! orders
+        (AUTO, OrderingSpec(11), "mc"),  # above the cap
+        ({**AUTO, "exact": True}, OrderingSpec(9), "exact"),  # asked for
+        ({**AUTO, "mc": True}, OrderingSpec(9), "mc"),
+    ],
+)
+def test_no_warning_otherwise(caplog, resolved, spec, want):
+    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
+        assert _choose_estimator(resolved, WeightedOrdering(spec), 1000) == want
+    assert caplog.records == []

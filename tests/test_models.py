@@ -13,13 +13,11 @@ from asymshap import (
     Dataset,
     DegenerateDataError,
     FeatureSpec,
-    MlpModel,
     Schema,
     SchemaError,
     TrainConfig,
     TrainedModel,
     ValidationError,
-    bayes_predict,
     gen_fair_admissions,
     max_class_accuracy,
     one_hot_design,
@@ -143,11 +141,16 @@ class TestTraining:
         loss, _, _ = model.net.loss_and_grad(design, val.y)
         assert loss == min(hist["val_loss"])
 
-    def test_mlp_defaults_hidden_layers_when_not_given(self):
+    def test_mlp_defaults_hidden_layers_when_not_given(self, tmp_path):
         ds = gaussian_blobs(rows=80, seed=7)
         model = train_mlp(ds, TrainConfig(hidden=(), epochs=5))
         assert model.net.sizes == [2, 10, 10, 2]
-        assert isinstance(model, MlpModel)
+        assert model.kind == "mlp"
+        path = tmp_path / "mlp.json"
+        model.save(path)
+        loaded = TrainedModel.load(path)
+        assert type(loaded) is type(model)
+        assert loaded.kind == "mlp" and loaded.net.sizes == model.net.sizes
 
     def test_accuracy_metrics(self):
         class Fixed:
@@ -221,7 +224,7 @@ class TestBayesPredictor:
     def test_wraps_process_posterior_exactly(self):
         process = AdmissionsProcess()
         x = np.array([0.0, 0.5, 1.0])
-        got = bayes_predict(process, x)
+        got = BayesPredictor(process).predict(x)[0]
         want_p1 = 1.0 / (1.0 + math.exp(-(0.5 + 2.0 * 1.0 - 1.0)))
         assert got[1] == pytest.approx(want_p1, abs=1e-12)
         assert got[0] == pytest.approx(1.0 - want_p1, abs=1e-12)

@@ -1,4 +1,4 @@
-"""Value functions: splicing, conditional completion, caching, and error bars."""
+"""The value function: splicing, conditional completion, caching, and error bars."""
 
 import logging
 import math
@@ -11,6 +11,7 @@ from asymshap import (
     CONTINUOUS,
     DISCRETE,
     BackgroundSet,
+    CachedValueFunction,
     Coalition,
     Dataset,
     EstimatorError,
@@ -22,15 +23,8 @@ from asymshap import (
     SchemaError,
     ValidationError,
     as_mask,
-    cached_value_fn,
     make_sampler,
-    mask_indices,
     normalize_strategy,
-    off_manifold_fn,
-    off_manifold_value,
-    on_manifold_fn,
-    on_manifold_value,
-    splice,
 )
 from asymshap.values import _discrete_mutual_information
 
@@ -57,25 +51,58 @@ class TestMaskHelpers:
             as_mask([3], 3)
 
     def test_mask_indices(self):
-        assert list(mask_indices(0b101, 3)) == [0, 2]
-        assert list(mask_indices(0, 3)) == []
+        # The sampler conditions on the coalition's members, ascending.
+        seen = []
+
+        class Recorder:
+            def complete(self, x, s_idx, m, rng):
+                seen.append(list(s_idx))
+                return np.tile(x, (m, 1)), False
+
+        vf = CachedValueFunction(
+            ConstantPredictor(n_features=3), np.zeros(3), 1, sampler=Recorder(), m=2
+        )
+        vf.value(0b101)
+        vf.value(0)
+        assert seen == [[0, 2], []]
+
+
+class RowRecorder:
+    """Predictor that keeps every row it is asked about."""
+
+    n_features, n_classes = 3, 2
+
+    def __init__(self):
+        self.rows = []
+
+    def predict(self, X):
+        self.rows.extend(np.asarray(X).tolist())
+        return np.full((len(X), 2), 0.5)
+
+
+def spliced(S, x, x_prime):
+    """The row the off-manifold game predicts on: x on S, x' elsewhere."""
+    pred = RowRecorder()
+    CachedValueFunction(pred, x, 1, bg=BackgroundSet(x_prime[None, :]), m=1).value(S)
+    (row,) = pred.rows
+    return row
 
 
 class TestSplice:
     def test_full_and_empty(self):
         x = np.array([1.0, 2.0, 3.0])
         x_prime = np.array([9.0, 8.0, 7.0])
-        assert np.array_equal(splice(x, [0, 1, 2], x_prime), x)
-        assert np.array_equal(splice(x, [], x_prime), x_prime)
+        assert np.array_equal(spliced([0, 1, 2], x, x_prime), x)
+        assert np.array_equal(spliced([], x, x_prime), x_prime)
 
     def test_mixed(self):
         x = np.array([1.0, 2.0, 3.0])
         x_prime = np.array([9.0, 8.0, 7.0])
-        assert np.array_equal(splice(x, [1], x_prime), [9.0, 2.0, 7.0])
+        assert np.array_equal(spliced([1], x, x_prime), [9.0, 2.0, 7.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
-            splice(np.zeros(3), [0], np.zeros(4))
+            spliced([0], np.zeros(3), np.zeros(4))
 
 
 class TestBackgroundSet:
@@ -111,8 +138,7 @@ class TestOffManifold:
                 [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
             )
         )
-        rng = np.random.default_rng(0)
-        got, err = off_manifold_value(pred, x, 1, [0], bg, m=4, rng=rng)
+        got, err = CachedValueFunction(pred, x, 1, bg=bg, m=4).value([0])
         hand = (
             sigmoid(0.1 + 1.0)
             + sigmoid(0.1 + 1.0 + 0.5)
@@ -126,7 +152,7 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([0.3, -0.7]))
         x = np.array([0.4, 1.2])
         bg = BackgroundSet(np.random.default_rng(1).normal(size=(50, 2)))
-        vf = off_manifold_fn(pred, x, 1, bg, m=10, seed=3)
+        vf = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=3)
         got, err = vf.value([0, 1])
         assert got == float(pred.predict(x[None, :])[0, 1])
         assert err == 0.0
@@ -134,7 +160,7 @@ class TestOffManifold:
     def test_constant_model_is_constant_for_every_coalition(self):
         pred = ConstantPredictor(p1=0.3, n_features=3)
         bg = BackgroundSet(np.random.default_rng(2).normal(size=(20, 3)))
-        vf = off_manifold_fn(pred, np.zeros(3), 1, bg, m=7, seed=0)
+        vf = CachedValueFunction(pred, np.zeros(3), 1, bg=bg, m=7, seed=0)
         for mask in range(8):
             got, err = vf.value(mask)
             assert got == 0.3
@@ -146,7 +172,7 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([0.8, 0.0, -1.1, 0.4]))
         x = np.random.default_rng(3).normal(size=4)
         bg = BackgroundSet(np.random.default_rng(4).normal(size=(30, 4)))
-        vf = off_manifold_fn(pred, x, 1, bg, m=12, seed=5)
+        vf = CachedValueFunction(pred, x, 1, bg=bg, m=12, seed=5)
         j = 1
         for mask in range(16):
             if mask >> j & 1:
@@ -157,11 +183,11 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([1.0, 1.0]))
         bg = BackgroundSet(np.random.default_rng(5).normal(size=(8, 2)))
         x = np.array([0.5, -0.5])
-        val, err = off_manifold_value(pred, x, 1, [0], bg, m=8, rng=np.random.default_rng(0))
+        val, err = CachedValueFunction(pred, x, 1, bg=bg, m=8).value([0])
         assert err == 0.0
         hand = float(np.mean(pred.predict(np.column_stack([np.full(8, 0.5), bg.rows[:, 1]]))[:, 1]))
         assert val == pytest.approx(hand, abs=1e-12)
-        _, err_small = off_manifold_value(pred, x, 1, [0], bg, m=4, rng=np.random.default_rng(0))
+        _, err_small = CachedValueFunction(pred, x, 1, bg=bg, m=4).value([0])
         assert err_small > 0.0
 
     def test_weighted_background_is_resampled_not_exhausted(self):
@@ -169,7 +195,7 @@ class TestOffManifold:
         rows = np.array([[0.0, 0.0], [1.0, 0.0]])
         bg = BackgroundSet(rows, weights=np.array([0.9, 0.1]))
         m = 10_000
-        val, err = off_manifold_value(pred, np.zeros(2), 1, [], bg, m=m, rng=np.random.default_rng(6))
+        val, err = CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=m, seed=6).value([])
         assert err > 0.0
         assert val == pytest.approx(0.1, abs=4 * math.sqrt(0.09 / m))
 
@@ -180,7 +206,7 @@ class TestOffManifold:
         ms = [100, 1000, 10_000]
         errs = []
         for i, m in enumerate(ms):
-            vf = off_manifold_fn(pred, x, 1, bg, m=m, seed=10 + i)
+            vf = CachedValueFunction(pred, x, 1, bg=bg, m=m, seed=10 + i)
             errs.append(vf.value([])[1])
         slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
@@ -189,13 +215,13 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([1.0, 1.0]))
         bg = BackgroundSet(np.zeros((3, 2)))
         with pytest.raises(ValidationError):
-            off_manifold_fn(pred, np.zeros(2), 1, bg, m=0)
+            CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=0)
         with pytest.raises(SchemaError):
-            off_manifold_fn(pred, np.zeros(3), 1, bg, m=5)
+            CachedValueFunction(pred, np.zeros(3), 1, bg=bg, m=5)
         with pytest.raises(SchemaError):
-            off_manifold_fn(pred, np.zeros(2), 1, BackgroundSet(np.zeros((3, 4))), m=5)
+            CachedValueFunction(pred, np.zeros(2), 1, bg=BackgroundSet(np.zeros((3, 4))), m=5)
         with pytest.raises(ValidationError):
-            off_manifold_fn(pred, np.zeros(2), 2, bg, m=5)
+            CachedValueFunction(pred, np.zeros(2), 2, bg=bg, m=5)
 
 
 # ---------------------------------------------------------------- caching
@@ -205,7 +231,7 @@ class TestCaching:
     def test_repeat_queries_hit_the_cache(self):
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.2]))
         bg = BackgroundSet(np.random.default_rng(8).normal(size=(10, 3)))
-        vf = off_manifold_fn(pred, np.zeros(3), 1, bg, m=6, seed=0)
+        vf = CachedValueFunction(pred, np.zeros(3), 1, bg=bg, m=6, seed=0)
         first = vf.value([0])
         rows_after_first = vf.prediction_rows
         again = vf.value([0])
@@ -217,7 +243,7 @@ class TestCaching:
         n = 5
         pred = LinearProbPredictor(np.random.default_rng(9).normal(size=n))
         bg = BackgroundSet(np.random.default_rng(10).normal(size=(8, n)))
-        vf = off_manifold_fn(pred, np.zeros(n), 1, bg, m=4, seed=0)
+        vf = CachedValueFunction(pred, np.zeros(n), 1, bg=bg, m=4, seed=0)
         for mask in range(1 << n):
             vf.value(mask)
             vf.value(mask)
@@ -229,9 +255,9 @@ class TestCaching:
         pred = LinearProbPredictor(np.array([0.5, 1.5, -0.5]))
         bg = BackgroundSet(np.random.default_rng(11).normal(size=(40, 3)))
         x = np.array([0.2, -0.9, 0.4])
-        a = off_manifold_fn(pred, x, 1, bg, m=10, seed=21, point_index=2)
-        b = off_manifold_fn(pred, x, 1, bg, m=10, seed=21, point_index=2)
-        c = off_manifold_fn(pred, x, 1, bg, m=10, seed=22, point_index=2)
+        a = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=21, point_index=2)
+        b = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=21, point_index=2)
+        c = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=22, point_index=2)
         for mask in range(8):
             assert a.value(mask) == b.value(mask)
         assert any(a.value(m) != c.value(m) for m in range(1, 7))
@@ -240,14 +266,14 @@ class TestCaching:
         pred = LinearProbPredictor(np.array([1.0]))
         bg = BackgroundSet(np.zeros((2, 1)))
         with pytest.raises(ValidationError):
-            cached_value_fn(pred, np.zeros(1), 1)
+            CachedValueFunction(pred, np.zeros(1), 1)
         with pytest.raises(ValidationError):
-            cached_value_fn(pred, np.zeros(1), 1, bg=bg, sampler=object())
+            CachedValueFunction(pred, np.zeros(1), 1, bg=bg, sampler=object())
 
     def test_value_only(self):
         pred = ConstantPredictor(p1=0.25, n_features=2)
         bg = BackgroundSet(np.zeros((2, 2)))
-        vf = cached_value_fn(pred, np.zeros(2), 1, bg=bg, m=2)
+        vf = CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=2)
         assert vf.value_only(0) == 0.25
 
 
@@ -275,7 +301,7 @@ class TestExactMatchSampler:
         # Condition on b = 1: matching rows are (0,1) twice; completions keep
         # b = 1 and draw a from those rows, so the mean of f_1 = a is 0.
         x = np.array([1.0, 1.0])
-        val, err = on_manifold_value(pred, x, 1, [1], sampler, m=50, rng=np.random.default_rng(0))
+        val, err = CachedValueFunction(pred, x, 1, sampler=sampler, m=50).value([1])
         assert val == 0.0
         assert err == 0.0
 
@@ -284,10 +310,8 @@ class TestExactMatchSampler:
         pred = FirstFeatureProbPredictor(n_features=2)
         sampler = ExactMatchSampler(ds)
         x = np.array([0.0, 0.0])
-        on = on_manifold_value(pred, x, 1, [], sampler, m=ds.n_rows, rng=np.random.default_rng(0))
-        off = off_manifold_value(
-            pred, x, 1, [], BackgroundSet(ds.X), m=ds.n_rows, rng=np.random.default_rng(0)
-        )
+        on = CachedValueFunction(pred, x, 1, sampler=sampler, m=ds.n_rows).value([])
+        off = CachedValueFunction(pred, x, 1, bg=BackgroundSet(ds.X), m=ds.n_rows).value([])
         assert on == off
 
     def test_subsamples_when_matches_exceed_m(self):
@@ -295,7 +319,7 @@ class TestExactMatchSampler:
         pred = FirstFeatureProbPredictor(n_features=2)
         sampler = ExactMatchSampler(ds)
         x = np.array([0.0, 0.0])
-        val, err = on_manifold_value(pred, x, 1, [0], sampler, m=3, rng=np.random.default_rng(1))
+        val, err = CachedValueFunction(pred, x, 1, sampler=sampler, m=3, seed=1).value([0])
         assert val == 0.0  # every a=0 row predicts 0 regardless of subsampling
         assert err == 0.0  # identical values short-circuit
 
@@ -316,7 +340,7 @@ class TestExactMatchSampler:
         sampler = ExactMatchSampler(ds)
         x = np.array([1.0, 1.0, 0.0])
         with caplog.at_level(logging.WARNING, logger="asymshap.values"):
-            val, _ = on_manifold_value(pred, x, 1, [0, 1], sampler, m=20, rng=np.random.default_rng(2))
+            val, _ = CachedValueFunction(pred, x, 1, sampler=sampler, m=20, seed=2).value([0, 1])
         assert any("falling back" in r.message for r in caplog.records)
         assert val == 1.0  # completions pin the conditioned features to x
 
@@ -460,7 +484,7 @@ class TestOnManifold:
     def test_full_coalition_is_the_prediction(self):
         ds = discrete_dataset()
         pred = FirstFeatureProbPredictor(n_features=2)
-        vf = on_manifold_fn(pred, np.array([1.0, 0.0]), 1, ExactMatchSampler(ds), m=5)
+        vf = CachedValueFunction(pred, np.array([1.0, 0.0]), 1, sampler=ExactMatchSampler(ds), m=5)
         got, err = vf.value([0, 1])
         assert got == 1.0 and err == 0.0
 
@@ -470,7 +494,9 @@ class TestOnManifold:
         X = np.column_stack([rng.integers(0, 2, 60).astype(float), rng.normal(size=60)])
         ds = Dataset(X, rng.integers(0, 2, 60), schema)
         pred = LinearProbPredictor(np.array([0.7, -0.4]))
-        make = lambda: on_manifold_fn(pred, ds.X[0], 1, KNNSampler(ds), m=9, seed=33, point_index=4)
+        make = lambda: CachedValueFunction(
+            pred, ds.X[0], 1, sampler=KNNSampler(ds), m=9, seed=33, point_index=4
+        )
         a, b = make(), make()
         for mask in [0, 1, 2, 3]:
             assert a.value(mask) == b.value(mask)
@@ -482,4 +508,4 @@ class TestOnManifold:
         ds = discrete_dataset()
         pred = FirstFeatureProbPredictor(n_features=2)
         with pytest.raises(ValidationError):
-            on_manifold_fn(pred, np.zeros(2), 1, ExactMatchSampler(ds), m=0)
+            CachedValueFunction(pred, np.zeros(2), 1, sampler=ExactMatchSampler(ds), m=0)
