@@ -23,15 +23,12 @@ from .attribution import (
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_REJECTION_BUDGET,
-    Coalition,
     OrderingSpec,
-    Permutation,
     WeightedOrdering,
     count_consistent,
     enumerate_consistent,
     is_consistent,
     random_ordering_spec,
-    sample_consistent,
     sample_consistent_batch,
     spec_from_json,
     spec_to_json,

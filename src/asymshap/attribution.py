@@ -110,21 +110,16 @@ def _as_spec(ordering) -> OrderingSpec:
     raise ValidationError(f"expected an OrderingSpec or WeightedOrdering, got {type(ordering).__name__}")
 
 
-def _perm_matrix(perms) -> np.ndarray:
-    if isinstance(perms, np.ndarray):
-        return perms.astype(np.int64, copy=False)
-    return np.array([p.order for p in perms], dtype=np.int64)
+def marginal_contributions(v, P) -> np.ndarray:
+    """Matrix of v(pre ∪ {i}) - v(pre) terms, aligned with the order matrix.
 
-
-def marginal_contributions(v, perms) -> np.ndarray:
-    """Matrix of v(pre ∪ {i}) - v(pre) terms, aligned with the permutation matrix.
-
-    Entry [r, k] is the marginal contribution of feature perms[r, k] within
-    draw r. Each row telescopes to v(N) - v({}) up to one rounding per term.
+    P is an int matrix of shape (count, n), one order per row, first feature
+    first. Entry [r, k] is the marginal contribution of feature P[r, k] within
+    order r. Each row telescopes to v(N) - v({}) up to one rounding per term.
     Distinct coalitions are evaluated once through v regardless of how many
-    permutations touch them.
+    orders touch them.
     """
-    P = _perm_matrix(perms)
+    P = np.asarray(P, dtype=np.int64)
     R, n = P.shape
     if n > MAX_MASK_FEATURES:
         raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {n}")
@@ -160,8 +155,7 @@ def exact_asv(
     With an empty ordering this is the plain Shapley value in permutation form.
     """
     spec = _as_spec(ordering)
-    perms = enumerate_consistent(spec, cap=cap)
-    P = _perm_matrix(perms)
+    P = enumerate_consistent(spec, cap=cap)
     diffs = marginal_contributions(v, P)
     means, _ = _per_feature_stats(P, diffs, with_stderr=False)
     n = spec.n

@@ -79,6 +79,34 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _config_value(action: argparse.Action, value, path):
+    """A --config value checked against its flag's type and choices, as the flag would store it.
+
+    null always passes (the default stands). A flag without a type takes any
+    value, so list-valued keys such as hidden keep accepting JSON lists.
+    """
+    if value is None:
+        return None
+
+    def reject(expected):
+        raise ValidationError(f"config key {action.dest!r} in {path} must be {expected}, got {value!r}")
+
+    if action.nargs == 0 and not isinstance(value, bool):
+        reject("true, false or null")
+    if action.type is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if type(value) is not int:
+            reject("an integer")
+    elif action.type is float:
+        if type(value) not in (int, float):
+            reject("a number")
+        value = float(value)
+    if action.choices is not None and value not in action.choices:
+        reject(f"one of {list(action.choices)}")
+    return value
+
+
 def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
     """defaults, overridden by --config file keys, overridden by explicit flags."""
     resolved = dict(defaults)
@@ -89,10 +117,15 @@ def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed config JSON {config_path}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ValidationError(f"config {config_path} must be a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValidationError(f"unknown config keys in {config_path}: {sorted(unknown)}")
-        resolved.update(file_cfg)
+        actions = {a.dest: a for a in args.parser._actions}
+        resolved.update(
+            (key, _config_value(actions[key], value, config_path)) for key, value in file_cfg.items()
+        )
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -483,9 +516,8 @@ def cmd_oracle_check(args) -> int:
         spec = random_ordering_spec(n, rng)
         exact = exact_asv(vf, spec)
         max_eff_gap = max(max_eff_gap, abs(exact.efficiency_gap()))
-        draw = enumerate_consistent(spec)[0]
-        row = np.array([draw.order])
-        telescope = float(marginal_contributions(vf, row).sum()) - (exact.total - exact.baseline)
+        first = enumerate_consistent(spec)[:1]
+        telescope = float(marginal_contributions(vf, first).sum()) - (exact.total - exact.baseline)
         max_telescope_gap = max(max_telescope_gap, abs(telescope))
         est = mc_asv(vf, spec, int(resolved["perms"]), rng)
         for i in range(n):
@@ -530,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, helptext):
         p = sub.add_parser(name, help=helptext)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="JSON file whose keys mirror this command's flags")
         p.add_argument("--seed", type=int, help="master seed (required here or in --config)")
         return p
@@ -571,8 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", action="store_const", const=True, help="force Monte Carlo")
     p.add_argument("--perms", type=int)
     p.add_argument("--budget", type=int, help="max data points for a global run")
-    p.add_argument("--global", dest="global_", action="store_const", const=True,
-                   help="global attribution (default unless --index is given)")
     p.add_argument("--index", type=int, help="explain a single data point")
     p.add_argument("--target", choices=("label", "argmax"))
     p.add_argument("--workers", type=int)

@@ -1,9 +1,14 @@
-"""Feature coalitions, permutations, and precedence-constrained orderings.
+"""Precedence-constrained feature orderings.
 
 An OrderingSpec declares which features must precede which, either as an
 ordered partition into groups (every member of an earlier group before every
 member of a later one) or as individual precedence edges, or both. The
-distribution over permutations is always uniform over the consistent set.
+distribution over orders is always uniform over the consistent set.
+
+Orders are int64 matrices of shape (count, n): row r lists the features of
+order r, first to last. Enumeration yields the rows in lexicographic order;
+sampling yields independent uniform draws. Coalitions elsewhere in the
+package are int bitmasks (bit i set when feature i is in the coalition).
 """
 
 from __future__ import annotations
@@ -23,76 +28,6 @@ from .errors import (
 
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_REJECTION_BUDGET = 1_000_000  # rejected draws allowed per requested sample
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """A subset of the feature indices {0, ..., n-1}."""
-
-    members: frozenset[int]
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"feature count must be nonnegative, got {self.n}")
-        if not all(0 <= i < self.n for i in self.members):
-            raise ValidationError(
-                f"coalition members {sorted(self.members)} outside [0, {self.n})"
-            )
-
-    @classmethod
-    def of(cls, members, n: int) -> "Coalition":
-        return cls(frozenset(members), n)
-
-    @classmethod
-    def empty(cls, n: int) -> "Coalition":
-        return cls(frozenset(), n)
-
-    @classmethod
-    def full(cls, n: int) -> "Coalition":
-        return cls(frozenset(range(n)), n)
-
-    @classmethod
-    def from_mask(cls, mask: int, n: int) -> "Coalition":
-        return cls(frozenset(i for i in range(n) if mask >> i & 1), n)
-
-    @property
-    def mask(self) -> int:
-        return sum(1 << i for i in self.members)
-
-    def complement(self) -> "Coalition":
-        return Coalition(frozenset(range(self.n)) - self.members, self.n)
-
-    def add(self, i: int) -> "Coalition":
-        return Coalition(self.members | {i}, self.n)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0, ..., n-1}, stored as the sequence of features in order."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValidationError(f"not a permutation of 0..{len(self.order) - 1}: {self.order}")
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-    def positions(self) -> tuple[int, ...]:
-        """positions()[i] is the slot at which feature i appears."""
-        pos = [0] * self.n
-        for slot, feat in enumerate(self.order):
-            pos[feat] = slot
-        return tuple(pos)
 
 
 @dataclass(frozen=True)
@@ -241,60 +176,59 @@ def spec_from_json(text: str) -> WeightedOrdering:
     return WeightedOrdering.from_json_dict(obj)
 
 
-def is_consistent(perm: Permutation, spec: OrderingSpec) -> bool:
-    """Whether perm respects every group precedence and every edge of spec."""
-    if perm.n != spec.n:
-        raise ValidationError(f"permutation has {perm.n} features, spec has {spec.n}")
-    pos = perm.positions()
+def is_consistent(P, spec: OrderingSpec) -> np.ndarray:
+    """Whether each order respects every group precedence and every edge of spec.
+
+    P is an int matrix of orders, shape (count, n), row r listing the features
+    of order r first to last; a single order is a 1-row matrix. Returns one
+    bool per row. Raises ValidationError when the width is not spec.n or a row
+    is not a permutation of 0..n-1.
+    """
+    P = np.asarray(P, dtype=np.int64)
+    if P.ndim != 2 or P.shape[1] != spec.n:
+        raise ValidationError(f"orders of shape {P.shape} do not fit a spec over {spec.n} features")
+    if not (np.sort(P, axis=1) == np.arange(spec.n)).all():
+        raise ValidationError(f"not every row is a permutation of 0..{spec.n - 1}")
+    pos = np.argsort(P, axis=1)
+    ok = np.ones(P.shape[0], dtype=bool)
     if spec.groups is not None:
-        hi = -1
-        for g in spec.groups:
-            lo = min(pos[i] for i in g)
-            if lo <= hi:
-                return False
-            hi = max(pos[i] for i in g)
-    return all(pos[i] < pos[j] for i, j in spec.edges)
+        for ga, gb in zip(spec.groups, spec.groups[1:]):
+            ok &= pos[:, list(ga)].max(axis=1) < pos[:, list(gb)].min(axis=1)
+    for i, j in spec.edges:
+        ok &= pos[:, i] < pos[:, j]
+    return ok
 
 
-def enumerate_consistent(
-    spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Permutation]:
-    """All linear extensions of the precedence relation, i.e. the support of the
+def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """Every order consistent with spec, as an int64 matrix of shape (count, n).
 
-    uniform distribution the spec denotes. An empty spec yields all n!
-    permutations. Only available up to the enumeration cap.
+    Row r lists the features of the r-th order, first to last, and the rows
+    come in lexicographic order. They are the linear extensions of the
+    precedence relation, the support of the uniform distribution the spec
+    denotes; an empty spec yields all n! permutations. Only available up to
+    the enumeration cap.
+
+    Orders grow one slot at a time: a prefix is extended by each unplaced
+    feature whose predecessors are all placed, in ascending feature order.
     """
     if spec.n > cap:
         raise EnumerationCapError(
             f"exact enumeration over {spec.n} features exceeds the cap of {cap}; "
             "use sampling instead"
         )
-    succ = spec._successors()
-    indeg = [0] * spec.n
-    for i in range(spec.n):
-        for j in succ[i]:
-            indeg[j] += 1
-    out: list[Permutation] = []
-    prefix: list[int] = []
-
-    def extend():
-        if len(prefix) == spec.n:
-            out.append(Permutation(tuple(prefix)))
-            return
-        for i in range(spec.n):
-            if indeg[i] == 0:
-                indeg[i] = -1  # mark used
-                for j in succ[i]:
-                    indeg[j] -= 1
-                prefix.append(i)
-                extend()
-                prefix.pop()
-                for j in succ[i]:
-                    indeg[j] += 1
-                indeg[i] = 0
-
-    extend()
-    return out
+    bit = np.int64(1) << np.arange(spec.n, dtype=np.int64)
+    need = np.zeros(spec.n, dtype=np.int64)  # predecessor bitmask per feature
+    for i, succ in enumerate(spec._successors()):
+        for j in succ:
+            need[j] |= bit[i]
+    P = np.zeros((1, 0), dtype=np.int64)
+    placed = np.zeros(1, dtype=np.int64)
+    for _ in range(spec.n):
+        ok = ((placed[:, None] & bit) == 0) & ((placed[:, None] & need) == need)
+        rows, feats = np.nonzero(ok)
+        P = np.column_stack([P[rows], feats])
+        placed = placed[rows] | bit[feats]
+    return P
 
 
 def count_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -325,15 +259,6 @@ def _sample_group_consistent(
     return np.concatenate(parts, axis=1)
 
 
-def _edges_satisfied(perms: np.ndarray, edges) -> np.ndarray:
-    """Boolean mask over rows of perms (shape (B, n)) satisfying all edges."""
-    pos = np.argsort(perms, axis=1)
-    ok = np.ones(perms.shape[0], dtype=bool)
-    for i, j in edges:
-        ok &= pos[:, i] < pos[:, j]
-    return ok
-
-
 def sample_consistent_batch(
     spec: OrderingSpec,
     size: int,
@@ -359,7 +284,7 @@ def sample_consistent_batch(
         # Oversample against the observed acceptance rate, within reason.
         batch = min(max(4 * want, 1024), 1_000_000)
         cand = _sample_group_consistent(spec, batch, rng)
-        keep = cand[_edges_satisfied(cand, spec.edges)]
+        keep = cand[is_consistent(cand, spec)]
         rejected += batch - keep.shape[0]
         if keep.shape[0] > want:
             keep = keep[:want]
@@ -372,16 +297,6 @@ def sample_consistent_batch(
                 "constraints as ordered groups"
             )
     return np.concatenate(got, axis=0)
-
-
-def sample_consistent(
-    spec: OrderingSpec,
-    rng: np.random.Generator,
-    budget: int = DEFAULT_REJECTION_BUDGET,
-) -> Permutation:
-    """One permutation distributed uniformly over the consistent set."""
-    row = sample_consistent_batch(spec, 1, rng, budget=budget)[0]
-    return Permutation(tuple(int(i) for i in row))
 
 
 def random_ordering_spec(n: int, rng: np.random.Generator) -> OrderingSpec:

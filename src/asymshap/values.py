@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .coalitions import Coalition
 from .data import Dataset
 from .errors import EstimatorError, SchemaError, ValidationError
 
@@ -42,17 +42,16 @@ class Predictor(Protocol):
 
 
 def as_mask(S, n: int) -> int:
-    """Accept a Coalition, an int bitmask, or an iterable of indices."""
-    if isinstance(S, Coalition):
-        if S.n != n:
-            raise ValidationError(f"coalition over {S.n} features, expected {n}")
-        return S.mask
+    """Accept an int bitmask or an iterable of feature indices (duplicates allowed)."""
     if isinstance(S, (int, np.integer)):
         mask = int(S)
         if not 0 <= mask < (1 << n):
             raise ValidationError(f"mask {mask} outside [0, 2^{n})")
         return mask
-    return Coalition.of(S, n).mask
+    members = {operator.index(i) for i in S}
+    if not all(0 <= i < n for i in members):
+        raise ValidationError(f"coalition members {sorted(members)} outside [0, {n})")
+    return sum(1 << i for i in members)
 
 
 @dataclass

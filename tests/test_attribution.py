@@ -213,7 +213,7 @@ class TestAxioms:
 class TestDualFormula:
     def test_oracle_agreement_across_sizes(self):
         rng = np.random.default_rng(9)
-        for n in range(2, 7):
+        for n in range(2, 9):
             for _ in range(5):
                 table = rng.random(1 << n)
                 perm_form = exact_asv(TableValueFunction(table, n), OrderingSpec(n))

@@ -134,3 +134,34 @@ def test_no_warning_otherwise(caplog, resolved, spec, want):
     with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
         assert _choose_estimator(resolved, WeightedOrdering(spec), 1000) == want
     assert caplog.records == []
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ({"samples": "many"}, "'samples'"),  # int flag, string value
+        ({"seed": "x"}, "'seed'"),
+        (5, "JSON object"),  # not an object at all
+        ({"samples": 2.7}, "'samples'"),  # int flag, non-integral number
+        ({"exact": "no"}, "'exact'"),  # on/off flag takes true, false or null
+        ({"strategy": "psychic"}, "'strategy'"),  # outside the flag's choices
+    ],
+)
+def test_bad_config_value_exits_2(trained, capsys, content, named):
+    config = trained / "bad-config.json"
+    config.write_text(json.dumps(content))
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--config", str(config), "--index", "0", "--out", str(trained / "x.json")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_values_are_stored_as_their_flag_would(trained):
+    config = trained / "config.json"
+    config.write_text(json.dumps({"samples": 8.0, "exact": True, "mc": None, "seed": 0}))
+    out = trained / "config-explain.json"
+    assert main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--config", str(config), "--index", "0", "--out", str(out)]) == 0
+    echoed = json.loads(out.read_text())["config"]
+    assert echoed["samples"] == 8 and isinstance(echoed["samples"], int)
+    assert echoed["exact"] is True and echoed["mc"] is None

@@ -1,4 +1,4 @@
-"""Coalitions, permutations, ordering specs, and consistent-permutation machinery."""
+"""Ordering specs and the consistent-order machinery: enumeration, checks, sampling."""
 
 import itertools
 import math
@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from asymshap import (
-    Coalition,
     CyclicOrderingError,
     EnumerationCapError,
     OrderingSpec,
-    Permutation,
     SamplingBudgetError,
     ValidationError,
     WeightedOrdering,
@@ -22,7 +20,6 @@ from asymshap import (
     enumerate_consistent,
     is_consistent,
     random_ordering_spec,
-    sample_consistent,
     sample_consistent_batch,
     spec_from_json,
     spec_to_json,
@@ -46,6 +43,11 @@ def brute_force_consistent(spec):
     return {
         p for p in itertools.permutations(range(spec.n)) if oracle_consistent(p, spec)
     }
+
+
+def enumerated(spec):
+    """The consistent orders as a set of tuples."""
+    return {tuple(row) for row in enumerate_consistent(spec).tolist()}
 
 
 @st.composite
@@ -77,57 +79,6 @@ def ordering_specs(draw, max_n=5):
         (i, j) if pos[i] < pos[j] else (j, i) for i, j in pairs
     )
     return OrderingSpec(n, edges=edges)
-
-
-# ---------------------------------------------------------------- Coalition
-
-
-class TestCoalition:
-    def test_mask_round_trip_all_subsets(self):
-        n = 6
-        for mask in range(1 << n):
-            c = Coalition.from_mask(mask, n)
-            assert c.mask == mask
-            assert c.members == frozenset(i for i in range(n) if mask >> i & 1)
-
-    def test_complement_partitions_the_full_set(self):
-        c = Coalition.of([0, 2], 4)
-        comp = c.complement()
-        assert c.members | comp.members == frozenset(range(4))
-        assert c.members & comp.members == frozenset()
-        assert comp.complement() == c
-
-    def test_empty_and_full(self):
-        assert Coalition.empty(3).mask == 0
-        assert Coalition.full(3).mask == 0b111
-        assert len(Coalition.full(3)) == 3
-
-    def test_add_and_contains(self):
-        c = Coalition.empty(4).add(2).add(0)
-        assert 2 in c and 0 in c and 1 not in c
-        assert c.mask == 0b101
-
-    def test_set_semantics(self):
-        assert Coalition.of([1, 1, 2], 4) == Coalition.of([2, 1], 4)
-
-    def test_out_of_range_member_rejected(self):
-        with pytest.raises(ValidationError):
-            Coalition.of([3], 3)
-        with pytest.raises(ValidationError):
-            Coalition.of([-1], 3)
-
-
-class TestPermutation:
-    def test_positions_inverts_order(self):
-        p = Permutation((2, 0, 1))
-        assert p.positions() == (1, 2, 0)
-        assert p.n == 3
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(ValidationError):
-            Permutation((0, 0, 1))
-        with pytest.raises(ValidationError):
-            Permutation((0, 2))
 
 
 # ---------------------------------------------------------------- OrderingSpec
@@ -183,8 +134,8 @@ class TestOrderingSpec:
         # Reversing the constraints maps each consistent permutation to its
         # mirror image; the two consistent sets have equal size.
         spec = OrderingSpec(4, groups=((0, 2), (1, 3)))
-        forward = {p.order for p in enumerate_consistent(spec)}
-        backward = {p.order for p in enumerate_consistent(spec.reversed())}
+        forward = enumerated(spec)
+        backward = enumerated(spec.reversed())
         assert backward == {tuple(reversed(o)) for o in forward}
         assert len(backward) == len(forward)
 
@@ -219,37 +170,42 @@ class TestSerialization:
 class TestIsConsistent:
     def test_single_edge_cases(self):
         spec = OrderingSpec(2, edges=frozenset({(0, 1)}))
-        assert is_consistent(Permutation((0, 1)), spec)
-        assert not is_consistent(Permutation((1, 0)), spec)
+        assert is_consistent([[0, 1]], spec).tolist() == [True]
+        assert is_consistent([[1, 0]], spec).tolist() == [False]
 
     def test_group_violation(self):
         spec = OrderingSpec(3, groups=((0,), (1, 2)))
-        assert not is_consistent(Permutation((1, 0, 2)), spec)
+        assert is_consistent([[1, 0, 2]], spec).tolist() == [False]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            is_consistent(Permutation((0, 1)), OrderingSpec(3))
+            is_consistent([[0, 1]], OrderingSpec(3))
+
+    def test_non_bijection_rejected(self):
+        with pytest.raises(ValidationError):
+            is_consistent([[0, 0, 1]], OrderingSpec(3))
+        with pytest.raises(ValidationError):
+            is_consistent([[0, 2]], OrderingSpec(2))
 
     @given(ordering_specs())
     @settings(max_examples=80, deadline=None)
     def test_matches_definition_on_every_permutation(self, spec):
-        for order in itertools.permutations(range(spec.n)):
-            assert is_consistent(Permutation(order), spec) == oracle_consistent(
-                order, spec
-            )
+        orders = list(itertools.permutations(range(spec.n)))
+        got = is_consistent(orders, spec)
+        assert got.shape == (len(orders),)
+        for order, ok in zip(orders, got):
+            assert ok == oracle_consistent(order, spec)
 
 
 class TestEnumerate:
     def test_empty_spec_gives_all_permutations(self):
-        got = {p.order for p in enumerate_consistent(OrderingSpec(2))}
-        assert got == {(0, 1), (1, 0)}
+        assert enumerate_consistent(OrderingSpec(2)).tolist() == [[0, 1], [1, 0]]
         for n in range(1, 6):
             assert len(enumerate_consistent(OrderingSpec(n))) == math.factorial(n)
 
     def test_leading_singleton_group(self):
         spec = OrderingSpec(3, groups=((0,), (1, 2)))
-        got = {p.order for p in enumerate_consistent(spec)}
-        assert got == {(0, 1, 2), (0, 2, 1)}
+        assert enumerate_consistent(spec).tolist() == [[0, 1, 2], [0, 2, 1]]
 
     def test_two_group_partition_count(self):
         spec = OrderingSpec(4, groups=((0, 1), (2, 3)))
@@ -265,8 +221,11 @@ class TestEnumerate:
     @given(ordering_specs())
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, spec):
-        got = {p.order for p in enumerate_consistent(spec)}
-        assert got == brute_force_consistent(spec)
+        got = enumerate_consistent(spec)
+        want = sorted(brute_force_consistent(spec))
+        assert got.dtype == np.int64
+        assert got.shape == (len(want), spec.n)
+        assert got.tolist() == [list(order) for order in want]
 
 
 class TestCount:
@@ -313,15 +272,15 @@ class TestSampling:
         rng = np.random.default_rng(3)
         for trial in range(20):
             spec = random_ordering_spec(int(rng.integers(2, 7)), rng)
-            perm = sample_consistent(spec, rng)
-            assert is_consistent(perm, spec)
+            rows = sample_consistent_batch(spec, 1, rng)
+            assert rows.shape == (1, spec.n)
+            assert is_consistent(rows, spec).all()
 
     def test_batch_shape_and_consistency(self):
         spec = OrderingSpec(5, groups=((0, 4), (1, 2, 3)))
         rows = sample_consistent_batch(spec, 64, np.random.default_rng(0))
         assert rows.shape == (64, 5)
-        for row in rows:
-            assert is_consistent(Permutation(tuple(int(i) for i in row)), spec)
+        assert is_consistent(rows, spec).all()
 
     def test_two_extension_spec_is_balanced(self):
         spec = OrderingSpec(3, groups=((0,), (1, 2)))

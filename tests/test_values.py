@@ -12,7 +12,6 @@ from asymshap import (
     DISCRETE,
     BackgroundSet,
     CachedValueFunction,
-    Coalition,
     Dataset,
     EstimatorError,
     ExactMatchSampler,
@@ -38,17 +37,33 @@ def sigmoid(z):
 
 class TestMaskHelpers:
     def test_as_mask_accepts_three_forms(self):
-        assert as_mask(Coalition.of([0, 2], 3), 3) == 0b101
+        # A Python int mask, a NumPy integer mask, and an iterable of indices.
         assert as_mask(0b101, 3) == 0b101
+        assert as_mask(np.int64(0b101), 3) == 0b101
         assert as_mask([2, 0], 3) == 0b101
+        assert as_mask(np.array([2, 0]), 3) == 0b101
 
     def test_as_mask_validation(self):
-        with pytest.raises(ValidationError):
-            as_mask(Coalition.of([0], 2), 3)
         with pytest.raises(ValidationError):
             as_mask(8, 3)
         with pytest.raises(ValidationError):
             as_mask([3], 3)
+
+    def test_mask_round_trip_all_subsets(self):
+        n = 6
+        for mask in range(1 << n):
+            members = [i for i in range(n) if mask >> i & 1]
+            assert as_mask(members, n) == mask
+            assert as_mask(mask, n) == mask
+
+    def test_set_semantics(self):
+        assert as_mask([1, 1, 2], 4) == as_mask([2, 1], 4) == 0b110
+
+    def test_out_of_range_member_rejected(self):
+        with pytest.raises(ValidationError):
+            as_mask([3], 3)
+        with pytest.raises(ValidationError):
+            as_mask([-1], 3)
 
     def test_mask_indices(self):
         # The sampler conditions on the coalition's members, ascending.
