@@ -25,9 +25,7 @@ from .coalitions import (
 )
 from .data import Dataset
 from .errors import ValidationError
-from .values import BackgroundSet, CachedValueFunction, ConditionalSampler, as_mask
-
-MAX_MASK_FEATURES = 62  # coalition masks live in int64
+from .values import MAX_MASK_FEATURES, BackgroundSet, CachedValueFunction, ConditionalSampler, as_mask
 
 
 @dataclass

@@ -79,11 +79,31 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+class _CommaList:
+    """argparse type of a flag that takes comma-separated items.
+
+    Each item must convert to the given type, but the flag stores its string
+    as given, which is what the output config echoes; the command parses it
+    where it is used. In a --config file the value may be that string or a
+    JSON list of items of the given type.
+    """
+
+    def __init__(self, item: type):
+        self.item = item
+        self.__name__ = f"comma-separated {item.__name__}"  # argparse names the type in errors
+
+    def __call__(self, raw: str) -> str:
+        for part in raw.split(","):
+            if part.strip():
+                self.item(part)
+        return raw
+
+
 def _config_value(action: argparse.Action, value, path):
     """A --config value checked against its flag's type and choices, as the flag would store it.
 
-    null always passes (the default stands). A flag without a type takes any
-    value, so list-valued keys such as hidden keep accepting JSON lists.
+    null always passes (the default stands). A flag without a type takes a
+    string; a _CommaList flag also takes a JSON list of its item type.
     """
     if value is None:
         return None
@@ -102,6 +122,17 @@ def _config_value(action: argparse.Action, value, path):
         if type(value) not in (int, float):
             reject("a number")
         value = float(value)
+    elif isinstance(action.type, _CommaList):
+        item = action.type.item
+        if isinstance(value, str):
+            try:
+                action.type(value)
+            except ValueError:
+                reject(f"a comma-separated list of {item.__name__} values")
+        elif not (isinstance(value, list) and all(type(v) is item for v in value)):
+            reject(f"a comma-separated string or a list of {item.__name__} values")
+    elif action.nargs != 0 and not isinstance(value, str):
+        reject("a string")
     if action.choices is not None and value not in action.choices:
         reject(f"one of {list(action.choices)}")
     return value
@@ -585,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--momentum", type=float)
-    p.add_argument("--hidden", help="comma-separated hidden layer widths, e.g. 10,10")
+    p.add_argument("--hidden", type=_CommaList(int), help="comma-separated hidden layer widths, e.g. 10,10")
     p.add_argument("--activation", choices=("tanh", "relu"))
     p.add_argument("--val-fraction", dest="val_fraction", type=float)
     p.add_argument("--patience", type=int)
@@ -614,8 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--data")
     p.add_argument("--schema")
-    p.add_argument("--resolving", help="comma-separated resolving feature names")
-    p.add_argument("--sensitive", help="comma-separated sensitive feature names")
+    p.add_argument("--resolving", type=_CommaList(str), help="comma-separated resolving feature names")
+    p.add_argument("--sensitive", type=_CommaList(str), help="comma-separated sensitive feature names")
     p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"))
     p.add_argument("--k", type=int)
     p.add_argument("--samples", type=int)

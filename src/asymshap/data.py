@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,17 @@ class Schema:
 
     def continuous_indices(self) -> np.ndarray:
         return np.array([i for i, f in enumerate(self.features) if f.kind == CONTINUOUS], dtype=np.int64)
+
+    @cached_property
+    def _design_layout(self) -> "_DesignLayout":
+        # Computed once per schema object and kept in its __dict__ (the
+        # dataclass is frozen, not slotted), so one_hot_design never hashes it.
+        widths = np.array([f.cardinality or 1 for f in self.features], dtype=np.int64)
+        first_col = np.concatenate(([0], np.cumsum(widths)[:-1]))
+        cont, disc = self.continuous_indices(), self.discrete_indices()
+        return _DesignLayout(
+            int(widths.sum()), cont, first_col[cont], disc, first_col[disc], widths[disc].astype(np.uint64)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,16 +267,40 @@ class Standardizer:
         )
 
 
+@dataclass(frozen=True)
+class _DesignLayout:
+    """Where each feature lands in the design matrix: continuous features fill
+    one column each, discrete ones a block of cardinality columns."""
+
+    width: int
+    cont: np.ndarray  # continuous feature indices
+    cont_col: np.ndarray  # their design columns
+    disc: np.ndarray  # discrete feature indices
+    disc_col: np.ndarray  # first column of each one's one-hot block
+    disc_card: np.ndarray  # their cardinalities, as uint64
+
+
 def one_hot_design(X: np.ndarray, schema: Schema, standardizer: Standardizer) -> np.ndarray:
-    """Model design matrix: standardized continuous columns, one-hot discrete."""
-    cols = []
-    Z = standardizer.transform(X)
-    for i, f in enumerate(schema.features):
-        if f.kind == CONTINUOUS:
-            cols.append(Z[:, i : i + 1])
-        else:
-            codes = X[:, i].astype(np.int64)
-            block = np.zeros((X.shape[0], f.cardinality))
-            block[np.arange(X.shape[0]), codes] = 1.0
-            cols.append(block)
-    return np.concatenate(cols, axis=1)
+    """Model design matrix: standardized continuous columns, one-hot discrete.
+
+    Columns follow the schema's feature order. The matrix is filled in one
+    pass: the continuous columns with (x - mean) / scale, element for element
+    the arithmetic of Standardizer.transform, then every one-hot entry in one
+    indexed write. So it is bitwise the matrix that standardizing X and
+    concatenating the per-feature columns and blocks would give. A discrete
+    code outside [0, cardinality) raises SchemaError rather than landing in a
+    neighbouring block.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    layout = schema._design_layout
+    if not layout.disc.size:
+        return (X - standardizer.mean) / standardizer.scale
+    codes = X[:, layout.disc].astype(np.int64)
+    # Negative codes wrap to huge unsigned values, so one comparison checks both ends.
+    if (codes.view(np.uint64) >= layout.disc_card).any():
+        raise SchemaError("discrete codes outside [0, cardinality) in the design input")
+    out = np.zeros((X.shape[0], layout.width))
+    if layout.cont.size:
+        out[:, layout.cont_col] = (X[:, layout.cont] - standardizer.mean) / standardizer.scale
+    out[np.arange(X.shape[0])[:, None], codes + layout.disc_col] = 1.0
+    return out

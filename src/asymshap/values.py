@@ -29,6 +29,7 @@ from .errors import EstimatorError, SchemaError, ValidationError
 logger = logging.getLogger(__name__)
 
 DEFAULT_KNN_K = 10
+MAX_MASK_FEATURES = 62  # coalition masks live in int64
 
 
 @runtime_checkable
@@ -86,17 +87,21 @@ def _mean_and_stderr(vals: np.ndarray, exhaustive: bool) -> tuple[float, float]:
 
     Identical values short-circuit to that value so that coalitions whose
     completions all agree (the full set, ignored features, constant models)
-    return it bit for bit.
+    return it bit for bit. Otherwise the mean is math.fsum over m, and the
+    standard error repeats np.std(vals, ddof=1) operation for operation (sum
+    over m, deviations, pairwise sum of squares over m - 1, square root)
+    before dividing by sqrt(m), so it has the same bits without np.std's
+    per-call dispatch.
     """
     m = vals.shape[0]
-    first = float(vals[0])
-    if np.all(vals == vals[0]):
-        return first, 0.0
-    mean = math.fsum(map(float, vals)) / m
+    first = vals[0]
+    if (vals == first).all():
+        return float(first), 0.0
+    mean = math.fsum(vals.tolist()) / m
     if exhaustive or m < 2:
         return mean, 0.0
-    sd = float(np.std(vals, ddof=1))
-    return mean, sd / math.sqrt(m)
+    d = vals - np.add.reduce(vals) / m
+    return mean, math.sqrt(np.add.reduce(d * d) / (m - 1)) / math.sqrt(m)
 
 
 class ConditionalSampler(Protocol):
@@ -122,14 +127,35 @@ def _discrete_mutual_information(codes: np.ndarray, labels: np.ndarray) -> float
     return float(np.sum(joint[nz] * np.log(joint[nz] / (pa @ pb)[nz])))
 
 
+def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest distances, equal to np.argsort(d, kind="stable")[:k].
+
+    Ties go to the earlier row. np.partition finds the k-th smallest distance
+    in linear time; every row strictly closer is kept, then rows at exactly
+    that distance in row order until there are k, and only those are sorted
+    (stably, so ties stay in row order). With no more than k rows, or a
+    distance that is not finite, it is the full stable argsort.
+    """
+    if d.size <= k or not np.isfinite(d).all():
+        return np.argsort(d, kind="stable")[:k]
+    kth = np.partition(d, k - 1)[k - 1]
+    closer = np.flatnonzero(d < kth)
+    tied = np.flatnonzero(d == kth)[: k - closer.size]
+    sel = np.concatenate((closer, tied))
+    return sel[np.argsort(d[sel], kind="stable")]
+
+
 class KNNSampler:
     """Conditional completions from the k nearest dataset rows.
 
     Discrete conditioning features must match exactly; continuous ones rank
-    candidates by standardized Euclidean distance. With no continuous
-    conditioning there is no ranking, so the whole candidate set is the
-    neighborhood. Zero exact matches on the discrete side are handled by
-    relaxing discrete features one at a time, least label-informative first.
+    candidates by standardized Euclidean distance, and the k closest form the
+    neighborhood. Ties at equal distance go to the earlier dataset row: the
+    order of a stable argsort, which _k_nearest reproduces in linear time.
+    With no continuous conditioning there is no ranking, so the whole
+    candidate set is the neighborhood. Zero exact matches on the discrete
+    side are handled by relaxing discrete features one at a time, least
+    label-informative first.
     """
 
     def __init__(self, dataset: Dataset, k: int = DEFAULT_KNN_K):
@@ -169,14 +195,13 @@ class KNNSampler:
             )
             cand = self._candidates(x, disc)
         if cont:
-            diffs = (self.dataset.X[np.ix_(cand, cont)] - x[cont]) * self._inv_scale[cont]
+            diffs = (self.dataset.X[:, cont][cand] - x[cont]) * self._inv_scale[cont]
             d = np.einsum("ij,ij->i", diffs, diffs)
-            order = np.argsort(d, kind="stable")[: self.k]
-            pool = cand[order]
+            pool = cand[_k_nearest(d, self.k)]
         else:
             pool = cand
         sel = pool[rng.integers(0, pool.size, size=m)]
-        out = self.dataset.X[sel].copy()
+        out = self.dataset.X[sel]
         out[:, s_idx] = x[s_idx]
         return out, False
 
@@ -216,7 +241,7 @@ class ExactMatchSampler:
         else:
             sel = cand[rng.integers(0, cand.size, size=m)]
             exhaustive = False
-        out = self.dataset.X[sel].copy()
+        out = self.dataset.X[sel]
         out[:, s_idx] = x[s_idx]
         return out, exhaustive
 
@@ -326,6 +351,9 @@ class CachedValueFunction:
         self.x = _check_point(x, y, pred)
         self.y = int(y)
         self.n = pred.n_features
+        if self.n > MAX_MASK_FEATURES:
+            raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {self.n}")
+        self._bit = np.int64(1) << np.arange(self.n, dtype=np.int64)
         if m < 1:
             raise ValidationError(f"sample count must be positive, got {m}")
         self.sampler = sampler
@@ -354,7 +382,7 @@ class CachedValueFunction:
             self.hits += 1
             return hit
         self.evaluations += 1
-        bits = np.array([mask >> i & 1 for i in range(self.n)], dtype=bool)
+        bits = (mask & self._bit) != 0
         if self.sampler is None:
             rows, exhaustive = np.where(bits, self.x, self._draws), self._exhaustive
         elif bits.all():

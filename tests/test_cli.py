@@ -165,3 +165,45 @@ def test_config_values_are_stored_as_their_flag_would(trained):
     echoed = json.loads(out.read_text())["config"]
     assert echoed["samples"] == 8 and isinstance(echoed["samples"], int)
     assert echoed["exact"] is True and echoed["mc"] is None
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("oracle-check", {"out": 1}),  # a path key: an int would be opened as a file descriptor
+        ("oracle-check", {"out": 5}),
+        ("explain", {"data": 7}),
+        ("explain", {"spec": True}),
+        ("train", {"hidden": ["a"]}),  # list entries of hidden must be integers
+        ("train", {"hidden": "10,a"}),  # and so must the items of its string form
+    ],
+    ids=["out-1", "out-5", "data-7", "spec-true", "hidden-strings", "hidden-bad-item"],
+)
+def test_untyped_config_value_must_be_a_string(tmp_path, capsys, command, content):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content))
+    assert main([command, "--config", str(config), "--seed", "0"]) == 2
+    assert repr(next(iter(content))) in capsys.readouterr().err
+
+
+def test_list_valued_config_keys_still_run(trained, tmp_path):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"hidden": [10, 10]}))
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(trained / "data.csv"), "--config", str(config), "--epochs", "2",
+                 "--seed", "0", "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["sizes"][1:3] == [10, 10]
+    config = tmp_path / "fairness.json"
+    config.write_text(json.dumps({"resolving": ["department"]}))
+    out = tmp_path / "fairness-out.json"
+    assert main(["fairness", "--model", str(model), "--data", str(trained / "data.csv"),
+                 "--config", str(config), "--sensitive", "gender", "--budget", "5", "--samples", "4",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["resolving"] == ["department"]
+
+
+def test_bad_comma_list_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--hidden", "10,a", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "--hidden" in capsys.readouterr().err

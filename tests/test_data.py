@@ -222,3 +222,78 @@ class TestDesignMatrix:
         assert np.array_equal(D[:, 3:].sum(axis=1), np.ones(20))
         row = 0
         assert D[row, int(ds.X[row, 0])] == 1.0
+
+    def test_out_of_range_codes_rejected(self):
+        ds = small_dataset(rows=5)
+        st = Standardizer.fit(ds.X, ds.schema)
+        for code in (3.0, -1.0):  # "c" has cardinality 3
+            X = ds.X.copy()
+            X[2, 2] = code
+            with pytest.raises(SchemaError):
+                one_hot_design(X, ds.schema, st)
+
+
+def concatenated_design(X, schema, standardizer):
+    """The matrix one_hot_design fills in one pass, built column by column:
+    standardize, then concatenate each feature's column or one-hot block."""
+    cols = []
+    Z = standardizer.transform(X)
+    for i, f in enumerate(schema.features):
+        if f.kind == CONTINUOUS:
+            cols.append(Z[:, i : i + 1])
+        else:
+            codes = X[:, i].astype(np.int64)
+            block = np.zeros((X.shape[0], f.cardinality))
+            block[np.arange(X.shape[0]), codes] = 1.0
+            cols.append(block)
+    return np.concatenate(cols, axis=1)
+
+
+def random_table(kinds, rows, rng):
+    """kinds: None for a continuous feature, else a discrete cardinality."""
+    feats = tuple(
+        FeatureSpec(f"f{i}", CONTINUOUS) if k is None else FeatureSpec(f"f{i}", DISCRETE, k)
+        for i, k in enumerate(kinds)
+    )
+    cols = [
+        rng.normal(rng.normal(0, 50), rng.choice([1e-3, 1.0, 1e3]), rows) if k is None
+        else rng.integers(0, k, rows).astype(np.float64)
+        for k in kinds
+    ]
+    return np.column_stack(cols), Schema(feats)
+
+
+class TestDesignMatrixBits:
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            (None, None, None),  # all continuous
+            (None,),
+            (2, 3, 4),  # all discrete
+            (5,),
+            (3, None, 2, None, 4),  # discrete first and last
+            (None, 2, None, None, 3, None),  # continuous first and last
+            (2, 2, None, 6),
+        ],
+    )
+    @pytest.mark.parametrize("rows", [1, 2, 37, 500])
+    def test_matches_concatenated_blocks_bitwise(self, kinds, rows):
+        rng = np.random.default_rng(len(kinds) * 1000 + rows)
+        X_fit, schema = random_table(kinds, 300, rng)
+        st = Standardizer.fit(X_fit, schema)
+        X, _ = random_table(kinds, rows, rng)
+        got = one_hot_design(X, schema, st)
+        want = concatenated_design(X, schema, st)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_constant_column_and_strided_input(self):
+        rng = np.random.default_rng(3)
+        X, schema = random_table((2, None, 3, None), 50, rng)
+        X[:, 1] = 4.25  # zero spread: scale falls back to 1
+        st = Standardizer.fit(X, schema)
+        view = X[::2]
+        assert np.array_equal(
+            one_hot_design(view, schema, st).view(np.uint64),
+            concatenated_design(view, schema, st).view(np.uint64),
+        )

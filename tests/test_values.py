@@ -25,7 +25,7 @@ from asymshap import (
     make_sampler,
     normalize_strategy,
 )
-from asymshap.values import _discrete_mutual_information
+from asymshap.values import _discrete_mutual_information, _k_nearest, _mean_and_stderr
 
 
 def sigmoid(z):
@@ -80,6 +80,27 @@ class TestMaskHelpers:
         vf.value(0b101)
         vf.value(0)
         assert seen == [[0, 2], []]
+
+    def test_top_mask_bit_reaches_the_sampler(self):
+        seen = []
+
+        class Recorder:
+            def complete(self, x, s_idx, m, rng):
+                seen.append(s_idx.tolist())
+                return np.tile(x, (m, 1)), False
+
+        vf = CachedValueFunction(
+            ConstantPredictor(n_features=62), np.zeros(62), 1, sampler=Recorder(), m=2
+        )
+        vf.value((1 << 61) | 0b10)
+        assert seen == [[1, 61]]
+
+    def test_more_than_62_features_rejected(self):
+        # Coalition masks live in int64.
+        with pytest.raises(ValidationError):
+            CachedValueFunction(
+                ConstantPredictor(n_features=63), np.zeros(63), 1, bg=BackgroundSet(np.zeros((1, 63)))
+            )
 
 
 class RowRecorder:
@@ -434,6 +455,132 @@ class TestKNNSampler:
     def test_k_must_be_positive(self):
         with pytest.raises(ValidationError):
             KNNSampler(discrete_dataset(), k=0)
+
+
+def argsort_ranking(d, k):
+    """The ranking _k_nearest replaces: a full stable argsort, cut at k."""
+    return np.argsort(d, kind="stable")[:k]
+
+
+def same_indices(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestKNearest:
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_matches_stable_argsort_on_random_distances(self, k):
+        rng = np.random.default_rng(k)
+        for size in (k + 1, k + 7, 100, 5000):
+            for _ in range(20):
+                d = rng.random(size) * rng.choice([1e-3, 1.0, 1e6])
+                assert same_indices(_k_nearest(d, k), argsort_ranking(d, k))
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_heavy_ties_at_the_kth_distance(self, k):
+        # Integer distances from a few values: many rows tie at the k-th one,
+        # and the earlier rows must win.
+        rng = np.random.default_rng(100 + k)
+        for size in (k + 1, 30, 1000):
+            for levels in (1, 2, 5):
+                d = rng.integers(0, levels, size).astype(np.float64)
+                assert same_indices(_k_nearest(d, k), argsort_ranking(d, k))
+
+    @pytest.mark.parametrize("size", [1, 5, 10])
+    def test_k_at_least_size(self, size):
+        d = np.random.default_rng(size).random(size)
+        assert same_indices(_k_nearest(d, 10), argsort_ranking(d, 10))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_distances(self, bad):
+        rng = np.random.default_rng(7)
+        for k in (1, 3, 10):
+            d = rng.integers(0, 3, 40).astype(np.float64)
+            d[rng.choice(40, 6, replace=False)] = bad
+            assert same_indices(_k_nearest(d, k), argsort_ranking(d, k))
+        d = np.full(20, bad)
+        assert same_indices(_k_nearest(d, 3), argsort_ranking(d, 3))
+
+    def test_sampler_matches_the_argsort_completion(self):
+        # KNNSampler.complete against its own ranking done by np.ix_ and a
+        # full stable argsort, on a mixed table with tied continuous values.
+        schema = Schema(
+            (
+                FeatureSpec("d0", DISCRETE, 3),
+                FeatureSpec("c0", CONTINUOUS),
+                FeatureSpec("c1", CONTINUOUS),
+                FeatureSpec("d1", DISCRETE, 2),
+            )
+        )
+        rng = np.random.default_rng(21)
+        X = np.column_stack(
+            [
+                rng.integers(0, 3, 400),
+                rng.integers(0, 4, 400),
+                rng.normal(size=400).round(1),
+                rng.integers(0, 2, 400),
+            ]
+        ).astype(np.float64)
+        ds = Dataset(X, rng.integers(0, 2, 400), schema)
+        sampler = KNNSampler(ds, k=7)
+        for trial in range(40):
+            x = X[trial]
+            s_idx = np.flatnonzero(rng.random(4) < 0.6)
+            got, _ = sampler.complete(x, s_idx, 16, np.random.default_rng(trial))
+            cont = [i for i in s_idx if i in (1, 2)]
+            disc = [i for i in s_idx if i in (0, 3)]
+            cand = np.flatnonzero(np.all(X[:, disc] == x[disc], axis=1))
+            if cont:
+                diffs = (X[np.ix_(cand, cont)] - x[cont]) * sampler._inv_scale[cont]
+                cand = cand[argsort_ranking(np.einsum("ij,ij->i", diffs, diffs), 7)]
+            want = X[cand[np.random.default_rng(trial).integers(0, cand.size, size=16)]]
+            want[:, s_idx] = x[s_idx]
+            assert np.array_equal(got, want)
+
+
+def mean_and_stderr_reference(v, exhaustive=False):
+    """What _mean_and_stderr computed through np.all, map(float, ...) and np.std."""
+    m = v.shape[0]
+    if np.all(v == v[0]):
+        return float(v[0]), 0.0
+    mean = math.fsum(map(float, v)) / m
+    if exhaustive or m < 2:
+        return mean, 0.0
+    return mean, float(np.std(v, ddof=1)) / math.sqrt(m)
+
+
+def same_bits(got, want):
+    return np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+class TestMeanAndStderr:
+    @pytest.mark.parametrize("m", [2, 3, 8, 9, 64, 100, 129, 1000, 10007])
+    def test_matches_fsum_and_np_std_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        for loc, scale in ((0.5, 0.2), (1e3, 1.0), (0.0, 1e-9), (-7.0, 1e4)):
+            v = rng.normal(loc, scale, m)
+            for exhaustive in (False, True):
+                assert same_bits(_mean_and_stderr(v, exhaustive), mean_and_stderr_reference(v, exhaustive))
+
+    @pytest.mark.parametrize("m", [2, 5, 64, 300])
+    def test_strided_probability_column(self, m):
+        # value() passes the class column of the predictor output, a strided view.
+        rng = np.random.default_rng(40 + m)
+        p1 = 1.0 / (1.0 + np.exp(-rng.normal(size=m)))
+        probs = np.column_stack([1.0 - p1, p1])
+        for y in (0, 1):
+            col = probs[:, y]
+            assert not col.flags.c_contiguous
+            assert same_bits(_mean_and_stderr(col, False), mean_and_stderr_reference(col))
+
+    @pytest.mark.parametrize("m", [1, 2, 64])
+    def test_constant_vectors_short_circuit(self, m):
+        for c in (0.0, -0.0, 0.3, 1e300):
+            v = np.full(m, c)
+            assert same_bits(_mean_and_stderr(v, False), (c, 0.0))
+            assert same_bits(_mean_and_stderr(v, False), mean_and_stderr_reference(v))
+
+    def test_single_value(self):
+        assert same_bits(_mean_and_stderr(np.array([0.25]), False), (0.25, 0.0))
 
 
 class TestMutualInformation:
