@@ -19,6 +19,7 @@ from .attribution import (
     marginal_contributions,
     mc_asv,
     partition_sum_check,
+    point_asv,
 )
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -72,10 +73,6 @@ from .scenarios import (
     MarkovSeriesProcess,
     TwoFeatureGraphProcess,
     fairness_spec,
-    gen_fair_admissions,
-    gen_markov_series,
-    gen_two_feature_graph,
-    gen_unfair_admissions,
     run_fairness_audit,
     run_feature_selection_study,
 )
@@ -86,8 +83,6 @@ from .values import (
     GenerativeSampler,
     KNNSampler,
     as_mask,
-    make_sampler,
-    normalize_strategy,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ import numpy as np
 
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
-    DEFAULT_REJECTION_BUDGET,
     OrderingSpec,
     WeightedOrdering,
     enumerate_consistent,
@@ -203,7 +202,6 @@ def mc_asv(
     ordering,
     n_perms: int,
     rng: np.random.Generator,
-    budget: int = DEFAULT_REJECTION_BUDGET,
 ) -> AttributionResult:
     """Monte Carlo attribution over permutations drawn uniformly from the
     consistent set. Per-feature stderr comes from across-permutation variance;
@@ -212,7 +210,7 @@ def mc_asv(
     if n_perms < 2:
         raise ValidationError(f"need at least 2 permutation draws for stderr, got {n_perms}")
     spec = _as_spec(ordering)
-    P = sample_consistent_batch(spec, n_perms, rng, budget=budget)
+    P = sample_consistent_batch(spec, n_perms, rng)
     diffs = marginal_contributions(v, P)
     means, stderrs = _per_feature_stats(P, diffs, with_stderr=True)
     n = spec.n
@@ -224,6 +222,25 @@ def mc_asv(
         total=v.value_only((1 << n) - 1),
         metadata={"estimator": "mc", "ordering": spec.to_json_dict()},
     )
+
+
+def point_asv(
+    vf: CachedValueFunction,
+    ordering,
+    estimator: str = "exact",
+    n_perms: int = 200,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> AttributionResult:
+    """Local attribution of the point vf explains, exact or Monte Carlo.
+
+    The Monte Carlo draws come from a stream keyed by (vf.seed,
+    vf.point_index), so a point gets the same result alone as inside a
+    global run.
+    """
+    if estimator == "exact":
+        return exact_asv(vf, ordering, cap=cap)
+    rng = np.random.default_rng(np.random.SeedSequence([vf.seed, 0x9E12, vf.point_index]))
+    return mc_asv(vf, ordering, n_perms, rng)
 
 
 @dataclass
@@ -290,7 +307,6 @@ def global_asv(
     budget: int | None = None,
     seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    rejection_budget: int = DEFAULT_REJECTION_BUDGET,
     collect_locals: bool = False,
     workers: int = 1,
 ) -> GlobalAttribution:
@@ -322,11 +338,7 @@ def global_asv(
             pred, dataset.X[row], int(dataset.y[row]),
             bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
         )
-        if estimator == "exact":
-            res = exact_asv(vf, spec, cap=cap)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E12, row]))
-            res = mc_asv(vf, spec, n_perms, rng, budget=rejection_budget)
+        res = point_asv(vf, spec, estimator, n_perms, cap)
         L[j] = res.means
         LSE[j] = res.stderrs
         totals[j] = res.total

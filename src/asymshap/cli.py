@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, explain, fairness, featselect, oracle-check.
-Every flag mirrors a config-file key one-to-one; values resolve as
-defaults < --config file < explicit flags, and the resolved config is echoed
-into every output JSON together with content hashes of the input files.
-Outputs carry no timestamps, so identical config and seed give byte-identical
-bytes. Exit codes: 0 success, 2 validation error, 3 estimator or sampling
+Each setting is declared once, as an argparse flag with its type, choices and
+default. A --config file's keys are those flags' dests: main checks the file
+against the flags, installs its non-null values as the subcommand's defaults
+and parses again, so values resolve as declared default < --config file <
+explicit flags. A command reads the resolved {dest: value} settings and
+echoes them into its output JSON together with content hashes of the input
+files. Outputs carry no timestamps, so identical config and seed give
+byte-identical bytes. Exit codes: 0 success, 2 validation error, 3 estimator or sampling
 guard failure, 4 oracle-check failure.
 """
 
@@ -29,6 +32,7 @@ from .attribution import (
     global_asv,
     marginal_contributions,
     mc_asv,
+    point_asv,
 )
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -49,14 +53,13 @@ from .models import (
     train_mlp,
 )
 from .scenarios import (
+    AdmissionsProcess,
     MarkovSeriesProcess,
-    gen_fair_admissions,
-    gen_two_feature_graph,
-    gen_unfair_admissions,
+    TwoFeatureGraphProcess,
     run_fairness_audit,
     run_feature_selection_study,
 )
-from .values import BackgroundSet, CachedValueFunction, make_sampler
+from .values import BackgroundSet, CachedValueFunction, ExactMatchSampler, KNNSampler
 
 logger = logging.getLogger(__name__)
 
@@ -100,13 +103,12 @@ class _CommaList:
 
 
 def _config_value(action: argparse.Action, value, path):
-    """A --config value checked against its flag's type and choices, as the flag would store it.
+    """A non-null --config value checked against its flag's type and choices, as the flag would store it.
 
-    null always passes (the default stands). A flag without a type takes a
-    string; a _CommaList flag also takes a JSON list of its item type.
+    main drops null keys, so the declared default stands for them. A flag
+    without a type takes a string; a _CommaList flag also takes a JSON list
+    of its item type.
     """
-    if value is None:
-        return None
 
     def reject(expected):
         raise ValidationError(f"config key {action.dest!r} in {path} must be {expected}, got {value!r}")
@@ -138,32 +140,34 @@ def _config_value(action: argparse.Action, value, path):
     return value
 
 
-def _resolve(defaults: dict, args: argparse.Namespace) -> dict:
-    """defaults, overridden by --config file keys, overridden by explicit flags."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed config JSON {config_path}: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ValidationError(f"config {config_path} must be a JSON object")
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ValidationError(f"unknown config keys in {config_path}: {sorted(unknown)}")
-        actions = {a.dest: a for a in args.parser._actions}
-        resolved.update(
-            (key, _config_value(actions[key], value, config_path)) for key, value in file_cfg.items()
-        )
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            resolved[key] = val
-    if "seed" in defaults and resolved.get("seed") is None:
-        raise ValidationError("a seed is required (no wall-clock default); pass --seed")
-    return resolved
+def _setting_actions(parser: argparse.ArgumentParser) -> dict:
+    """dest -> action of every setting a subcommand declares."""
+    return {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The resolved {dest: value} settings of the parsed subcommand."""
+    return {dest: getattr(args, dest) for dest in _setting_actions(args.parser)}
+
+
+def _load_config(path, parser: argparse.ArgumentParser) -> dict:
+    """The non-null values of a --config file, checked against parser's flags."""
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed config JSON {path}: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise ValidationError(f"config {path} must be a JSON object")
+    actions = _setting_actions(parser)
+    unknown = set(file_cfg) - set(actions)
+    if unknown:
+        raise ValidationError(f"unknown config keys in {path}: {sorted(unknown)}")
+    return {
+        key: _config_value(actions[key], value, path)
+        for key, value in file_cfg.items()
+        if value is not None
+    }
 
 
 def _require_file(path, what: str) -> str:
@@ -183,8 +187,8 @@ def _schema_path_for(data_path: str, override) -> str:
 
 
 def _load_dataset(resolved: dict) -> tuple[Dataset, dict]:
-    data = _require_file(resolved.get("data"), "dataset")
-    schema = _schema_path_for(data, resolved.get("schema"))
+    data = _require_file(resolved["data"], "dataset")
+    schema = _schema_path_for(data, resolved["schema"])
     ds = load_csv(data, schema)
     hashes = {"data": _sha256_file(data), "schema": _sha256_file(schema)}
     return ds, hashes
@@ -223,30 +227,23 @@ def _split_names(raw) -> list[str]:
 # ---------------------------------------------------------------- gen-data
 
 
-def cmd_gen_data(args) -> int:
-    defaults = {
-        "scenario": None, "rows": 10000, "seed": None, "out": None,
-        "T": 12, "ar": 0.7, "shift": 1.0, "decay": 0.7,
-    }
-    resolved = _resolve(defaults, args)
-    scenario = resolved["scenario"]
-    if scenario not in GEN_SCENARIOS:
-        raise ValidationError(f"unknown scenario {scenario!r}; choose from {GEN_SCENARIOS}")
-    rows, seed = int(resolved["rows"]), int(resolved["seed"])
+def cmd_gen_data(resolved: dict) -> int:
+    scenario, rows, seed = resolved["scenario"], resolved["rows"], resolved["seed"]
     prefix = resolved["out"] or scenario
     audit = None
     if scenario == "fair-admissions":
-        ds = gen_fair_admissions(rows, seed)
+        ds = AdmissionsProcess(unfair=False).sample(rows, seed)
     elif scenario == "unfair-admissions":
-        ds, audit = gen_unfair_admissions(rows, seed)
+        # The hidden audit column is never part of the exported schema.
+        ds, audit = AdmissionsProcess(unfair=True).sample_with_audit(rows, seed)
     elif scenario == "markov":
         process = MarkovSeriesProcess(
-            T=int(resolved["T"]), ar=float(resolved["ar"]),
-            shift=float(resolved["shift"]), decay=float(resolved["decay"]),
+            T=resolved["T"], ar=resolved["ar"],
+            shift=resolved["shift"], decay=resolved["decay"],
         )
         ds = process.sample(rows, seed)
     else:
-        ds, _ = gen_two_feature_graph(scenario, rows, seed)
+        ds = TwoFeatureGraphProcess(scenario).sample(rows, seed)
     csv_path = f"{prefix}.csv"
     schema_path = f"{prefix}.schema.json"
     save_csv(ds, csv_path, schema_path)
@@ -276,28 +273,18 @@ def _parse_hidden(raw) -> tuple[int, ...]:
     return tuple(int(x) for x in str(raw).split(",") if x.strip())
 
 
-def cmd_train(args) -> int:
-    defaults = {
-        "data": None, "schema": None, "model": "mlp", "out": "model.json",
-        "learning_rate": 0.1, "epochs": 300, "batch_size": 32, "momentum": 0.9,
-        "hidden": "10,10", "activation": "tanh", "val_fraction": 0.25,
-        "patience": 20, "test_fraction": 0.25, "seed": None,
-    }
-    resolved = _resolve(defaults, args)
+def cmd_train(resolved: dict) -> int:
     ds, hashes = _load_dataset(resolved)
-    kind = resolved["model"]
-    if kind not in ("logistic", "mlp"):
-        raise ValidationError(f"model must be 'logistic' or 'mlp', got {kind!r}")
-    seed = int(resolved["seed"])
-    train_ds, test_ds = train_test_split(ds, float(resolved["test_fraction"]), seed)
+    kind, seed = resolved["model"], resolved["seed"]
+    train_ds, test_ds = train_test_split(ds, resolved["test_fraction"], seed)
     config = TrainConfig(
-        learning_rate=float(resolved["learning_rate"]),
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        momentum=float(resolved["momentum"]),
+        learning_rate=resolved["learning_rate"],
+        epochs=resolved["epochs"],
+        batch_size=resolved["batch_size"],
+        momentum=resolved["momentum"],
         seed=seed,
-        val_fraction=float(resolved["val_fraction"]),
-        patience=int(resolved["patience"]),
+        val_fraction=resolved["val_fraction"],
+        patience=resolved["patience"],
         hidden=_parse_hidden(resolved["hidden"]),
         activation=resolved["activation"],
     )
@@ -334,12 +321,11 @@ def cmd_train(args) -> int:
 
 
 def _build_marginalizer(resolved: dict, ds: Dataset):
-    strategy = resolved["strategy"]
-    if strategy == "off-manifold":
+    """(background, sampler) for --strategy; exactly one of them is None."""
+    if resolved["strategy"] == "off-manifold":
         return BackgroundSet.from_dataset(ds), None
-    if strategy == "generative":
-        raise ValidationError("the generative strategy is not available from the command line")
-    return None, make_sampler(strategy, dataset=ds, k=int(resolved["k"]))
+    sampler = ExactMatchSampler if resolved["strategy"] == "exact-match" else KNNSampler
+    return None, sampler(ds, k=resolved["k"])
 
 
 def _choose_estimator(resolved: dict, ordering: WeightedOrdering, n_points: int) -> str:
@@ -357,7 +343,7 @@ def _choose_estimator(resolved: dict, ordering: WeightedOrdering, n_points: int)
     if resolved["mc"]:
         return "mc"
     spec = ordering.effective()
-    if spec.n > int(resolved["cap"]):
+    if spec.n > resolved["cap"]:
         return "mc"
     orders = math.factorial(spec.n) if spec.edges else count_consistent(spec)
     if orders > AUTO_EXACT_WARN_ORDERS:
@@ -369,17 +355,8 @@ def _choose_estimator(resolved: dict, ordering: WeightedOrdering, n_points: int)
     return "exact"
 
 
-def cmd_explain(args) -> int:
-    defaults = {
-        "model": None, "data": None, "schema": None, "spec": None,
-        "strategy": "off-manifold", "k": 10, "samples": 100,
-        "exact": None, "mc": None, "perms": 200, "budget": None,
-        "index": None, "target": "label", "workers": 1,
-        "cap": DEFAULT_ENUMERATION_CAP, "seed": None,
-        "out": "attribution.json", "locals_csv": None,
-    }
-    resolved = _resolve(defaults, args)
-    model_path = _require_file(resolved.get("model"), "model")
+def cmd_explain(resolved: dict) -> int:
+    model_path = _require_file(resolved["model"], "model")
     model = TrainedModel.load(model_path)
     ds, hashes = _load_dataset(resolved)
     hashes["model"] = _sha256_file(model_path)
@@ -390,44 +367,38 @@ def cmd_explain(args) -> int:
         hashes["spec"] = _sha256_file(resolved["spec"])
     else:
         ordering = WeightedOrdering(OrderingSpec(ds.n))
-    if resolved["index"] is not None:
+    row = resolved["index"]
+    if row is not None:
         n_points = 1
     elif resolved["budget"] is None:
         n_points = ds.n_rows
     else:
-        n_points = min(int(resolved["budget"]), ds.n_rows)
+        n_points = min(resolved["budget"], ds.n_rows)
     estimator = _choose_estimator(resolved, ordering, n_points)
     bg, sampler = _build_marginalizer(resolved, ds)
-    seed = int(resolved["seed"])
-    m = int(resolved["samples"])
-    if resolved["index"] is not None:
-        row = int(resolved["index"])
+    if row is not None:
         if not 0 <= row < ds.n_rows:
             raise ValidationError(f"--index {row} outside [0, {ds.n_rows})")
         x = ds.X[row]
         if resolved["target"] == "argmax":
             y = int(np.argmax(model.predict(x[None, :])[0]))
-        elif resolved["target"] == "label":
+        else:
             y = int(ds.y[row])
-        else:
-            raise ValidationError(f"target must be 'label' or 'argmax', got {resolved['target']!r}")
-        vf = CachedValueFunction(model, x, y, bg=bg, sampler=sampler, m=m, seed=seed, point_index=row)
-        if estimator == "exact":
-            res = exact_asv(vf, ordering, cap=int(resolved["cap"]))
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E12, row]))
-            res = mc_asv(vf, ordering, int(resolved["perms"]), rng)
+        vf = CachedValueFunction(
+            model, x, y, bg=bg, sampler=sampler,
+            m=resolved["samples"], seed=resolved["seed"], point_index=row,
+        )
+        res = point_asv(vf, ordering, estimator, resolved["perms"], resolved["cap"])
         doc = {"mode": "local", "index": row, "class_index": y}
         doc.update(res.to_json_dict(feature_names=ds.schema.names))
     else:
         glob = global_asv(
             model, ds, ordering,
-            bg=bg, sampler=sampler, m=m,
-            estimator=estimator, n_perms=int(resolved["perms"]),
-            budget=None if resolved["budget"] is None else int(resolved["budget"]),
-            seed=seed, cap=int(resolved["cap"]),
+            bg=bg, sampler=sampler, m=resolved["samples"],
+            estimator=estimator, n_perms=resolved["perms"], budget=resolved["budget"],
+            seed=resolved["seed"], cap=resolved["cap"],
             collect_locals=resolved["locals_csv"] is not None,
-            workers=int(resolved["workers"]),
+            workers=resolved["workers"],
         )
         doc = {"mode": "global"}
         doc.update(glob.to_json_dict(feature_names=ds.schema.names))
@@ -447,18 +418,10 @@ def cmd_explain(args) -> int:
 # ---------------------------------------------------------------- fairness
 
 
-def cmd_fairness(args) -> int:
-    defaults = {
-        "model": None, "data": None, "schema": None,
-        "resolving": None, "sensitive": None,
-        "strategy": "exact-match", "k": 10, "samples": 64,
-        "estimator": "exact", "perms": 200, "budget": 2000,
-        "workers": 1, "seed": None, "out": "fairness.json",
-    }
-    resolved = _resolve(defaults, args)
+def cmd_fairness(resolved: dict) -> int:
     if not resolved["resolving"] or not resolved["sensitive"]:
         raise ValidationError("--resolving and --sensitive feature lists are required")
-    model_path = _require_file(resolved.get("model"), "model")
+    model_path = _require_file(resolved["model"], "model")
     model = TrainedModel.load(model_path)
     ds, hashes = _load_dataset(resolved)
     hashes["model"] = _sha256_file(model_path)
@@ -468,12 +431,12 @@ def cmd_fairness(args) -> int:
         _split_names(resolved["resolving"]),
         _split_names(resolved["sensitive"]),
         sampler=sampler, bg=bg,
-        m=int(resolved["samples"]),
+        m=resolved["samples"],
         estimator=resolved["estimator"],
-        n_perms=int(resolved["perms"]),
-        budget=None if resolved["budget"] is None else int(resolved["budget"]),
-        seed=int(resolved["seed"]),
-        workers=int(resolved["workers"]),
+        n_perms=resolved["perms"],
+        budget=resolved["budget"],
+        seed=resolved["seed"],
+        workers=resolved["workers"],
     )
     doc = report.to_json_dict()
     doc["config"] = resolved
@@ -486,24 +449,18 @@ def cmd_fairness(args) -> int:
 # ---------------------------------------------------------------- featselect
 
 
-def cmd_featselect(args) -> int:
-    defaults = {
-        "T": 12, "trials": 5, "rows": 4000, "seed": None,
-        "ar": 0.7, "shift": 1.0, "decay": 0.7,
-        "samples": 64, "budget": 300, "out": "featselect.json",
-    }
-    resolved = _resolve(defaults, args)
+def cmd_featselect(resolved: dict) -> int:
     process = MarkovSeriesProcess(
-        T=int(resolved["T"]), ar=float(resolved["ar"]),
-        shift=float(resolved["shift"]), decay=float(resolved["decay"]),
+        T=resolved["T"], ar=resolved["ar"],
+        shift=resolved["shift"], decay=resolved["decay"],
     )
     study = run_feature_selection_study(
         process,
-        trials=int(resolved["trials"]),
-        n_rows=int(resolved["rows"]),
-        seed=int(resolved["seed"]),
-        m=int(resolved["samples"]),
-        point_budget=int(resolved["budget"]),
+        trials=resolved["trials"],
+        n_rows=resolved["rows"],
+        seed=resolved["seed"],
+        m=resolved["samples"],
+        point_budget=resolved["budget"],
     )
     doc = study.to_json_dict()
     doc["config"] = resolved
@@ -525,13 +482,11 @@ def cmd_featselect(args) -> int:
 # ---------------------------------------------------------------- oracle-check
 
 
-def cmd_oracle_check(args) -> int:
-    defaults = {"n": 6, "games": 50, "perms": 4000, "seed": None, "out": None}
-    resolved = _resolve(defaults, args)
-    n, games = int(resolved["n"]), int(resolved["games"])
+def cmd_oracle_check(resolved: dict) -> int:
+    n, games, perms = resolved["n"], resolved["games"], resolved["perms"]
     if not 2 <= n <= DEFAULT_ENUMERATION_CAP:
         raise ValidationError(f"n must be in [2, {DEFAULT_ENUMERATION_CAP}], got {n}")
-    rng = np.random.default_rng(int(resolved["seed"]))
+    rng = np.random.default_rng(resolved["seed"])
     max_dual_gap = 0.0
     max_eff_gap = 0.0
     max_telescope_gap = 0.0
@@ -550,7 +505,7 @@ def cmd_oracle_check(args) -> int:
         first = enumerate_consistent(spec)[:1]
         telescope = float(marginal_contributions(vf, first).sum()) - (exact.total - exact.baseline)
         max_telescope_gap = max(max_telescope_gap, abs(telescope))
-        est = mc_asv(vf, spec, int(resolved["perms"]), rng)
+        est = mc_asv(vf, spec, perms, rng)
         for i in range(n):
             total += 1
             gap = abs(est.means[i] - exact.means[i])
@@ -563,8 +518,8 @@ def cmd_oracle_check(args) -> int:
     report = {
         "n": n,
         "games": games,
-        "perms": int(resolved["perms"]),
-        "seed": int(resolved["seed"]),
+        "perms": perms,
+        "seed": resolved["seed"],
         "max_dual_formula_gap": max_dual_gap,
         "max_efficiency_gap": max_eff_gap,
         "max_telescoping_gap": max_telescope_gap,
@@ -592,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, helptext):
-        p = sub.add_parser(name, help=helptext)
+        p = sub.add_parser(name, help=helptext, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="JSON file whose keys mirror this command's flags")
         p.add_argument("--seed", type=int, help="master seed (required here or in --config)")
@@ -600,78 +555,88 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-data", cmd_gen_data, "generate a synthetic dataset (CSV + schema + manifest)")
     p.add_argument("scenario", choices=GEN_SCENARIOS)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--out", help="output file prefix (default: scenario name)")
-    p.add_argument("--T", type=int, help="markov: number of time steps")
-    p.add_argument("--ar", type=float, help="markov: autoregressive coefficient")
-    p.add_argument("--shift", type=float, help="markov: label shift at t=0")
-    p.add_argument("--decay", type=float, help="markov: geometric decay of the shift")
+    p.add_argument("--rows", type=int, default=10000, help="rows to sample")
+    p.add_argument("--out", help="output file prefix; None means the scenario name")
+    p.add_argument("--T", type=int, default=12, help="markov: number of time steps")
+    p.add_argument("--ar", type=float, default=0.7, help="markov: autoregressive coefficient")
+    p.add_argument("--shift", type=float, default=1.0, help="markov: label shift at t=0")
+    p.add_argument("--decay", type=float, default=0.7, help="markov: geometric decay of the shift")
 
     p = add("train", cmd_train, "fit a logistic or MLP model and report both accuracy senses")
-    p.add_argument("--data")
-    p.add_argument("--schema")
-    p.add_argument("--model", choices=("logistic", "mlp"))
-    p.add_argument("--out")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--hidden", type=_CommaList(int), help="comma-separated hidden layer widths, e.g. 10,10")
-    p.add_argument("--activation", choices=("tanh", "relu"))
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
+    p.add_argument("--data", help="dataset CSV")
+    p.add_argument("--schema", help="schema JSON; None means the one next to --data")
+    p.add_argument("--model", choices=("logistic", "mlp"), default="mlp", help="model family")
+    p.add_argument("--out", default="model.json", help="model JSON; metrics go beside it")
+    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.1,
+                   help="SGD step size")
+    p.add_argument("--epochs", type=int, default=300, help="maximum passes over the training rows")
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=32, help="rows per SGD step")
+    p.add_argument("--momentum", type=float, default=0.9, help="SGD momentum")
+    p.add_argument("--hidden", type=_CommaList(int), default="10,10",
+                   help="mlp: comma-separated hidden layer widths")
+    p.add_argument("--activation", choices=("tanh", "relu"), default="tanh",
+                   help="mlp: hidden activation")
+    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.25,
+                   help="share of training rows held out for early stopping")
+    p.add_argument("--patience", type=int, default=20,
+                   help="epochs without validation gain before stopping")
+    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=0.25,
+                   help="share of rows held out for the test accuracies")
 
     p = add("explain", cmd_explain, "local or global attribution for a trained model")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--schema")
+    p.add_argument("--model", help="trained model JSON")
+    p.add_argument("--data", help="dataset CSV")
+    p.add_argument("--schema", help="schema JSON; None means the one next to --data")
     p.add_argument("--spec", help="ordering-spec JSON (names or indices); omit for no constraints")
-    p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--samples", type=int, help="background/conditional draws per coalition")
+    p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"), default="off-manifold",
+                   help="how features outside a coalition are completed")
+    p.add_argument("--k", type=int, default=10, help="neighbours for knn and the exact-match fallback")
+    p.add_argument("--samples", type=int, default=100, help="background/conditional draws per coalition")
     p.add_argument("--exact", action="store_const", const=True, help="force exact enumeration")
     p.add_argument("--mc", action="store_const", const=True, help="force Monte Carlo")
-    p.add_argument("--perms", type=int)
-    p.add_argument("--budget", type=int, help="max data points for a global run")
+    p.add_argument("--perms", type=int, default=200, help="Monte Carlo permutation draws per point")
+    p.add_argument("--budget", type=int, help="max data points for a global run; None means all")
     p.add_argument("--index", type=int, help="explain a single data point")
-    p.add_argument("--target", choices=("label", "argmax"))
-    p.add_argument("--workers", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--out")
+    p.add_argument("--target", choices=("label", "argmax"), default="label",
+                   help="local run: explain the true label or the predicted class")
+    p.add_argument("--workers", type=int, default=1, help="threads for a global run")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                   help="most features exact enumeration may run on; auto picks Monte Carlo above it")
+    p.add_argument("--out", default="attribution.json", help="output JSON")
     p.add_argument("--locals-csv", dest="locals_csv", help="also write per-point attributions")
 
     p = add("fairness", cmd_fairness, "audit for attribution kept by sensitive features")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--schema")
+    p.add_argument("--model", help="trained model JSON")
+    p.add_argument("--data", help="dataset CSV")
+    p.add_argument("--schema", help="schema JSON; None means the one next to --data")
     p.add_argument("--resolving", type=_CommaList(str), help="comma-separated resolving feature names")
     p.add_argument("--sensitive", type=_CommaList(str), help="comma-separated sensitive feature names")
-    p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--estimator", choices=("exact", "mc"))
-    p.add_argument("--perms", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
+    p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"), default="exact-match",
+                   help="how features outside a coalition are completed")
+    p.add_argument("--k", type=int, default=10, help="neighbours for knn and the exact-match fallback")
+    p.add_argument("--samples", type=int, default=64, help="background/conditional draws per coalition")
+    p.add_argument("--estimator", choices=("exact", "mc"), default="exact", help="attribution estimator")
+    p.add_argument("--perms", type=int, default=200, help="Monte Carlo permutation draws per point")
+    p.add_argument("--budget", type=int, default=2000, help="max data points audited")
+    p.add_argument("--workers", type=int, default=1, help="threads for the global run")
+    p.add_argument("--out", default="fairness.json", help="output JSON")
 
     p = add("featselect", cmd_featselect, "cumulative-attribution vs retraining study")
-    p.add_argument("--T", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--ar", type=float)
-    p.add_argument("--shift", type=float)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--budget", type=int, help="max test points for the attribution curve")
-    p.add_argument("--out")
+    p.add_argument("--T", type=int, default=12, help="number of time steps")
+    p.add_argument("--trials", type=int, default=5, help="independent datasets")
+    p.add_argument("--rows", type=int, default=4000, help="rows per trial")
+    p.add_argument("--ar", type=float, default=0.7, help="autoregressive coefficient")
+    p.add_argument("--shift", type=float, default=1.0, help="label shift at t=0")
+    p.add_argument("--decay", type=float, default=0.7, help="geometric decay of the shift")
+    p.add_argument("--samples", type=int, default=64, help="conditional draws per coalition")
+    p.add_argument("--budget", type=int, default=300, help="max test points for the attribution curve")
+    p.add_argument("--out", default="featselect.json", help="output JSON; trials CSV goes beside it")
 
     p = add("oracle-check", cmd_oracle_check, "cross-check estimators on random games")
-    p.add_argument("--n", type=int)
-    p.add_argument("--games", type=int)
-    p.add_argument("--perms", type=int)
-    p.add_argument("--out")
+    p.add_argument("--n", type=int, default=6, help="features per random game")
+    p.add_argument("--games", type=int, default=50, help="random games")
+    p.add_argument("--perms", type=int, default=4000, help="Monte Carlo permutation draws per game")
+    p.add_argument("--out", help="also write the report as JSON")
 
     return parser
 
@@ -681,7 +646,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.config:
+            args.parser.set_defaults(**_load_config(args.config, args.parser))
+            args = parser.parse_args(argv)
+        resolved = _settings(args)
+        if resolved["seed"] is None:
+            raise ValidationError("a seed is required (no wall-clock default); pass --seed")
+        return args.func(resolved)
     except EstimatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

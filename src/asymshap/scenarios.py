@@ -19,7 +19,7 @@ from .coalitions import OrderingSpec
 from .data import CONTINUOUS, DISCRETE, Dataset, FeatureSpec, Schema, train_test_split
 from .errors import ValidationError
 from .models import TrainConfig, sampled_label_accuracy, train_logistic
-from .values import BackgroundSet, ConditionalSampler, GenerativeSampler, make_sampler
+from .values import BackgroundSet, ConditionalSampler, ExactMatchSampler, GenerativeSampler
 
 TWO_FEATURE_KINDS = ("chain", "collider", "mixed")
 
@@ -324,28 +324,6 @@ class MarkovSeriesProcess:
         return out
 
 
-def gen_fair_admissions(n_rows: int, seed: int) -> Dataset:
-    return AdmissionsProcess(unfair=False).sample(n_rows, seed)
-
-
-def gen_unfair_admissions(n_rows: int, seed: int) -> tuple[Dataset, np.ndarray]:
-    """The biased variant; the hidden audit column comes back alongside the
-    dataset because it is never part of the exported schema."""
-    ds, audit = AdmissionsProcess(unfair=True).sample_with_audit(n_rows, seed)
-    return ds, audit
-
-
-def gen_two_feature_graph(kind: str, n_rows: int, seed: int) -> tuple[Dataset, TwoFeatureGraphProcess]:
-    process = TwoFeatureGraphProcess(kind)
-    return process.sample(n_rows, seed), process
-
-
-def gen_markov_series(
-    T: int, n_rows: int, seed: int, *, ar: float = 0.7, shift: float = 1.0, decay: float = 0.7
-) -> Dataset:
-    return MarkovSeriesProcess(T=T, ar=ar, shift=shift, decay=decay).sample(n_rows, seed)
-
-
 @dataclass
 class FairnessReport:
     """Global ASVs under a resolving-before-sensitive ordering, with a verdict
@@ -426,7 +404,7 @@ def run_fairness_audit(
         raise ValidationError("need at least one sensitive feature")
     spec = fairness_spec(schema.n, r_idx, s_idx)
     if sampler is None and bg is None:
-        sampler = make_sampler("exact-match", dataset=dataset)
+        sampler = ExactMatchSampler(dataset)
     glob = global_asv(
         model,
         dataset,

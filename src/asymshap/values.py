@@ -273,42 +273,6 @@ class GenerativeSampler:
         return rows, False
 
 
-_STRATEGY_ALIASES = {
-    "exactmatch": "exact-match",
-    "exact-match": "exact-match",
-    "knn": "knn",
-    "k-nn": "knn",
-    "generative": "generative",
-}
-
-
-def normalize_strategy(name: str) -> str:
-    key = name.strip().lower().replace("_", "-")
-    if key not in _STRATEGY_ALIASES:
-        raise ValidationError(
-            f"unknown conditional strategy {name!r}; expected exact-match, k-NN, or generative"
-        )
-    return _STRATEGY_ALIASES[key]
-
-
-def make_sampler(
-    strategy: str,
-    dataset: Dataset | None = None,
-    process: GenerativeProcessLike | None = None,
-    k: int = DEFAULT_KNN_K,
-) -> ConditionalSampler:
-    strategy = normalize_strategy(strategy)
-    if strategy == "generative":
-        if process is None:
-            raise ValidationError("generative strategy needs a process")
-        return GenerativeSampler(process)
-    if dataset is None:
-        raise ValidationError(f"{strategy} strategy needs a dataset")
-    if strategy == "exact-match":
-        return ExactMatchSampler(dataset, k=k)
-    return KNNSampler(dataset, k=k)
-
-
 def _check_point(x: np.ndarray, y: int, pred: Predictor) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != pred.n_features:

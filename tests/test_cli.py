@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from asymshap import OrderingSpec, WeightedOrdering
-from asymshap.cli import _choose_estimator, main
+from asymshap import DEFAULT_ENUMERATION_CAP, OrderingSpec, WeightedOrdering
+from asymshap.cli import _choose_estimator, _settings, build_parser, main
 
 
 def pipeline(d, tag):
@@ -207,3 +207,111 @@ def test_bad_comma_list_flag_exits_2(capsys):
         main(["train", "--hidden", "10,a", "--seed", "0"])
     assert exc.value.code == 2
     assert "--hidden" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key, default, output",
+    [
+        (["explain", "--index", "0"], "samples", 100, "attribution.json"),
+        (["explain", "--index", "0"], "out", "attribution.json", "attribution.json"),
+        (["gen-data", "markov", "--T", "3"], "rows", 10000, "markov.manifest.json"),
+        # null means the declared 2000 points, not every row.
+        (["fairness", "--resolving", "department", "--sensitive", "gender", "--samples", "4"],
+         "budget", 2000, "fairness.json"),
+    ],
+    ids=["explain-samples", "explain-out", "gen-data-rows", "fairness-budget"],
+)
+def test_null_config_value_keeps_the_declared_default(trained, tmp_path, monkeypatch, argv, key, default,
+                                                       output):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: None}))
+    inputs = [] if argv[0] == "gen-data" else ["--model", str(trained / "model.json"),
+                                               "--data", str(trained / "data.csv")]
+    assert main([*argv, *inputs, "--config", str(config), "--seed", "0"]) == 0
+    assert json.loads((tmp_path / output).read_text())["config"][key] == default
+
+
+@pytest.mark.parametrize("estimator", ["--exact", "--mc"])
+def test_local_run_matches_its_row_of_the_global_run(trained, tmp_path, estimator):
+    common = ["--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+              estimator, "--samples", "8", "--perms", "20", "--seed", "0"]
+    locals_csv = tmp_path / "locals.csv"
+    assert main(["explain", *common, "--out", str(tmp_path / "global.json"),
+                 "--locals-csv", str(locals_csv)]) == 0
+    rows = [line.split(",") for line in locals_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 400  # no budget: every row, in row order
+    for r in (3, 17):
+        out = tmp_path / f"local-{r}.json"
+        assert main(["explain", *common, "--index", str(r), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["means"] == [float(v) for v in rows[r]]
+
+
+# The settings each command resolves with no flag and no --config besides the seed.
+DECLARED_DEFAULTS = {
+    "gen-data": {
+        "scenario": None, "rows": 10000, "seed": None, "out": None,
+        "T": 12, "ar": 0.7, "shift": 1.0, "decay": 0.7,
+    },
+    "train": {
+        "data": None, "schema": None, "model": "mlp", "out": "model.json",
+        "learning_rate": 0.1, "epochs": 300, "batch_size": 32, "momentum": 0.9,
+        "hidden": "10,10", "activation": "tanh", "val_fraction": 0.25,
+        "patience": 20, "test_fraction": 0.25, "seed": None,
+    },
+    "explain": {
+        "model": None, "data": None, "schema": None, "spec": None,
+        "strategy": "off-manifold", "k": 10, "samples": 100,
+        "exact": None, "mc": None, "perms": 200, "budget": None,
+        "index": None, "target": "label", "workers": 1,
+        "cap": DEFAULT_ENUMERATION_CAP, "seed": None,
+        "out": "attribution.json", "locals_csv": None,
+    },
+    "fairness": {
+        "model": None, "data": None, "schema": None,
+        "resolving": None, "sensitive": None,
+        "strategy": "exact-match", "k": 10, "samples": 64,
+        "estimator": "exact", "perms": 200, "budget": 2000,
+        "workers": 1, "seed": None, "out": "fairness.json",
+    },
+    "featselect": {
+        "T": 12, "trials": 5, "rows": 4000, "seed": None,
+        "ar": 0.7, "shift": 1.0, "decay": 0.7,
+        "samples": 64, "budget": 300, "out": "featselect.json",
+    },
+    "oracle-check": {"n": 6, "games": 50, "perms": 4000, "seed": None, "out": None},
+}
+
+
+@pytest.mark.parametrize("command", list(DECLARED_DEFAULTS))
+def test_declared_defaults(command):
+    argv = [command, "--seed", "0"]
+    expected = {**DECLARED_DEFAULTS[command], "seed": 0}
+    if command == "gen-data":
+        argv.append("markov")
+        expected["scenario"] = "markov"
+    settings = _settings(build_parser().parse_args(argv))
+    # Compared as echoed, so 1.0 and 1 differ.
+    assert json.dumps(settings, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "command, flag, default",
+    [
+        ("gen-data", "--rows ROWS", "10000"),
+        ("train", "--epochs EPOCHS", "300"),
+        ("explain", "--strategy {off-manifold,exact-match,knn}", "off-manifold"),
+        ("fairness", "--budget BUDGET", "2000"),
+        ("featselect", "--trials TRIALS", "5"),
+        ("oracle-check", "--perms PERMS", "4000"),
+    ],
+)
+def test_help_shows_every_default(capsys, command, flag, default):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.rsplit(flag, 1)[1].split("(default: ", 1)[1].startswith(f"{default})")
+    argv = [command, "--seed", "0"] + (["markov"] if command == "gen-data" else [])
+    flags = [a for a in build_parser().parse_args(argv).parser._actions if a.option_strings]
+    assert text.count("(default: ") == len(flags) - 1  # all but --help

@@ -18,7 +18,6 @@ from asymshap import (
     TrainConfig,
     TrainedModel,
     ValidationError,
-    gen_fair_admissions,
     max_class_accuracy,
     one_hot_design,
     sampled_label_accuracy,
@@ -239,8 +238,8 @@ class TestBayesPredictor:
         # No predictor can beat the exact posterior in expected true-label
         # probability; check the trained model does not exceed it by more
         # than three standard errors of the paired difference.
-        train = gen_fair_admissions(4000, seed=12)
-        test = gen_fair_admissions(4000, seed=13)
+        train = AdmissionsProcess().sample(4000, seed=12)
+        test = AdmissionsProcess().sample(4000, seed=13)
         model = train_mlp(train, TrainConfig(seed=0))
         bayes = BayesPredictor(AdmissionsProcess())
         pb = bayes.predict(test.X)[np.arange(test.n_rows), test.y]

@@ -11,8 +11,8 @@ from asymshap import (
     GenerativeSampler,
     MarkovSeriesProcess,
     OrderingSpec,
+    TwoFeatureGraphProcess,
     WeightedOrdering,
-    gen_two_feature_graph,
     global_asv,
 )
 
@@ -31,7 +31,8 @@ def attributions(kind):
     Every run reads the same per-point draws, keyed by (seed, point, mask), so
     the three orderings differ only in how they weight the same coalitions.
     """
-    ds, process = gen_two_feature_graph(kind, 2000, 0)
+    process = TwoFeatureGraphProcess(kind)
+    ds = process.sample(2000, 0)
     return {
         name: global_asv(
             BayesPredictor(process), ds, ordering,

@@ -22,8 +22,6 @@ from asymshap import (
     SchemaError,
     ValidationError,
     as_mask,
-    make_sampler,
-    normalize_strategy,
 )
 from asymshap.values import _discrete_mutual_information, _k_nearest, _mean_and_stderr
 
@@ -619,24 +617,6 @@ class TestGenerativeSampler:
     def test_needs_a_process(self):
         with pytest.raises(ValidationError):
             GenerativeSampler(object())
-
-
-class TestMakeSampler:
-    def test_aliases(self):
-        ds = discrete_dataset()
-        assert isinstance(make_sampler("Exact_Match", dataset=ds), ExactMatchSampler)
-        assert isinstance(make_sampler("k-NN", dataset=ds), KNNSampler)
-        assert normalize_strategy(" KNN ") == "knn"
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValidationError):
-            make_sampler("vae", dataset=discrete_dataset())
-
-    def test_missing_ingredients(self):
-        with pytest.raises(ValidationError):
-            make_sampler("knn")
-        with pytest.raises(ValidationError):
-            make_sampler("generative")
 
 
 # ---------------------------------------------------------------- on-manifold
