@@ -486,6 +486,8 @@ def cmd_oracle_check(resolved: dict) -> int:
     n, games, perms = resolved["n"], resolved["games"], resolved["perms"]
     if not 2 <= n <= DEFAULT_ENUMERATION_CAP:
         raise ValidationError(f"n must be in [2, {DEFAULT_ENUMERATION_CAP}], got {n}")
+    if games < 1:
+        raise ValidationError(f"games must be at least 1, got {games}")
     rng = np.random.default_rng(resolved["seed"])
     max_dual_gap = 0.0
     max_eff_gap = 0.0

@@ -15,6 +15,7 @@ efficiency hold exactly as float identities, not just in expectation.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import operator
@@ -145,6 +146,57 @@ def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
     return sel[np.argsort(d[sel], kind="stable")]
 
 
+def _matching_rows(X: np.ndarray, x: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+    """Ascending indices of the rows of X equal to x on every feature in idx
+    (every row when idx is empty), read-only."""
+    keep = np.ones(X.shape[0], dtype=bool)
+    for i in idx:
+        keep &= X[:, i] == x[i]
+    rows = np.flatnonzero(keep)
+    rows.flags.writeable = False
+    return rows
+
+
+def _nearest_on_line(vals: np.ndarray, rows: np.ndarray, xv: float, scale: float, k: int) -> np.ndarray:
+    """The k rows nearest xv on one feature, ordered by (distance, row).
+
+    vals are the rows' finite values on that feature, sorted by (value, row);
+    xv is finite and 0 < scale < inf. The distance is ((v - xv) * scale)**2,
+    the arithmetic of the full ranking, and it never decreases moving away
+    from xv on either side, so the k nearest lie within k places of xv's
+    insertion point. Rows beyond that window can only tie the k-th distance;
+    bisection finds those runs, and a (distance, row) sort of the window
+    picks the k that a stable argsort over the whole pool in row order would.
+    """
+    n = vals.size
+    p = int(np.searchsorted(vals, xv))
+    lo, hi = max(p - k, 0), min(p + k, n)
+    diffs = (vals[lo:hi] - xv) * scale
+    d = diffs * diffs
+    window = rows[lo:hi]
+    order = np.lexsort((window, d))
+    if d.size >= k:
+        kth = float(d[order[k - 1]])
+
+        def tied(j: int) -> bool:
+            diff = (float(vals[j]) - xv) * scale
+            return diff * diff == kth
+
+        # Rows outside the window are no nearer than the k-th, so the rows
+        # tying it beyond each edge form one run: bisect for its far end.
+        start, stop = lo, hi
+        if lo > 0 and tied(lo - 1):
+            start = bisect.bisect_left(range(lo), True, key=tied)
+        if hi < n and tied(hi):
+            stop = hi + bisect.bisect_left(range(hi, n), True, key=lambda j: not tied(j))
+        if (start, stop) != (lo, hi):
+            diffs = (vals[start:stop] - xv) * scale
+            d = diffs * diffs
+            window = rows[start:stop]
+            order = np.lexsort((window, d))
+    return window[order[:k]]
+
+
 class KNNSampler:
     """Conditional completions from the k nearest dataset rows.
 
@@ -155,7 +207,21 @@ class KNNSampler:
     With no continuous conditioning there is no ranking, so the whole
     candidate set is the neighborhood. Zero exact matches on the discrete
     side are handled by relaxing discrete features one at a time, least
-    label-informative first.
+    label-informative first; the warning for each relaxation is logged once,
+    when its pool is built.
+
+    Candidate pools are cached on the sampler and live as long as it does:
+    the rows matching each (discrete conditioning features, x values on
+    them) are found once, and with exactly one continuous conditioning
+    feature they are also kept sorted by that feature, so the k nearest are
+    found by bisection instead of a scan. The dataset must not be mutated
+    after the sampler is built. Memory is at most one index array of N rows
+    per discrete coalition (the pools of one coalition partition the rows;
+    a relaxed pool is shared, not copied), plus, per discrete coalition and
+    continuous feature queried alone, a sorted copy of N values and N row
+    indices. A first fill from concurrent threads is idempotent: every
+    thread builds the same pool and one is published, and published pools
+    are read-only.
     """
 
     def __init__(self, dataset: Dataset, k: int = DEFAULT_KNN_K):
@@ -174,32 +240,59 @@ class KNNSampler:
             for i in sorted(self._discrete)
         }
         self._relax_order = sorted(mi, key=lambda i: (mi[i], i))
+        # (discrete features, their x bytes) -> (key of the pool used, its rows)
+        self._pools: dict[tuple, tuple[tuple, np.ndarray]] = {}
+        # (pool key, continuous feature) -> (sorted values, rows)
+        self._lines: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _candidates(self, x: np.ndarray, disc: list[int]) -> np.ndarray:
-        X = self.dataset.X
-        keep = np.ones(X.shape[0], dtype=bool)
-        for i in disc:
-            keep &= X[:, i] == x[i]
-        return np.flatnonzero(keep)
+    def _pool(self, disc: tuple[int, ...], x: np.ndarray) -> tuple[tuple, np.ndarray]:
+        """Rows matching x on disc, relaxing features until some row does,
+        with the key of the pool they came from."""
+        key = (disc, x[list(disc)].tobytes())
+        entry = self._pools.get(key)
+        if entry is None:
+            rows = _matching_rows(self.dataset.X, x, disc)
+            if rows.size:
+                entry = (key, rows)
+            else:
+                drop = next(i for i in self._relax_order if i in disc)
+                logger.warning(
+                    "no rows match the discrete conditioning set; relaxing feature %r",
+                    self.schema.features[drop].name,
+                )
+                entry = self._pool(tuple(i for i in disc if i != drop), x)
+            entry = self._pools.setdefault(key, entry)
+        return entry
+
+    def _line(self, key: tuple, rows: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pool's values on feature c and its rows, sorted by (value, row)."""
+        line_key = (key, c)
+        if line_key not in self._lines:
+            vals = self.dataset.X[rows, c]
+            order = np.argsort(vals, kind="stable")  # rows ascend, so ties stay in row order
+            line = (vals[order], rows[order])
+            for a in line:
+                a.flags.writeable = False
+            self._lines.setdefault(line_key, line)
+        return self._lines[line_key]
 
     def complete(self, x, s_idx, m, rng):
-        disc = [i for i in s_idx if i in self._discrete]
-        cont = [i for i in s_idx if i not in self._discrete]
-        cand = self._candidates(x, disc)
-        while cand.size == 0:
-            drop = next(i for i in self._relax_order if i in disc)
-            disc.remove(drop)
-            logger.warning(
-                "no rows match the discrete conditioning set; relaxing feature %r",
-                self.schema.features[drop].name,
-            )
-            cand = self._candidates(x, disc)
-        if cont:
+        idx = np.asarray(s_idx).tolist()
+        disc = tuple(i for i in idx if i in self._discrete)
+        cont = [i for i in idx if i not in self._discrete]
+        key, cand = self._pool(disc, x)
+        if not cont:
+            pool = cand
+        elif len(cont) == 1 and 0.0 < self._inv_scale[cont[0]] < math.inf and math.isfinite(x[cont[0]]):
+            # A finite positive scale implies a finite column: an inf or nan
+            # value makes the standard deviation nan and the scale 0.
+            c = cont[0]
+            vals, rows = self._line(key, cand, c)
+            pool = _nearest_on_line(vals, rows, float(x[c]), float(self._inv_scale[c]), self.k)
+        else:
             diffs = (self.dataset.X[:, cont][cand] - x[cont]) * self._inv_scale[cont]
             d = np.einsum("ij,ij->i", diffs, diffs)
             pool = cand[_k_nearest(d, self.k)]
-        else:
-            pool = cand
         sel = pool[rng.integers(0, pool.size, size=m)]
         out = self.dataset.X[sel]
         out[:, s_idx] = x[s_idx]
@@ -213,6 +306,14 @@ class ExactMatchSampler:
     feature (where exact matching is degenerate) or hitting zero matches
     delegates to the k-NN sampler. When the match population fits within m,
     every match is used once and the conditional mean is exact.
+
+    The matching rows of each (coalition, x values on it) are found once and
+    cached on the sampler for its lifetime, and the zero-match warning is
+    logged once, when that pool is built. The dataset must not be mutated
+    after the sampler is built. Memory is at most one index array of N rows
+    per coalition (its pools partition the rows), plus what the k-NN sampler
+    it delegates to keeps. A first fill from concurrent threads is
+    idempotent, and published pools are read-only.
     """
 
     def __init__(self, dataset: Dataset, k: int = DEFAULT_KNN_K):
@@ -220,20 +321,23 @@ class ExactMatchSampler:
         self.schema = dataset.schema
         self._discrete = set(self.schema.discrete_indices().tolist())
         self._knn = KNNSampler(dataset, k=k)
+        self._pools: dict[tuple, np.ndarray] = {}
 
     def complete(self, x, s_idx, m, rng):
-        if any(i not in self._discrete for i in s_idx):
+        idx = tuple(np.asarray(s_idx).tolist())
+        if any(i not in self._discrete for i in idx):
             logger.debug("continuous feature in conditioning set; using k-NN completion")
             return self._knn.complete(x, s_idx, m, rng)
-        keep = np.ones(self.dataset.n_rows, dtype=bool)
-        for i in s_idx:
-            keep &= self.dataset.X[:, i] == x[i]
-        cand = np.flatnonzero(keep)
+        key = (idx, x[list(idx)].tobytes())
+        cand = self._pools.get(key)
+        if cand is None:
+            cand = self._pools.setdefault(key, _matching_rows(self.dataset.X, x, idx))
+            if cand.size == 0:
+                logger.warning(
+                    "exact-match conditioning found no rows for features %s; falling back to k-NN",
+                    [self.schema.features[i].name for i in idx],
+                )
         if cand.size == 0:
-            logger.warning(
-                "exact-match conditioning found no rows for features %s; falling back to k-NN",
-                [self.schema.features[int(i)].name for i in s_idx],
-            )
             return self._knn.complete(x, s_idx, m, rng)
         if cand.size <= m:
             sel = cand

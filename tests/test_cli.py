@@ -100,6 +100,23 @@ def test_failed_oracle_check_exits_4(capsys):
     assert capsys.readouterr().out.startswith("FAIL")
 
 
+@pytest.mark.parametrize("games", [0, -3])
+def test_oracle_check_without_games_exits_2(capsys, games):
+    assert main(["oracle-check", "--games", str(games), "--seed", "0"]) == 2
+    assert "games must be at least 1" in capsys.readouterr().err
+
+
+def test_fairness_audit_of_one_point_exits_2(trained, capsys):
+    # The audit's stderr is the spread across its points; one point has none.
+    out = trained / "one-point.json"
+    code = main(["fairness", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--resolving", "department", "--sensitive", "gender", "--budget", "1",
+                 "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "at least 2 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 AUTO = {"exact": None, "mc": None, "cap": 10}
 
 

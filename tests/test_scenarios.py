@@ -1,19 +1,25 @@
 """The paper's two-feature graphs: where distal and proximate orderings put the
-credit; and the Markov series' closed-form conditional draws."""
+credit; the Markov series' closed-form conditional draws; and the admissions
+audit's shared completion pools."""
 
 import functools
+import json
+import sys
 
 import numpy as np
 import pytest
 
 from asymshap import (
+    AdmissionsProcess,
     BayesPredictor,
+    ExactMatchSampler,
     GenerativeSampler,
     MarkovSeriesProcess,
     OrderingSpec,
     TwoFeatureGraphProcess,
     WeightedOrdering,
     global_asv,
+    run_fairness_audit,
 )
 
 X1_BEFORE_X2 = OrderingSpec(2, groups=((0,), (1,)))
@@ -117,3 +123,52 @@ class TestMarkovConditionalSamples:
     def test_full_set_returns_x_tiled(self):
         rows = self.PROCESS.conditional_samples(self.X, np.array([2, 0, 3, 1]), 5, np.random.default_rng(0))
         assert np.array_equal(rows, np.tile(self.X, (5, 1)))
+
+
+class FreshSamplerPerCall:
+    """Completes every coalition with a new ExactMatchSampler, so no pool is shared."""
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+
+    def complete(self, x, s_idx, m, rng):
+        return ExactMatchSampler(self.dataset).complete(x, s_idx, m, rng)
+
+
+class KeyRecorder:
+    """Delegates to one sampler and records each call's (coalition, x on it)."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.keys = set()
+
+    def complete(self, x, s_idx, m, rng):
+        self.keys.add((tuple(s_idx.tolist()), x[s_idx].tobytes()))
+        return self.sampler.complete(x, s_idx, m, rng)
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_shared_pools_leave_the_fairness_audit_unchanged(workers):
+    # With more threads than cores and a short switch interval, first fills
+    # of one pool race; every thread must still draw from identical rows.
+    process = AdmissionsProcess(unfair=True)
+    ds = process.sample(400, 3)
+    shared = ExactMatchSampler(ds)
+    recorder = KeyRecorder(shared)
+    audit = functools.partial(run_fairness_audit, BayesPredictor(process), ds, ["department"], ["gender"],
+                              m=16, budget=60, seed=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = audit(sampler=recorder, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    fresh = audit(sampler=FreshSamplerPerCall(ds))
+    assert np.array_equal(pooled.attribution.means, fresh.attribution.means)
+    assert np.array_equal(pooled.attribution.stderrs, fresh.attribution.stderrs)
+    assert pooled.sensitive_asv == fresh.sensitive_asv
+    assert pooled.attribution.metadata == fresh.attribution.metadata
+    assert json.dumps(pooled.to_json_dict()) == json.dumps(fresh.to_json_dict())
+    # Exact-match pools are keyed by (coalition, x on it) and k-NN pools by
+    # the discrete part of that, so the run holds no more pools than keys.
+    assert len(shared._pools) + len(shared._knn._pools) <= len(recorder.keys)

@@ -524,15 +524,134 @@ class TestKNearest:
             x = X[trial]
             s_idx = np.flatnonzero(rng.random(4) < 0.6)
             got, _ = sampler.complete(x, s_idx, 16, np.random.default_rng(trial))
-            cont = [i for i in s_idx if i in (1, 2)]
-            disc = [i for i in s_idx if i in (0, 3)]
-            cand = np.flatnonzero(np.all(X[:, disc] == x[disc], axis=1))
-            if cont:
-                diffs = (X[np.ix_(cand, cont)] - x[cont]) * sampler._inv_scale[cont]
-                cand = cand[argsort_ranking(np.einsum("ij,ij->i", diffs, diffs), 7)]
-            want = X[cand[np.random.default_rng(trial).integers(0, cand.size, size=16)]]
-            want[:, s_idx] = x[s_idx]
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, argsort_completion(sampler, x, s_idx, 16, trial))
+
+
+def argsort_completion(sampler, x, s_idx, m, seed):
+    """What KNNSampler.complete draws, recomputed without pools: a full scan
+    for matches, relaxation in the sampler's order, einsum distances over
+    np.ix_, and a full stable argsort."""
+    X = sampler.dataset.X
+    discrete = set(sampler.schema.discrete_indices().tolist())
+    disc = [i for i in s_idx if i in discrete]
+    cont = [i for i in s_idx if i not in discrete]
+    cand = np.flatnonzero(np.all(X[:, disc] == x[disc], axis=1))
+    while cand.size == 0:
+        disc.remove(next(i for i in sampler._relax_order if i in disc))
+        cand = np.flatnonzero(np.all(X[:, disc] == x[disc], axis=1))
+    if cont:
+        diffs = (X[np.ix_(cand, cont)] - x[cont]) * sampler._inv_scale[cont]
+        cand = cand[argsort_ranking(np.einsum("ij,ij->i", diffs, diffs), sampler.k)]
+    want = X[cand[np.random.default_rng(seed).integers(0, cand.size, size=m)]]
+    want[:, s_idx] = x[s_idx]
+    return want
+
+
+def exact_match_completion(sampler, x, s_idx, m, seed):
+    """What ExactMatchSampler.complete returns, recomputed without pools."""
+    X = sampler.dataset.X
+    discrete = set(sampler.schema.discrete_indices().tolist())
+    cand = np.flatnonzero(np.all(X[:, s_idx] == x[s_idx], axis=1))
+    if any(i not in discrete for i in s_idx) or cand.size == 0:
+        return argsort_completion(sampler._knn, x, s_idx, m, seed), False
+    exhaustive = cand.size <= m
+    if not exhaustive:
+        cand = cand[np.random.default_rng(seed).integers(0, cand.size, size=m)]
+    want = X[cand]
+    want[:, s_idx] = x[s_idx]
+    return want, exhaustive
+
+
+POOLED_CASES = ("grid", "duplicate_rows", "non_finite_column", "non_finite_x", "two_continuous")
+
+
+def pooled_case(case):
+    """A table and query points for one TestPooledSamplers case.
+
+    Column c0 lies on a half-unit grid, so many rows tie in distance, and
+    queries between two grid values tie with rows on both sides of them. The
+    discrete cell (d0=2, d1=1) and the code d0=3 never occur, so conditioning
+    on them needs relaxation.
+    """
+    rng = np.random.default_rng(POOLED_CASES.index(case))
+    n_rows = 240
+    d0 = rng.integers(0, 3, n_rows)
+    d1 = np.where(d0 == 2, 0, rng.integers(0, 2, n_rows))
+    columns = [d0, rng.integers(-6, 7, n_rows) * 0.5]
+    features = [FeatureSpec("d0", DISCRETE, 4), FeatureSpec("c0", CONTINUOUS)]
+    if case == "two_continuous":
+        columns.append(rng.normal(size=n_rows).round(1))
+        features.append(FeatureSpec("c1", CONTINUOUS))
+    X = np.column_stack([*columns, d1]).astype(np.float64)
+    features.append(FeatureSpec("d1", DISCRETE, 2))
+    if case == "duplicate_rows":
+        X = X[rng.integers(0, 12, n_rows)]
+    if case == "non_finite_column":
+        X[rng.choice(n_rows, 9, replace=False), 1] = [np.inf, -np.inf, np.nan] * 3
+    points = [X[r].copy() for r in rng.choice(n_rows, 12, replace=False)]
+    # Far from the grid, v - x rounds several grid values to one distance, so
+    # distinct values tie on the same side of x as well.
+    far = [(-1e16, 1, 0), (1e16, 0, 1)]
+    for c0, d0_code, d1_code in [(0.25, 0, 1), (-1.75, 2, 1), (40.0, 1, 0), (0.5, 3, 0), *far]:
+        x = X[0].copy()
+        x[[0, 1, -1]] = d0_code, c0, d1_code
+        points.append(x)
+    if case == "non_finite_x":
+        for bad in (np.inf, -np.inf, np.nan):
+            x = X[1].copy()
+            x[1] = bad
+            points.append(x)
+    return Dataset(X, rng.integers(0, 2, n_rows), Schema(tuple(features))), points
+
+
+class TestPooledSamplers:
+    """Cached pools and the 1-D neighbour search draw exactly what a full scan
+    and a full stable argsort would, over hundreds of calls to one sampler."""
+
+    @pytest.mark.parametrize("k", [1, 4, 10, 500])  # 500 exceeds every pool
+    @pytest.mark.parametrize("case", POOLED_CASES)
+    def test_matches_the_unpooled_completion(self, case, k):
+        # A column holding inf makes its standard deviation inf - inf.
+        with np.errstate(invalid="ignore" if case == "non_finite_column" else "raise"):
+            ds, points = pooled_case(case)
+            knn, exact = KNNSampler(ds, k=k), ExactMatchSampler(ds, k=k)
+            queries = [
+                (x, np.flatnonzero((mask >> np.arange(ds.n)) & 1))
+                for x in points
+                for mask in range(1 << ds.n)
+            ]
+            rng = np.random.default_rng(k)
+            for q in rng.permutation(len(queries)):
+                x, s_idx = queries[q]
+                got, exhaustive = knn.complete(x, s_idx, 16, np.random.default_rng(q))
+                assert not exhaustive
+                assert np.array_equal(got, argsort_completion(knn, x, s_idx, 16, q), equal_nan=True)
+                got, exhaustive = exact.complete(x, s_idx, 16, np.random.default_rng(q))
+                want, want_exhaustive = exact_match_completion(exact, x, s_idx, 16, q)
+                assert np.array_equal(got, want, equal_nan=True) and exhaustive == want_exhaustive
+        assert len(knn._pools) < len(queries)
+
+    def test_fallback_and_relaxation_warn_once_per_pool(self, caplog):
+        # discrete_dataset has no (a, b) = (1, 1) row: exact matching falls
+        # back to k-NN, which relaxes one feature. Repeats reuse both pools.
+        sampler = ExactMatchSampler(discrete_dataset())
+        with caplog.at_level(logging.WARNING, logger="asymshap.values"):
+            for seed in range(6):
+                sampler.complete(np.array([1.0, 1.0]), np.array([0, 1]), 4, np.random.default_rng(seed))
+        messages = [r.message for r in caplog.records]
+        assert sum("falling back" in msg for msg in messages) == 1
+        assert sum("relaxing" in msg for msg in messages) == 1
+
+    def test_pools_are_read_only(self):
+        ds, points = pooled_case("grid")
+        knn, exact = KNNSampler(ds), ExactMatchSampler(ds)
+        for x in points:
+            knn.complete(x, np.array([0, 1]), 4, np.random.default_rng(0))
+            exact.complete(x, np.array([0, 2]), 4, np.random.default_rng(0))
+        arrays = [rows for _, rows in knn._pools.values()]
+        arrays += [a for line in knn._lines.values() for a in line]
+        arrays += list(exact._pools.values())
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def mean_and_stderr_reference(v, exhaustive=False):
