@@ -31,8 +31,6 @@ from .coalitions import (
     is_consistent,
     random_ordering_spec,
     sample_consistent_batch,
-    spec_from_json,
-    spec_to_json,
 )
 from .data import (
     CONTINUOUS,

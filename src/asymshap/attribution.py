@@ -2,10 +2,14 @@
 
 Local attributions average the marginal contribution of each feature over
 permutations, either by exact enumeration of the consistent set or by Monte
-Carlo draws from it. Global attributions average local ones over (x, y) pairs
-from a dataset, which ties their sum to an accuracy decomposition: the
-attribution mass equals the model's sampled-label accuracy minus the accuracy
-left when every feature is marginalized away.
+Carlo draws from it. The contributions form an (orders x features) matrix,
+entry [r, i] being what feature i adds to the features before it in order r,
+and every average here (per point over orders, per dataset over points) is
+one column reduction of such a matrix: column_means and column_stderrs.
+Global attributions average local ones over (x, y) pairs from a dataset,
+which ties their sum to an accuracy decomposition: the attribution mass
+equals the model's sampled-label accuracy minus the accuracy left when every
+feature is marginalized away.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ class TableValueFunction:
 
     table: np.ndarray
     n: int
-    evaluations: int = 0
-    hits: int = 0
-    _seen: set = field(default_factory=set)
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=np.float64).reshape(-1)
@@ -48,13 +49,7 @@ class TableValueFunction:
         return self.value_only(S), 0.0
 
     def value_only(self, S) -> float:
-        mask = as_mask(S, self.n)
-        if mask in self._seen:
-            self.hits += 1
-        else:
-            self._seen.add(mask)
-            self.evaluations += 1
-        return float(self.table[mask])
+        return float(self.table[as_mask(S, self.n)])
 
 
 @dataclass
@@ -108,40 +103,50 @@ def _as_spec(ordering) -> OrderingSpec:
 
 
 def marginal_contributions(v, P) -> np.ndarray:
-    """Matrix of v(pre ∪ {i}) - v(pre) terms, aligned with the order matrix.
+    """Matrix D of v(pre ∪ {i}) - v(pre) terms, one row per order, one column per feature.
 
     P is an int matrix of shape (count, n), one order per row, first feature
-    first. Entry [r, k] is the marginal contribution of feature P[r, k] within
-    order r. Each row telescopes to v(N) - v({}) up to one rounding per term.
-    Distinct coalitions are evaluated once through v regardless of how many
-    orders touch them.
+    first. D[r, i] is the marginal contribution of feature i within order r,
+    pre being the features before i in that order. Each row telescopes to
+    v(N) - v({}) up to one rounding per term. Distinct coalitions are
+    evaluated once through v, in ascending mask order, regardless of how many
+    orders touch them: every coalition before a feature is {} or the
+    coalition after the feature preceding it.
     """
     P = np.asarray(P, dtype=np.int64)
     R, n = P.shape
     if n > MAX_MASK_FEATURES:
         raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {n}")
-    bits = np.int64(1) << P
-    with_next = np.cumsum(bits, axis=1)
-    pre = with_next - bits
-    all_masks = np.concatenate([pre.ravel(), with_next.ravel()])
-    uniq, inv = np.unique(all_masks, return_inverse=True)
-    vals = np.array([v.value_only(int(mk)) for mk in uniq])
-    flat = vals[inv]
-    pre_vals = flat[: R * n].reshape(R, n)
-    next_vals = flat[R * n :].reshape(R, n)
-    return next_vals - pre_vals
+    after = np.cumsum(np.int64(1) << P, axis=1)
+    uniq, inv = np.unique(after, return_inverse=True)  # never 0: each mask holds a feature
+    vals = np.array([v.value_only(0)] + [v.value_only(int(mk)) for mk in uniq])
+    # v after each position of each order, less v one position earlier, moved
+    # from the position's column to its feature's.
+    ends = vals[inv.reshape(R, n) + 1]
+    steps = ends.copy()
+    steps[:, 0] -= vals[0]
+    steps[:, 1:] -= ends[:, :-1]
+    D = np.empty((R, n))
+    D[np.arange(R)[:, None], P] = steps
+    return D
 
 
-def _per_feature_stats(P: np.ndarray, diffs: np.ndarray, with_stderr: bool) -> tuple[np.ndarray, np.ndarray]:
-    R, n = P.shape
-    means = np.empty(n)
-    stderrs = np.zeros(n)
-    for i in range(n):
-        c = diffs[P == i]
-        means[i] = math.fsum(map(float, c)) / R
-        if with_stderr and R > 1:
-            stderrs[i] = float(np.std(c, ddof=1)) / math.sqrt(R)
-    return means, stderrs
+def column_means(A: np.ndarray) -> np.ndarray:
+    """Mean of each column of A, math.fsum over its rows divided by their count."""
+    R = A.shape[0]
+    return np.array([math.fsum(col) / R for col in A.T.tolist()])
+
+
+def column_stderrs(A: np.ndarray) -> np.ndarray:
+    """Standard error of each column mean of A: np.std(ddof=1) / sqrt(rows); 0 for one row.
+
+    The standard deviation runs along the rows of the contiguous transpose, so
+    each column gets numpy's pairwise sum, as np.std of that column alone would.
+    """
+    R, n = A.shape
+    if R < 2:
+        return np.zeros(n)
+    return np.std(np.ascontiguousarray(A.T), axis=1, ddof=1) / math.sqrt(R)
 
 
 def exact_asv(
@@ -153,11 +158,9 @@ def exact_asv(
     """
     spec = _as_spec(ordering)
     P = enumerate_consistent(spec, cap=cap)
-    diffs = marginal_contributions(v, P)
-    means, _ = _per_feature_stats(P, diffs, with_stderr=False)
     n = spec.n
     return AttributionResult(
-        means=means,
+        means=column_means(marginal_contributions(v, P)),
         stderrs=np.zeros(n),
         n_samples=P.shape[0],
         baseline=v.value_only(0),
@@ -210,13 +213,11 @@ def mc_asv(
     if n_perms < 2:
         raise ValidationError(f"need at least 2 permutation draws for stderr, got {n_perms}")
     spec = _as_spec(ordering)
-    P = sample_consistent_batch(spec, n_perms, rng)
-    diffs = marginal_contributions(v, P)
-    means, stderrs = _per_feature_stats(P, diffs, with_stderr=True)
+    D = marginal_contributions(v, sample_consistent_batch(spec, n_perms, rng))
     n = spec.n
     return AttributionResult(
-        means=means,
-        stderrs=stderrs,
+        means=column_means(D),
+        stderrs=column_stderrs(D),
         n_samples=n_perms,
         baseline=v.value_only(0),
         total=v.value_only((1 << n) - 1),
@@ -259,7 +260,6 @@ class GlobalAttribution:
     accuracy_empty: float
     metadata: dict = field(default_factory=dict)
     locals: np.ndarray | None = None
-    local_stderrs: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -328,8 +328,7 @@ def global_asv(
     n = dataset.n
     L = np.empty((B, n))
     LSE = np.empty((B, n))
-    totals = np.empty(B)
-    baselines = np.empty(B)
+    ends = np.empty((B, 2))  # v(N) and v({}) per point
     counters = np.zeros((B, 2), dtype=np.int64)
 
     def run_point(j: int) -> None:
@@ -341,8 +340,7 @@ def global_asv(
         res = point_asv(vf, spec, estimator, n_perms, cap)
         L[j] = res.means
         LSE[j] = res.stderrs
-        totals[j] = res.total
-        baselines[j] = res.baseline
+        ends[j] = (res.total, res.baseline)
         counters[j] = (vf.evaluations, vf.prediction_rows)
 
     if workers == 1:
@@ -355,18 +353,15 @@ def global_asv(
             list(pool.map(run_point, range(B)))
     value_evaluations = int(counters[:, 0].sum())
     prediction_rows = int(counters[:, 1].sum())
-    means = np.array([math.fsum(map(float, L[:, i])) / B for i in range(n)])
-    if B > 1:
-        # Across-point spread of noisy local estimates; absorbs their MC error.
-        stderrs = np.std(L, axis=0, ddof=1) / math.sqrt(B)
-    else:
-        stderrs = LSE[0].copy()
+    # Across-point spread of noisy local estimates; absorbs their MC error.
+    stderrs = column_stderrs(L) if B > 1 else LSE[0].copy()
+    accuracy_full, accuracy_empty = column_means(ends).tolist()
     return GlobalAttribution(
-        means=means,
+        means=column_means(L),
         stderrs=stderrs,
         n_points=B,
-        accuracy_full=math.fsum(map(float, totals)) / B,
-        accuracy_empty=math.fsum(map(float, baselines)) / B,
+        accuracy_full=accuracy_full,
+        accuracy_empty=accuracy_empty,
         metadata={
             "estimator": estimator,
             "ordering": spec.to_json_dict(),
@@ -377,7 +372,6 @@ def global_asv(
             "prediction_rows": prediction_rows,
         },
         locals=L if collect_locals else None,
-        local_stderrs=LSE if collect_locals else None,
     )
 
 
@@ -405,9 +399,8 @@ def coalition_accuracy(
             bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
         )
         vals[j] = vf.value_only(mask)
-    mean = math.fsum(map(float, vals)) / B
-    stderr = float(np.std(vals, ddof=1)) / math.sqrt(B) if B > 1 else 0.0
-    return mean, stderr
+    col = vals[:, None]
+    return float(column_means(col)[0]), float(column_stderrs(col)[0])
 
 
 def partition_sum_check(

@@ -505,7 +505,8 @@ def cmd_oracle_check(resolved: dict) -> int:
         exact = exact_asv(vf, spec)
         max_eff_gap = max(max_eff_gap, abs(exact.efficiency_gap()))
         first = enumerate_consistent(spec)[:1]
-        telescope = float(marginal_contributions(vf, first).sum()) - (exact.total - exact.baseline)
+        row = marginal_contributions(vf, first)[0]
+        telescope = math.fsum(row.tolist()) - (exact.total - exact.baseline)
         max_telescope_gap = max(max_telescope_gap, abs(telescope))
         est = mc_asv(vf, spec, perms, rng)
         for i in range(n):

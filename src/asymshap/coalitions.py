@@ -13,7 +13,6 @@ package are int bitmasks (bit i set when feature i is in the coalition).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -70,10 +69,6 @@ class OrderingSpec:
                 raise ValidationError(f"self-loop edge ({i}, {j})")
         # Fail fast on cycles: topological sort of the combined relation.
         self._toposort()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.groups is None and not self.edges
 
     def _successors(self) -> list[list[int]]:
         """Adjacency of the precedence digraph (group chain plus explicit edges)."""
@@ -150,30 +145,9 @@ class WeightedOrdering:
     def effective(self) -> OrderingSpec:
         return self.spec if self.direction == "distal" else self.spec.reversed()
 
-    def flipped(self) -> "WeightedOrdering":
-        other = "proximate" if self.direction == "distal" else "distal"
-        return WeightedOrdering(self.spec, other)
-
-    def to_json_dict(self) -> dict:
-        d = self.spec.to_json_dict()
-        d["direction"] = self.direction
-        return d
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WeightedOrdering":
         return cls(OrderingSpec.from_json_dict(obj), obj.get("direction", "distal"))
-
-
-def spec_to_json(spec: OrderingSpec | WeightedOrdering) -> str:
-    return json.dumps(spec.to_json_dict(), sort_keys=True)
-
-
-def spec_from_json(text: str) -> WeightedOrdering:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed ordering-spec JSON: {exc}") from exc
-    return WeightedOrdering.from_json_dict(obj)
 
 
 def is_consistent(P, spec: OrderingSpec) -> np.ndarray:

@@ -135,6 +135,10 @@ class Dataset:
             raise SchemaError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)")
         if self.X.shape[0] == 0:
             raise ValidationError("dataset is empty")
+        finite = np.isfinite(self.X).all(axis=0)
+        if not finite.all():
+            bad = [f.name for f, ok in zip(self.schema.features, finite) if not ok]
+            raise SchemaError(f"non-finite values (inf or nan) in features {bad}")
         for i, f in enumerate(self.schema.features):
             if f.kind == DISCRETE:
                 col = self.X[:, i]

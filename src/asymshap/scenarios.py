@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import GlobalAttribution, global_asv
+from .attribution import GlobalAttribution, column_means, column_stderrs, global_asv
 from .coalitions import OrderingSpec
 from .data import CONTINUOUS, DISCRETE, Dataset, FeatureSpec, Schema, train_test_split
 from .errors import ValidationError
@@ -243,11 +243,6 @@ class MarkovSeriesProcess:
         self._cov = L @ L.T
         self._cond_cache: dict[tuple[int, ...], tuple] = {}
 
-    def bayes_accuracy(self) -> float:
-        """Max-class accuracy of the exact posterior: Phi(||mu||)."""
-        norm = math.sqrt(float(self._mu @ self._mu))
-        return 0.5 * (1.0 + math.erf(norm / math.sqrt(2.0)))
-
     def _innovations(self, X: np.ndarray) -> np.ndarray:
         e = np.array(X, dtype=np.float64, copy=True)
         e[:, 1:] -= self.ar * X[:, :-1]
@@ -286,8 +281,7 @@ class MarkovSeriesProcess:
         cond_cov = SHH - gain @ SHG.T
         cond_cov = 0.5 * (cond_cov + cond_cov.T)
         chol = np.linalg.cholesky(cond_cov + 1e-12 * np.eye(H.size))
-        sign, logdet = np.linalg.slogdet(SGG)
-        out = (G, H, SGG_inv, gain, chol, logdet)
+        out = (G, H, SGG_inv, gain, chol)
         self._cond_cache[key] = out
         return out
 
@@ -301,7 +295,7 @@ class MarkovSeriesProcess:
             signs = np.where(y == 1, 1.0, -1.0)
             e = rng.standard_normal((m, self.T)) + signs[:, None] * self._mu
             return e @ self._L.T
-        G, H, SGG_inv, gain, chol, logdet = self._conditionals_for(key)
+        G, H, SGG_inv, gain, chol = self._conditionals_for(key)
         xG = x[G]
         # Class posterior from the Gaussian marginal on the observed block.
         log_w = np.empty(2)
@@ -523,13 +517,6 @@ def run_feature_selection_study(
         collect_locals=True,
     )
     local_cum = np.cumsum(glob.locals, axis=1)
-    cumulative = np.array(
-        [math.fsum(map(float, local_cum[:, t])) / local_cum.shape[0] for t in range(T)]
-    )
-    if local_cum.shape[0] > 1:
-        cumulative_stderr = np.std(local_cum, axis=0, ddof=1) / math.sqrt(local_cum.shape[0])
-    else:
-        cumulative_stderr = np.zeros(T)
     trial_matrix = np.empty((trials, T))
     for r in range(trials):
         trial_seed = seed + 1000 * (r + 1)
@@ -543,8 +530,8 @@ def run_feature_selection_study(
             trial_matrix[r, t] = acc - base_acc
     return FeatureSelectionStudy(
         ts=tuple(range(T)),
-        cumulative_asv=cumulative,
-        cumulative_stderr=cumulative_stderr,
+        cumulative_asv=column_means(local_cum),
+        cumulative_stderr=column_stderrs(local_cum),
         empirical_mean=trial_matrix.mean(axis=0),
         empirical_sd=trial_matrix.std(axis=0, ddof=1) if trials > 1 else np.zeros(T),
         trial_matrix=trial_matrix,

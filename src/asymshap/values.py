@@ -284,8 +284,6 @@ class KNNSampler:
         if not cont:
             pool = cand
         elif len(cont) == 1 and 0.0 < self._inv_scale[cont[0]] < math.inf and math.isfinite(x[cont[0]]):
-            # A finite positive scale implies a finite column: an inf or nan
-            # value makes the standard deviation nan and the scale 0.
             c = cont[0]
             vals, rows = self._line(key, cand, c)
             pool = _nearest_on_line(vals, rows, float(x[c]), float(self._inv_scale[c]), self.k)
@@ -381,6 +379,8 @@ def _check_point(x: np.ndarray, y: int, pred: Predictor) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.shape[0] != pred.n_features:
         raise SchemaError(f"point has {x.shape[0]} features, predictor expects {pred.n_features}")
+    if not np.isfinite(x).all():
+        raise SchemaError(f"point has non-finite feature values: {x.tolist()}")
     if not 0 <= y < pred.n_classes:
         raise ValidationError(f"class index {y} outside [0, {pred.n_classes})")
     return x

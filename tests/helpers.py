@@ -44,3 +44,16 @@ class FirstFeatureProbPredictor:
         X = np.atleast_2d(X)
         p1 = np.clip(X[:, 0], 0.0, 1.0)
         return np.column_stack([1.0 - p1, p1])
+
+
+class CountingGame:
+    """A random table game over n features that records every mask it is asked for."""
+
+    def __init__(self, n, seed=0):
+        self.n = n
+        self.table = np.random.default_rng(seed).random(1 << n)
+        self.masks = []
+
+    def value_only(self, mask):
+        self.masks.append(int(mask))
+        return float(self.table[mask])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ConstantPredictor, FirstFeatureProbPredictor, LinearProbPredictor
+from helpers import ConstantPredictor, CountingGame, FirstFeatureProbPredictor, LinearProbPredictor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,12 +22,15 @@ from asymshap import (
     ValidationError,
     WeightedOrdering,
     coalition_accuracy,
+    enumerate_consistent,
     exact_asv,
     exact_shapley_subset_form,
     global_asv,
     marginal_contributions,
     mc_asv,
     partition_sum_check,
+    random_ordering_spec,
+    sample_consistent_batch,
     sampled_label_accuracy,
 )
 
@@ -65,27 +68,77 @@ class TestTableValueFunction:
         with pytest.raises(ValidationError):
             TableValueFunction(np.zeros(7), 3)
 
-    def test_counts_distinct_evaluations(self):
-        vf = TableValueFunction(np.arange(4, dtype=float), 2)
-        vf.value_only(0)
-        vf.value_only(0)
-        vf.value_only(3)
-        assert vf.evaluations == 2 and vf.hits == 1
-        assert vf.value(2) == (2.0, 0.0)
+
+def position_aligned(v, P):
+    """Marginal contributions by position: entry [r, k] belongs to feature P[r, k]."""
+    out = np.empty(P.shape)
+    for r, order in enumerate(P.tolist()):
+        pre = 0
+        for k, i in enumerate(order):
+            out[r, k] = v.value_only(pre | 1 << i) - v.value_only(pre)
+            pre |= 1 << i
+    return out
+
+
+def prefix_masks(P):
+    """{} and the coalition after each position of each order."""
+    masks = {0}
+    for order in P.tolist():
+        pre = 0
+        for i in order:
+            pre |= 1 << i
+            masks.add(pre)
+    return masks
 
 
 class TestMarginalContributions:
     def test_hand_case(self):
-        vf = TableValueFunction(np.array([0.0, 1.0, 2.0, 4.0]), 2)
+        # v({}) = 0, v({0}) = 1, v({1}) = 3, v({0, 1}) = 4: feature 0 adds 1
+        # and feature 1 adds 3 in either order, first or second.
+        vf = TableValueFunction(np.array([0.0, 1.0, 3.0, 4.0]), 2)
         P = np.array([[0, 1], [1, 0]])
-        diffs = marginal_contributions(vf, P)
-        assert np.array_equal(diffs, [[1.0, 3.0], [2.0, 2.0]])
+        D = marginal_contributions(vf, P)
+        assert np.array_equal(D, [[1.0, 3.0], [1.0, 3.0]])
 
     def test_each_coalition_evaluated_once(self):
-        vf = random_table(3, np.random.default_rng(0))
-        res = exact_asv(vf, OrderingSpec(3))
-        assert vf.evaluations == 8  # all masks, baseline and total included
-        assert res.n_samples == 6
+        spec = OrderingSpec(4, groups=((0, 1), (2, 3)))
+        batch = sample_consistent_batch(spec, 40, np.random.default_rng(0))
+        assert len({tuple(order) for order in batch.tolist()}) < 40  # 4 consistent orders
+        everything = enumerate_consistent(OrderingSpec(4))
+        assert prefix_masks(everything) == set(range(16))
+        for P in (everything, enumerate_consistent(spec), batch):
+            game = CountingGame(4)
+            marginal_contributions(game, P)
+            assert game.masks == sorted(prefix_masks(P))  # each once, ascending
+
+    def test_feature_indexed_reduction_is_bitwise(self):
+        # D is the position-aligned layout scattered by feature, and the
+        # per-point means and stderrs are what per-feature gathers over that
+        # layout gave: fsum / R and np.std(ddof=1) / sqrt(R).
+        rng = np.random.default_rng(16)
+        for n in range(2, 8):
+            for _ in range(4):
+                vf = random_table(n, rng)
+                spec = random_ordering_spec(n, rng)
+                seed = int(rng.integers(2**32))
+                runs = [(enumerate_consistent(spec), exact_asv(vf, spec))]
+                for draws in (2, 37):
+                    P = sample_consistent_batch(spec, draws, np.random.default_rng(seed))
+                    runs.append((P, mc_asv(vf, spec, draws, np.random.default_rng(seed))))
+                for P, res in runs:
+                    R = P.shape[0]
+                    old = position_aligned(vf, P)
+                    scattered = np.empty_like(old)
+                    for r in range(R):
+                        scattered[r, P[r]] = old[r]
+                    assert np.array_equal(marginal_contributions(vf, P), scattered)
+                    for i in range(n):
+                        c = old[P == i]
+                        assert res.means[i] == math.fsum(map(float, c)) / R
+                        if res.metadata["estimator"] == "mc":
+                            assert res.stderrs[i] == float(np.std(c, ddof=1)) / math.sqrt(R)
+                        else:
+                            assert res.stderrs[i] == 0.0
 
     def test_rows_telescope(self):
         vf = random_table(4, np.random.default_rng(1))

@@ -78,10 +78,10 @@ def test_explain_with_name_based_spec(trained):
     assert "spec" in doc["input_hashes"]
 
 
-@pytest.mark.parametrize("content", [{"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]]])
+@pytest.mark.parametrize("content", [{"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]], "{not json"])
 def test_bad_spec_is_rejected(trained, content):
     spec = trained / "bad-spec.json"
-    spec.write_text(json.dumps(content))
+    spec.write_text(content if isinstance(content, str) else json.dumps(content))
     code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
                  "--spec", str(spec), "--index", "0", "--seed", "0", "--out", str(trained / "x.json")])
     assert code == 2
@@ -92,6 +92,35 @@ def test_missing_model_exits_2(trained, capsys):
                  "--seed", "0"])
     assert code == 2
     assert "model file not found" in capsys.readouterr().err
+
+
+def test_non_finite_data_cell_exits_2(trained, tmp_path, capsys):
+    lines = (trained / "data.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "inf"  # score, the continuous column
+    lines[5] = ",".join(cells)
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(data),
+                 "--schema", str(trained / "data.schema.json"), "--index", "0", "--samples", "4",
+                 "--seed", "0", "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_exhausted_rejection_sampling_exits_3(tmp_path, capsys):
+    # A chain written as edges accepts 1 uniform draw in 12!, far past the budget.
+    assert main(["gen-data", "markov", "--T", "12", "--rows", "200", "--seed", "0",
+                 "--out", str(tmp_path / "markov")]) == 0
+    assert main(["train", "--data", str(tmp_path / "markov.csv"), "--model", "logistic", "--epochs", "2",
+                 "--seed", "0", "--out", str(tmp_path / "model.json")]) == 0
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps({"edges": [[f"t{t}", f"t{t + 1}"] for t in range(11)]}))
+    code = main(["explain", "--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "markov.csv"),
+                 "--spec", str(spec), "--mc", "--perms", "2", "--budget", "2", "--samples", "4",
+                 "--seed", "0", "--out", str(tmp_path / "x.json")])
+    assert code == 3
+    assert "rejection sampling exhausted its budget" in capsys.readouterr().err
 
 
 def test_failed_oracle_check_exits_4(capsys):

@@ -111,6 +111,14 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), small_schema())
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_rejected(self, bad):
+        ds = small_dataset()
+        X = ds.X.copy()
+        X[5, 1] = bad
+        with pytest.raises(SchemaError, match=r"non-finite.*\['b'\]"):
+            Dataset(X, ds.y, ds.schema)
+
     def test_subset(self):
         ds = small_dataset()
         sub = ds.subset(np.array([3, 1]))

@@ -256,6 +256,9 @@ class TestOffManifold:
             CachedValueFunction(pred, np.zeros(2), 1, bg=BackgroundSet(np.zeros((3, 4))), m=5)
         with pytest.raises(ValidationError):
             CachedValueFunction(pred, np.zeros(2), 2, bg=bg, m=5)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(SchemaError, match="non-finite"):
+                CachedValueFunction(pred, np.array([0.0, bad]), 1, bg=bg, m=5)
 
 
 # ---------------------------------------------------------------- caching
@@ -562,7 +565,7 @@ def exact_match_completion(sampler, x, s_idx, m, seed):
     return want, exhaustive
 
 
-POOLED_CASES = ("grid", "duplicate_rows", "non_finite_column", "non_finite_x", "two_continuous")
+POOLED_CASES = ("grid", "duplicate_rows", "non_finite_x", "two_continuous")
 
 
 def pooled_case(case):
@@ -586,8 +589,6 @@ def pooled_case(case):
     features.append(FeatureSpec("d1", DISCRETE, 2))
     if case == "duplicate_rows":
         X = X[rng.integers(0, 12, n_rows)]
-    if case == "non_finite_column":
-        X[rng.choice(n_rows, 9, replace=False), 1] = [np.inf, -np.inf, np.nan] * 3
     points = [X[r].copy() for r in rng.choice(n_rows, 12, replace=False)]
     # Far from the grid, v - x rounds several grid values to one distance, so
     # distinct values tie on the same side of x as well.
@@ -611,24 +612,22 @@ class TestPooledSamplers:
     @pytest.mark.parametrize("k", [1, 4, 10, 500])  # 500 exceeds every pool
     @pytest.mark.parametrize("case", POOLED_CASES)
     def test_matches_the_unpooled_completion(self, case, k):
-        # A column holding inf makes its standard deviation inf - inf.
-        with np.errstate(invalid="ignore" if case == "non_finite_column" else "raise"):
-            ds, points = pooled_case(case)
-            knn, exact = KNNSampler(ds, k=k), ExactMatchSampler(ds, k=k)
-            queries = [
-                (x, np.flatnonzero((mask >> np.arange(ds.n)) & 1))
-                for x in points
-                for mask in range(1 << ds.n)
-            ]
-            rng = np.random.default_rng(k)
-            for q in rng.permutation(len(queries)):
-                x, s_idx = queries[q]
-                got, exhaustive = knn.complete(x, s_idx, 16, np.random.default_rng(q))
-                assert not exhaustive
-                assert np.array_equal(got, argsort_completion(knn, x, s_idx, 16, q), equal_nan=True)
-                got, exhaustive = exact.complete(x, s_idx, 16, np.random.default_rng(q))
-                want, want_exhaustive = exact_match_completion(exact, x, s_idx, 16, q)
-                assert np.array_equal(got, want, equal_nan=True) and exhaustive == want_exhaustive
+        ds, points = pooled_case(case)
+        knn, exact = KNNSampler(ds, k=k), ExactMatchSampler(ds, k=k)
+        queries = [
+            (x, np.flatnonzero((mask >> np.arange(ds.n)) & 1))
+            for x in points
+            for mask in range(1 << ds.n)
+        ]
+        rng = np.random.default_rng(k)
+        for q in rng.permutation(len(queries)):
+            x, s_idx = queries[q]
+            got, exhaustive = knn.complete(x, s_idx, 16, np.random.default_rng(q))
+            assert not exhaustive
+            assert np.array_equal(got, argsort_completion(knn, x, s_idx, 16, q), equal_nan=True)
+            got, exhaustive = exact.complete(x, s_idx, 16, np.random.default_rng(q))
+            want, want_exhaustive = exact_match_completion(exact, x, s_idx, 16, q)
+            assert np.array_equal(got, want, equal_nan=True) and exhaustive == want_exhaustive
         assert len(knn._pools) < len(queries)
 
     def test_fallback_and_relaxation_warn_once_per_pool(self, caplog):
