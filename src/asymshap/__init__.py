@@ -10,6 +10,7 @@ generative scenarios, and a CLI around all of it.
 
 from .attribution import (
     AttributionResult,
+    CoalitionChains,
     GlobalAttribution,
     TableValueFunction,
     coalition_accuracy,

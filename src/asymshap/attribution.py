@@ -6,6 +6,11 @@ Carlo draws from it. The contributions form an (orders x features) matrix,
 entry [r, i] being what feature i adds to the features before it in order r,
 and every average here (per point over orders, per dataset over points) is
 one column reduction of such a matrix: column_means and column_stderrs.
+What depends on the orders alone, the distinct coalitions they pass through
+and where each entry's two coalitions sit among them, is a CoalitionChains,
+built once per order set: an exact global run enumerates and dedupes its
+orders once and every point reuses the result, so a point only evaluates its
+own value function on those coalitions and takes differences.
 Global attributions average local ones over (x, y) pairs from a dataset,
 which ties their sum to an accuracy decomposition: the attribution mass
 equals the model's sampled-label accuracy minus the accuracy left when every
@@ -102,39 +107,67 @@ def _as_spec(ordering) -> OrderingSpec:
     raise ValidationError(f"expected an OrderingSpec or WeightedOrdering, got {type(ordering).__name__}")
 
 
-def marginal_contributions(v, P) -> np.ndarray:
-    """Matrix D of v(pre ∪ {i}) - v(pre) terms, one row per order, one column per feature.
+class CoalitionChains:
+    """The coalitions a set of orders passes through, and where each step starts and ends.
 
     P is an int matrix of shape (count, n), one order per row, first feature
-    first. D[r, i] is the marginal contribution of feature i within order r,
-    pre being the features before i in that order. Each row telescopes to
-    v(N) - v({}) up to one rounding per term. Distinct coalitions are
-    evaluated once through v, in ascending mask order, regardless of how many
-    orders touch them: every coalition before a feature is {} or the
-    coalition after the feature preceding it.
+    first. masks holds the distinct nonempty coalitions that follow some
+    position of some order, ascending. Index 0 stands for the empty coalition
+    and index k + 1 for masks[k], so after[i, r] and before[i, r] locate the
+    coalition of order r with and without feature i among v({}) and v(masks):
+    every coalition before a feature is {} or the coalition after the feature
+    preceding it. P itself is not kept.
+
+    Nothing here depends on a point, so one instance serves every point of a
+    run (and every worker thread); its arrays are read-only for that reason.
     """
-    P = np.asarray(P, dtype=np.int64)
-    R, n = P.shape
-    if n > MAX_MASK_FEATURES:
-        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {n}")
-    after = np.cumsum(np.int64(1) << P, axis=1)
-    uniq, inv = np.unique(after, return_inverse=True)  # never 0: each mask holds a feature
-    vals = np.array([v.value_only(0)] + [v.value_only(int(mk)) for mk in uniq])
-    # v after each position of each order, less v one position earlier, moved
-    # from the position's column to its feature's.
-    ends = vals[inv.reshape(R, n) + 1]
-    steps = ends.copy()
-    steps[:, 0] -= vals[0]
-    steps[:, 1:] -= ends[:, :-1]
-    D = np.empty((R, n))
-    D[np.arange(R)[:, None], P] = steps
-    return D
+
+    def __init__(self, P):
+        P = np.asarray(P, dtype=np.int64)
+        R, n = P.shape
+        if n > MAX_MASK_FEATURES:
+            raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {n}")
+        after_masks = np.cumsum(np.int64(1) << P, axis=1)
+        masks, inv = np.unique(after_masks, return_inverse=True)  # never 0: each mask holds a feature
+        del after_masks
+        inv = inv.reshape(R, n)
+        inv += 1
+        # Position k of order r moves to row P[r, k] (its feature), column r.
+        rows = np.arange(R)[:, None]
+        after = np.empty((n, R), dtype=np.intp)
+        after[P, rows] = inv
+        before = np.empty((n, R), dtype=np.intp)
+        before[P[:, 0], rows[:, 0]] = 0
+        before[P[:, 1:], rows] = inv[:, :-1]
+        for a in (masks, after, before):
+            a.flags.writeable = False
+        self.masks = masks
+        self.after = after
+        self.before = before
+        self.count = R
+        self.n = n
+
+
+def marginal_contributions(v, chains: CoalitionChains) -> np.ndarray:
+    """Matrix D of v(pre ∪ {i}) - v(pre) terms, one row per order, one column per feature.
+
+    chains holds the orders' coalitions, deduped once for the whole order set;
+    a run shares one instance across its points. D[r, i] is the marginal
+    contribution of feature i within order r, pre being the features before i
+    in that order. Each row telescopes to v(N) - v({}) up to one rounding per
+    term. v is evaluated on {} and then on each of chains.masks in ascending
+    order, once each, regardless of how many orders touch them.
+    """
+    vals = np.array([v.value_only(0)] + [v.value_only(mk) for mk in chains.masks.tolist()])
+    D = vals[chains.after]
+    D -= vals[chains.before]
+    return D.T
 
 
 def column_means(A: np.ndarray) -> np.ndarray:
     """Mean of each column of A, math.fsum over its rows divided by their count."""
     R = A.shape[0]
-    return np.array([math.fsum(col) / R for col in A.T.tolist()])
+    return np.array([math.fsum(col.tolist()) / R for col in A.T])
 
 
 def column_stderrs(A: np.ndarray) -> np.ndarray:
@@ -150,19 +183,24 @@ def column_stderrs(A: np.ndarray) -> np.ndarray:
 
 
 def exact_asv(
-    v, ordering, cap: int = DEFAULT_ENUMERATION_CAP
+    v, ordering, cap: int | CoalitionChains = DEFAULT_ENUMERATION_CAP
 ) -> AttributionResult:
     """Attribution averaged over every permutation consistent with the ordering.
 
     With an empty ordering this is the plain Shapley value in permutation form.
+    cap bounds the enumeration of the consistent orders. A caller explaining
+    many points under one ordering enumerates once and passes the
+    CoalitionChains of those orders in its place, so no point repeats the work.
     """
     spec = _as_spec(ordering)
-    P = enumerate_consistent(spec, cap=cap)
     n = spec.n
+    chains = cap if isinstance(cap, CoalitionChains) else CoalitionChains(enumerate_consistent(spec, cap=cap))
+    if chains.n != n:
+        raise ValidationError(f"chains cover {chains.n} features, ordering has {n}")
     return AttributionResult(
-        means=column_means(marginal_contributions(v, P)),
+        means=column_means(marginal_contributions(v, chains)),
         stderrs=np.zeros(n),
-        n_samples=P.shape[0],
+        n_samples=chains.count,
         baseline=v.value_only(0),
         total=v.value_only((1 << n) - 1),
         metadata={"estimator": "exact", "ordering": spec.to_json_dict()},
@@ -213,7 +251,7 @@ def mc_asv(
     if n_perms < 2:
         raise ValidationError(f"need at least 2 permutation draws for stderr, got {n_perms}")
     spec = _as_spec(ordering)
-    D = marginal_contributions(v, sample_consistent_batch(spec, n_perms, rng))
+    D = marginal_contributions(v, CoalitionChains(sample_consistent_batch(spec, n_perms, rng)))
     n = spec.n
     return AttributionResult(
         means=column_means(D),
@@ -230,16 +268,18 @@ def point_asv(
     ordering,
     estimator: str = "exact",
     n_perms: int = 200,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    chains: CoalitionChains | None = None,
 ) -> AttributionResult:
     """Local attribution of the point vf explains, exact or Monte Carlo.
 
-    The Monte Carlo draws come from a stream keyed by (vf.seed,
-    vf.point_index), so a point gets the same result alone as inside a
-    global run.
+    The exact estimator reduces chains, the CoalitionChains of the ordering's
+    consistent orders that a run builds once for all its points; without them
+    it enumerates the orders under the default cap. The Monte Carlo draws come
+    from a stream keyed by (vf.seed, vf.point_index), so a point gets the same
+    result alone as inside a global run.
     """
     if estimator == "exact":
-        return exact_asv(vf, ordering, cap=cap)
+        return exact_asv(vf, ordering, DEFAULT_ENUMERATION_CAP if chains is None else chains)
     rng = np.random.default_rng(np.random.SeedSequence([vf.seed, 0x9E12, vf.point_index]))
     return mc_asv(vf, ordering, n_perms, rng)
 
@@ -313,8 +353,11 @@ def global_asv(
     """Average local attributions over (x, y) rows, y taken as the true label.
 
     budget caps how many rows participate (sampled without replacement,
-    default all). Each row gets its own frozen value-function cache and its
-    own derived random stream, so results are identical for any worker count.
+    default all); the stderrs are the spread across them, so at least 2 must.
+    Each row gets its own frozen value-function cache and its own derived
+    random stream, so results are identical for any worker count. The exact
+    estimator enumerates the consistent orders once and every row reduces
+    the same read-only CoalitionChains.
     """
     spec = _as_spec(ordering)
     if spec.n != dataset.n:
@@ -325,9 +368,13 @@ def global_asv(
         raise ValidationError(f"workers must be >= 1, got {workers}")
     idx = _point_budget(dataset.n_rows, budget, seed)
     B = idx.shape[0]
+    if B < 2:
+        raise ValidationError(
+            f"a dataset average needs at least 2 points for its across-point stderr, got {B}"
+        )
+    chains = CoalitionChains(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
     n = dataset.n
     L = np.empty((B, n))
-    LSE = np.empty((B, n))
     ends = np.empty((B, 2))  # v(N) and v({}) per point
     counters = np.zeros((B, 2), dtype=np.int64)
 
@@ -337,9 +384,8 @@ def global_asv(
             pred, dataset.X[row], int(dataset.y[row]),
             bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
         )
-        res = point_asv(vf, spec, estimator, n_perms, cap)
+        res = point_asv(vf, spec, estimator, n_perms, chains)
         L[j] = res.means
-        LSE[j] = res.stderrs
         ends[j] = (res.total, res.baseline)
         counters[j] = (vf.evaluations, vf.prediction_rows)
 
@@ -353,12 +399,11 @@ def global_asv(
             list(pool.map(run_point, range(B)))
     value_evaluations = int(counters[:, 0].sum())
     prediction_rows = int(counters[:, 1].sum())
-    # Across-point spread of noisy local estimates; absorbs their MC error.
-    stderrs = column_stderrs(L) if B > 1 else LSE[0].copy()
     accuracy_full, accuracy_empty = column_means(ends).tolist()
     return GlobalAttribution(
         means=column_means(L),
-        stderrs=stderrs,
+        # Across-point spread of noisy local estimates; absorbs their MC error.
+        stderrs=column_stderrs(L),
         n_points=B,
         accuracy_full=accuracy_full,
         accuracy_empty=accuracy_empty,

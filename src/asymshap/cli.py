@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .attribution import (
+    CoalitionChains,
     TableValueFunction,
     exact_asv,
     exact_shapley_subset_form,
@@ -331,10 +332,11 @@ def _build_marginalizer(resolved: dict, ds: Dataset):
 def _choose_estimator(resolved: dict, ordering: WeightedOrdering, n_points: int) -> str:
     """--exact or --mc when given, else exact up to the enumeration cap.
 
-    Automatic exact enumeration materialises every consistent order for every
-    point, so it warns when a point has more than AUTO_EXACT_WARN_ORDERS of
-    them. The count is closed-form for specs without edges; with edges n! is
-    the bound, so the estimate never enumerates.
+    Automatic exact enumeration materialises every consistent order once per
+    run, and every point then reduces all of them, so it warns when there are
+    more than AUTO_EXACT_WARN_ORDERS. The count is closed-form for specs
+    without edges; with edges n! is the bound, so the estimate never
+    enumerates.
     """
     if resolved["exact"] and resolved["mc"]:
         raise ValidationError("--exact and --mc are mutually exclusive")
@@ -348,9 +350,10 @@ def _choose_estimator(resolved: dict, ordering: WeightedOrdering, n_points: int)
     orders = math.factorial(spec.n) if spec.edges else count_consistent(spec)
     if orders > AUTO_EXACT_WARN_ORDERS:
         logger.warning(
-            "exact estimator chosen automatically for %d features: up to %d consistent orders "
-            "per point, %d permutation rows over %d points; pass --mc to sample instead",
-            spec.n, orders, orders * n_points, n_points,
+            "exact estimator chosen automatically for %d features: up to %d consistent orders, "
+            "enumerated once and reduced at each of %d points (%d order rows in all); "
+            "pass --mc to sample instead",
+            spec.n, orders, n_points, orders * n_points,
         )
     return "exact"
 
@@ -388,7 +391,10 @@ def cmd_explain(resolved: dict) -> int:
             model, x, y, bg=bg, sampler=sampler,
             m=resolved["samples"], seed=resolved["seed"], point_index=row,
         )
-        res = point_asv(vf, ordering, estimator, resolved["perms"], resolved["cap"])
+        chains = None
+        if estimator == "exact":
+            chains = CoalitionChains(enumerate_consistent(ordering.effective(), cap=resolved["cap"]))
+        res = point_asv(vf, ordering, estimator, resolved["perms"], chains)
         doc = {"mode": "local", "index": row, "class_index": y}
         doc.update(res.to_json_dict(feature_names=ds.schema.names))
     else:
@@ -505,7 +511,7 @@ def cmd_oracle_check(resolved: dict) -> int:
         exact = exact_asv(vf, spec)
         max_eff_gap = max(max_eff_gap, abs(exact.efficiency_gap()))
         first = enumerate_consistent(spec)[:1]
-        row = marginal_contributions(vf, first)[0]
+        row = marginal_contributions(vf, CoalitionChains(first))[0]
         telescope = math.fsum(row.tolist()) - (exact.total - exact.baseline)
         max_telescope_gap = max(max_telescope_gap, abs(telescope))
         est = mc_asv(vf, spec, perms, rng)

@@ -390,9 +390,6 @@ def run_fairness_audit(
     variables come first is the audit's discrimination signal. Its stderr is
     the spread across audited points, so the audit needs at least two.
     """
-    n_points = dataset.n_rows if budget is None else min(budget, dataset.n_rows)
-    if n_points < 2:
-        raise ValidationError(f"a fairness audit needs at least 2 points, got {n_points}")
     schema = dataset.schema
     r_idx = _resolve_features(schema, resolving)
     s_idx = _resolve_features(schema, sensitive)

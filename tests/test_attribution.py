@@ -1,6 +1,7 @@
 """Exact and Monte Carlo attribution, the dual Shapley formulas, and global sums."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from asymshap import (
     DISCRETE,
     AttributionResult,
     BackgroundSet,
+    CachedValueFunction,
+    CoalitionChains,
     Dataset,
     EnumerationCapError,
     FeatureSpec,
@@ -33,6 +36,8 @@ from asymshap import (
     sample_consistent_batch,
     sampled_label_accuracy,
 )
+from asymshap import attribution
+from asymshap.attribution import column_means
 
 
 def random_table(n, rng):
@@ -97,7 +102,7 @@ class TestMarginalContributions:
         # and feature 1 adds 3 in either order, first or second.
         vf = TableValueFunction(np.array([0.0, 1.0, 3.0, 4.0]), 2)
         P = np.array([[0, 1], [1, 0]])
-        D = marginal_contributions(vf, P)
+        D = marginal_contributions(vf, CoalitionChains(P))
         assert np.array_equal(D, [[1.0, 3.0], [1.0, 3.0]])
 
     def test_each_coalition_evaluated_once(self):
@@ -107,9 +112,12 @@ class TestMarginalContributions:
         everything = enumerate_consistent(OrderingSpec(4))
         assert prefix_masks(everything) == set(range(16))
         for P in (everything, enumerate_consistent(spec), batch):
-            game = CountingGame(4)
-            marginal_contributions(game, P)
-            assert game.masks == sorted(prefix_masks(P))  # each once, ascending
+            chains = CoalitionChains(P)
+            assert chains.masks.tolist() == sorted(prefix_masks(P) - {0})
+            for _ in range(2):  # the same chains serve the next point as well
+                game = CountingGame(4)
+                marginal_contributions(game, chains)
+                assert game.masks == sorted(prefix_masks(P))  # each once, ascending
 
     def test_feature_indexed_reduction_is_bitwise(self):
         # D is the position-aligned layout scattered by feature, and the
@@ -121,7 +129,8 @@ class TestMarginalContributions:
                 vf = random_table(n, rng)
                 spec = random_ordering_spec(n, rng)
                 seed = int(rng.integers(2**32))
-                runs = [(enumerate_consistent(spec), exact_asv(vf, spec))]
+                P = enumerate_consistent(spec)
+                runs = [(P, exact_asv(vf, spec)), (P, exact_asv(vf, spec, CoalitionChains(P)))]
                 for draws in (2, 37):
                     P = sample_consistent_batch(spec, draws, np.random.default_rng(seed))
                     runs.append((P, mc_asv(vf, spec, draws, np.random.default_rng(seed))))
@@ -131,7 +140,7 @@ class TestMarginalContributions:
                     scattered = np.empty_like(old)
                     for r in range(R):
                         scattered[r, P[r]] = old[r]
-                    assert np.array_equal(marginal_contributions(vf, P), scattered)
+                    assert np.array_equal(marginal_contributions(vf, CoalitionChains(P)), scattered)
                     for i in range(n):
                         c = old[P == i]
                         assert res.means[i] == math.fsum(map(float, c)) / R
@@ -140,10 +149,19 @@ class TestMarginalContributions:
                         else:
                             assert res.stderrs[i] == 0.0
 
+    def test_chains_are_read_only(self):
+        chains = CoalitionChains(enumerate_consistent(OrderingSpec(3)))
+        assert (chains.count, chains.n) == (6, 3)
+        for a in (chains.masks, chains.after, chains.before):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0
+            with pytest.raises(ValueError):
+                a += 1
+
     def test_rows_telescope(self):
         vf = random_table(4, np.random.default_rng(1))
         P = np.array([[2, 0, 3, 1], [0, 1, 2, 3]])
-        diffs = marginal_contributions(vf, P)
+        diffs = marginal_contributions(vf, CoalitionChains(P))
         span = vf.value_only(0b1111) - vf.value_only(0)
         for r in range(2):
             assert math.fsum(map(float, diffs[r])) == pytest.approx(span, abs=1e-12)
@@ -429,6 +447,57 @@ class TestGlobalAttribution:
             global_asv(pred, ds, OrderingSpec(3), bg=bg, estimator="quasi")
         with pytest.raises(ValidationError):
             global_asv(pred, ds, OrderingSpec(3), bg=bg, workers=0)
+
+    @pytest.mark.parametrize("estimator", ["exact", "mc"])
+    def test_one_point_has_no_across_point_stderr(self, estimator):
+        ds = toy_dataset()
+        pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            global_asv(pred, ds, OrderingSpec(3), bg=BackgroundSet(ds.X), estimator=estimator, budget=1)
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
+            global_asv(pred, one_row, OrderingSpec(3), bg=BackgroundSet(ds.X), estimator=estimator)
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_exact_run_enumerates_its_orders_once(self, monkeypatch, workers):
+        ds = toy_dataset(rows=24, n=4, seed=6)
+        pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5, 2.0]))
+        spec = OrderingSpec(4, groups=((0, 1), (2, 3)))
+        kwargs = dict(bg=BackgroundSet(ds.X), m=4, seed=0, collect_locals=True)
+        alone = global_asv(pred, ds, spec, **kwargs)
+        calls = []
+        real = attribution.enumerate_consistent
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attribution, "enumerate_consistent", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave while they share the chains
+        try:
+            glob = global_asv(pred, ds, spec, workers=workers, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert glob.n_points == 24
+        assert len(calls) == 1
+        assert np.array_equal(glob.locals, alone.locals)
+
+    def test_exact_means_are_the_mean_of_per_point_exact_asv(self):
+        ds = toy_dataset(rows=9, n=4, seed=7)
+        pred = LinearProbPredictor(np.array([0.5, -2.0, 1.0, 0.25]))
+        bg = BackgroundSet(ds.X)
+        spec = OrderingSpec(4, edges=frozenset({(0, 2), (1, 3)}))
+        glob = global_asv(pred, ds, spec, bg=bg, m=6, seed=2, collect_locals=True)
+        local = np.array([
+            exact_asv(
+                CachedValueFunction(pred, ds.X[row], int(ds.y[row]), bg=bg, m=6, seed=2, point_index=row),
+                spec,
+            ).means
+            for row in range(ds.n_rows)
+        ])
+        assert np.array_equal(glob.locals, local)
+        assert np.array_equal(glob.means, column_means(local))
 
 
 class TestCoalitionAccuracy:

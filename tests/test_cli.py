@@ -3,9 +3,14 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import asymshap
 from asymshap import DEFAULT_ENUMERATION_CAP, OrderingSpec, WeightedOrdering
 from asymshap.cli import _choose_estimator, _settings, build_parser, main
 
@@ -146,6 +151,25 @@ def test_fairness_audit_of_one_point_exits_2(trained, capsys):
     assert not out.exists()
 
 
+def test_explain_of_one_point_exits_2(trained, capsys):
+    # A dataset average's stderr is the spread across its points; one point has none.
+    out = trained / "one-point-explain.json"
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--exact", "--budget", "1", "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "at least 2 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_runs_as_a_module():
+    src = str(Path(asymshap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "asymshap", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: asymshap")
+
+
 AUTO = {"exact": None, "mc": None, "cap": 10}
 
 
@@ -155,6 +179,15 @@ def test_auto_exact_warns_above_8_factorial_orders(caplog):
     (record,) = caplog.records
     assert str(math.factorial(9)) in record.message
     assert str(100 * math.factorial(9)) in record.message
+
+
+def test_auto_exact_warning_says_orders_are_enumerated_once_per_run(caplog):
+    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
+        assert _choose_estimator(AUTO, WeightedOrdering(OrderingSpec(9)), 100) == "exact"
+    (record,) = caplog.records
+    assert "enumerated once" in record.message
+    assert "reduced at each of 100 points" in record.message
+    assert "per point" not in record.message
 
 
 def test_auto_exact_bounds_edge_specs_by_n_factorial(caplog):
