@@ -136,8 +136,7 @@ class CoalitionChains:
         rows = np.arange(R)[:, None]
         after = np.empty((n, R), dtype=np.intp)
         after[P, rows] = inv
-        before = np.empty((n, R), dtype=np.intp)
-        before[P[:, 0], rows[:, 0]] = 0
+        before = np.zeros((n, R), dtype=np.intp)  # {} precedes each order's first feature
         before[P[:, 1:], rows] = inv[:, :-1]
         for a in (masks, after, before):
             a.flags.writeable = False
