@@ -50,10 +50,7 @@ class TableValueFunction:
                 f"table has {self.table.shape[0]} entries, expected {1 << self.n}"
             )
 
-    def value(self, S) -> tuple[float, float]:
-        return self.value_only(S), 0.0
-
-    def value_only(self, S) -> float:
+    def value(self, S) -> float:
         return float(self.table[as_mask(S, self.n)])
 
 
@@ -157,7 +154,7 @@ def marginal_contributions(v, chains: CoalitionChains) -> np.ndarray:
     term. v is evaluated on {} and then on each of chains.masks in ascending
     order, once each, regardless of how many orders touch them.
     """
-    vals = np.array([v.value_only(0)] + [v.value_only(mk) for mk in chains.masks.tolist()])
+    vals = np.array([v.value(0)] + [v.value(mk) for mk in chains.masks.tolist()])
     D = vals[chains.after]
     D -= vals[chains.before]
     return D.T
@@ -170,15 +167,12 @@ def column_means(A: np.ndarray) -> np.ndarray:
 
 
 def column_stderrs(A: np.ndarray) -> np.ndarray:
-    """Standard error of each column mean of A: np.std(ddof=1) / sqrt(rows); 0 for one row.
+    """Standard error of each column mean of A: np.std(ddof=1) / sqrt(rows), for 2 or more rows.
 
     The standard deviation runs along the rows of the contiguous transpose, so
     each column gets numpy's pairwise sum, as np.std of that column alone would.
     """
-    R, n = A.shape
-    if R < 2:
-        return np.zeros(n)
-    return np.std(np.ascontiguousarray(A.T), axis=1, ddof=1) / math.sqrt(R)
+    return np.std(np.ascontiguousarray(A.T), axis=1, ddof=1) / math.sqrt(A.shape[0])
 
 
 def exact_asv(
@@ -200,8 +194,8 @@ def exact_asv(
         means=column_means(marginal_contributions(v, chains)),
         stderrs=np.zeros(n),
         n_samples=chains.count,
-        baseline=v.value_only(0),
-        total=v.value_only((1 << n) - 1),
+        baseline=v.value(0),
+        total=v.value((1 << n) - 1),
         metadata={"estimator": "exact", "ordering": spec.to_json_dict()},
     )
 
@@ -219,7 +213,7 @@ def exact_shapley_subset_form(v, n: int | None = None) -> AttributionResult:
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
     terms: list[list[float]] = [[] for _ in range(n)]
-    table = [v.value_only(mask) for mask in range(1 << n)]
+    table = [v.value(mask) for mask in range(1 << n)]
     for mask in range(1 << n):
         s = bin(mask).count("1")
         for i in range(n):
@@ -256,8 +250,8 @@ def mc_asv(
         means=column_means(D),
         stderrs=column_stderrs(D),
         n_samples=n_perms,
-        baseline=v.value_only(0),
-        total=v.value_only((1 << n) - 1),
+        baseline=v.value(0),
+        total=v.value((1 << n) - 1),
         metadata={"estimator": "mc", "ordering": spec.to_json_dict()},
     )
 
@@ -325,12 +319,18 @@ class GlobalAttribution:
 
 
 def _point_budget(n_rows: int, budget, seed: int) -> np.ndarray:
-    if budget is None or budget >= n_rows:
-        return np.arange(n_rows)
-    if budget < 1:
+    """The rows of a dataset average, ascending: at least 2, for its across-point stderr."""
+    if budget is not None and budget < 1:
         raise ValidationError(f"point budget must be positive, got {budget}")
+    B = n_rows if budget is None else min(budget, n_rows)
+    if B < 2:
+        raise ValidationError(
+            f"a dataset average needs at least 2 points for its across-point stderr, got {B}"
+        )
+    if B == n_rows:
+        return np.arange(n_rows)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0D6E7]))
-    return np.sort(rng.choice(n_rows, size=budget, replace=False))
+    return np.sort(rng.choice(n_rows, size=B, replace=False))
 
 
 def global_asv(
@@ -367,10 +367,6 @@ def global_asv(
         raise ValidationError(f"workers must be >= 1, got {workers}")
     idx = _point_budget(dataset.n_rows, budget, seed)
     B = idx.shape[0]
-    if B < 2:
-        raise ValidationError(
-            f"a dataset average needs at least 2 points for its across-point stderr, got {B}"
-        )
     chains = CoalitionChains(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
     n = dataset.n
     L = np.empty((B, n))
@@ -431,19 +427,17 @@ def coalition_accuracy(
     seed: int = 0,
 ) -> tuple[float, float]:
     """Sampled-label accuracy attainable from the features in U alone:
-    the dataset average of v_{f_y(x)}(U). Returns (mean, stderr)."""
+    the average of v_{f_y(x)}(U) over at least 2 dataset points. Returns
+    (mean, stderr across the points)."""
     mask = as_mask(U, dataset.n)
-    idx = _point_budget(dataset.n_rows, budget, seed)
-    B = idx.shape[0]
-    vals = np.empty(B)
-    for j, row in enumerate(idx):
-        row = int(row)
-        vf = CachedValueFunction(
+    vals = [
+        CachedValueFunction(
             pred, dataset.X[row], int(dataset.y[row]),
             bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
-        )
-        vals[j] = vf.value_only(mask)
-    col = vals[:, None]
+        ).value(mask)
+        for row in _point_budget(dataset.n_rows, budget, seed).tolist()
+    ]
+    col = np.array(vals)[:, None]
     return float(column_means(col)[0]), float(column_stderrs(col)[0])
 
 

@@ -661,6 +661,8 @@ def main(argv=None) -> int:
         resolved = _settings(args)
         if resolved["seed"] is None:
             raise ValidationError("a seed is required (no wall-clock default); pass --seed")
+        if resolved["seed"] < 0:
+            raise ValidationError(f"seed must be nonnegative, got {resolved['seed']}")
         return args.func(resolved)
     except EstimatorError as exc:
         print(f"error: {exc}", file=sys.stderr)

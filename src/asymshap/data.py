@@ -298,7 +298,8 @@ def one_hot_design(X: np.ndarray, schema: Schema, standardizer: Standardizer) ->
     X = np.asarray(X, dtype=np.float64)
     layout = schema._design_layout
     if not layout.disc.size:
-        return (X - standardizer.mean) / standardizer.scale
+        out = X - standardizer.mean
+        return np.divide(out, standardizer.scale, out=out)
     codes = X[:, layout.disc].astype(np.int64)
     # Negative codes wrap to huge unsigned values, so one comparison checks both ends.
     if (codes.view(np.uint64) >= layout.disc_card).any():

@@ -9,6 +9,7 @@ gives oracle tests a noise-free reference model.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -62,9 +63,12 @@ class TrainConfig:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    """Row softmax with the bits of numpy's row reductions, in fewer calls: max is exact, and
+    below 8 columns numpy's pairwise row sum is a left-to-right loop, so both go column by column."""
+    e = logits - functools.reduce(np.maximum, logits.T)[:, None]
+    np.exp(e, out=e)
+    e /= (functools.reduce(np.add, e.T) if e.shape[1] < 8 else np.add.reduce(e, axis=1))[:, None]
+    return e
 
 
 class FeedForwardNet:
@@ -82,8 +86,8 @@ class FeedForwardNet:
             self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
-        return np.tanh(z) if self.activation == "tanh" else np.maximum(z, 0.0)
+    def _act(self, z: np.ndarray) -> np.ndarray:  # in place
+        return np.tanh(z, out=z) if self.activation == "tanh" else np.maximum(z, 0.0, out=z)
 
     def _act_grad(self, a: np.ndarray) -> np.ndarray:
         # Expressed through the activation output to reuse the forward cache.
@@ -93,7 +97,8 @@ class FeedForwardNet:
         acts = [X]
         h = X
         for l, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W + b
+            z = h @ W
+            z += b
             h = z if l == len(self.weights) - 1 else self._act(z)
             acts.append(h)
         return acts

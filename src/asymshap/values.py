@@ -11,6 +11,9 @@ Per-instance draws are frozen: the off-manifold background subsample is drawn
 once and shared by every coalition, and on-manifold per-coalition draws are
 keyed by (seed, point index, coalition mask). That makes nullity and
 efficiency hold exactly as float identities, not just in expectation.
+
+v(S) is one float, the mean of f_y over the completions. Its uncertainty lives
+in the estimators, as the spread of their averages across orders or points.
 """
 
 from __future__ import annotations
@@ -83,26 +86,26 @@ class BackgroundSet:
         return self.rows.shape[0]
 
 
-def _mean_and_stderr(vals: np.ndarray, exhaustive: bool) -> tuple[float, float]:
-    """Compensated mean plus standard error (0 when the draw is exhaustive).
+def _mean(col: np.ndarray) -> float:
+    """math.fsum(col) / len(col), or col[0] when every value == it (so 0.0 and
+    -0.0 are equal), which returns coalitions whose completions all agree
+    (the full set, ignored features, constant models) bit for bit."""
+    lst = col.tolist()
+    if lst.count(lst[0]) == len(lst):
+        return lst[0]
+    return math.fsum(lst) / len(lst)
 
-    Identical values short-circuit to that value so that coalitions whose
-    completions all agree (the full set, ignored features, constant models)
-    return it bit for bit. Otherwise the mean is math.fsum over m, and the
-    standard error repeats np.std(vals, ddof=1) operation for operation (sum
-    over m, deviations, pairwise sum of squares over m - 1, square root)
-    before dividing by sqrt(m), so it has the same bits without np.std's
-    per-call dispatch.
-    """
-    m = vals.shape[0]
-    first = vals[0]
-    if (vals == first).all():
-        return float(first), 0.0
-    mean = math.fsum(vals.tolist()) / m
-    if exhaustive or m < 2:
-        return mean, 0.0
-    d = vals - np.add.reduce(vals) / m
-    return mean, math.sqrt(np.add.reduce(d * d) / (m - 1)) / math.sqrt(m)
+
+def _stream(*keys: int) -> np.random.Generator:
+    """np.random.default_rng(np.random.SeedSequence(list(keys))) for keys >= 0,
+    seeded with the same little-endian 32-bit words (one 0 word for a 0)
+    without numpy's per-call list coercion."""
+    words = []
+    for key in keys:
+        words.append(key & 0xFFFFFFFF)
+        while key := key >> 32:
+            words.append(key & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 class ConditionalSampler(Protocol):
@@ -110,7 +113,7 @@ class ConditionalSampler(Protocol):
         self, x: np.ndarray, s_idx: np.ndarray, m: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, bool]:
         """m rows agreeing with x on s_idx, plus whether they exhaust the
-        conditional population (in which case the mean carries no sampling error)."""
+        conditional population (every match used once)."""
         ...
 
 
@@ -337,12 +340,8 @@ class ExactMatchSampler:
                 )
         if cand.size == 0:
             return self._knn.complete(x, s_idx, m, rng)
-        if cand.size <= m:
-            sel = cand
-            exhaustive = True
-        else:
-            sel = cand[rng.integers(0, cand.size, size=m)]
-            exhaustive = False
+        exhaustive = cand.size <= m
+        sel = cand if exhaustive else cand[rng.integers(0, cand.size, size=m)]
         out = self.dataset.X[sel]
         out[:, s_idx] = x[s_idx]
         return out, exhaustive
@@ -365,12 +364,9 @@ class GenerativeSampler:
         self.process = process
 
     def complete(self, x, s_idx, m, rng):
-        rows = np.asarray(self.process.conditional_samples(x, s_idx, m, rng), dtype=np.float64)
+        rows = np.array(self.process.conditional_samples(x, s_idx, m, rng), dtype=np.float64)
         if rows.shape != (m, x.shape[-1]):
-            raise EstimatorError(
-                f"process returned shape {rows.shape}, expected ({m}, {x.shape[-1]})"
-            )
-        rows = rows.copy()
+            raise EstimatorError(f"process returned shape {rows.shape}, expected ({m}, {x.shape[-1]})")
         rows[:, s_idx] = x[s_idx]
         return rows, False
 
@@ -392,10 +388,11 @@ class CachedValueFunction:
     Give exactly one completion source. With bg (off-manifold) the slots
     outside S are spliced from m background draws, frozen once per point from
     (seed, point_index) and shared by every coalition; an unweighted
-    background no larger than m is used whole, once per row, so v(S) carries
-    no sampling error. With sampler (on-manifold) they are drawn from
-    p(x' | x_S), m conditional completions per coalition on a stream keyed by
-    (seed, point_index, mask); the full coalition is the prediction at x.
+    background no larger than m is used whole, once per row. With sampler
+    (on-manifold) they are drawn from p(x' | x_S), m conditional completions
+    per coalition on a stream keyed by (seed, point_index, mask); the full
+    coalition is the prediction at x. seed and point_index must be
+    nonnegative. v(S) is the mean of f_y over the completions.
 
     Each distinct coalition calls the predictor once. Tracks distinct
     coalition evaluations, cache hits, and total predictor rows.
@@ -428,22 +425,25 @@ class CachedValueFunction:
         self.m = m
         self.seed = int(seed)
         self.point_index = int(point_index)
+        if min(self.seed, self.point_index) < 0:
+            raise ValidationError(
+                f"seed and point_index must be nonnegative, got {self.seed}, {self.point_index}"
+            )
         if bg is not None:
             if bg.rows.shape[1] != self.n:
                 raise SchemaError(f"background rows have {bg.rows.shape[1]} features, expected {self.n}")
             if bg.weights is None and m >= len(bg):
-                self._draws, self._exhaustive = bg.rows, True
+                self._draws = bg.rows
             else:
-                rng = np.random.default_rng(np.random.SeedSequence([self.seed, self.point_index]))
-                sel = rng.choice(len(bg), size=m, replace=True, p=bg.weights)
-                self._draws, self._exhaustive = bg.rows[sel], False
-        self._cache: dict[int, tuple[float, float]] = {}
+                sel = _stream(self.seed, self.point_index).choice(len(bg), size=m, replace=True, p=bg.weights)
+                self._draws = bg.rows[sel]
+        self._cache: dict[int, float] = {}
         self.evaluations = 0
         self.hits = 0
         self.prediction_rows = 0
 
-    def value(self, S) -> tuple[float, float]:
-        """(mean, stderr) of f_y over the completions of x_S."""
+    def value(self, S) -> float:
+        """Mean of f_y over the completions of x_S."""
         mask = as_mask(S, self.n)
         hit = self._cache.get(mask)
         if hit is not None:
@@ -452,21 +452,16 @@ class CachedValueFunction:
         self.evaluations += 1
         bits = (mask & self._bit) != 0
         if self.sampler is None:
-            rows, exhaustive = np.where(bits, self.x, self._draws), self._exhaustive
+            rows = np.where(bits, self.x, self._draws)
         elif bits.all():
-            rows, exhaustive = self.x[None, :], True
+            rows = self.x[None, :]
         else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, self.point_index, mask])
-            )
-            rows, exhaustive = self.sampler.complete(self.x, np.flatnonzero(bits), self.m, rng)
+            rng = _stream(self.seed, self.point_index, mask)
+            rows = self.sampler.complete(self.x, np.flatnonzero(bits), self.m, rng)[0]
         self.prediction_rows += rows.shape[0]
-        out = _mean_and_stderr(self.pred.predict(rows)[:, self.y], exhaustive)
+        out = _mean(self.pred.predict(rows)[:, self.y])
         self._cache[mask] = out
         return out
-
-    def value_only(self, S) -> float:
-        return self.value(S)[0]
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -54,6 +54,6 @@ class CountingGame:
         self.table = np.random.default_rng(seed).random(1 << n)
         self.masks = []
 
-    def value_only(self, mask):
+    def value(self, mask):
         self.masks.append(int(mask))
         return float(self.table[mask])

@@ -80,7 +80,7 @@ def position_aligned(v, P):
     for r, order in enumerate(P.tolist()):
         pre = 0
         for k, i in enumerate(order):
-            out[r, k] = v.value_only(pre | 1 << i) - v.value_only(pre)
+            out[r, k] = v.value(pre | 1 << i) - v.value(pre)
             pre |= 1 << i
     return out
 
@@ -162,7 +162,7 @@ class TestMarginalContributions:
         vf = random_table(4, np.random.default_rng(1))
         P = np.array([[2, 0, 3, 1], [0, 1, 2, 3]])
         diffs = marginal_contributions(vf, CoalitionChains(P))
-        span = vf.value_only(0b1111) - vf.value_only(0)
+        span = vf.value(0b1111) - vf.value(0)
         for r in range(2):
             assert math.fsum(map(float, diffs[r])) == pytest.approx(span, abs=1e-12)
 
@@ -528,6 +528,18 @@ class TestCoalitionAccuracy:
         glob = global_asv(pred, ds, OrderingSpec(3), bg=bg, m=10, seed=4)
         empty, _ = coalition_accuracy(pred, ds, [], bg=bg, m=10, seed=4)
         assert empty == glob.accuracy_empty
+
+    def test_one_point_has_no_across_point_stderr(self):
+        ds = toy_dataset()
+        pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
+        bg = BackgroundSet(ds.X)
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            coalition_accuracy(pred, ds, [0, 1], bg=bg, budget=1)
+        one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            coalition_accuracy(pred, one_row, [0, 1], bg=bg)
+        _, err = coalition_accuracy(pred, ds, [0, 1], bg=bg, budget=2)
+        assert err > 0.0
 
 
 class TestPartitionSumCheck:

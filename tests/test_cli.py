@@ -161,6 +161,23 @@ def test_explain_of_one_point_exits_2(trained, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["gen-data", "markov"], ["train"], ["explain"], ["fairness"], ["featselect"], ["oracle-check"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, argv, via):
+    monkeypatch.chdir(tmp_path)
+    if via == "flag":
+        argv = [*argv, "--seed", "-1"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"seed": -1}))
+        argv = [*argv, "--config", "config.json"]
+    assert main(argv) == 2
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if via == "config" else [])
+
+
 def test_runs_as_a_module():
     src = str(Path(asymshap.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -25,7 +25,8 @@ from asymshap import (
     train_mlp,
     train_test_split,
 )
-from asymshap.models import FeedForwardNet
+from asymshap import models
+from asymshap.models import FeedForwardNet, _softmax
 
 
 def xor_dataset(rows_per_cell=100):
@@ -217,6 +218,93 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             model.predict(np.zeros((3, 5)))
         assert model.predict(np.zeros(2)).shape == (1, 2)
+
+
+def mixed_blobs(rows=200, seed=0):
+    """One continuous and two discrete features, three classes."""
+    schema = Schema(
+        (FeatureSpec("u", CONTINUOUS), FeatureSpec("d", DISCRETE, 3), FeatureSpec("e", DISCRETE, 2)),
+        n_classes=3,
+    )
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, rows)
+    X = np.column_stack([rng.normal(size=rows) + 2.0 * y, (y + rng.integers(0, 2, rows)) % 3,
+                         rng.integers(0, 2, rows)]).astype(np.float64)
+    return Dataset(X, y, schema)
+
+
+def softmax_reduce(logits):
+    """Softmax through numpy's row reductions."""
+    e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def forward_out_of_place(net, X):
+    """FeedForwardNet._forward with a fresh array at every step."""
+    acts = [X]
+    h = X
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ W + b
+        if l < len(net.weights) - 1:
+            h = np.tanh(h) if net.activation == "tanh" else np.maximum(h, 0.0)
+        acts.append(h)
+    return acts
+
+
+MODEL_KINDS = [
+    ("logistic", TrainConfig(hidden=(), epochs=8, seed=1)),
+    ("mlp", TrainConfig(hidden=(6, 5), epochs=8, seed=2, activation="tanh")),
+    ("mlp", TrainConfig(hidden=(7,), epochs=8, seed=3, activation="relu")),
+]
+MODEL_IDS = ["logistic", "mlp-tanh", "mlp-relu"]
+
+
+def fit(kind, config, ds):
+    return (train_logistic if kind == "logistic" else train_mlp)(ds, config)
+
+
+class TestForwardPassBits:
+    """The trimmed forward pass and softmax give the bits of the plain numpy forms."""
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_softmax_matches_the_reduce_form(self, k):
+        rng = np.random.default_rng(k)
+        spiky = rng.normal(size=(30, k))
+        spiky[:, rng.integers(0, k)] = 1e300
+        cases = [
+            rng.normal(size=(64, k)),
+            rng.normal(0.0, 30.0, size=(500, k)),
+            rng.integers(-2, 3, size=(50, k)).astype(np.float64),  # ties, including for the max
+            rng.choice([0.0, -0.0, 1.0, -1.0], size=(40, k)),
+            rng.normal(size=(30, k)) * 1e300,
+            spiky,
+            rng.normal(size=(1, k)),
+        ]
+        for logits in cases:
+            before = logits.copy()
+            got = _softmax(logits)
+            assert got.tobytes() == softmax_reduce(logits).tobytes()
+            assert logits.tobytes() == before.tobytes()  # the input is not overwritten
+
+    @pytest.mark.parametrize("kind, config", MODEL_KINDS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("make", [gaussian_blobs, mixed_blobs], ids=["continuous", "mixed"])
+    def test_predict_matches_the_out_of_place_form(self, kind, config, make):
+        ds = make(rows=200, seed=4)
+        model = fit(kind, config, ds)
+        for rows in (ds.X[:1], ds.X[:64], ds.X[::3]):
+            design = one_hot_design(rows, ds.schema, model.standardizer)
+            want = softmax_reduce(forward_out_of_place(model.net, design)[-1])
+            assert model.predict(rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, config", MODEL_KINDS, ids=MODEL_IDS)
+    def test_training_writes_the_same_model_file(self, tmp_path, monkeypatch, kind, config):
+        ds = mixed_blobs(rows=160, seed=5)
+        fit(kind, config, ds).save(tmp_path / "trimmed.json")
+        with monkeypatch.context() as patch:
+            patch.setattr(FeedForwardNet, "_forward", forward_out_of_place)
+            patch.setattr(models, "_softmax", softmax_reduce)
+            fit(kind, config, ds).save(tmp_path / "plain.json")
+        assert (tmp_path / "trimmed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 class TestBayesPredictor:

@@ -1,4 +1,4 @@
-"""The value function: splicing, conditional completion, caching, and error bars."""
+"""The value function: splicing, conditional completion, caching, and the coalition mean."""
 
 import logging
 import math
@@ -23,7 +23,7 @@ from asymshap import (
     ValidationError,
     as_mask,
 )
-from asymshap.values import _discrete_mutual_information, _k_nearest, _mean_and_stderr
+from asymshap.values import _discrete_mutual_information, _k_nearest, _mean, _stream
 
 
 def sigmoid(z):
@@ -172,7 +172,7 @@ class TestOffManifold:
                 [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
             )
         )
-        got, err = CachedValueFunction(pred, x, 1, bg=bg, m=4).value([0])
+        got = CachedValueFunction(pred, x, 1, bg=bg, m=4).value([0])
         hand = (
             sigmoid(0.1 + 1.0)
             + sigmoid(0.1 + 1.0 + 0.5)
@@ -180,25 +180,20 @@ class TestOffManifold:
             + sigmoid(0.1 + 1.0 - 2.0 + 0.5)
         ) / 4.0
         assert got == pytest.approx(hand, abs=1e-12)
-        assert err == 0.0
 
     def test_full_coalition_returns_the_prediction_exactly(self):
         pred = LinearProbPredictor(np.array([0.3, -0.7]))
         x = np.array([0.4, 1.2])
         bg = BackgroundSet(np.random.default_rng(1).normal(size=(50, 2)))
         vf = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=3)
-        got, err = vf.value([0, 1])
-        assert got == float(pred.predict(x[None, :])[0, 1])
-        assert err == 0.0
+        assert vf.value([0, 1]) == float(pred.predict(x[None, :])[0, 1])
 
     def test_constant_model_is_constant_for_every_coalition(self):
         pred = ConstantPredictor(p1=0.3, n_features=3)
         bg = BackgroundSet(np.random.default_rng(2).normal(size=(20, 3)))
         vf = CachedValueFunction(pred, np.zeros(3), 1, bg=bg, m=7, seed=0)
         for mask in range(8):
-            got, err = vf.value(mask)
-            assert got == 0.3
-            assert err == 0.0
+            assert vf.value(mask) == 0.3
 
     def test_ignored_feature_changes_nothing_exactly(self):
         # Weight zero on feature 1: adding it to any coalition must return
@@ -217,33 +212,17 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([1.0, 1.0]))
         bg = BackgroundSet(np.random.default_rng(5).normal(size=(8, 2)))
         x = np.array([0.5, -0.5])
-        val, err = CachedValueFunction(pred, x, 1, bg=bg, m=8).value([0])
-        assert err == 0.0
+        val = CachedValueFunction(pred, x, 1, bg=bg, m=8).value([0])
         hand = float(np.mean(pred.predict(np.column_stack([np.full(8, 0.5), bg.rows[:, 1]]))[:, 1]))
         assert val == pytest.approx(hand, abs=1e-12)
-        _, err_small = CachedValueFunction(pred, x, 1, bg=bg, m=4).value([0])
-        assert err_small > 0.0
 
     def test_weighted_background_is_resampled_not_exhausted(self):
         pred = FirstFeatureProbPredictor(n_features=2)
         rows = np.array([[0.0, 0.0], [1.0, 0.0]])
         bg = BackgroundSet(rows, weights=np.array([0.9, 0.1]))
         m = 10_000
-        val, err = CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=m, seed=6).value([])
-        assert err > 0.0
+        val = CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=m, seed=6).value([])
         assert val == pytest.approx(0.1, abs=4 * math.sqrt(0.09 / m))
-
-    def test_stderr_scales_as_inverse_sqrt_m(self):
-        pred = LinearProbPredictor(np.array([1.0, 0.5]))
-        bg = BackgroundSet(np.random.default_rng(7).normal(size=(20_000, 2)))
-        x = np.array([0.0, 0.0])
-        ms = [100, 1000, 10_000]
-        errs = []
-        for i, m in enumerate(ms):
-            vf = CachedValueFunction(pred, x, 1, bg=bg, m=m, seed=10 + i)
-            errs.append(vf.value([])[1])
-        slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
-        assert slope == pytest.approx(-0.5, abs=0.15)
 
     def test_validation(self):
         pred = LinearProbPredictor(np.array([1.0, 1.0]))
@@ -307,12 +286,6 @@ class TestCaching:
         with pytest.raises(ValidationError):
             CachedValueFunction(pred, np.zeros(1), 1, bg=bg, sampler=object())
 
-    def test_value_only(self):
-        pred = ConstantPredictor(p1=0.25, n_features=2)
-        bg = BackgroundSet(np.zeros((2, 2)))
-        vf = CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=2)
-        assert vf.value_only(0) == 0.25
-
 
 # ---------------------------------------------------------------- samplers
 
@@ -338,9 +311,7 @@ class TestExactMatchSampler:
         # Condition on b = 1: matching rows are (0,1) twice; completions keep
         # b = 1 and draw a from those rows, so the mean of f_1 = a is 0.
         x = np.array([1.0, 1.0])
-        val, err = CachedValueFunction(pred, x, 1, sampler=sampler, m=50).value([1])
-        assert val == 0.0
-        assert err == 0.0
+        assert CachedValueFunction(pred, x, 1, sampler=sampler, m=50).value([1]) == 0.0
 
     def test_empty_coalition_equals_off_manifold_over_the_same_rows(self):
         ds = discrete_dataset()
@@ -356,9 +327,8 @@ class TestExactMatchSampler:
         pred = FirstFeatureProbPredictor(n_features=2)
         sampler = ExactMatchSampler(ds)
         x = np.array([0.0, 0.0])
-        val, err = CachedValueFunction(pred, x, 1, sampler=sampler, m=3, seed=1).value([0])
+        val = CachedValueFunction(pred, x, 1, sampler=sampler, m=3, seed=1).value([0])
         assert val == 0.0  # every a=0 row predicts 0 regardless of subsampling
-        assert err == 0.0  # identical values short-circuit
 
     def test_zero_matches_fall_back_to_knn(self, caplog):
         schema = Schema(
@@ -377,7 +347,7 @@ class TestExactMatchSampler:
         sampler = ExactMatchSampler(ds)
         x = np.array([1.0, 1.0, 0.0])
         with caplog.at_level(logging.WARNING, logger="asymshap.values"):
-            val, _ = CachedValueFunction(pred, x, 1, sampler=sampler, m=20, seed=2).value([0, 1])
+            val = CachedValueFunction(pred, x, 1, sampler=sampler, m=20, seed=2).value([0, 1])
         assert any("falling back" in r.message for r in caplog.records)
         assert val == 1.0  # completions pin the conditioned features to x
 
@@ -653,15 +623,11 @@ class TestPooledSamplers:
         assert arrays and not any(a.flags.writeable for a in arrays)
 
 
-def mean_and_stderr_reference(v, exhaustive=False):
-    """What _mean_and_stderr computed through np.all, map(float, ...) and np.std."""
-    m = v.shape[0]
+def mean_reference(v):
+    """What the coalition mean computed through np.all and map(float, ...)."""
     if np.all(v == v[0]):
-        return float(v[0]), 0.0
-    mean = math.fsum(map(float, v)) / m
-    if exhaustive or m < 2:
-        return mean, 0.0
-    return mean, float(np.std(v, ddof=1)) / math.sqrt(m)
+        return float(v[0])
+    return math.fsum(map(float, v)) / v.shape[0]
 
 
 def same_bits(got, want):
@@ -669,13 +635,14 @@ def same_bits(got, want):
 
 
 class TestMeanAndStderr:
+    """_mean, the coalition mean: fsum over m, or the common value of a constant column."""
+
     @pytest.mark.parametrize("m", [2, 3, 8, 9, 64, 100, 129, 1000, 10007])
     def test_matches_fsum_and_np_std_bitwise(self, m):
         rng = np.random.default_rng(m)
         for loc, scale in ((0.5, 0.2), (1e3, 1.0), (0.0, 1e-9), (-7.0, 1e4)):
             v = rng.normal(loc, scale, m)
-            for exhaustive in (False, True):
-                assert same_bits(_mean_and_stderr(v, exhaustive), mean_and_stderr_reference(v, exhaustive))
+            assert same_bits(_mean(v), mean_reference(v))
 
     @pytest.mark.parametrize("m", [2, 5, 64, 300])
     def test_strided_probability_column(self, m):
@@ -686,17 +653,66 @@ class TestMeanAndStderr:
         for y in (0, 1):
             col = probs[:, y]
             assert not col.flags.c_contiguous
-            assert same_bits(_mean_and_stderr(col, False), mean_and_stderr_reference(col))
+            assert same_bits(_mean(col), mean_reference(col))
 
     @pytest.mark.parametrize("m", [1, 2, 64])
     def test_constant_vectors_short_circuit(self, m):
         for c in (0.0, -0.0, 0.3, 1e300):
             v = np.full(m, c)
-            assert same_bits(_mean_and_stderr(v, False), (c, 0.0))
-            assert same_bits(_mean_and_stderr(v, False), mean_and_stderr_reference(v))
+            assert same_bits(_mean(v), c)
+            assert same_bits(_mean(v), mean_reference(v))
+        # 0.0 == -0.0, so a column of both is constant and returns its first entry.
+        for first, rest in ((0.0, -0.0), (-0.0, 0.0)):
+            v = np.full(m, rest)
+            v[0] = first
+            assert same_bits(_mean(v), first)
+            assert same_bits(_mean(v), mean_reference(v))
 
     def test_single_value(self):
-        assert same_bits(_mean_and_stderr(np.array([0.25]), False), (0.25, 0.0))
+        assert same_bits(_mean(np.array([0.25])), 0.25)
+
+    def test_sum_is_compensated(self):
+        # A plain float sum loses the 1.0s to the 1e16s; fsum keeps them.
+        assert _mean(np.array([1e16, 1.0, -1e16, 1.0])) == 0.5
+
+
+STREAM_KEYS = [0, 1, 2**32 - 1, 2**32, 2**61 + 5]
+
+
+class TestStreamKey:
+    """Coalition streams are np.random.SeedSequence([seed, point_index, mask]),
+    seeded from its 32-bit words without numpy's list coercion."""
+
+    @pytest.mark.parametrize("seed", STREAM_KEYS)
+    def test_words_reproduce_the_list_seed_sequence(self, seed):
+        for point_index in STREAM_KEYS:
+            for mask in STREAM_KEYS:
+                got = _stream(seed, point_index, mask)
+                want = np.random.default_rng(np.random.SeedSequence([seed, point_index, mask]))
+                assert np.array_equal(
+                    got.bit_generator.seed_seq.generate_state(8),
+                    want.bit_generator.seed_seq.generate_state(8),
+                )
+                assert np.array_equal(got.integers(0, 2**63, 16), want.integers(0, 2**63, 16))
+
+    def test_on_manifold_value_draws_from_the_keyed_stream(self):
+        ds, (x, *_) = pooled_case("grid")
+        pred = LinearProbPredictor(np.array([0.4, -0.9, 0.3]))
+        sampler = KNNSampler(ds, k=6)
+        seed, point_index = 2**32 + 3, 2**40 + 1
+        vf = CachedValueFunction(pred, x, 1, sampler=sampler, m=9, seed=seed, point_index=point_index)
+        for mask in range(7):
+            s_idx = np.flatnonzero((mask >> np.arange(3)) & 1)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, point_index, mask]))
+            rows, _ = sampler.complete(x, s_idx, 9, rng)
+            assert same_bits(vf.value(mask), mean_reference(pred.predict(rows)[:, 1]))
+
+    @pytest.mark.parametrize("key", ["seed", "point_index"])
+    def test_negative_key_rejected(self, key):
+        pred = ConstantPredictor(n_features=2)
+        bg = BackgroundSet(np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=2, **{key: -1})
 
 
 class TestMutualInformation:
@@ -745,8 +761,7 @@ class TestOnManifold:
         ds = discrete_dataset()
         pred = FirstFeatureProbPredictor(n_features=2)
         vf = CachedValueFunction(pred, np.array([1.0, 0.0]), 1, sampler=ExactMatchSampler(ds), m=5)
-        got, err = vf.value([0, 1])
-        assert got == 1.0 and err == 0.0
+        assert vf.value([0, 1]) == 1.0
 
     def test_values_are_keyed_by_coalition_not_query_order(self):
         schema = Schema((FeatureSpec("a", DISCRETE, 2), FeatureSpec("s", CONTINUOUS)))
