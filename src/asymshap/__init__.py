@@ -24,9 +24,7 @@ from .attribution import (
 )
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
-    DEFAULT_REJECTION_BUDGET,
     OrderingSpec,
-    WeightedOrdering,
     count_consistent,
     enumerate_consistent,
     is_consistent,

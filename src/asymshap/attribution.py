@@ -27,7 +27,6 @@ import numpy as np
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
     OrderingSpec,
-    WeightedOrdering,
     enumerate_consistent,
     sample_consistent_batch,
 )
@@ -97,11 +96,9 @@ class AttributionResult:
 
 
 def _as_spec(ordering) -> OrderingSpec:
-    if isinstance(ordering, WeightedOrdering):
-        return ordering.effective()
-    if isinstance(ordering, OrderingSpec):
-        return ordering
-    raise ValidationError(f"expected an OrderingSpec or WeightedOrdering, got {type(ordering).__name__}")
+    if not isinstance(ordering, OrderingSpec):
+        raise ValidationError(f"expected an OrderingSpec, got {type(ordering).__name__}")
+    return ordering
 
 
 class CoalitionChains:
@@ -175,19 +172,19 @@ def column_stderrs(A: np.ndarray) -> np.ndarray:
     return np.std(np.ascontiguousarray(A.T), axis=1, ddof=1) / math.sqrt(A.shape[0])
 
 
-def exact_asv(
-    v, ordering, cap: int | CoalitionChains = DEFAULT_ENUMERATION_CAP
-) -> AttributionResult:
-    """Attribution averaged over every permutation consistent with the ordering.
+def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> AttributionResult:
+    """Attribution averaged over every permutation consistent with spec.
 
-    With an empty ordering this is the plain Shapley value in permutation form.
-    cap bounds the enumeration of the consistent orders. A caller explaining
-    many points under one ordering enumerates once and passes the
-    CoalitionChains of those orders in its place, so no point repeats the work.
+    With an empty spec this is the plain Shapley value in permutation form.
+    chains are the CoalitionChains of spec's consistent orders: a caller
+    explaining many points under one spec enumerates once and passes them to
+    each, so no point repeats the work. Without them the orders are enumerated
+    here, under DEFAULT_ENUMERATION_CAP.
     """
-    spec = _as_spec(ordering)
+    spec = _as_spec(spec)
     n = spec.n
-    chains = cap if isinstance(cap, CoalitionChains) else CoalitionChains(enumerate_consistent(spec, cap=cap))
+    if chains is None:
+        chains = CoalitionChains(enumerate_consistent(spec))
     if chains.n != n:
         raise ValidationError(f"chains cover {chains.n} features, ordering has {n}")
     return AttributionResult(
@@ -272,7 +269,7 @@ def point_asv(
     result alone as inside a global run.
     """
     if estimator == "exact":
-        return exact_asv(vf, ordering, DEFAULT_ENUMERATION_CAP if chains is None else chains)
+        return exact_asv(vf, ordering, chains)
     rng = np.random.default_rng(np.random.SeedSequence([vf.seed, 0x9E12, vf.point_index]))
     return mc_asv(vf, ordering, n_perms, rng)
 

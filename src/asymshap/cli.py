@@ -38,7 +38,6 @@ from .attribution import (
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
     OrderingSpec,
-    WeightedOrdering,
     count_consistent,
     enumerate_consistent,
     random_ordering_spec,
@@ -195,8 +194,8 @@ def _load_dataset(resolved: dict) -> tuple[Dataset, dict]:
     return ds, hashes
 
 
-def _load_ordering(path, ds: Dataset) -> WeightedOrdering:
-    """Ordering-spec JSON; group/edge entries may be feature names or indices."""
+def _load_ordering(path, ds: Dataset) -> OrderingSpec:
+    """The --spec file's OrderingSpec; entries may be feature names, and n defaults to ds.n."""
     _require_file(path, "ordering spec")
     with open(path) as fh:
         try:
@@ -213,10 +212,10 @@ def _load_ordering(path, ds: Dataset) -> WeightedOrdering:
     if obj.get("groups") is not None:
         obj["groups"] = [[to_index(e) for e in g] for g in obj["groups"]]
     obj["edges"] = [[to_index(i), to_index(j)] for i, j in obj.get("edges") or []]
-    ordering = WeightedOrdering.from_json_dict(obj)
-    if ordering.spec.n != ds.n:
-        raise ValidationError(f"ordering spec covers {ordering.spec.n} features, dataset has {ds.n}")
-    return ordering
+    spec = OrderingSpec.from_json_dict(obj)
+    if spec.n != ds.n:
+        raise ValidationError(f"ordering spec covers {spec.n} features, dataset has {ds.n}")
+    return spec
 
 
 def _split_names(raw) -> list[str]:
@@ -329,7 +328,7 @@ def _build_marginalizer(resolved: dict, ds: Dataset):
     return None, sampler(ds, k=resolved["k"])
 
 
-def _choose_estimator(resolved: dict, ordering: WeightedOrdering, n_points: int) -> str:
+def _choose_estimator(resolved: dict, spec: OrderingSpec, n_points: int) -> str:
     """--exact or --mc when given, else exact up to the enumeration cap.
 
     Automatic exact enumeration materialises every consistent order once per
@@ -344,7 +343,6 @@ def _choose_estimator(resolved: dict, ordering: WeightedOrdering, n_points: int)
         return "exact"
     if resolved["mc"]:
         return "mc"
-    spec = ordering.effective()
     if spec.n > resolved["cap"]:
         return "mc"
     orders = math.factorial(spec.n) if spec.edges else count_consistent(spec)
@@ -369,7 +367,7 @@ def cmd_explain(resolved: dict) -> int:
         ordering = _load_ordering(resolved["spec"], ds)
         hashes["spec"] = _sha256_file(resolved["spec"])
     else:
-        ordering = WeightedOrdering(OrderingSpec(ds.n))
+        ordering = OrderingSpec(ds.n)
     row = resolved["index"]
     if row is not None:
         n_points = 1
@@ -393,7 +391,7 @@ def cmd_explain(resolved: dict) -> int:
         )
         chains = None
         if estimator == "exact":
-            chains = CoalitionChains(enumerate_consistent(ordering.effective(), cap=resolved["cap"]))
+            chains = CoalitionChains(enumerate_consistent(ordering, cap=resolved["cap"]))
         res = point_asv(vf, ordering, estimator, resolved["perms"], chains)
         doc = {"mode": "local", "index": row, "class_index": y}
         doc.update(res.to_json_dict(feature_names=ds.schema.names))
@@ -596,7 +594,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="trained model JSON")
     p.add_argument("--data", help="dataset CSV")
     p.add_argument("--schema", help="schema JSON; None means the one next to --data")
-    p.add_argument("--spec", help="ordering-spec JSON (names or indices); omit for no constraints")
+    p.add_argument("--spec", help=(
+        'ordering-spec JSON object: "groups", an ordered partition of the features, earliest first; '
+        '"edges", a list of [before, after] pairs; "direction", "distal" (as declared) or "proximate" '
+        '(every constraint reversed); "n", the feature count, defaulting to the dataset\'s. '
+        "Entries may be feature names or indices; no other key is allowed. Omit for no constraints"))
     p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"), default="off-manifold",
                    help="how features outside a coalition are completed")
     p.add_argument("--k", type=int, default=10, help="neighbours for knn and the exact-match fallback")

@@ -37,15 +37,20 @@ class OrderingSpec:
     feature of an earlier group precedes every feature of a later one. edges
     are individual (i, j) pairs meaning i must precede j. An empty spec means
     the uniform distribution over all n! permutations.
+
+    predecessors[i] lists, ascending, the features directly before feature i:
+    the group before its own and the tails of its incoming edges. Every check reads it.
     """
 
     n: int
     groups: tuple[tuple[int, ...], ...] | None = None
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"feature count must be positive, got {self.n}")
+        preds: list[set[int]] = [set() for _ in range(self.n)]
         if self.groups is not None:
             object.__setattr__(
                 self, "groups", tuple(tuple(sorted(g)) for g in self.groups)
@@ -61,46 +66,28 @@ class OrderingSpec:
                 raise ValidationError(
                     f"groups must partition all {self.n} features, got {sorted(seen)}"
                 )
+            for ga, gb in zip(self.groups, self.groups[1:]):
+                for j in gb:
+                    preds[j].update(ga)
         object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
         for i, j in self.edges:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValidationError(f"edge ({i}, {j}) outside [0, {self.n})")
             if i == j:
                 raise ValidationError(f"self-loop edge ({i}, {j})")
-        # Fail fast on cycles: topological sort of the combined relation.
-        self._toposort()
-
-    def _successors(self) -> list[list[int]]:
-        """Adjacency of the precedence digraph (group chain plus explicit edges)."""
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        if self.groups is not None:
-            for ga, gb in zip(self.groups, self.groups[1:]):
-                for i in ga:
-                    succ[i].extend(gb)
-        for i, j in self.edges:
-            succ[i].append(j)
-        return succ
-
-    def _toposort(self) -> list[int]:
-        succ = self._successors()
-        indeg = [0] * self.n
-        for i in range(self.n):
-            for j in succ[i]:
-                indeg[j] += 1
-        ready = [i for i in range(self.n) if indeg[i] == 0]
-        out: list[int] = []
-        while ready:
-            i = ready.pop()
-            out.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if len(out) != self.n:
-            raise CyclicOrderingError(
-                "precedence constraints contain a cycle; the consistent set is empty"
-            )
-        return out
+            preds[j].add(i)
+        object.__setattr__(self, "predecessors", tuple(tuple(sorted(p)) for p in preds))
+        # Fail fast on cycles: a round that places no feature is stuck on one.
+        placed: set[int] = set()
+        left = range(self.n)
+        while left:
+            ready = [i for i in left if placed.issuperset(self.predecessors[i])]
+            if not ready:
+                raise CyclicOrderingError(
+                    "precedence constraints contain a cycle; the consistent set is empty"
+                )
+            placed.update(ready)
+            left = [i for i in left if i not in placed]
 
     def reversed(self) -> "OrderingSpec":
         """The spec with every precedence constraint flipped."""
@@ -116,42 +103,37 @@ class OrderingSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "OrderingSpec":
+        """The spec a JSON object declares, in the direction it asks for.
+
+        Keys: "n", the feature count (the CLI defaults it to the dataset's width);
+        "groups", an optional ordered partition, earliest group first; "edges", an
+        optional list of [before, after] pairs; "direction", optional, "distal" (the
+        constraints as declared, the default) or "proximate" (every one reversed).
+        Entries are feature indices (the CLI also takes feature names). Any other
+        key or direction raises ValidationError.
+        """
+        unknown = sorted(set(obj) - {"n", "groups", "edges", "direction"})
+        if unknown:
+            raise ValidationError(
+                f"unknown ordering-spec keys {unknown}; expected n, groups, edges, direction"
+            )
         try:
             n = int(obj["n"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"ordering spec needs an integer 'n': {exc}") from exc
+        direction = obj.get("direction", "distal")
+        if direction not in ("distal", "proximate"):
+            raise ValidationError(f"direction must be 'distal' or 'proximate', got {direction!r}")
         groups = obj.get("groups")
         if groups is not None:
             groups = tuple(tuple(int(i) for i in g) for g in groups)
         edges = frozenset((int(i), int(j)) for i, j in obj.get("edges") or [])
-        return cls(n, groups, edges)
-
-
-@dataclass(frozen=True)
-class WeightedOrdering:
-    """An OrderingSpec plus a direction.
-
-    'distal' uses the constraints as declared (causal ancestors first);
-    'proximate' reverses every precedence constraint before use.
-    """
-
-    spec: OrderingSpec
-    direction: str = "distal"
-
-    def __post_init__(self):
-        if self.direction not in ("distal", "proximate"):
-            raise ValidationError(f"direction must be 'distal' or 'proximate', got {self.direction!r}")
-
-    def effective(self) -> OrderingSpec:
-        return self.spec if self.direction == "distal" else self.spec.reversed()
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "WeightedOrdering":
-        return cls(OrderingSpec.from_json_dict(obj), obj.get("direction", "distal"))
+        spec = cls(n, groups, edges)
+        return spec if direction == "distal" else spec.reversed()
 
 
 def is_consistent(P, spec: OrderingSpec) -> np.ndarray:
-    """Whether each order respects every group precedence and every edge of spec.
+    """Whether each order places every feature after all its predecessors in spec.
 
     P is an int matrix of orders, shape (count, n), row r listing the features
     of order r first to last; a single order is a 1-row matrix. Returns one
@@ -165,11 +147,9 @@ def is_consistent(P, spec: OrderingSpec) -> np.ndarray:
         raise ValidationError(f"not every row is a permutation of 0..{spec.n - 1}")
     pos = np.argsort(P, axis=1)
     ok = np.ones(P.shape[0], dtype=bool)
-    if spec.groups is not None:
-        for ga, gb in zip(spec.groups, spec.groups[1:]):
-            ok &= pos[:, list(ga)].max(axis=1) < pos[:, list(gb)].min(axis=1)
-    for i, j in spec.edges:
-        ok &= pos[:, i] < pos[:, j]
+    for i, before in enumerate(spec.predecessors):
+        if before:
+            ok &= pos[:, list(before)].max(axis=1) < pos[:, i]
     return ok
 
 
@@ -191,10 +171,7 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
             "use sampling instead"
         )
     bit = np.int64(1) << np.arange(spec.n, dtype=np.int64)
-    need = np.zeros(spec.n, dtype=np.int64)  # predecessor bitmask per feature
-    for i, succ in enumerate(spec._successors()):
-        for j in succ:
-            need[j] |= bit[i]
+    need = np.array([bit[list(before)].sum() for before in spec.predecessors], dtype=np.int64)
     P = np.zeros((1, 0), dtype=np.int64)
     placed = np.zeros(1, dtype=np.int64)
     for _ in range(spec.n):
@@ -233,23 +210,17 @@ def _sample_group_consistent(
     return np.concatenate(parts, axis=1)
 
 
-def sample_consistent_batch(
-    spec: OrderingSpec,
-    size: int,
-    rng: np.random.Generator,
-    budget: int = DEFAULT_REJECTION_BUDGET,
-) -> np.ndarray:
+def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """size independent uniform draws from the consistent set, shape (size, n).
 
     Group constraints are sampled directly (exactly uniform); edge constraints
     are enforced by rejection on top. The rejection guard aborts after
-    `budget` rejected draws per requested permutation.
+    DEFAULT_REJECTION_BUDGET rejected draws per requested permutation.
     """
     if size < 1:
         raise ValidationError(f"sample size must be positive, got {size}")
     if not spec.edges:
         return _sample_group_consistent(spec, size, rng)
-    total_budget = budget * size
     rejected = 0
     got: list[np.ndarray] = []
     n_got = 0
@@ -264,7 +235,7 @@ def sample_consistent_batch(
             keep = keep[:want]
         got.append(keep)
         n_got += keep.shape[0]
-        if n_got < size and rejected > total_budget:
+        if n_got < size and rejected > DEFAULT_REJECTION_BUDGET * size:
             raise SamplingBudgetError(
                 f"rejection sampling exhausted its budget ({rejected} rejected draws "
                 f"for {size} requested); enumerate the consistent set or express the "

@@ -492,8 +492,8 @@ def run_feature_selection_study(
     conditionals; the empirical side retrains per (t, trial) on fresh data and
     evaluates on one shared test split.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials < 2:
+        raise ValidationError(f"the empirical spread needs at least 2 trials, got {trials}")
     T = process.T
     cfg = train_config or TrainConfig(seed=seed)
     base = process.sample(n_rows, seed)
@@ -530,7 +530,7 @@ def run_feature_selection_study(
         cumulative_asv=column_means(local_cum),
         cumulative_stderr=column_stderrs(local_cum),
         empirical_mean=trial_matrix.mean(axis=0),
-        empirical_sd=trial_matrix.std(axis=0, ddof=1) if trials > 1 else np.zeros(T),
+        empirical_sd=trial_matrix.std(axis=0, ddof=1),
         trial_matrix=trial_matrix,
         attribution=glob,
         metadata={

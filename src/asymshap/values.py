@@ -61,22 +61,14 @@ def as_mask(S, n: int) -> int:
 
 @dataclass
 class BackgroundSet:
-    """Rows standing in for p(x'), optionally weighted."""
+    """Rows standing in for p(x')."""
 
     rows: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
             raise ValidationError(f"background needs a nonempty 2-d row array, got shape {self.rows.shape}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (self.rows.shape[0],):
-                raise ValidationError(f"weights shape {w.shape} does not match {self.rows.shape[0]} rows")
-            if (w < 0).any() or w.sum() <= 0:
-                raise ValidationError("weights must be nonnegative with positive total")
-            self.weights = w / w.sum()
 
     @classmethod
     def from_dataset(cls, ds: Dataset) -> "BackgroundSet":
@@ -432,10 +424,10 @@ class CachedValueFunction:
         if bg is not None:
             if bg.rows.shape[1] != self.n:
                 raise SchemaError(f"background rows have {bg.rows.shape[1]} features, expected {self.n}")
-            if bg.weights is None and m >= len(bg):
+            if m >= len(bg):
                 self._draws = bg.rows
             else:
-                sel = _stream(self.seed, self.point_index).choice(len(bg), size=m, replace=True, p=bg.weights)
+                sel = _stream(self.seed, self.point_index).choice(len(bg), size=m, replace=True)
                 self._draws = bg.rows[sel]
         self._cache: dict[int, float] = {}
         self.evaluations = 0

@@ -23,7 +23,6 @@ from asymshap import (
     Schema,
     TableValueFunction,
     ValidationError,
-    WeightedOrdering,
     coalition_accuracy,
     enumerate_consistent,
     exact_asv,
@@ -193,8 +192,8 @@ class TestTwoFeatureClosedForms:
         t = np.random.default_rng(4).random(4)
         vf = TableValueFunction(t, 2)
         spec = OrderingSpec(2, edges=frozenset({(0, 1)}))
-        distal = exact_asv(vf, WeightedOrdering(spec, "distal"))
-        proximate = exact_asv(vf, WeightedOrdering(spec, "proximate"))
+        distal = exact_asv(vf, OrderingSpec.from_json_dict({**spec.to_json_dict(), "direction": "distal"}))
+        proximate = exact_asv(vf, OrderingSpec.from_json_dict({**spec.to_json_dict(), "direction": "proximate"}))
         reversed_spec = exact_asv(vf, spec.reversed())
         assert np.array_equal(distal.means, exact_asv(vf, spec).means)
         assert np.array_equal(proximate.means, reversed_spec.means)

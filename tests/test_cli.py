@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import asymshap
-from asymshap import DEFAULT_ENUMERATION_CAP, OrderingSpec, WeightedOrdering
+from asymshap import DEFAULT_ENUMERATION_CAP, OrderingSpec
 from asymshap.cli import _choose_estimator, _settings, build_parser, main
 
 
@@ -83,13 +83,27 @@ def test_explain_with_name_based_spec(trained):
     assert "spec" in doc["input_hashes"]
 
 
-@pytest.mark.parametrize("content", [{"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]], "{not json"])
+@pytest.mark.parametrize(
+    "content", [{"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]], "{not json", {"direction": "sideways"}]
+)
 def test_bad_spec_is_rejected(trained, content):
     spec = trained / "bad-spec.json"
     spec.write_text(content if isinstance(content, str) else json.dumps(content))
     code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
                  "--spec", str(spec), "--index", "0", "--seed", "0", "--out", str(trained / "x.json")])
     assert code == 2
+
+
+def test_misspelled_spec_keys_exit_2(trained, capsys):
+    # "edge" and "group" are not spec keys; read as absent, they would leave the run unconstrained.
+    spec = trained / "misspelled-spec.json"
+    spec.write_text(json.dumps({"edge": [["gender", "score"]], "group": [["gender", "score", "department"]]}))
+    out = trained / "misspelled.json"
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--spec", str(spec), "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "unknown ordering-spec keys ['edge', 'group']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_model_exits_2(trained, capsys):
@@ -132,6 +146,27 @@ def test_failed_oracle_check_exits_4(capsys):
     # Two permutation draws give stderrs too loose to be meaningful: coverage 0.80.
     assert main(["oracle-check", "--n", "4", "--games", "5", "--perms", "2", "--seed", "0"]) == 4
     assert capsys.readouterr().out.startswith("FAIL")
+
+
+def test_oracle_check_passes(tmp_path, capsys):
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--n", "6", "--games", "20", "--seed", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    report = json.loads(out.read_text())
+    assert report["pass"] is True
+    for gap in ("max_dual_formula_gap", "max_efficiency_gap", "max_telescoping_gap"):
+        assert report[gap] <= 1e-9
+    assert report["mc_within_4_stderr"] >= 0.99
+
+
+def test_featselect_of_one_trial_exits_2(tmp_path, capsys):
+    # The study's empirical spread is the sd across trials; one trial has none.
+    out = tmp_path / "featselect.json"
+    code = main(["featselect", "--T", "3", "--trials", "1", "--rows", "300", "--samples", "8",
+                 "--budget", "20", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "at least 2 trials" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("games", [0, -3])
@@ -192,7 +227,7 @@ AUTO = {"exact": None, "mc": None, "cap": 10}
 
 def test_auto_exact_warns_above_8_factorial_orders(caplog):
     with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
-        assert _choose_estimator(AUTO, WeightedOrdering(OrderingSpec(9)), 100) == "exact"
+        assert _choose_estimator(AUTO, OrderingSpec(9), 100) == "exact"
     (record,) = caplog.records
     assert str(math.factorial(9)) in record.message
     assert str(100 * math.factorial(9)) in record.message
@@ -200,7 +235,7 @@ def test_auto_exact_warns_above_8_factorial_orders(caplog):
 
 def test_auto_exact_warning_says_orders_are_enumerated_once_per_run(caplog):
     with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
-        assert _choose_estimator(AUTO, WeightedOrdering(OrderingSpec(9)), 100) == "exact"
+        assert _choose_estimator(AUTO, OrderingSpec(9), 100) == "exact"
     (record,) = caplog.records
     assert "enumerated once" in record.message
     assert "reduced at each of 100 points" in record.message
@@ -211,7 +246,7 @@ def test_auto_exact_bounds_edge_specs_by_n_factorial(caplog):
     # A chain has one consistent order, but counting it would enumerate.
     chain = OrderingSpec(9, edges=frozenset((i, i + 1) for i in range(8)))
     with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
-        assert _choose_estimator(AUTO, WeightedOrdering(chain), 1) == "exact"
+        assert _choose_estimator(AUTO, chain, 1) == "exact"
     (record,) = caplog.records
     assert str(math.factorial(9)) in record.message
 
@@ -228,7 +263,7 @@ def test_auto_exact_bounds_edge_specs_by_n_factorial(caplog):
 )
 def test_no_warning_otherwise(caplog, resolved, spec, want):
     with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
-        assert _choose_estimator(resolved, WeightedOrdering(spec), 1000) == want
+        assert _choose_estimator(resolved, spec, 1000) == want
     assert caplog.records == []
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import asymshap.coalitions
 from asymshap import (
     CyclicOrderingError,
     EnumerationCapError,
     OrderingSpec,
     SamplingBudgetError,
     ValidationError,
-    WeightedOrdering,
     count_consistent,
     enumerate_consistent,
     is_consistent,
@@ -109,6 +110,26 @@ class TestOrderingSpec:
         with pytest.raises(CyclicOrderingError):
             OrderingSpec(2, groups=((1,), (0,)), edges=frozenset({(0, 1)}))
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cycle_raised_exactly_when_no_order_is_consistent(self, data):
+        # Random groups and random edges, cyclic combinations included, against brute force.
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        groups = None
+        if data.draw(st.booleans()):
+            shuffled = data.draw(st.permutations(list(range(n))))
+            cuts = sorted(set(data.draw(st.lists(st.integers(1, max(1, n - 1)), max_size=n - 1))))
+            groups = tuple(tuple(shuffled[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = frozenset(data.draw(st.lists(pairs, max_size=2 * n)) if n > 1 else ())
+        declared = SimpleNamespace(groups=groups, edges=edges)
+        want = {p for p in itertools.permutations(range(n)) if oracle_consistent(p, declared)}
+        if not want:
+            with pytest.raises(CyclicOrderingError):
+                OrderingSpec(n, groups=groups, edges=edges)
+        else:
+            assert enumerated(OrderingSpec(n, groups=groups, edges=edges)) == want
+
     def test_reversed_flips_everything(self):
         spec = OrderingSpec(4, groups=((0, 1), (2, 3)), edges=frozenset({(0, 1)}))
         rev = spec.reversed()
@@ -118,10 +139,12 @@ class TestOrderingSpec:
 
     def test_direction_round_trip(self):
         spec = OrderingSpec(3, edges=frozenset({(2, 0)}))
-        w = WeightedOrdering(spec, "proximate")
-        assert w.effective() == spec.reversed()
-        with pytest.raises(ValidationError):
-            WeightedOrdering(spec, "sideways")
+        declared = spec.to_json_dict()
+        assert OrderingSpec.from_json_dict({**declared, "direction": "proximate"}) == spec.reversed()
+        assert OrderingSpec.from_json_dict({**declared, "direction": "distal"}) == spec
+        for bad in ("sideways", None):
+            with pytest.raises(ValidationError, match="direction"):
+                OrderingSpec.from_json_dict({**declared, "direction": bad})
 
     def test_reversal_maps_consistent_set_bijectively(self):
         # Reversing the constraints maps each consistent permutation to its
@@ -135,29 +158,31 @@ class TestOrderingSpec:
 
 def read_back(spec):
     """The spec as echoed in output metadata, read back as a --spec file would be."""
-    return WeightedOrdering.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+    return OrderingSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
 
 
 class TestSerialization:
     def test_round_trip(self):
         spec = OrderingSpec(4, groups=((0, 1), (2, 3)), edges=frozenset({(0, 2)}))
-        again = read_back(spec)
-        assert again.spec == spec
-        assert again.direction == "distal"
+        assert read_back(spec) == spec
 
     def test_direction_defaults_to_distal(self):
-        w = WeightedOrdering.from_json_dict({"n": 2, "edges": [[0, 1]]})
-        assert w.direction == "distal"
-        assert w.spec.edges == frozenset({(0, 1)})
+        spec = OrderingSpec.from_json_dict({"n": 2, "edges": [[0, 1]]})
+        assert spec.edges == frozenset({(0, 1)})
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):
-            WeightedOrdering.from_json_dict({"groups": None})  # n missing
+            OrderingSpec.from_json_dict({"groups": None})  # n missing
+
+    def test_unknown_keys_rejected(self):
+        # Misspelled keys read as absent would silently drop every constraint.
+        with pytest.raises(ValidationError, match=r"unknown ordering-spec keys \['edge', 'group'\]"):
+            OrderingSpec.from_json_dict({"n": 2, "edge": [[0, 1]], "group": [[0], [1]]})
 
     @given(ordering_specs())
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, spec):
-        assert read_back(spec).spec == spec
+        assert read_back(spec) == spec
 
 
 # ---------------------------------------------------------------- consistency
@@ -308,13 +333,14 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_consistent_batch(OrderingSpec(3), 0, np.random.default_rng(0))
 
-    def test_rejection_budget_guard(self):
+    def test_rejection_budget_guard(self, monkeypatch):
         # A full chain accepts 1 in n! uniform draws; a tiny budget trips the guard.
         n = 6
         edges = frozenset((i, i + 1) for i in range(n - 1))
         spec = OrderingSpec(n, edges=edges)
+        monkeypatch.setattr(asymshap.coalitions, "DEFAULT_REJECTION_BUDGET", 1)
         with pytest.raises(SamplingBudgetError):
-            sample_consistent_batch(spec, 50, np.random.default_rng(0), budget=1)
+            sample_consistent_batch(spec, 50, np.random.default_rng(0))
 
     def test_random_spec_generator_validates(self):
         with pytest.raises(ValidationError):

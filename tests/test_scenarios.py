@@ -17,16 +17,15 @@ from asymshap import (
     MarkovSeriesProcess,
     OrderingSpec,
     TwoFeatureGraphProcess,
-    WeightedOrdering,
     global_asv,
     run_fairness_audit,
 )
 
 X1_BEFORE_X2 = OrderingSpec(2, groups=((0,), (1,)))
 ORDERINGS = {
-    "distal": WeightedOrdering(X1_BEFORE_X2),
-    "proximate": WeightedOrdering(X1_BEFORE_X2, "proximate"),
-    "symmetric": WeightedOrdering(OrderingSpec(2)),
+    "distal": X1_BEFORE_X2,
+    "proximate": X1_BEFORE_X2.reversed(),
+    "symmetric": OrderingSpec(2),
 }
 
 

@@ -145,15 +145,6 @@ class TestBackgroundSet:
             BackgroundSet(np.zeros((0, 2)))
         with pytest.raises(ValidationError):
             BackgroundSet(np.zeros(3))
-        with pytest.raises(ValidationError):
-            BackgroundSet(np.zeros((2, 2)), weights=np.array([1.0]))
-        with pytest.raises(ValidationError):
-            BackgroundSet(np.zeros((2, 2)), weights=np.array([-1.0, 2.0]))
-
-    def test_weights_normalized(self):
-        bg = BackgroundSet(np.zeros((2, 2)), weights=np.array([2.0, 6.0]))
-        assert np.allclose(bg.weights, [0.25, 0.75])
-        assert len(bg) == 2
 
 
 # ---------------------------------------------------------------- off-manifold
@@ -215,14 +206,6 @@ class TestOffManifold:
         val = CachedValueFunction(pred, x, 1, bg=bg, m=8).value([0])
         hand = float(np.mean(pred.predict(np.column_stack([np.full(8, 0.5), bg.rows[:, 1]]))[:, 1]))
         assert val == pytest.approx(hand, abs=1e-12)
-
-    def test_weighted_background_is_resampled_not_exhausted(self):
-        pred = FirstFeatureProbPredictor(n_features=2)
-        rows = np.array([[0.0, 0.0], [1.0, 0.0]])
-        bg = BackgroundSet(rows, weights=np.array([0.9, 0.1]))
-        m = 10_000
-        val = CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=m, seed=6).value([])
-        assert val == pytest.approx(0.1, abs=4 * math.sqrt(0.09 / m))
 
     def test_validation(self):
         pred = LinearProbPredictor(np.array([1.0, 1.0]))
