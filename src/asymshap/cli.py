@@ -194,6 +194,17 @@ def _load_dataset(resolved: dict) -> tuple[Dataset, dict]:
     return ds, hashes
 
 
+def _load_model_and_data(resolved: dict) -> tuple[TrainedModel, Dataset, dict]:
+    """The --model and its dataset, whose schemas must agree, with the input hashes."""
+    model_path = _require_file(resolved["model"], "model")
+    model = TrainedModel.load(model_path)
+    ds, hashes = _load_dataset(resolved)
+    hashes["model"] = _sha256_file(model_path)
+    if model.schema.digest() != ds.schema.digest():
+        raise SchemaError("model and dataset schemas differ")
+    return model, ds, hashes
+
+
 def _load_ordering(path, ds: Dataset) -> OrderingSpec:
     """The --spec file's OrderingSpec; entries may be feature names, and n defaults to ds.n."""
     _require_file(path, "ordering spec")
@@ -205,13 +216,14 @@ def _load_ordering(path, ds: Dataset) -> OrderingSpec:
     if not isinstance(obj, dict):
         raise ValidationError(f"ordering spec {path} must be a JSON object")
 
-    def to_index(entry):
-        return ds.schema.index_of(entry) if isinstance(entry, str) else entry
-
     obj = {**obj, "n": obj.get("n", ds.n)}
-    if obj.get("groups") is not None:
-        obj["groups"] = [[to_index(e) for e in g] for g in obj["groups"]]
-    obj["edges"] = [[to_index(i), to_index(j)] for i, j in obj.get("edges") or []]
+    for key in ("groups", "edges"):
+        # Names become indices; from_json_dict checks the shape of what is left.
+        value = obj.get(key)
+        if isinstance(value, list) and all(isinstance(entry, list) for entry in value):
+            obj[key] = [
+                [ds.schema.index_of(e) if isinstance(e, str) else e for e in entry] for entry in value
+            ]
     spec = OrderingSpec.from_json_dict(obj)
     if spec.n != ds.n:
         raise ValidationError(f"ordering spec covers {spec.n} features, dataset has {ds.n}")
@@ -357,12 +369,7 @@ def _choose_estimator(resolved: dict, spec: OrderingSpec, n_points: int) -> str:
 
 
 def cmd_explain(resolved: dict) -> int:
-    model_path = _require_file(resolved["model"], "model")
-    model = TrainedModel.load(model_path)
-    ds, hashes = _load_dataset(resolved)
-    hashes["model"] = _sha256_file(model_path)
-    if model.schema.digest() != ds.schema.digest():
-        raise SchemaError("model and dataset schemas differ")
+    model, ds, hashes = _load_model_and_data(resolved)
     if resolved["spec"]:
         ordering = _load_ordering(resolved["spec"], ds)
         hashes["spec"] = _sha256_file(resolved["spec"])
@@ -425,10 +432,7 @@ def cmd_explain(resolved: dict) -> int:
 def cmd_fairness(resolved: dict) -> int:
     if not resolved["resolving"] or not resolved["sensitive"]:
         raise ValidationError("--resolving and --sensitive feature lists are required")
-    model_path = _require_file(resolved["model"], "model")
-    model = TrainedModel.load(model_path)
-    ds, hashes = _load_dataset(resolved)
-    hashes["model"] = _sha256_file(model_path)
+    model, ds, hashes = _load_model_and_data(resolved)
     bg, sampler = _build_marginalizer(resolved, ds)
     report = run_fairness_audit(
         model, ds,

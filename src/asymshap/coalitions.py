@@ -110,7 +110,7 @@ class OrderingSpec:
         optional list of [before, after] pairs; "direction", optional, "distal" (the
         constraints as declared, the default) or "proximate" (every one reversed).
         Entries are feature indices (the CLI also takes feature names). Any other
-        key or direction raises ValidationError.
+        key or direction, or an entry of another shape, raises ValidationError.
         """
         unknown = sorted(set(obj) - {"n", "groups", "edges", "direction"})
         if unknown:
@@ -124,12 +124,29 @@ class OrderingSpec:
         direction = obj.get("direction", "distal")
         if direction not in ("distal", "proximate"):
             raise ValidationError(f"direction must be 'distal' or 'proximate', got {direction!r}")
-        groups = obj.get("groups")
-        if groups is not None:
-            groups = tuple(tuple(int(i) for i in g) for g in groups)
-        edges = frozenset((int(i), int(j)) for i, j in obj.get("edges") or [])
+        groups = _index_lists(obj, "groups")
+        edges = frozenset(_index_lists(obj, "edges", size=2) or ())
         spec = cls(n, groups, edges)
         return spec if direction == "distal" else spec.reversed()
+
+
+def _index_lists(obj: dict, key: str, size: int | None = None) -> tuple[tuple[int, ...], ...] | None:
+    """obj[key] as tuples of feature indices, None when it is absent or null.
+
+    Raises ValidationError unless it is a list of lists of integers, each of
+    length size when given.
+    """
+    value = obj.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or not all(isinstance(e, (list, tuple)) for e in value):
+        raise ValidationError(f"ordering-spec {key!r} must be a list of lists, got {value!r}")
+    for entry in value:
+        if size is not None and len(entry) != size:
+            raise ValidationError(f"ordering-spec {key!r} entry {entry!r} must have {size} items")
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in entry):
+            raise ValidationError(f"ordering-spec {key!r} entry {entry!r} must hold feature indices")
+    return tuple(tuple(int(i) for i in entry) for entry in value)
 
 
 def is_consistent(P, spec: OrderingSpec) -> np.ndarray:

@@ -138,14 +138,6 @@ class FeedForwardNet:
         self.weights = [a.copy() for a in out[:k]]
         self.biases = [a.copy() for a in out[k:]]
 
-    def copy_params(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.weights + self.biases]
-
-    def restore_params(self, params: list[np.ndarray]) -> None:
-        k = len(self.weights)
-        self.weights = [p.copy() for p in params[:k]]
-        self.biases = [p.copy() for p in params[k:]]
-
 
 @dataclass
 class TrainedModel:
@@ -239,7 +231,7 @@ def _fit(ds: Dataset, config: TrainConfig, hidden: tuple[int, ...], kind: str) -
     net = FeedForwardNet(sizes, config.activation, rng)
     velocity = [np.zeros_like(p) for p in net.weights + net.biases]
     best_val = np.inf
-    best_params = net.copy_params()
+    best_params = net.flatten()
     best_epoch = 0
     since_best = 0
     train_losses: list[float] = []
@@ -263,14 +255,14 @@ def _fit(ds: Dataset, config: TrainConfig, hidden: tuple[int, ...], kind: str) -
         val_losses.append(val_loss)
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_params = net.copy_params()
+            best_params = net.flatten()
             best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
-    net.restore_params(best_params)
+    net.unflatten(best_params)
     model = TrainedModel(
         kind=kind,
         net=net,

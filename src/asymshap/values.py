@@ -123,24 +123,6 @@ def _discrete_mutual_information(codes: np.ndarray, labels: np.ndarray) -> float
     return float(np.sum(joint[nz] * np.log(joint[nz] / (pa @ pb)[nz])))
 
 
-def _k_nearest(d: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances, equal to np.argsort(d, kind="stable")[:k].
-
-    Ties go to the earlier row. np.partition finds the k-th smallest distance
-    in linear time; every row strictly closer is kept, then rows at exactly
-    that distance in row order until there are k, and only those are sorted
-    (stably, so ties stay in row order). With no more than k rows, or a
-    distance that is not finite, it is the full stable argsort.
-    """
-    if d.size <= k or not np.isfinite(d).all():
-        return np.argsort(d, kind="stable")[:k]
-    kth = np.partition(d, k - 1)[k - 1]
-    closer = np.flatnonzero(d < kth)
-    tied = np.flatnonzero(d == kth)[: k - closer.size]
-    sel = np.concatenate((closer, tied))
-    return sel[np.argsort(d[sel], kind="stable")]
-
-
 def _matching_rows(X: np.ndarray, x: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
     """Ascending indices of the rows of X equal to x on every feature in idx
     (every row when idx is empty), read-only."""
@@ -198,25 +180,24 @@ class KNNSampler:
     Discrete conditioning features must match exactly; continuous ones rank
     candidates by standardized Euclidean distance, and the k closest form the
     neighborhood. Ties at equal distance go to the earlier dataset row: the
-    order of a stable argsort, which _k_nearest reproduces in linear time.
-    With no continuous conditioning there is no ranking, so the whole
-    candidate set is the neighborhood. Zero exact matches on the discrete
-    side are handled by relaxing discrete features one at a time, least
-    label-informative first; the warning for each relaxation is logged once,
-    when its pool is built.
+    order of a stable argsort. With no continuous conditioning there is no
+    ranking, so the whole candidate set is the neighborhood. Zero exact
+    matches on the discrete side are handled by relaxing discrete features
+    one at a time, least label-informative first; the warning for each
+    relaxation is logged once, when its pool is built.
 
-    Candidate pools are cached on the sampler and live as long as it does:
-    the rows matching each (discrete conditioning features, x values on
-    them) are found once, and with exactly one continuous conditioning
-    feature they are also kept sorted by that feature, so the k nearest are
-    found by bisection instead of a scan. The dataset must not be mutated
-    after the sampler is built. Memory is at most one index array of N rows
-    per discrete coalition (the pools of one coalition partition the rows;
-    a relaxed pool is shared, not copied), plus, per discrete coalition and
-    continuous feature queried alone, a sorted copy of N values and N row
-    indices. A first fill from concurrent threads is idempotent: every
-    thread builds the same pool and one is published, and published pools
-    are read-only.
+    Candidate pools are cached on the sampler and live as long as it does.
+    The rows matching each (discrete conditioning features, x values on
+    them) are found once, in one table keyed by both; a relaxed key maps to
+    the pool it relaxed to, shared, not copied. With exactly one continuous
+    conditioning feature a pool is also kept sorted by that feature, so the
+    k nearest are found by bisection instead of a scan. The dataset must not
+    be mutated after the sampler is built. Memory is at most one index array
+    of N rows per discrete coalition (the pools of one coalition partition
+    the rows), plus, per discrete coalition and continuous feature queried
+    alone, a sorted copy of N values and N row indices. A first fill from
+    concurrent threads is idempotent: every thread builds the same pool and
+    one is published, and published pools are read-only.
     """
 
     def __init__(self, dataset: Dataset, k: int = DEFAULT_KNN_K):
@@ -285,53 +266,43 @@ class KNNSampler:
         else:
             diffs = (self.dataset.X[:, cont][cand] - x[cont]) * self._inv_scale[cont]
             d = np.einsum("ij,ij->i", diffs, diffs)
-            pool = cand[_k_nearest(d, self.k)]
+            pool = cand[np.argsort(d, kind="stable")[: self.k]]
         sel = pool[rng.integers(0, pool.size, size=m)]
         out = self.dataset.X[sel]
         out[:, s_idx] = x[s_idx]
         return out, False
 
 
-class ExactMatchSampler:
+class ExactMatchSampler(KNNSampler):
     """Conditional completions from rows matching x exactly on the coalition.
 
     Valid for all-discrete conditioning sets; conditioning on a continuous
     feature (where exact matching is degenerate) or hitting zero matches
-    delegates to the k-NN sampler. When the match population fits within m,
-    every match is used once and the conditional mean is exact.
+    falls back to the k-NN completion. When the match population fits within
+    m, every match is used once and the conditional mean is exact.
 
-    The matching rows of each (coalition, x values on it) are found once and
-    cached on the sampler for its lifetime, and the zero-match warning is
-    logged once, when that pool is built. The dataset must not be mutated
-    after the sampler is built. Memory is at most one index array of N rows
-    per coalition (its pools partition the rows), plus what the k-NN sampler
-    it delegates to keeps. A first fill from concurrent threads is
-    idempotent, and published pools are read-only.
+    The matches of an all-discrete coalition are the k-NN sampler's pool for
+    it, read from the same table: an unrelaxed pool is the exact matches, and
+    a relaxed one means there were none. So the sampler keeps nothing beyond
+    what KNNSampler keeps, and the zero-match warning is logged once, when
+    that pool is built.
     """
-
-    def __init__(self, dataset: Dataset, k: int = DEFAULT_KNN_K):
-        self.dataset = dataset
-        self.schema = dataset.schema
-        self._discrete = set(self.schema.discrete_indices().tolist())
-        self._knn = KNNSampler(dataset, k=k)
-        self._pools: dict[tuple, np.ndarray] = {}
 
     def complete(self, x, s_idx, m, rng):
         idx = tuple(np.asarray(s_idx).tolist())
         if any(i not in self._discrete for i in idx):
             logger.debug("continuous feature in conditioning set; using k-NN completion")
-            return self._knn.complete(x, s_idx, m, rng)
+            return super().complete(x, s_idx, m, rng)
         key = (idx, x[list(idx)].tobytes())
-        cand = self._pools.get(key)
-        if cand is None:
-            cand = self._pools.setdefault(key, _matching_rows(self.dataset.X, x, idx))
-            if cand.size == 0:
+        built = key in self._pools
+        used, cand = self._pool(idx, x)
+        if used != key:
+            if not built:
                 logger.warning(
                     "exact-match conditioning found no rows for features %s; falling back to k-NN",
                     [self.schema.features[i].name for i in idx],
                 )
-        if cand.size == 0:
-            return self._knn.complete(x, s_idx, m, rng)
+            return super().complete(x, s_idx, m, rng)
         exhaustive = cand.size <= m
         sel = cand if exhaustive else cand[rng.integers(0, cand.size, size=m)]
         out = self.dataset.X[sel]

@@ -84,7 +84,11 @@ def test_explain_with_name_based_spec(trained):
 
 
 @pytest.mark.parametrize(
-    "content", [{"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]], "{not json", {"direction": "sideways"}]
+    "content",
+    [
+        {"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]], "{not json", {"direction": "sideways"},
+        {"edges": [["score", "gender", "department"]]}, {"edges": 5}, {"groups": [0, 1, 2]},
+    ],
 )
 def test_bad_spec_is_rejected(trained, content):
     spec = trained / "bad-spec.json"
@@ -92,6 +96,20 @@ def test_bad_spec_is_rejected(trained, content):
     code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
                  "--spec", str(spec), "--index", "0", "--seed", "0", "--out", str(trained / "x.json")])
     assert code == 2
+
+
+def test_fairness_rejects_a_model_of_another_schema(trained, tmp_path, capsys):
+    # The same columns with gender renamed sex: the trained model's schema no longer matches.
+    data, schema = tmp_path / "renamed.csv", tmp_path / "renamed.schema.json"
+    data.write_text((trained / "data.csv").read_text().replace("gender", "sex", 1))
+    schema.write_text((trained / "data.schema.json").read_text().replace('"gender"', '"sex"'))
+    out = tmp_path / "fairness.json"
+    code = main(["fairness", "--model", str(trained / "model.json"), "--data", str(data),
+                 "--resolving", "department", "--sensitive", "sex", "--budget", "4",
+                 "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "model and dataset schemas differ" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_misspelled_spec_keys_exit_2(trained, capsys):

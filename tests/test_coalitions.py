@@ -174,6 +174,20 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             OrderingSpec.from_json_dict({"groups": None})  # n missing
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 3, "edges": [[0, 1, 2]]},
+            {"n": 2, "edges": [[0, "a"]]},
+            {"n": 2, "edges": 5},
+            {"n": 3, "groups": [0, 1, 2]},
+            {"n": 2, "groups": [[0], [1.5]]},
+        ],
+    )
+    def test_malformed_entries_rejected(self, obj):
+        with pytest.raises(ValidationError, match="ordering-spec"):
+            OrderingSpec.from_json_dict(obj)
+
     def test_unknown_keys_rejected(self):
         # Misspelled keys read as absent would silently drop every constraint.
         with pytest.raises(ValidationError, match=r"unknown ordering-spec keys \['edge', 'group'\]"):

@@ -1,6 +1,6 @@
 """The paper's two-feature graphs: where distal and proximate orderings put the
-credit; the Markov series' closed-form conditional draws; and the admissions
-audit's shared completion pools."""
+credit; the Markov series' closed-form conditional draws and incremental
+explanations; and the admissions audit's shared completion pools."""
 
 import functools
 import json
@@ -12,11 +12,13 @@ import pytest
 from asymshap import (
     AdmissionsProcess,
     BayesPredictor,
+    CachedValueFunction,
     ExactMatchSampler,
     GenerativeSampler,
     MarkovSeriesProcess,
     OrderingSpec,
     TwoFeatureGraphProcess,
+    exact_asv,
     global_asv,
     run_fairness_audit,
 )
@@ -124,6 +126,27 @@ class TestMarkovConditionalSamples:
         assert np.array_equal(rows, np.tile(self.X, (5, 1)))
 
 
+def test_chain_asv_is_the_posterior_update_at_each_step():
+    # Claim (iii): under the time ordering, v(x_<t) is P(y | x_<t) by the tower
+    # property, and the innovations e_k of x_<t are recoverable from it, so
+    # P(y=1 | x_<t) = sigmoid(2 sum_{k<t} e_k mu_k) with mu_k = shift decay^k.
+    # Step t's ASV is then the update when x_t arrives, on the label's side.
+    process = MarkovSeriesProcess(T=6)
+    pred, sampler, spec = BayesPredictor(process), GenerativeSampler(process), process.chain_spec()
+    ds = process.sample(20, 0)
+    m = 4000
+    mu = process.shift * process.decay ** np.arange(process.T)
+    gaps = []
+    for j, (x, y) in enumerate(zip(ds.X, ds.y)):
+        vf = CachedValueFunction(pred, x, int(y), sampler=sampler, m=m, seed=0, point_index=j)
+        e = np.concatenate(([x[0]], x[1:] - process.ar * x[:-1]))
+        p1 = 1.0 / (1.0 + np.exp(-2.0 * np.concatenate(([0.0], np.cumsum(e * mu)))))
+        update = np.diff(p1) if y == 1 else -np.diff(p1)
+        gaps.append(np.abs(exact_asv(vf, spec).means - update))
+    # Each step differs two means of m draws of f in [0, 1]: sd at most 0.5 sqrt(2 / m).
+    assert np.max(gaps) <= 4 * 0.5 * np.sqrt(2 / m)
+
+
 class FreshSamplerPerCall:
     """Completes every coalition with a new ExactMatchSampler, so no pool is shared."""
 
@@ -168,6 +191,6 @@ def test_shared_pools_leave_the_fairness_audit_unchanged(workers):
     assert pooled.sensitive_asv == fresh.sensitive_asv
     assert pooled.attribution.metadata == fresh.attribution.metadata
     assert json.dumps(pooled.to_json_dict()) == json.dumps(fresh.to_json_dict())
-    # Exact-match pools are keyed by (coalition, x on it) and k-NN pools by
-    # the discrete part of that, so the run holds no more pools than keys.
-    assert len(shared._pools) + len(shared._knn._pools) <= len(recorder.keys)
+    # Pools are keyed by the discrete part of (coalition, x on it), so the run
+    # holds no more pools than keys.
+    assert len(shared._pools) <= len(recorder.keys)

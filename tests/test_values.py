@@ -23,7 +23,7 @@ from asymshap import (
     ValidationError,
     as_mask,
 )
-from asymshap.values import _discrete_mutual_information, _k_nearest, _mean, _stream
+from asymshap.values import _discrete_mutual_information, _mean, _stream
 
 
 def sigmoid(z):
@@ -412,48 +412,11 @@ class TestKNNSampler:
 
 
 def argsort_ranking(d, k):
-    """The ranking _k_nearest replaces: a full stable argsort, cut at k."""
+    """The k nearest by a full stable argsort, cut at k: ties go to the earlier row."""
     return np.argsort(d, kind="stable")[:k]
 
 
-def same_indices(got, want):
-    return got.dtype == want.dtype and np.array_equal(got, want)
-
-
 class TestKNearest:
-    @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_matches_stable_argsort_on_random_distances(self, k):
-        rng = np.random.default_rng(k)
-        for size in (k + 1, k + 7, 100, 5000):
-            for _ in range(20):
-                d = rng.random(size) * rng.choice([1e-3, 1.0, 1e6])
-                assert same_indices(_k_nearest(d, k), argsort_ranking(d, k))
-
-    @pytest.mark.parametrize("k", [1, 4, 10])
-    def test_heavy_ties_at_the_kth_distance(self, k):
-        # Integer distances from a few values: many rows tie at the k-th one,
-        # and the earlier rows must win.
-        rng = np.random.default_rng(100 + k)
-        for size in (k + 1, 30, 1000):
-            for levels in (1, 2, 5):
-                d = rng.integers(0, levels, size).astype(np.float64)
-                assert same_indices(_k_nearest(d, k), argsort_ranking(d, k))
-
-    @pytest.mark.parametrize("size", [1, 5, 10])
-    def test_k_at_least_size(self, size):
-        d = np.random.default_rng(size).random(size)
-        assert same_indices(_k_nearest(d, 10), argsort_ranking(d, 10))
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_non_finite_distances(self, bad):
-        rng = np.random.default_rng(7)
-        for k in (1, 3, 10):
-            d = rng.integers(0, 3, 40).astype(np.float64)
-            d[rng.choice(40, 6, replace=False)] = bad
-            assert same_indices(_k_nearest(d, k), argsort_ranking(d, k))
-        d = np.full(20, bad)
-        assert same_indices(_k_nearest(d, 3), argsort_ranking(d, 3))
-
     def test_sampler_matches_the_argsort_completion(self):
         # KNNSampler.complete against its own ranking done by np.ix_ and a
         # full stable argsort, on a mixed table with tied continuous values.
@@ -509,7 +472,7 @@ def exact_match_completion(sampler, x, s_idx, m, seed):
     discrete = set(sampler.schema.discrete_indices().tolist())
     cand = np.flatnonzero(np.all(X[:, s_idx] == x[s_idx], axis=1))
     if any(i not in discrete for i in s_idx) or cand.size == 0:
-        return argsort_completion(sampler._knn, x, s_idx, m, seed), False
+        return argsort_completion(sampler, x, s_idx, m, seed), False
     exhaustive = cand.size <= m
     if not exhaustive:
         cand = cand[np.random.default_rng(seed).integers(0, cand.size, size=m)]
@@ -602,7 +565,7 @@ class TestPooledSamplers:
             exact.complete(x, np.array([0, 2]), 4, np.random.default_rng(0))
         arrays = [rows for _, rows in knn._pools.values()]
         arrays += [a for line in knn._lines.values() for a in line]
-        arrays += list(exact._pools.values())
+        arrays += [rows for _, rows in exact._pools.values()]
         assert arrays and not any(a.flags.writeable for a in arrays)
 
 
