@@ -113,7 +113,7 @@ class CoalitionChains:
     preceding it. P itself is not kept.
 
     Nothing here depends on a point, so one instance serves every point of a
-    run (and every worker thread); its arrays are read-only for that reason.
+    run; its arrays are read-only for that reason.
     """
 
     def __init__(self, P):
@@ -344,34 +344,29 @@ def global_asv(
     seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
     collect_locals: bool = False,
-    workers: int = 1,
 ) -> GlobalAttribution:
     """Average local attributions over (x, y) rows, y taken as the true label.
 
     budget caps how many rows participate (sampled without replacement,
     default all); the stderrs are the spread across them, so at least 2 must.
     Each row gets its own frozen value-function cache and its own derived
-    random stream, so results are identical for any worker count. The exact
-    estimator enumerates the consistent orders once and every row reduces
-    the same read-only CoalitionChains.
+    random stream, so a row's result does not depend on the other rows. The
+    exact estimator enumerates the consistent orders once and every row
+    reduces the same read-only CoalitionChains.
     """
     spec = _as_spec(ordering)
     if spec.n != dataset.n:
         raise ValidationError(f"ordering covers {spec.n} features, dataset has {dataset.n}")
     if estimator not in ("exact", "mc"):
         raise ValidationError(f"estimator must be 'exact' or 'mc', got {estimator!r}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     idx = _point_budget(dataset.n_rows, budget, seed)
     B = idx.shape[0]
     chains = CoalitionChains(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
     n = dataset.n
     L = np.empty((B, n))
     ends = np.empty((B, 2))  # v(N) and v({}) per point
-    counters = np.zeros((B, 2), dtype=np.int64)
-
-    def run_point(j: int) -> None:
-        row = int(idx[j])
+    value_evaluations = prediction_rows = 0
+    for j, row in enumerate(idx.tolist()):
         vf = CachedValueFunction(
             pred, dataset.X[row], int(dataset.y[row]),
             bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
@@ -379,18 +374,8 @@ def global_asv(
         res = point_asv(vf, spec, estimator, n_perms, chains)
         L[j] = res.means
         ends[j] = (res.total, res.baseline)
-        counters[j] = (vf.evaluations, vf.prediction_rows)
-
-    if workers == 1:
-        for j in range(B):
-            run_point(j)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_point, range(B)))
-    value_evaluations = int(counters[:, 0].sum())
-    prediction_rows = int(counters[:, 1].sum())
+        value_evaluations += vf.evaluations
+        prediction_rows += vf.prediction_rows
     accuracy_full, accuracy_empty = column_means(ends).tolist()
     return GlobalAttribution(
         means=column_means(L),

@@ -409,7 +409,6 @@ def cmd_explain(resolved: dict) -> int:
             estimator=estimator, n_perms=resolved["perms"], budget=resolved["budget"],
             seed=resolved["seed"], cap=resolved["cap"],
             collect_locals=resolved["locals_csv"] is not None,
-            workers=resolved["workers"],
         )
         doc = {"mode": "global"}
         doc.update(glob.to_json_dict(feature_names=ds.schema.names))
@@ -444,7 +443,6 @@ def cmd_fairness(resolved: dict) -> int:
         n_perms=resolved["perms"],
         budget=resolved["budget"],
         seed=resolved["seed"],
-        workers=resolved["workers"],
     )
     doc = report.to_json_dict()
     doc["config"] = resolved
@@ -614,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, help="explain a single data point")
     p.add_argument("--target", choices=("label", "argmax"), default="label",
                    help="local run: explain the true label or the predicted class")
-    p.add_argument("--workers", type=int, default=1, help="threads for a global run")
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="points run in one thread; only 1 is accepted")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="most features exact enumeration may run on; auto picks Monte Carlo above it")
     p.add_argument("--out", default="attribution.json", help="output JSON")
@@ -633,7 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=("exact", "mc"), default="exact", help="attribution estimator")
     p.add_argument("--perms", type=int, default=200, help="Monte Carlo permutation draws per point")
     p.add_argument("--budget", type=int, default=2000, help="max data points audited")
-    p.add_argument("--workers", type=int, default=1, help="threads for the global run")
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="points run in one thread; only 1 is accepted")
     p.add_argument("--out", default="fairness.json", help="output JSON")
 
     p = add("featselect", cmd_featselect, "cumulative-attribution vs retraining study")

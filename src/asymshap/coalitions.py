@@ -109,24 +109,24 @@ class OrderingSpec:
         "groups", an optional ordered partition, earliest group first; "edges", an
         optional list of [before, after] pairs; "direction", optional, "distal" (the
         constraints as declared, the default) or "proximate" (every one reversed).
-        Entries are feature indices (the CLI also takes feature names). Any other
-        key or direction, or an entry of another shape, raises ValidationError.
+        "n" and the entries are integers, not bools (the CLI also takes feature
+        names as entries). Any other key or direction, an "n" of another type, or
+        an entry of another shape raises ValidationError.
         """
         unknown = sorted(set(obj) - {"n", "groups", "edges", "direction"})
         if unknown:
             raise ValidationError(
                 f"unknown ordering-spec keys {unknown}; expected n, groups, edges, direction"
             )
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"ordering spec needs an integer 'n': {exc}") from exc
+        n = obj.get("n")
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ValidationError(f"ordering spec needs an integer 'n', got {n!r}")
         direction = obj.get("direction", "distal")
         if direction not in ("distal", "proximate"):
             raise ValidationError(f"direction must be 'distal' or 'proximate', got {direction!r}")
         groups = _index_lists(obj, "groups")
         edges = frozenset(_index_lists(obj, "edges", size=2) or ())
-        spec = cls(n, groups, edges)
+        spec = cls(int(n), groups, edges)
         return spec if direction == "distal" else spec.reversed()
 
 

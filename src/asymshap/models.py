@@ -41,6 +41,8 @@ class TrainConfig:
             raise ValidationError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
+        if min(self.epochs, self.batch_size, *self.hidden) < 1:
+            raise ValidationError(f"epochs, batch size and hidden widths must be positive, got {self}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,23 +190,40 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
+        """The model saved at path. Raises SchemaError when the file is not JSON,
+        lacks a key, or holds a net that does not map the schema's design columns
+        to its classes through weights and biases of the recorded sizes."""
         with open(path) as fh:
-            doc = json.load(fh)
-        schema = Schema.from_json_dict(doc["schema"])
-        if schema.digest() != doc["schema_digest"]:
-            raise SchemaError("model file schema does not match its recorded digest")
-        config = TrainConfig.from_json_dict(doc["config"])
-        net = FeedForwardNet(doc["sizes"], doc["activation"], np.random.default_rng(0))
-        net.weights = [np.array(w, dtype=np.float64) for w in doc["weights"]]
-        net.biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-        return cls(
-            kind=doc["kind"],
-            net=net,
-            schema=schema,
-            standardizer=Standardizer.from_json_dict(doc["standardizer"]),
-            config=config,
-            history=doc.get("history", {}),
-        )
+            try:
+                doc = json.load(fh)
+                schema = Schema.from_json_dict(doc["schema"])
+                if schema.digest() != doc["schema_digest"]:
+                    raise SchemaError("model file schema does not match its recorded digest")
+                net = FeedForwardNet(doc["sizes"], doc["activation"], np.random.default_rng(0))
+                params = [np.array(p, dtype=np.float64) for p in doc["weights"] + doc["biases"]]
+                model = cls(
+                    kind=doc["kind"],
+                    net=net,
+                    schema=schema,
+                    standardizer=Standardizer.from_json_dict(doc["standardizer"]),
+                    config=TrainConfig.from_json_dict(doc["config"]),
+                    history=doc.get("history", {}),
+                )
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:  # ValueError: JSONDecodeError
+                raise SchemaError(f"malformed model file {path}: {exc!r}") from exc
+        # The fresh net's parameters have the shapes that chain its sizes.
+        width = schema._design_layout.width
+        if (
+            [p.shape for p in params] != [p.shape for p in net.weights + net.biases]
+            or (net.sizes[0], net.sizes[-1]) != (width, schema.n_classes)
+            or net.activation not in ("tanh", "relu")
+        ):
+            raise SchemaError(
+                f"model file {path} does not hold a tanh or relu net from {width} design columns to "
+                f"{schema.n_classes} classes whose weights and biases chain its sizes {net.sizes}"
+            )
+        net.weights, net.biases = params[: len(net.weights)], params[len(net.weights) :]
+        return model
 
 
 def max_class_accuracy(pred, X: np.ndarray, y: np.ndarray) -> float:

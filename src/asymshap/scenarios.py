@@ -382,7 +382,6 @@ def run_fairness_audit(
     n_perms: int = 200,
     budget: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> FairnessReport:
     """Measure attribution that survives resolving-variable ordering.
 
@@ -411,7 +410,6 @@ def run_fairness_audit(
         n_perms=n_perms,
         budget=budget,
         seed=seed,
-        workers=workers,
     )
     asv = math.fsum(float(glob.means[i]) for i in s_idx)
     stderr = math.sqrt(math.fsum(float(glob.stderrs[i]) ** 2 for i in s_idx))

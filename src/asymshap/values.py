@@ -195,9 +195,8 @@ class KNNSampler:
     be mutated after the sampler is built. Memory is at most one index array
     of N rows per discrete coalition (the pools of one coalition partition
     the rows), plus, per discrete coalition and continuous feature queried
-    alone, a sorted copy of N values and N row indices. A first fill from
-    concurrent threads is idempotent: every thread builds the same pool and
-    one is published, and published pools are read-only.
+    alone, a sorted copy of N values and N row indices. Pools are read-only,
+    because every point of a run shares them.
     """
 
     def __init__(self, dataset: Dataset, k: int = DEFAULT_KNN_K):
@@ -237,7 +236,7 @@ class KNNSampler:
                     self.schema.features[drop].name,
                 )
                 entry = self._pool(tuple(i for i in disc if i != drop), x)
-            entry = self._pools.setdefault(key, entry)
+            self._pools[key] = entry
         return entry
 
     def _line(self, key: tuple, rows: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +248,7 @@ class KNNSampler:
             line = (vals[order], rows[order])
             for a in line:
                 a.flags.writeable = False
-            self._lines.setdefault(line_key, line)
+            self._lines[line_key] = line
         return self._lines[line_key]
 
     def complete(self, x, s_idx, m, rng):
@@ -357,8 +356,9 @@ class CachedValueFunction:
     coalition is the prediction at x. seed and point_index must be
     nonnegative. v(S) is the mean of f_y over the completions.
 
-    Each distinct coalition calls the predictor once. Tracks distinct
-    coalition evaluations, cache hits, and total predictor rows.
+    Each distinct coalition calls the predictor once. evaluations counts the
+    distinct coalitions evaluated and prediction_rows the predictor rows; a
+    repeated coalition is read from the cache and changes neither.
     """
 
     def __init__(
@@ -402,7 +402,6 @@ class CachedValueFunction:
                 self._draws = bg.rows[sel]
         self._cache: dict[int, float] = {}
         self.evaluations = 0
-        self.hits = 0
         self.prediction_rows = 0
 
     def value(self, S) -> float:
@@ -410,7 +409,6 @@ class CachedValueFunction:
         mask = as_mask(S, self.n)
         hit = self._cache.get(mask)
         if hit is not None:
-            self.hits += 1
             return hit
         self.evaluations += 1
         bits = (mask & self._bit) != 0
@@ -425,6 +423,3 @@ class CachedValueFunction:
         out = _mean(self.pred.predict(rows)[:, self.y])
         self._cache[mask] = out
         return out
-
-    def __len__(self) -> int:
-        return len(self._cache)

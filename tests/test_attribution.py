@@ -1,7 +1,6 @@
 """Exact and Monte Carlo attribution, the dual Shapley formulas, and global sums."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -393,26 +392,16 @@ class TestGlobalAttribution:
             sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12
         )
 
-    def test_worker_count_does_not_change_results(self):
-        ds = toy_dataset(rows=10, seed=2)
-        pred = LinearProbPredictor(np.array([0.5, 0.5, -1.0]))
-        kwargs = dict(bg=BackgroundSet(ds.X), m=8, seed=5)
-        one = global_asv(pred, ds, OrderingSpec(3), workers=1, **kwargs)
-        many = global_asv(pred, ds, OrderingSpec(3), workers=3, **kwargs)
-        assert np.array_equal(one.means, many.means)
-        assert np.array_equal(one.stderrs, many.stderrs)
-        assert one.metadata["value_evaluations"] == many.metadata["value_evaluations"]
-
     def test_mc_estimator_is_deterministic_per_seed(self):
         ds = toy_dataset(rows=8, seed=3)
         pred = LinearProbPredictor(np.array([1.0, 0.0, -1.0]))
         kwargs = dict(
             bg=BackgroundSet(ds.X), m=8, estimator="mc", n_perms=16, seed=9
         )
-        a = global_asv(pred, ds, OrderingSpec(3), workers=1, **kwargs)
-        b = global_asv(pred, ds, OrderingSpec(3), workers=4, **kwargs)
+        a = global_asv(pred, ds, OrderingSpec(3), **kwargs)
+        b = global_asv(pred, ds, OrderingSpec(3), **kwargs)
         assert np.array_equal(a.means, b.means)
-        c = global_asv(pred, ds, OrderingSpec(3), workers=1, **{**kwargs, "seed": 10})
+        c = global_asv(pred, ds, OrderingSpec(3), **{**kwargs, "seed": 10})
         assert not np.array_equal(a.means, c.means)
 
     def test_point_budget(self):
@@ -444,8 +433,6 @@ class TestGlobalAttribution:
             global_asv(pred, ds, OrderingSpec(4), bg=bg)
         with pytest.raises(ValidationError):
             global_asv(pred, ds, OrderingSpec(3), bg=bg, estimator="quasi")
-        with pytest.raises(ValidationError):
-            global_asv(pred, ds, OrderingSpec(3), bg=bg, workers=0)
 
     @pytest.mark.parametrize("estimator", ["exact", "mc"])
     def test_one_point_has_no_across_point_stderr(self, estimator):
@@ -457,8 +444,7 @@ class TestGlobalAttribution:
             one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
             global_asv(pred, one_row, OrderingSpec(3), bg=BackgroundSet(ds.X), estimator=estimator)
 
-    @pytest.mark.parametrize("workers", [1, 8])
-    def test_exact_run_enumerates_its_orders_once(self, monkeypatch, workers):
+    def test_exact_run_enumerates_its_orders_once(self, monkeypatch):
         ds = toy_dataset(rows=24, n=4, seed=6)
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5, 2.0]))
         spec = OrderingSpec(4, groups=((0, 1), (2, 3)))
@@ -472,12 +458,7 @@ class TestGlobalAttribution:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(attribution, "enumerate_consistent", counting)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads interleave while they share the chains
-        try:
-            glob = global_asv(pred, ds, spec, workers=workers, **kwargs)
-        finally:
-            sys.setswitchinterval(interval)
+        glob = global_asv(pred, ds, spec, **kwargs)
         assert glob.n_points == 24
         assert len(calls) == 1
         assert np.array_equal(glob.locals, alone.locals)

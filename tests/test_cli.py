@@ -88,6 +88,7 @@ def test_explain_with_name_based_spec(trained):
     [
         {"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]], "{not json", {"direction": "sideways"},
         {"edges": [["score", "gender", "department"]]}, {"edges": 5}, {"groups": [0, 1, 2]},
+        {"n": 3.9}, {"n": "3"}, {"n": True},
     ],
 )
 def test_bad_spec_is_rejected(trained, content):
@@ -129,6 +130,52 @@ def test_missing_model_exits_2(trained, capsys):
                  "--seed", "0"])
     assert code == 2
     assert "model file not found" in capsys.readouterr().err
+
+
+def _drop_first_weight_matrix(doc):
+    doc["weights"] = doc["weights"][1:]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: json.dumps({"kind": "mlp"}), lambda doc: "{not json", _drop_first_weight_matrix,
+        lambda doc: json.dumps({**doc, "activation": "sigmoid"}),  # would run as relu
+        lambda doc: json.dumps({**doc, "sizes": [doc["sizes"][0], 0, *doc["sizes"][2:]]}),
+    ],
+    ids=["no-schema", "not-json", "weights-dropped", "unknown-activation", "zero-width-layer"],
+)
+def test_malformed_model_file_exits_2(trained, tmp_path, capsys, edit):
+    model = tmp_path / "model.json"
+    model.write_text(edit(json.loads((trained / "model.json").read_text())))
+    out = tmp_path / "x.json"
+    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
+                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "model file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--batch-size", "0"), ("--batch-size", "-5"), ("--epochs", "0"), ("--epochs", "-1"),
+                    ("--hidden", "0"), ("--hidden", "10,0")],
+)
+def test_degenerate_train_setting_exits_2(trained, tmp_path, capsys, flag, value):
+    out = tmp_path / "model.json"
+    code = main(["train", "--data", str(trained / "data.csv"), flag, value, "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "fairness"])
+def test_more_than_one_worker_exits_2(trained, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+              "--workers", "2", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "--workers: invalid choice" in capsys.readouterr().err
 
 
 def test_non_finite_data_cell_exits_2(trained, tmp_path, capsys):
@@ -294,6 +341,7 @@ def test_no_warning_otherwise(caplog, resolved, spec, want):
         ({"samples": 2.7}, "'samples'"),  # int flag, non-integral number
         ({"exact": "no"}, "'exact'"),  # on/off flag takes true, false or null
         ({"strategy": "psychic"}, "'strategy'"),  # outside the flag's choices
+        ({"workers": 2}, "'workers'"),  # points run in one thread
     ],
 )
 def test_bad_config_value_exits_2(trained, capsys, content, named):

@@ -173,6 +173,10 @@ class TestSerialization:
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):
             OrderingSpec.from_json_dict({"groups": None})  # n missing
+        # int() would truncate 2.7 to 2, True to 1 and read "2" as 2.
+        for n in (2.7, 2.0, True, "2", None):
+            with pytest.raises(ValidationError, match="integer 'n'"):
+                OrderingSpec.from_json_dict({"n": n})
 
     @pytest.mark.parametrize(
         "obj",

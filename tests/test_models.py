@@ -176,6 +176,11 @@ class TestTrainConfig:
             TrainConfig(momentum=1.0)
         with pytest.raises(ValidationError):
             TrainConfig(activation="sigmoid")
+        for bad in ({"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -5},
+                    {"hidden": (10, 0)}, {"hidden": (-1,)}):
+            with pytest.raises(ValidationError, match="must be positive"):
+                TrainConfig(**bad)
+        assert TrainConfig(hidden=()).hidden == ()  # logistic
 
     def test_json_round_trip(self):
         config = TrainConfig(learning_rate=0.05, hidden=(4, 3), activation="relu")

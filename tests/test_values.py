@@ -235,7 +235,7 @@ class TestCaching:
         rows_after_first = vf.prediction_rows
         again = vf.value([0])
         assert again == first
-        assert vf.evaluations == 1 and vf.hits == 1
+        assert vf.evaluations == 1
         assert vf.prediction_rows == rows_after_first
 
     def test_full_sweep_evaluates_each_coalition_once(self):
@@ -247,8 +247,7 @@ class TestCaching:
             vf.value(mask)
             vf.value(mask)
         assert vf.evaluations == 1 << n
-        assert len(vf) == 1 << n
-        assert vf.hits == 1 << n
+        assert vf.prediction_rows == (1 << n) * 4
 
     def test_same_seed_reproduces_bitwise(self):
         pred = LinearProbPredictor(np.array([0.5, 1.5, -0.5]))
