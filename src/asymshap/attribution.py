@@ -197,14 +197,13 @@ def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> A
     )
 
 
-def exact_shapley_subset_form(v, n: int | None = None) -> AttributionResult:
+def exact_shapley_subset_form(v) -> AttributionResult:
     """Shapley values by the coalition-weighted subset formula.
 
     phi(i) = sum over S not containing i of |S|!(n-|S|-1)!/n! [v(S+i) - v(S)].
     Independent of the permutation form; used to cross-check it.
     """
-    if n is None:
-        n = v.n
+    n = v.n
     if n > MAX_MASK_FEATURES:
         raise ValidationError(f"subset form supports up to {MAX_MASK_FEATURES} features, got {n}")
     fact = [math.factorial(k) for k in range(n + 1)]
@@ -280,7 +279,8 @@ class GlobalAttribution:
 
     accuracy_full is E[f_y(x)] (sampled-label accuracy of the model);
     accuracy_empty is what remains with every feature marginalized away.
-    By the sum rule, sum(means) ~ accuracy_full - accuracy_empty.
+    By the sum rule, sum(means) ~ accuracy_full - accuracy_empty. locals holds
+    the per-point attributions, one row per point, that means averages.
     """
 
     means: np.ndarray
@@ -288,8 +288,8 @@ class GlobalAttribution:
     n_points: int
     accuracy_full: float
     accuracy_empty: float
+    locals: np.ndarray
     metadata: dict = field(default_factory=dict)
-    locals: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -334,19 +334,19 @@ def global_asv(
     pred,
     dataset: Dataset,
     ordering,
+    completion: BackgroundSet | ConditionalSampler,
     *,
-    bg: BackgroundSet | None = None,
-    sampler: ConditionalSampler | None = None,
     m: int = 100,
     estimator: str = "exact",
     n_perms: int = 200,
     budget: int | None = None,
     seed: int = 0,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    collect_locals: bool = False,
 ) -> GlobalAttribution:
     """Average local attributions over (x, y) rows, y taken as the true label.
 
+    completion fills the features outside each coalition, as in
+    CachedValueFunction: a BackgroundSet off-manifold, a sampler on-manifold.
     budget caps how many rows participate (sampled without replacement,
     default all); the stderrs are the spread across them, so at least 2 must.
     Each row gets its own frozen value-function cache and its own derived
@@ -367,10 +367,8 @@ def global_asv(
     ends = np.empty((B, 2))  # v(N) and v({}) per point
     value_evaluations = prediction_rows = 0
     for j, row in enumerate(idx.tolist()):
-        vf = CachedValueFunction(
-            pred, dataset.X[row], int(dataset.y[row]),
-            bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
-        )
+        vf = CachedValueFunction(pred, dataset.X[row], int(dataset.y[row]), completion,
+                                 m=m, seed=seed, point_index=row)
         res = point_asv(vf, spec, estimator, n_perms, chains)
         L[j] = res.means
         ends[j] = (res.total, res.baseline)
@@ -384,6 +382,7 @@ def global_asv(
         n_points=B,
         accuracy_full=accuracy_full,
         accuracy_empty=accuracy_empty,
+        locals=L,
         metadata={
             "estimator": estimator,
             "ordering": spec.to_json_dict(),
@@ -393,7 +392,6 @@ def global_asv(
             "value_evaluations": value_evaluations,
             "prediction_rows": prediction_rows,
         },
-        locals=L if collect_locals else None,
     )
 
 
@@ -401,9 +399,8 @@ def coalition_accuracy(
     pred,
     dataset: Dataset,
     U,
+    completion: BackgroundSet | ConditionalSampler,
     *,
-    bg: BackgroundSet | None = None,
-    sampler: ConditionalSampler | None = None,
     m: int = 100,
     budget: int | None = None,
     seed: int = 0,
@@ -414,8 +411,7 @@ def coalition_accuracy(
     mask = as_mask(U, dataset.n)
     vals = [
         CachedValueFunction(
-            pred, dataset.X[row], int(dataset.y[row]),
-            bg=bg, sampler=sampler, m=m, seed=seed, point_index=row,
+            pred, dataset.X[row], int(dataset.y[row]), completion, m=m, seed=seed, point_index=row
         ).value(mask)
         for row in _point_budget(dataset.n_rows, budget, seed).tolist()
     ]

@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -76,18 +77,30 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path, doc) -> None:
+def _write_json(path, doc: dict, resolved: dict, hashes: dict | None = None) -> None:
+    """doc with the resolved settings echoed as its config, and the input hashes when given."""
+    doc = {**doc, "config": resolved}
+    if hashes is not None:
+        doc["input_hashes"] = hashes
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_rows(path, header, rows) -> None:
+    """A CSV of header and then each row's floats, written as their repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
 
 
 class _CommaList:
     """argparse type of a flag that takes comma-separated items.
 
     Each item must convert to the given type, but the flag stores its string
-    as given, which is what the output config echoes; the command parses it
-    where it is used. In a --config file the value may be that string or a
+    as given, which is what the output config echoes; the command reads the
+    items with split. In a --config file the value may be that string or a
     JSON list of items of the given type.
     """
 
@@ -95,11 +108,18 @@ class _CommaList:
         self.item = item
         self.__name__ = f"comma-separated {item.__name__}"  # argparse names the type in errors
 
+    def split(self, value) -> list:
+        """The items of a stored value: a --config list as given, or the string's nonblank parts."""
+        if isinstance(value, list):
+            return value
+        return [self.item(part.strip()) for part in value.split(",") if part.strip()]
+
     def __call__(self, raw: str) -> str:
-        for part in raw.split(","):
-            if part.strip():
-                self.item(part)
+        self.split(raw)
         return raw
+
+
+_INTS, _NAMES = _CommaList(int), _CommaList(str)
 
 
 def _config_value(action: argparse.Action, value, path):
@@ -230,10 +250,8 @@ def _load_ordering(path, ds: Dataset) -> OrderingSpec:
     return spec
 
 
-def _split_names(raw) -> list[str]:
-    if isinstance(raw, (list, tuple)):
-        return [str(x) for x in raw]
-    return [part.strip() for part in str(raw).split(",") if part.strip()]
+def _markov_process(resolved: dict) -> MarkovSeriesProcess:
+    return MarkovSeriesProcess(**{key: resolved[key] for key in ("T", "ar", "shift", "decay")})
 
 
 # ---------------------------------------------------------------- gen-data
@@ -249,11 +267,7 @@ def cmd_gen_data(resolved: dict) -> int:
         # The hidden audit column is never part of the exported schema.
         ds, audit = AdmissionsProcess(unfair=True).sample_with_audit(rows, seed)
     elif scenario == "markov":
-        process = MarkovSeriesProcess(
-            T=resolved["T"], ar=resolved["ar"],
-            shift=resolved["shift"], decay=resolved["decay"],
-        )
-        ds = process.sample(rows, seed)
+        ds = _markov_process(resolved).sample(rows, seed)
     else:
         ds = TwoFeatureGraphProcess(scenario).sample(rows, seed)
     csv_path = f"{prefix}.csv"
@@ -271,7 +285,7 @@ def cmd_gen_data(resolved: dict) -> int:
             for v in audit:
                 writer.writerow([int(v)])
         files["audit"] = {"path": audit_path, "sha256": _sha256_file(audit_path)}
-    _write_json(f"{prefix}.manifest.json", {"scenario": scenario, "config": resolved, "files": files})
+    _write_json(f"{prefix}.manifest.json", {"scenario": scenario, "files": files}, resolved)
     print(f"wrote {csv_path} ({rows} rows), {schema_path}, {prefix}.manifest.json")
     return 0
 
@@ -279,27 +293,13 @@ def cmd_gen_data(resolved: dict) -> int:
 # ---------------------------------------------------------------- train
 
 
-def _parse_hidden(raw) -> tuple[int, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(x) for x in raw)
-    return tuple(int(x) for x in str(raw).split(",") if x.strip())
-
-
 def cmd_train(resolved: dict) -> int:
     ds, hashes = _load_dataset(resolved)
     kind, seed = resolved["model"], resolved["seed"]
     train_ds, test_ds = train_test_split(ds, resolved["test_fraction"], seed)
-    config = TrainConfig(
-        learning_rate=resolved["learning_rate"],
-        epochs=resolved["epochs"],
-        batch_size=resolved["batch_size"],
-        momentum=resolved["momentum"],
-        seed=seed,
-        val_fraction=resolved["val_fraction"],
-        patience=resolved["patience"],
-        hidden=_parse_hidden(resolved["hidden"]),
-        activation=resolved["activation"],
-    )
+    # Each TrainConfig field is the setting of the same name.
+    settings = {f.name: resolved[f.name] for f in fields(TrainConfig)}
+    config = TrainConfig(**{**settings, "hidden": tuple(_INTS.split(resolved["hidden"]))})
     model = train_logistic(train_ds, config) if kind == "logistic" else train_mlp(train_ds, config)
     model.save(resolved["out"])
     test_max = max_class_accuracy(model, test_ds.X, test_ds.y)
@@ -321,7 +321,7 @@ def cmd_train(resolved: dict) -> int:
         "epochs_run": model.history.get("epochs_run"),
     }
     metrics_path = str(Path(resolved["out"]).with_suffix("")) + ".metrics.json"
-    _write_json(metrics_path, {"metrics": metrics, "config": resolved, "input_hashes": hashes})
+    _write_json(metrics_path, {"metrics": metrics}, resolved, hashes)
     print(
         f"trained {kind}: test max-class {test_max:.3f}, "
         f"sampled-label {test_sampled:.3f} -> {resolved['out']}"
@@ -332,12 +332,13 @@ def cmd_train(resolved: dict) -> int:
 # ---------------------------------------------------------------- explain
 
 
-def _build_marginalizer(resolved: dict, ds: Dataset):
-    """(background, sampler) for --strategy; exactly one of them is None."""
+def _completion(resolved: dict, ds: Dataset):
+    """What fills the features outside a coalition under --strategy: the
+    dataset's rows as background, or a conditional sampler over them."""
     if resolved["strategy"] == "off-manifold":
-        return BackgroundSet.from_dataset(ds), None
+        return BackgroundSet(ds.X)
     sampler = ExactMatchSampler if resolved["strategy"] == "exact-match" else KNNSampler
-    return None, sampler(ds, k=resolved["k"])
+    return sampler(ds, k=resolved["k"])
 
 
 def _choose_estimator(resolved: dict, spec: OrderingSpec, n_points: int) -> str:
@@ -383,7 +384,7 @@ def cmd_explain(resolved: dict) -> int:
     else:
         n_points = min(resolved["budget"], ds.n_rows)
     estimator = _choose_estimator(resolved, ordering, n_points)
-    bg, sampler = _build_marginalizer(resolved, ds)
+    completion = _completion(resolved, ds)
     if row is not None:
         if not 0 <= row < ds.n_rows:
             raise ValidationError(f"--index {row} outside [0, {ds.n_rows})")
@@ -393,34 +394,26 @@ def cmd_explain(resolved: dict) -> int:
         else:
             y = int(ds.y[row])
         vf = CachedValueFunction(
-            model, x, y, bg=bg, sampler=sampler,
-            m=resolved["samples"], seed=resolved["seed"], point_index=row,
+            model, x, y, completion, m=resolved["samples"], seed=resolved["seed"], point_index=row
         )
         chains = None
         if estimator == "exact":
             chains = CoalitionChains(enumerate_consistent(ordering, cap=resolved["cap"]))
         res = point_asv(vf, ordering, estimator, resolved["perms"], chains)
+        res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)
         doc = {"mode": "local", "index": row, "class_index": y}
         doc.update(res.to_json_dict(feature_names=ds.schema.names))
     else:
         glob = global_asv(
-            model, ds, ordering,
-            bg=bg, sampler=sampler, m=resolved["samples"],
+            model, ds, ordering, completion, m=resolved["samples"],
             estimator=estimator, n_perms=resolved["perms"], budget=resolved["budget"],
             seed=resolved["seed"], cap=resolved["cap"],
-            collect_locals=resolved["locals_csv"] is not None,
         )
         doc = {"mode": "global"}
         doc.update(glob.to_json_dict(feature_names=ds.schema.names))
         if resolved["locals_csv"]:
-            with open(resolved["locals_csv"], "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(list(ds.schema.names))
-                for local_row in glob.locals:
-                    writer.writerow([repr(float(v)) for v in local_row])
-    doc["config"] = resolved
-    doc["input_hashes"] = hashes
-    _write_json(resolved["out"], doc)
+            _write_rows(resolved["locals_csv"], ds.schema.names, glob.locals)
+    _write_json(resolved["out"], doc, resolved, hashes)
     print(f"wrote {resolved['out']}")
     return 0
 
@@ -429,25 +422,19 @@ def cmd_explain(resolved: dict) -> int:
 
 
 def cmd_fairness(resolved: dict) -> int:
-    if not resolved["resolving"] or not resolved["sensitive"]:
+    resolving, sensitive = (_NAMES.split(resolved[key] or []) for key in ("resolving", "sensitive"))
+    if not resolving or not sensitive:
         raise ValidationError("--resolving and --sensitive feature lists are required")
     model, ds, hashes = _load_model_and_data(resolved)
-    bg, sampler = _build_marginalizer(resolved, ds)
     report = run_fairness_audit(
-        model, ds,
-        _split_names(resolved["resolving"]),
-        _split_names(resolved["sensitive"]),
-        sampler=sampler, bg=bg,
+        model, ds, resolving, sensitive, _completion(resolved, ds),
         m=resolved["samples"],
         estimator=resolved["estimator"],
         n_perms=resolved["perms"],
         budget=resolved["budget"],
         seed=resolved["seed"],
     )
-    doc = report.to_json_dict()
-    doc["config"] = resolved
-    doc["input_hashes"] = hashes
-    _write_json(resolved["out"], doc)
+    _write_json(resolved["out"], report.to_json_dict(), resolved, hashes)
     print(report.verdict)
     return 0
 
@@ -456,27 +443,17 @@ def cmd_fairness(resolved: dict) -> int:
 
 
 def cmd_featselect(resolved: dict) -> int:
-    process = MarkovSeriesProcess(
-        T=resolved["T"], ar=resolved["ar"],
-        shift=resolved["shift"], decay=resolved["decay"],
-    )
     study = run_feature_selection_study(
-        process,
+        _markov_process(resolved),
         trials=resolved["trials"],
         n_rows=resolved["rows"],
         seed=resolved["seed"],
         m=resolved["samples"],
         point_budget=resolved["budget"],
     )
-    doc = study.to_json_dict()
-    doc["config"] = resolved
-    _write_json(resolved["out"], doc)
+    _write_json(resolved["out"], study.to_json_dict(), resolved)
     trials_path = str(Path(resolved["out"]).with_suffix("")) + ".trials.csv"
-    with open(trials_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"t{t}" for t in study.ts])
-        for row in study.trial_matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_rows(trials_path, [f"t{t}" for t in study.ts], study.trial_matrix)
     gaps = np.abs(study.cumulative_asv - study.empirical_mean)
     print(
         f"wrote {resolved['out']} and {trials_path}; "
@@ -536,7 +513,7 @@ def cmd_oracle_check(resolved: dict) -> int:
         "pass": bool(ok),
     }
     if resolved["out"]:
-        _write_json(resolved["out"], {**report, "config": resolved})
+        _write_json(resolved["out"], report, resolved)
     status = "PASS" if ok else "FAIL"
     print(
         f"{status}: dual-formula gap {max_dual_gap:.2e}, efficiency gap {max_eff_gap:.2e}, "
@@ -562,27 +539,42 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (required here or in --config)")
         return p
 
+    def add_dataset(p, **model):
+        p.add_argument("--model", **model)
+        p.add_argument("--data", help="dataset CSV")
+        p.add_argument("--schema", help="schema JSON; None means the one next to --data")
+
+    def add_completion(p, strategy: str, samples: int):
+        p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"), default=strategy,
+                       help="how features outside a coalition are completed")
+        p.add_argument("--k", type=int, default=10, help="neighbours for knn and the exact-match fallback")
+        p.add_argument("--samples", type=int, default=samples,
+                       help="background/conditional draws per coalition")
+        p.add_argument("--perms", type=int, default=200, help="Monte Carlo permutation draws per point")
+        p.add_argument("--workers", type=int, choices=(1,), default=1,
+                       help="points run in one thread; only 1 is accepted")
+
+    def add_markov(p):
+        p.add_argument("--T", type=int, default=12, help="markov: number of time steps")
+        p.add_argument("--ar", type=float, default=0.7, help="markov: autoregressive coefficient")
+        p.add_argument("--shift", type=float, default=1.0, help="markov: label shift at t=0")
+        p.add_argument("--decay", type=float, default=0.7, help="markov: geometric decay of the shift")
+
     p = add("gen-data", cmd_gen_data, "generate a synthetic dataset (CSV + schema + manifest)")
     p.add_argument("scenario", choices=GEN_SCENARIOS)
     p.add_argument("--rows", type=int, default=10000, help="rows to sample")
     p.add_argument("--out", help="output file prefix; None means the scenario name")
-    p.add_argument("--T", type=int, default=12, help="markov: number of time steps")
-    p.add_argument("--ar", type=float, default=0.7, help="markov: autoregressive coefficient")
-    p.add_argument("--shift", type=float, default=1.0, help="markov: label shift at t=0")
-    p.add_argument("--decay", type=float, default=0.7, help="markov: geometric decay of the shift")
+    add_markov(p)
 
     p = add("train", cmd_train, "fit a logistic or MLP model and report both accuracy senses")
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--schema", help="schema JSON; None means the one next to --data")
-    p.add_argument("--model", choices=("logistic", "mlp"), default="mlp", help="model family")
+    add_dataset(p, choices=("logistic", "mlp"), default="mlp", help="model family")
     p.add_argument("--out", default="model.json", help="model JSON; metrics go beside it")
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.1,
                    help="SGD step size")
     p.add_argument("--epochs", type=int, default=300, help="maximum passes over the training rows")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=32, help="rows per SGD step")
     p.add_argument("--momentum", type=float, default=0.9, help="SGD momentum")
-    p.add_argument("--hidden", type=_CommaList(int), default="10,10",
-                   help="mlp: comma-separated hidden layer widths")
+    p.add_argument("--hidden", type=_INTS, default="10,10", help="mlp: comma-separated hidden layer widths")
     p.add_argument("--activation", choices=("tanh", "relu"), default="tanh",
                    help="mlp: hidden activation")
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.25,
@@ -593,56 +585,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="share of rows held out for the test accuracies")
 
     p = add("explain", cmd_explain, "local or global attribution for a trained model")
-    p.add_argument("--model", help="trained model JSON")
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--schema", help="schema JSON; None means the one next to --data")
+    add_dataset(p, help="trained model JSON")
     p.add_argument("--spec", help=(
         'ordering-spec JSON object: "groups", an ordered partition of the features, earliest first; '
         '"edges", a list of [before, after] pairs; "direction", "distal" (as declared) or "proximate" '
         '(every constraint reversed); "n", the feature count, defaulting to the dataset\'s. '
         "Entries may be feature names or indices; no other key is allowed. Omit for no constraints"))
-    p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"), default="off-manifold",
-                   help="how features outside a coalition are completed")
-    p.add_argument("--k", type=int, default=10, help="neighbours for knn and the exact-match fallback")
-    p.add_argument("--samples", type=int, default=100, help="background/conditional draws per coalition")
+    add_completion(p, strategy="off-manifold", samples=100)
     p.add_argument("--exact", action="store_const", const=True, help="force exact enumeration")
     p.add_argument("--mc", action="store_const", const=True, help="force Monte Carlo")
-    p.add_argument("--perms", type=int, default=200, help="Monte Carlo permutation draws per point")
     p.add_argument("--budget", type=int, help="max data points for a global run; None means all")
     p.add_argument("--index", type=int, help="explain a single data point")
     p.add_argument("--target", choices=("label", "argmax"), default="label",
                    help="local run: explain the true label or the predicted class")
-    p.add_argument("--workers", type=int, choices=(1,), default=1,
-                   help="points run in one thread; only 1 is accepted")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="most features exact enumeration may run on; auto picks Monte Carlo above it")
     p.add_argument("--out", default="attribution.json", help="output JSON")
     p.add_argument("--locals-csv", dest="locals_csv", help="also write per-point attributions")
 
     p = add("fairness", cmd_fairness, "audit for attribution kept by sensitive features")
-    p.add_argument("--model", help="trained model JSON")
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--schema", help="schema JSON; None means the one next to --data")
-    p.add_argument("--resolving", type=_CommaList(str), help="comma-separated resolving feature names")
-    p.add_argument("--sensitive", type=_CommaList(str), help="comma-separated sensitive feature names")
-    p.add_argument("--strategy", choices=("off-manifold", "exact-match", "knn"), default="exact-match",
-                   help="how features outside a coalition are completed")
-    p.add_argument("--k", type=int, default=10, help="neighbours for knn and the exact-match fallback")
-    p.add_argument("--samples", type=int, default=64, help="background/conditional draws per coalition")
+    add_dataset(p, help="trained model JSON")
+    p.add_argument("--resolving", type=_NAMES, help="comma-separated resolving feature names")
+    p.add_argument("--sensitive", type=_NAMES, help="comma-separated sensitive feature names")
+    add_completion(p, strategy="exact-match", samples=64)
     p.add_argument("--estimator", choices=("exact", "mc"), default="exact", help="attribution estimator")
-    p.add_argument("--perms", type=int, default=200, help="Monte Carlo permutation draws per point")
     p.add_argument("--budget", type=int, default=2000, help="max data points audited")
-    p.add_argument("--workers", type=int, choices=(1,), default=1,
-                   help="points run in one thread; only 1 is accepted")
     p.add_argument("--out", default="fairness.json", help="output JSON")
 
     p = add("featselect", cmd_featselect, "cumulative-attribution vs retraining study")
-    p.add_argument("--T", type=int, default=12, help="number of time steps")
+    add_markov(p)
     p.add_argument("--trials", type=int, default=5, help="independent datasets")
     p.add_argument("--rows", type=int, default=4000, help="rows per trial")
-    p.add_argument("--ar", type=float, default=0.7, help="autoregressive coefficient")
-    p.add_argument("--shift", type=float, default=1.0, help="label shift at t=0")
-    p.add_argument("--decay", type=float, default=0.7, help="geometric decay of the shift")
     p.add_argument("--samples", type=int, default=64, help="conditional draws per coalition")
     p.add_argument("--budget", type=int, default=300, help="max test points for the attribution curve")
     p.add_argument("--out", default="featselect.json", help="output JSON; trials CSV goes beside it")

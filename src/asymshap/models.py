@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -45,17 +45,7 @@ class TrainConfig:
             raise ValidationError(f"epochs, batch size and hidden widths must be positive, got {self}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "momentum": self.momentum,
-            "seed": self.seed,
-            "val_fraction": self.val_fraction,
-            "patience": self.patience,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-        }
+        return {**asdict(self), "hidden": list(self.hidden)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TrainConfig":
@@ -191,8 +181,10 @@ class TrainedModel:
     @classmethod
     def load(cls, path) -> "TrainedModel":
         """The model saved at path. Raises SchemaError when the file is not JSON,
-        lacks a key, or holds a net that does not map the schema's design columns
-        to its classes through weights and biases of the recorded sizes."""
+        lacks a key, holds a net that does not map the schema's design columns
+        to its classes through weights and biases of the recorded sizes, or
+        holds a standardizer that does not scale exactly the schema's
+        continuous features by finite means and finite positive scales."""
         with open(path) as fh:
             try:
                 doc = json.load(fh)
@@ -221,6 +213,18 @@ class TrainedModel:
             raise SchemaError(
                 f"model file {path} does not hold a tanh or relu net from {width} design columns to "
                 f"{schema.n_classes} classes whose weights and biases chain its sizes {net.sizes}"
+            )
+        st, cont = model.standardizer, schema.continuous_indices()
+        if not (
+            np.array_equal(st.continuous, cont)
+            and st.mean.shape == st.scale.shape == cont.shape
+            and np.isfinite(st.mean).all()
+            and np.isfinite(st.scale).all()
+            and (st.scale > 0).all()
+        ):
+            raise SchemaError(
+                f"model file {path} does not hold a standardizer with a finite mean and a finite positive "
+                f"scale for each of its schema's continuous features {cont.tolist()}"
             )
         net.weights, net.biases = params[: len(net.weights)], params[len(net.weights) :]
         return model

@@ -19,7 +19,7 @@ from .coalitions import OrderingSpec
 from .data import CONTINUOUS, DISCRETE, Dataset, FeatureSpec, Schema, train_test_split
 from .errors import ValidationError
 from .models import TrainConfig, sampled_label_accuracy, train_logistic
-from .values import BackgroundSet, ConditionalSampler, ExactMatchSampler, GenerativeSampler
+from .values import BackgroundSet, ConditionalSampler, GenerativeSampler
 
 TWO_FEATURE_KINDS = ("chain", "collider", "mixed")
 
@@ -374,9 +374,8 @@ def run_fairness_audit(
     dataset: Dataset,
     resolving,
     sensitive,
+    completion: BackgroundSet | ConditionalSampler,
     *,
-    sampler: ConditionalSampler | None = None,
-    bg: BackgroundSet | None = None,
     m: int = 64,
     estimator: str = "exact",
     n_perms: int = 200,
@@ -397,14 +396,11 @@ def run_fairness_audit(
     if not s_idx:
         raise ValidationError("need at least one sensitive feature")
     spec = fairness_spec(schema.n, r_idx, s_idx)
-    if sampler is None and bg is None:
-        sampler = ExactMatchSampler(dataset)
     glob = global_asv(
         model,
         dataset,
         spec,
-        bg=bg,
-        sampler=sampler,
+        completion,
         m=m,
         estimator=estimator,
         n_perms=n_perms,
@@ -481,7 +477,6 @@ def run_feature_selection_study(
     seed: int = 0,
     m: int = 64,
     point_budget: int = 300,
-    train_config: TrainConfig | None = None,
 ) -> FeatureSelectionStudy:
     """For each prefix length t, compare the cumulative ASV mass of the full
     model against the accuracy gain of a model retrained on just that prefix.
@@ -493,23 +488,19 @@ def run_feature_selection_study(
     if trials < 2:
         raise ValidationError(f"the empirical spread needs at least 2 trials, got {trials}")
     T = process.T
-    cfg = train_config or TrainConfig(seed=seed)
     base = process.sample(n_rows, seed)
     train, test = train_test_split(base, test_fraction=0.25, seed=seed)
-    full_model = train_logistic(train, cfg)
-    spec = process.chain_spec()
-    sampler = GenerativeSampler(process)
+    full_model = train_logistic(train, TrainConfig(seed=seed))
     glob = global_asv(
         full_model,
         test,
-        spec,
-        sampler=sampler,
+        process.chain_spec(),
+        GenerativeSampler(process),
         m=m,
         estimator="mc",
         n_perms=2,  # the chain has a single consistent order
         budget=point_budget,
         seed=seed,
-        collect_locals=True,
     )
     local_cum = np.cumsum(glob.locals, axis=1)
     trial_matrix = np.empty((trials, T))

@@ -2,10 +2,10 @@
 
 CachedValueFunction is the game v(S) = E[f_y(x_S, x'_{S-bar})] for one point
 x and class y, memoized per coalition. The out-of-coalition slots x' come from
-one of two marginalizations. Off-manifold splices unconditional background
-draws (a BackgroundSet). On-manifold draws them from p(x' | x_S) through a
-ConditionalSampler: exact-match, k-NN, or a generative process with
-closed-form conditionals.
+its completion, one of two marginalizations. A BackgroundSet is off-manifold:
+it splices unconditional background draws. A ConditionalSampler is
+on-manifold: it draws from p(x' | x_S) by exact match, k-NN, or a generative
+process with closed-form conditionals.
 
 Per-instance draws are frozen: the off-manifold background subsample is drawn
 once and shared by every coalition, and on-manifold per-coalition draws are
@@ -69,10 +69,6 @@ class BackgroundSet:
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
             raise ValidationError(f"background needs a nonempty 2-d row array, got shape {self.rows.shape}")
-
-    @classmethod
-    def from_dataset(cls, ds: Dataset) -> "BackgroundSet":
-        return cls(ds.X)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -347,14 +343,15 @@ def _check_point(x: np.ndarray, y: int, pred: Predictor) -> np.ndarray:
 class CachedValueFunction:
     """Memoized v(S) for one (predictor, point, class) context.
 
-    Give exactly one completion source. With bg (off-manifold) the slots
-    outside S are spliced from m background draws, frozen once per point from
+    completion fills the slots outside S. A BackgroundSet (off-manifold)
+    splices them from m background draws, frozen once per point from
     (seed, point_index) and shared by every coalition; an unweighted
-    background no larger than m is used whole, once per row. With sampler
-    (on-manifold) they are drawn from p(x' | x_S), m conditional completions
-    per coalition on a stream keyed by (seed, point_index, mask); the full
-    coalition is the prediction at x. seed and point_index must be
-    nonnegative. v(S) is the mean of f_y over the completions.
+    background no larger than m is used whole, once per row. A sampler, any
+    object with a complete method (on-manifold), draws them from p(x' | x_S),
+    m conditional completions per coalition on a stream keyed by (seed,
+    point_index, mask); the full coalition is the prediction at x. seed and
+    point_index must be nonnegative. v(S) is the mean of f_y over the
+    completions.
 
     Each distinct coalition calls the predictor once. evaluations counts the
     distinct coalitions evaluated and prediction_rows the predictor rows; a
@@ -366,15 +363,18 @@ class CachedValueFunction:
         pred: Predictor,
         x,
         y: int,
+        completion: BackgroundSet | ConditionalSampler,
         *,
-        bg: BackgroundSet | None = None,
-        sampler: ConditionalSampler | None = None,
         m: int = 100,
         seed: int = 0,
         point_index: int = 0,
     ):
-        if (bg is None) == (sampler is None):
-            raise ValidationError("give exactly one of bg (off-manifold) or sampler (on-manifold)")
+        off_manifold = isinstance(completion, BackgroundSet)
+        if not (off_manifold or callable(getattr(completion, "complete", None))):
+            raise ValidationError(
+                "completion must be a BackgroundSet (off-manifold) or a sampler with a complete "
+                f"method (on-manifold), got {type(completion).__name__}"
+            )
         self.pred = pred
         self.x = _check_point(x, y, pred)
         self.y = int(y)
@@ -384,7 +384,7 @@ class CachedValueFunction:
         self._bit = np.int64(1) << np.arange(self.n, dtype=np.int64)
         if m < 1:
             raise ValidationError(f"sample count must be positive, got {m}")
-        self.sampler = sampler
+        self.sampler = None if off_manifold else completion
         self.m = m
         self.seed = int(seed)
         self.point_index = int(point_index)
@@ -392,14 +392,15 @@ class CachedValueFunction:
             raise ValidationError(
                 f"seed and point_index must be nonnegative, got {self.seed}, {self.point_index}"
             )
-        if bg is not None:
-            if bg.rows.shape[1] != self.n:
-                raise SchemaError(f"background rows have {bg.rows.shape[1]} features, expected {self.n}")
-            if m >= len(bg):
-                self._draws = bg.rows
+        if off_manifold:
+            rows = completion.rows
+            if rows.shape[1] != self.n:
+                raise SchemaError(f"background rows have {rows.shape[1]} features, expected {self.n}")
+            if m >= len(rows):
+                self._draws = rows
             else:
-                sel = _stream(self.seed, self.point_index).choice(len(bg), size=m, replace=True)
-                self._draws = bg.rows[sel]
+                sel = _stream(self.seed, self.point_index).choice(len(rows), size=m, replace=True)
+                self._draws = rows[sel]
         self._cache: dict[int, float] = {}
         self.evaluations = 0
         self.prediction_rows = 0

@@ -299,10 +299,6 @@ class TestDualFormula:
         subset_form = exact_shapley_subset_form(TableValueFunction(table, n))
         assert np.max(np.abs(perm_form.means - subset_form.means)) <= 1e-9
 
-    def test_subset_form_needs_feature_count_for_plain_callables(self):
-        vf = TableValueFunction(np.arange(8, dtype=float), 3)
-        assert exact_shapley_subset_form(vf, n=3).n == 3
-
 
 class TestMonteCarlo:
     def test_agrees_with_exact_within_four_stderr(self):
@@ -378,7 +374,7 @@ class TestGlobalAttribution:
     def test_constant_predictor_gets_zero_everywhere(self):
         ds = toy_dataset()
         pred = ConstantPredictor(p1=0.4, n_features=3)
-        glob = global_asv(pred, ds, OrderingSpec(3), bg=BackgroundSet(ds.X), m=8, seed=0)
+        glob = global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=8, seed=0)
         assert np.all(glob.means == 0.0)
         assert glob.accuracy_full == glob.accuracy_empty
         assert glob.sum_rule_gap() == 0.0
@@ -386,7 +382,7 @@ class TestGlobalAttribution:
     def test_sum_rule(self):
         ds = toy_dataset(rows=20, seed=1)
         pred = LinearProbPredictor(np.array([1.0, -0.5, 0.25]))
-        glob = global_asv(pred, ds, OrderingSpec(3), bg=BackgroundSet(ds.X), m=16, seed=3)
+        glob = global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=16, seed=3)
         assert abs(glob.sum_rule_gap()) <= 1e-9
         assert glob.accuracy_full == pytest.approx(
             sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12
@@ -396,7 +392,7 @@ class TestGlobalAttribution:
         ds = toy_dataset(rows=8, seed=3)
         pred = LinearProbPredictor(np.array([1.0, 0.0, -1.0]))
         kwargs = dict(
-            bg=BackgroundSet(ds.X), m=8, estimator="mc", n_perms=16, seed=9
+            completion=BackgroundSet(ds.X), m=8, estimator="mc", n_perms=16, seed=9
         )
         a = global_asv(pred, ds, OrderingSpec(3), **kwargs)
         b = global_asv(pred, ds, OrderingSpec(3), **kwargs)
@@ -408,18 +404,17 @@ class TestGlobalAttribution:
         ds = toy_dataset(rows=30, seed=4)
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         glob = global_asv(
-            pred, ds, OrderingSpec(3), bg=BackgroundSet(ds.X), m=4, budget=7, seed=0
+            pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=4, budget=7, seed=0
         )
         assert glob.n_points == 7
         with pytest.raises(ValidationError):
-            global_asv(pred, ds, OrderingSpec(3), bg=BackgroundSet(ds.X), budget=0)
+            global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), budget=0)
 
     def test_collect_locals_matches_reported_spread(self):
         ds = toy_dataset(rows=15, seed=5)
         pred = LinearProbPredictor(np.array([2.0, -1.0, 0.5]))
         glob = global_asv(
-            pred, ds, OrderingSpec(3), bg=BackgroundSet(ds.X), m=8, seed=1,
-            collect_locals=True,
+            pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=8, seed=1,
         )
         assert glob.locals.shape == (15, 3)
         manual = np.std(glob.locals, axis=0, ddof=1) / math.sqrt(15)
@@ -430,25 +425,25 @@ class TestGlobalAttribution:
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         bg = BackgroundSet(ds.X)
         with pytest.raises(ValidationError):
-            global_asv(pred, ds, OrderingSpec(4), bg=bg)
+            global_asv(pred, ds, OrderingSpec(4), completion=bg)
         with pytest.raises(ValidationError):
-            global_asv(pred, ds, OrderingSpec(3), bg=bg, estimator="quasi")
+            global_asv(pred, ds, OrderingSpec(3), completion=bg, estimator="quasi")
 
     @pytest.mark.parametrize("estimator", ["exact", "mc"])
     def test_one_point_has_no_across_point_stderr(self, estimator):
         ds = toy_dataset()
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValidationError, match="at least 2 points"):
-            global_asv(pred, ds, OrderingSpec(3), bg=BackgroundSet(ds.X), estimator=estimator, budget=1)
+            global_asv(pred, ds, OrderingSpec(3), BackgroundSet(ds.X), estimator=estimator, budget=1)
         with pytest.raises(ValidationError, match="at least 2 points"):
             one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
-            global_asv(pred, one_row, OrderingSpec(3), bg=BackgroundSet(ds.X), estimator=estimator)
+            global_asv(pred, one_row, OrderingSpec(3), completion=BackgroundSet(ds.X), estimator=estimator)
 
     def test_exact_run_enumerates_its_orders_once(self, monkeypatch):
         ds = toy_dataset(rows=24, n=4, seed=6)
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5, 2.0]))
         spec = OrderingSpec(4, groups=((0, 1), (2, 3)))
-        kwargs = dict(bg=BackgroundSet(ds.X), m=4, seed=0, collect_locals=True)
+        kwargs = dict(completion=BackgroundSet(ds.X), m=4, seed=0)
         alone = global_asv(pred, ds, spec, **kwargs)
         calls = []
         real = attribution.enumerate_consistent
@@ -468,10 +463,10 @@ class TestGlobalAttribution:
         pred = LinearProbPredictor(np.array([0.5, -2.0, 1.0, 0.25]))
         bg = BackgroundSet(ds.X)
         spec = OrderingSpec(4, edges=frozenset({(0, 2), (1, 3)}))
-        glob = global_asv(pred, ds, spec, bg=bg, m=6, seed=2, collect_locals=True)
+        glob = global_asv(pred, ds, spec, completion=bg, m=6, seed=2)
         local = np.array([
             exact_asv(
-                CachedValueFunction(pred, ds.X[row], int(ds.y[row]), bg=bg, m=6, seed=2, point_index=row),
+                CachedValueFunction(pred, ds.X[row], int(ds.y[row]), bg, m=6, seed=2, point_index=row),
                 spec,
             ).means
             for row in range(ds.n_rows)
@@ -484,7 +479,7 @@ class TestCoalitionAccuracy:
     def test_full_set_is_sampled_label_accuracy(self):
         ds = toy_dataset(rows=25, seed=6)
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
-        acc, err = coalition_accuracy(pred, ds, [0, 1, 2], bg=BackgroundSet(ds.X), m=8)
+        acc, err = coalition_accuracy(pred, ds, [0, 1, 2], completion=BackgroundSet(ds.X), m=8)
         assert acc == pytest.approx(sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12)
         assert err > 0.0
 
@@ -496,8 +491,8 @@ class TestCoalitionAccuracy:
         y = X[:, 0].astype(np.int64)
         ds = Dataset(X, y, schema)
         pred = FirstFeatureProbPredictor(n_features=1)
-        full = coalition_accuracy(pred, ds, [0], bg=BackgroundSet(ds.X), m=ds.n_rows)[0]
-        empty = coalition_accuracy(pred, ds, [], bg=BackgroundSet(ds.X), m=ds.n_rows)[0]
+        full = coalition_accuracy(pred, ds, [0], completion=BackgroundSet(ds.X), m=ds.n_rows)[0]
+        empty = coalition_accuracy(pred, ds, [], completion=BackgroundSet(ds.X), m=ds.n_rows)[0]
         assert full == 1.0
         assert empty == 0.5
 
@@ -505,8 +500,8 @@ class TestCoalitionAccuracy:
         ds = toy_dataset(rows=18, seed=7)
         pred = LinearProbPredictor(np.array([0.5, 1.0, -0.75]))
         bg = BackgroundSet(ds.X)
-        glob = global_asv(pred, ds, OrderingSpec(3), bg=bg, m=10, seed=4)
-        empty, _ = coalition_accuracy(pred, ds, [], bg=bg, m=10, seed=4)
+        glob = global_asv(pred, ds, OrderingSpec(3), completion=bg, m=10, seed=4)
+        empty, _ = coalition_accuracy(pred, ds, [], completion=bg, m=10, seed=4)
         assert empty == glob.accuracy_empty
 
     def test_one_point_has_no_across_point_stderr(self):
@@ -514,11 +509,11 @@ class TestCoalitionAccuracy:
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         bg = BackgroundSet(ds.X)
         with pytest.raises(ValidationError, match="at least 2 points"):
-            coalition_accuracy(pred, ds, [0, 1], bg=bg, budget=1)
+            coalition_accuracy(pred, ds, [0, 1], completion=bg, budget=1)
         one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
         with pytest.raises(ValidationError, match="at least 2 points"):
-            coalition_accuracy(pred, one_row, [0, 1], bg=bg)
-        _, err = coalition_accuracy(pred, ds, [0, 1], bg=bg, budget=2)
+            coalition_accuracy(pred, one_row, [0, 1], completion=bg)
+        _, err = coalition_accuracy(pred, ds, [0, 1], completion=bg, budget=2)
         assert err > 0.0
 
 
@@ -528,8 +523,8 @@ class TestPartitionSumCheck:
         pred = LinearProbPredictor(np.array([1.5, -0.5, 0.75]))
         bg = BackgroundSet(ds.X)
         spec = OrderingSpec(3, groups=groups)
-        glob = global_asv(pred, ds, spec, bg=bg, m=12, seed=2)
-        acc = lambda mask: coalition_accuracy(pred, ds, mask, bg=bg, m=12, seed=2)
+        glob = global_asv(pred, ds, spec, completion=bg, m=12, seed=2)
+        acc = lambda mask: coalition_accuracy(pred, ds, mask, completion=bg, m=12, seed=2)
         return glob, acc
 
     def test_single_group_recovers_the_sum_rule(self):

@@ -113,6 +113,18 @@ def test_fairness_rejects_a_model_of_another_schema(trained, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resolving, sensitive", [(",", "gender"), ("department", " , ")])
+def test_blank_fairness_feature_list_exits_2(trained, tmp_path, capsys, resolving, sensitive):
+    # An empty resolving list would audit without any ordering constraint.
+    out = tmp_path / "fairness.json"
+    code = main(["fairness", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--resolving", resolving, "--sensitive", sensitive, "--budget", "4", "--samples", "4",
+                 "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "feature lists are required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_misspelled_spec_keys_exit_2(trained, capsys):
     # "edge" and "group" are not spec keys; read as absent, they would leave the run unconstrained.
     spec = trained / "misspelled-spec.json"
@@ -137,14 +149,27 @@ def _drop_first_weight_matrix(doc):
     return json.dumps(doc)
 
 
+def _edit_standardizer(key, entries):
+    """An edit replacing the standardizer's list under key by entries(that list)."""
+    def edit(doc):
+        st = doc["standardizer"]
+        return json.dumps({**doc, "standardizer": {**st, key: entries(st[key])}})
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda doc: json.dumps({"kind": "mlp"}), lambda doc: "{not json", _drop_first_weight_matrix,
         lambda doc: json.dumps({**doc, "activation": "sigmoid"}),  # would run as relu
         lambda doc: json.dumps({**doc, "sizes": [doc["sizes"][0], 0, *doc["sizes"][2:]]}),
+        _edit_standardizer("continuous", lambda c: []),  # would leave the score column unstandardized
+        _edit_standardizer("scale", lambda s: [0.0] * len(s)),  # would divide by zero
+        _edit_standardizer("scale", lambda s: [math.nan] * len(s)),
+        _edit_standardizer("mean", lambda m: m[:-1]),  # would not broadcast
     ],
-    ids=["no-schema", "not-json", "weights-dropped", "unknown-activation", "zero-width-layer"],
+    ids=["no-schema", "not-json", "weights-dropped", "unknown-activation", "zero-width-layer",
+         "no-continuous-features", "zero-scale", "nan-scale", "mean-entry-short"],
 )
 def test_malformed_model_file_exits_2(trained, tmp_path, capsys, edit):
     model = tmp_path / "model.json"
@@ -441,7 +466,12 @@ def test_local_run_matches_its_row_of_the_global_run(trained, tmp_path, estimato
     for r in (3, 17):
         out = tmp_path / f"local-{r}.json"
         assert main(["explain", *common, "--index", str(r), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["means"] == [float(v) for v in rows[r]]
+        local = json.loads(out.read_text())
+        assert local["means"] == [float(v) for v in rows[r]]
+        if estimator == "--exact":
+            # Every coalition of the 3 features once, with 8 completion rows each.
+            assert local["metadata"]["value_evaluations"] == 8
+            assert local["metadata"]["prediction_rows"] == 64
 
 
 # The settings each command resolves with no flag and no --config besides the seed.

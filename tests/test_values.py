@@ -73,7 +73,7 @@ class TestMaskHelpers:
                 return np.tile(x, (m, 1)), False
 
         vf = CachedValueFunction(
-            ConstantPredictor(n_features=3), np.zeros(3), 1, sampler=Recorder(), m=2
+            ConstantPredictor(n_features=3), np.zeros(3), 1, completion=Recorder(), m=2
         )
         vf.value(0b101)
         vf.value(0)
@@ -88,7 +88,7 @@ class TestMaskHelpers:
                 return np.tile(x, (m, 1)), False
 
         vf = CachedValueFunction(
-            ConstantPredictor(n_features=62), np.zeros(62), 1, sampler=Recorder(), m=2
+            ConstantPredictor(n_features=62), np.zeros(62), 1, completion=Recorder(), m=2
         )
         vf.value((1 << 61) | 0b10)
         assert seen == [[1, 61]]
@@ -97,7 +97,7 @@ class TestMaskHelpers:
         # Coalition masks live in int64.
         with pytest.raises(ValidationError):
             CachedValueFunction(
-                ConstantPredictor(n_features=63), np.zeros(63), 1, bg=BackgroundSet(np.zeros((1, 63)))
+                ConstantPredictor(n_features=63), np.zeros(63), 1, completion=BackgroundSet(np.zeros((1, 63)))
             )
 
 
@@ -117,7 +117,7 @@ class RowRecorder:
 def spliced(S, x, x_prime):
     """The row the off-manifold game predicts on: x on S, x' elsewhere."""
     pred = RowRecorder()
-    CachedValueFunction(pred, x, 1, bg=BackgroundSet(x_prime[None, :]), m=1).value(S)
+    CachedValueFunction(pred, x, 1, completion=BackgroundSet(x_prime[None, :]), m=1).value(S)
     (row,) = pred.rows
     return row
 
@@ -163,7 +163,7 @@ class TestOffManifold:
                 [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
             )
         )
-        got = CachedValueFunction(pred, x, 1, bg=bg, m=4).value([0])
+        got = CachedValueFunction(pred, x, 1, completion=bg, m=4).value([0])
         hand = (
             sigmoid(0.1 + 1.0)
             + sigmoid(0.1 + 1.0 + 0.5)
@@ -176,13 +176,13 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([0.3, -0.7]))
         x = np.array([0.4, 1.2])
         bg = BackgroundSet(np.random.default_rng(1).normal(size=(50, 2)))
-        vf = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=3)
+        vf = CachedValueFunction(pred, x, 1, completion=bg, m=10, seed=3)
         assert vf.value([0, 1]) == float(pred.predict(x[None, :])[0, 1])
 
     def test_constant_model_is_constant_for_every_coalition(self):
         pred = ConstantPredictor(p1=0.3, n_features=3)
         bg = BackgroundSet(np.random.default_rng(2).normal(size=(20, 3)))
-        vf = CachedValueFunction(pred, np.zeros(3), 1, bg=bg, m=7, seed=0)
+        vf = CachedValueFunction(pred, np.zeros(3), 1, completion=bg, m=7, seed=0)
         for mask in range(8):
             assert vf.value(mask) == 0.3
 
@@ -192,7 +192,7 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([0.8, 0.0, -1.1, 0.4]))
         x = np.random.default_rng(3).normal(size=4)
         bg = BackgroundSet(np.random.default_rng(4).normal(size=(30, 4)))
-        vf = CachedValueFunction(pred, x, 1, bg=bg, m=12, seed=5)
+        vf = CachedValueFunction(pred, x, 1, completion=bg, m=12, seed=5)
         j = 1
         for mask in range(16):
             if mask >> j & 1:
@@ -203,7 +203,7 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([1.0, 1.0]))
         bg = BackgroundSet(np.random.default_rng(5).normal(size=(8, 2)))
         x = np.array([0.5, -0.5])
-        val = CachedValueFunction(pred, x, 1, bg=bg, m=8).value([0])
+        val = CachedValueFunction(pred, x, 1, completion=bg, m=8).value([0])
         hand = float(np.mean(pred.predict(np.column_stack([np.full(8, 0.5), bg.rows[:, 1]]))[:, 1]))
         assert val == pytest.approx(hand, abs=1e-12)
 
@@ -211,16 +211,16 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([1.0, 1.0]))
         bg = BackgroundSet(np.zeros((3, 2)))
         with pytest.raises(ValidationError):
-            CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=0)
+            CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=0)
         with pytest.raises(SchemaError):
-            CachedValueFunction(pred, np.zeros(3), 1, bg=bg, m=5)
+            CachedValueFunction(pred, np.zeros(3), 1, completion=bg, m=5)
         with pytest.raises(SchemaError):
-            CachedValueFunction(pred, np.zeros(2), 1, bg=BackgroundSet(np.zeros((3, 4))), m=5)
+            CachedValueFunction(pred, np.zeros(2), 1, completion=BackgroundSet(np.zeros((3, 4))), m=5)
         with pytest.raises(ValidationError):
-            CachedValueFunction(pred, np.zeros(2), 2, bg=bg, m=5)
+            CachedValueFunction(pred, np.zeros(2), 2, completion=bg, m=5)
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(SchemaError, match="non-finite"):
-                CachedValueFunction(pred, np.array([0.0, bad]), 1, bg=bg, m=5)
+                CachedValueFunction(pred, np.array([0.0, bad]), 1, completion=bg, m=5)
 
 
 # ---------------------------------------------------------------- caching
@@ -230,7 +230,7 @@ class TestCaching:
     def test_repeat_queries_hit_the_cache(self):
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.2]))
         bg = BackgroundSet(np.random.default_rng(8).normal(size=(10, 3)))
-        vf = CachedValueFunction(pred, np.zeros(3), 1, bg=bg, m=6, seed=0)
+        vf = CachedValueFunction(pred, np.zeros(3), 1, completion=bg, m=6, seed=0)
         first = vf.value([0])
         rows_after_first = vf.prediction_rows
         again = vf.value([0])
@@ -242,7 +242,7 @@ class TestCaching:
         n = 5
         pred = LinearProbPredictor(np.random.default_rng(9).normal(size=n))
         bg = BackgroundSet(np.random.default_rng(10).normal(size=(8, n)))
-        vf = CachedValueFunction(pred, np.zeros(n), 1, bg=bg, m=4, seed=0)
+        vf = CachedValueFunction(pred, np.zeros(n), 1, completion=bg, m=4, seed=0)
         for mask in range(1 << n):
             vf.value(mask)
             vf.value(mask)
@@ -253,20 +253,19 @@ class TestCaching:
         pred = LinearProbPredictor(np.array([0.5, 1.5, -0.5]))
         bg = BackgroundSet(np.random.default_rng(11).normal(size=(40, 3)))
         x = np.array([0.2, -0.9, 0.4])
-        a = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=21, point_index=2)
-        b = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=21, point_index=2)
-        c = CachedValueFunction(pred, x, 1, bg=bg, m=10, seed=22, point_index=2)
+        a = CachedValueFunction(pred, x, 1, completion=bg, m=10, seed=21, point_index=2)
+        b = CachedValueFunction(pred, x, 1, completion=bg, m=10, seed=21, point_index=2)
+        c = CachedValueFunction(pred, x, 1, completion=bg, m=10, seed=22, point_index=2)
         for mask in range(8):
             assert a.value(mask) == b.value(mask)
         assert any(a.value(m) != c.value(m) for m in range(1, 7))
 
-    def test_factory_requires_exactly_one_completion_source(self):
+    @pytest.mark.parametrize("completion", [None, object(), np.zeros((2, 1))],
+                             ids=["none", "object", "ndarray"])
+    def test_completion_must_be_a_background_or_a_sampler(self, completion):
         pred = LinearProbPredictor(np.array([1.0]))
-        bg = BackgroundSet(np.zeros((2, 1)))
-        with pytest.raises(ValidationError):
-            CachedValueFunction(pred, np.zeros(1), 1)
-        with pytest.raises(ValidationError):
-            CachedValueFunction(pred, np.zeros(1), 1, bg=bg, sampler=object())
+        with pytest.raises(ValidationError, match="completion must be a BackgroundSet"):
+            CachedValueFunction(pred, np.zeros(1), 1, completion)
 
 
 # ---------------------------------------------------------------- samplers
@@ -293,15 +292,15 @@ class TestExactMatchSampler:
         # Condition on b = 1: matching rows are (0,1) twice; completions keep
         # b = 1 and draw a from those rows, so the mean of f_1 = a is 0.
         x = np.array([1.0, 1.0])
-        assert CachedValueFunction(pred, x, 1, sampler=sampler, m=50).value([1]) == 0.0
+        assert CachedValueFunction(pred, x, 1, completion=sampler, m=50).value([1]) == 0.0
 
     def test_empty_coalition_equals_off_manifold_over_the_same_rows(self):
         ds = discrete_dataset()
         pred = FirstFeatureProbPredictor(n_features=2)
         sampler = ExactMatchSampler(ds)
         x = np.array([0.0, 0.0])
-        on = CachedValueFunction(pred, x, 1, sampler=sampler, m=ds.n_rows).value([])
-        off = CachedValueFunction(pred, x, 1, bg=BackgroundSet(ds.X), m=ds.n_rows).value([])
+        on = CachedValueFunction(pred, x, 1, completion=sampler, m=ds.n_rows).value([])
+        off = CachedValueFunction(pred, x, 1, completion=BackgroundSet(ds.X), m=ds.n_rows).value([])
         assert on == off
 
     def test_subsamples_when_matches_exceed_m(self):
@@ -309,7 +308,7 @@ class TestExactMatchSampler:
         pred = FirstFeatureProbPredictor(n_features=2)
         sampler = ExactMatchSampler(ds)
         x = np.array([0.0, 0.0])
-        val = CachedValueFunction(pred, x, 1, sampler=sampler, m=3, seed=1).value([0])
+        val = CachedValueFunction(pred, x, 1, completion=sampler, m=3, seed=1).value([0])
         assert val == 0.0  # every a=0 row predicts 0 regardless of subsampling
 
     def test_zero_matches_fall_back_to_knn(self, caplog):
@@ -329,7 +328,7 @@ class TestExactMatchSampler:
         sampler = ExactMatchSampler(ds)
         x = np.array([1.0, 1.0, 0.0])
         with caplog.at_level(logging.WARNING, logger="asymshap.values"):
-            val = CachedValueFunction(pred, x, 1, sampler=sampler, m=20, seed=2).value([0, 1])
+            val = CachedValueFunction(pred, x, 1, completion=sampler, m=20, seed=2).value([0, 1])
         assert any("falling back" in r.message for r in caplog.records)
         assert val == 1.0  # completions pin the conditioned features to x
 
@@ -645,7 +644,7 @@ class TestStreamKey:
         pred = LinearProbPredictor(np.array([0.4, -0.9, 0.3]))
         sampler = KNNSampler(ds, k=6)
         seed, point_index = 2**32 + 3, 2**40 + 1
-        vf = CachedValueFunction(pred, x, 1, sampler=sampler, m=9, seed=seed, point_index=point_index)
+        vf = CachedValueFunction(pred, x, 1, completion=sampler, m=9, seed=seed, point_index=point_index)
         for mask in range(7):
             s_idx = np.flatnonzero((mask >> np.arange(3)) & 1)
             rng = np.random.default_rng(np.random.SeedSequence([seed, point_index, mask]))
@@ -657,7 +656,7 @@ class TestStreamKey:
         pred = ConstantPredictor(n_features=2)
         bg = BackgroundSet(np.zeros((3, 2)))
         with pytest.raises(ValidationError, match="nonnegative"):
-            CachedValueFunction(pred, np.zeros(2), 1, bg=bg, m=2, **{key: -1})
+            CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=2, **{key: -1})
 
 
 class TestMutualInformation:
@@ -705,7 +704,7 @@ class TestOnManifold:
     def test_full_coalition_is_the_prediction(self):
         ds = discrete_dataset()
         pred = FirstFeatureProbPredictor(n_features=2)
-        vf = CachedValueFunction(pred, np.array([1.0, 0.0]), 1, sampler=ExactMatchSampler(ds), m=5)
+        vf = CachedValueFunction(pred, np.array([1.0, 0.0]), 1, completion=ExactMatchSampler(ds), m=5)
         assert vf.value([0, 1]) == 1.0
 
     def test_values_are_keyed_by_coalition_not_query_order(self):
@@ -715,7 +714,7 @@ class TestOnManifold:
         ds = Dataset(X, rng.integers(0, 2, 60), schema)
         pred = LinearProbPredictor(np.array([0.7, -0.4]))
         make = lambda: CachedValueFunction(
-            pred, ds.X[0], 1, sampler=KNNSampler(ds), m=9, seed=33, point_index=4
+            pred, ds.X[0], 1, completion=KNNSampler(ds), m=9, seed=33, point_index=4
         )
         a, b = make(), make()
         for mask in [0, 1, 2, 3]:
@@ -728,4 +727,4 @@ class TestOnManifold:
         ds = discrete_dataset()
         pred = FirstFeatureProbPredictor(n_features=2)
         with pytest.raises(ValidationError):
-            CachedValueFunction(pred, np.zeros(2), 1, sampler=ExactMatchSampler(ds), m=0)
+            CachedValueFunction(pred, np.zeros(2), 1, completion=ExactMatchSampler(ds), m=0)
