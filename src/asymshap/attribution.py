@@ -2,15 +2,19 @@
 
 Local attributions average the marginal contribution of each feature over
 permutations, either by exact enumeration of the consistent set or by Monte
-Carlo draws from it. The contributions form an (orders x features) matrix,
-entry [r, i] being what feature i adds to the features before it in order r,
+Carlo draws from it. The contributions form a (steps x features) matrix,
+entry [k, i] being what feature i adds to the coalition before it in step k,
 and every average here (per point over orders, per dataset over points) is
-one column reduction of such a matrix: column_means and column_stderrs.
-What depends on the orders alone, the distinct coalitions they pass through
-and where each entry's two coalitions sit among them, is a CoalitionChains,
-built once per order set: an exact global run enumerates and dedupes its
-orders once and every point reuses the result, so a point only evaluates its
-own value function on those coalitions and takes differences.
+one column reduction of such a matrix. What depends on the orders alone, the
+distinct coalitions they pass through and where each step's two coalitions
+sit among them, is a CoalitionChains, built once per order set, so a point
+only evaluates its own value function on those coalitions and takes
+differences. A Monte Carlo draw keeps one step per order and feature, for
+column_means and column_stderrs. An exact run enumerates its orders once and
+merges each feature's identical steps, for many orders add a feature right
+after the same coalition: every point then reduces only the distinct steps,
+each weighted by its integer count, in weighted_column_means, which equals
+the per-order column mean bit for bit.
 Global attributions average local ones over (x, y) pairs from a dataset,
 which ties their sum to an accuracy decomposition: the attribution mass
 equals the model's sampled-label accuracy minus the accuracy left when every
@@ -19,6 +23,7 @@ feature is marginalized away.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -101,8 +106,13 @@ def _as_spec(ordering) -> OrderingSpec:
     return ordering
 
 
+# Below this many orders every step count c is under 2^26, so c times either
+# half of a split difference is exact in float64.
+MAX_EXACT_ORDERS = 1 << 26
+
+
 class CoalitionChains:
-    """The coalitions a set of orders passes through, and where each step starts and ends.
+    """The coalitions a set of orders passes through, and the steps between them.
 
     P is an int matrix of shape (count, n), one order per row, first feature
     first. masks holds the distinct nonempty coalitions that follow some
@@ -110,7 +120,11 @@ class CoalitionChains:
     and index k + 1 for masks[k], so after[i, r] and before[i, r] locate the
     coalition of order r with and without feature i among v({}) and v(masks):
     every coalition before a feature is {} or the coalition after the feature
-    preceding it. P itself is not kept.
+    preceding it. Each (before, after) pair is a step and counts[i, r] how
+    many orders take it, here 1. P itself is not kept.
+
+    merged() gives the same steps with each feature's identical pairs taken
+    once and counted, which is what an exact average needs.
 
     Nothing here depends on a point, so one instance serves every point of a
     run; its arrays are read-only for that reason.
@@ -137,19 +151,56 @@ class CoalitionChains:
         self.masks = masks
         self.after = after
         self.before = before
+        self.counts = np.broadcast_to(np.int64(1), (n, R))  # a read-only view
         self.count = R
         self.n = n
 
+    def merged(self) -> "CoalitionChains":
+        """These chains with each feature's identical steps taken once, their counts added.
+
+        A step of feature i is fixed by the coalition before it, so row i of
+        the (n, K) arrays lists feature i's distinct steps by ascending
+        before; a feature with fewer than K of them is padded with (0, 0)
+        steps of count 0. masks, count and n are unchanged, so every row of
+        counts still sums to count. Raises ValidationError from
+        MAX_EXACT_ORDERS orders on, where a count could make a weighted term
+        inexact.
+        """
+        if self.count >= MAX_EXACT_ORDERS:
+            raise ValidationError(
+                f"a merged exact reduction supports fewer than {MAX_EXACT_ORDERS} orders, got {self.count}"
+            )
+        n, width = self.n, self.masks.shape[0] + 1
+        # grid[i, b]: how many orders add feature i right after coalition index b.
+        cells = (self.before + np.arange(n)[:, None] * width).ravel()
+        grid = np.bincount(cells, weights=self.counts.ravel(), minlength=n * width)
+        grid = grid.astype(np.int64).reshape(n, width)  # integer sums below 2^53, exact
+        feats, before = np.nonzero(grid)
+        rank = np.arange(feats.shape[0]) - np.searchsorted(feats, feats)  # position within its row
+        K = int(rank.max()) + 1
+        out = copy.copy(self)
+        out.before = np.zeros((n, K), dtype=np.intp)
+        out.after = np.zeros((n, K), dtype=np.intp)
+        out.counts = np.zeros((n, K), dtype=np.int64)
+        out.before[feats, rank] = before
+        out.counts[feats, rank] = grid[feats, before]
+        coalition = np.concatenate([[0], self.masks])[before] | np.int64(1) << feats
+        out.after[feats, rank] = np.searchsorted(self.masks, coalition) + 1
+        for a in (out.before, out.after, out.counts):
+            a.flags.writeable = False
+        return out
+
 
 def marginal_contributions(v, chains: CoalitionChains) -> np.ndarray:
-    """Matrix D of v(pre ∪ {i}) - v(pre) terms, one row per order, one column per feature.
+    """Matrix D of v(pre ∪ {i}) - v(pre) terms, one row per step, one column per feature.
 
     chains holds the orders' coalitions, deduped once for the whole order set;
-    a run shares one instance across its points. D[r, i] is the marginal
-    contribution of feature i within order r, pre being the features before i
-    in that order. Each row telescopes to v(N) - v({}) up to one rounding per
-    term. v is evaluated on {} and then on each of chains.masks in ascending
-    order, once each, regardless of how many orders touch them.
+    a run shares one instance across its points. D[k, i] is the marginal
+    contribution of feature i in its step k, pre being the coalition that
+    step adds i to: for per-order chains row k is order k, and each row
+    telescopes to v(N) - v({}) up to one rounding per term. v is evaluated on
+    {} and then on each of chains.masks in ascending order, once each,
+    regardless of how many orders touch them.
     """
     vals = np.array([v.value(0)] + [v.value(mk) for mk in chains.masks.tolist()])
     D = vals[chains.after]
@@ -161,6 +212,34 @@ def column_means(A: np.ndarray) -> np.ndarray:
     """Mean of each column of A, math.fsum over its rows divided by their count."""
     R = A.shape[0]
     return np.array([math.fsum(col.tolist()) / R for col in A.T])
+
+
+# Clears the low 27 of a float64's 52 stored significand bits.
+_HIGH_BITS = np.int64(~((1 << 27) - 1))
+
+
+def weighted_column_means(A: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """Mean of each column of A with row k of column j repeated counts[j, k] times.
+
+    total is the sum of each row of counts, all below MAX_EXACT_ORDERS. The
+    result is math.fsum over the expanded column divided by total, bit for
+    bit: each entry d splits exactly into hi, d with its low 27 significand
+    bits cleared, and lo = d - hi, so that c * hi and c * lo are exact for
+    c < 2^26 (an error-free transformation), and fsum, correctly rounded, sums
+    those exact terms to the float that it sums the expanded column to. A
+    column with a weighted term that is not finite, from a non-finite entry
+    or an overflowing c * hi, is summed expanded, in step order, for then
+    fsum returns nan or inf or raises, as it does for the expanded column.
+    """
+    C = counts.T
+    hi = (A.view(np.int64) & _HIGH_BITS).view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # such columns are summed expanded
+        terms = np.concatenate([hi * C, (A - hi) * C])
+    finite = np.isfinite(terms).all(axis=0)
+    return np.array([
+        math.fsum((col if finite[j] else np.repeat(A[:, j], C[:, j])).tolist()) / total
+        for j, col in enumerate(np.ascontiguousarray(terms.T))
+    ])
 
 
 def column_stderrs(A: np.ndarray) -> np.ndarray:
@@ -176,19 +255,20 @@ def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> A
     """Attribution averaged over every permutation consistent with spec.
 
     With an empty spec this is the plain Shapley value in permutation form.
-    chains are the CoalitionChains of spec's consistent orders: a caller
-    explaining many points under one spec enumerates once and passes them to
-    each, so no point repeats the work. Without them the orders are enumerated
-    here, under DEFAULT_ENUMERATION_CAP.
+    chains are the CoalitionChains of spec's consistent orders, merged or
+    not: a caller explaining many points under one spec enumerates and merges
+    once and passes them to each, so no point repeats the work. Without them
+    the orders are enumerated here, under DEFAULT_ENUMERATION_CAP, and merged.
+    Either way the means are the per-order column means, bit for bit.
     """
     spec = _as_spec(spec)
     n = spec.n
     if chains is None:
-        chains = CoalitionChains(enumerate_consistent(spec))
+        chains = CoalitionChains(enumerate_consistent(spec)).merged()
     if chains.n != n:
         raise ValidationError(f"chains cover {chains.n} features, ordering has {n}")
     return AttributionResult(
-        means=column_means(marginal_contributions(v, chains)),
+        means=weighted_column_means(marginal_contributions(v, chains), chains.counts, chains.count),
         stderrs=np.zeros(n),
         n_samples=chains.count,
         baseline=v.value(0),
@@ -261,11 +341,11 @@ def point_asv(
 ) -> AttributionResult:
     """Local attribution of the point vf explains, exact or Monte Carlo.
 
-    The exact estimator reduces chains, the CoalitionChains of the ordering's
-    consistent orders that a run builds once for all its points; without them
-    it enumerates the orders under the default cap. The Monte Carlo draws come
-    from a stream keyed by (vf.seed, vf.point_index), so a point gets the same
-    result alone as inside a global run.
+    The exact estimator reduces chains, the merged CoalitionChains of the
+    ordering's consistent orders that a run builds once for all its points;
+    without them it enumerates the orders under the default cap. The Monte
+    Carlo draws come from a stream keyed by (vf.seed, vf.point_index), so a
+    point gets the same result alone as inside a global run.
     """
     if estimator == "exact":
         return exact_asv(vf, ordering, chains)
@@ -351,8 +431,8 @@ def global_asv(
     default all); the stderrs are the spread across them, so at least 2 must.
     Each row gets its own frozen value-function cache and its own derived
     random stream, so a row's result does not depend on the other rows. The
-    exact estimator enumerates the consistent orders once and every row
-    reduces the same read-only CoalitionChains.
+    exact estimator enumerates the consistent orders and merges their steps
+    once, and every row reduces the same read-only merged CoalitionChains.
     """
     spec = _as_spec(ordering)
     if spec.n != dataset.n:
@@ -361,7 +441,7 @@ def global_asv(
         raise ValidationError(f"estimator must be 'exact' or 'mc', got {estimator!r}")
     idx = _point_budget(dataset.n_rows, budget, seed)
     B = idx.shape[0]
-    chains = CoalitionChains(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
+    chains = CoalitionChains(enumerate_consistent(spec, cap=cap)).merged() if estimator == "exact" else None
     n = dataset.n
     L = np.empty((B, n))
     ends = np.empty((B, 2))  # v(N) and v({}) per point

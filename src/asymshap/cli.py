@@ -29,6 +29,7 @@ import numpy as np
 from .attribution import (
     CoalitionChains,
     TableValueFunction,
+    column_means,
     exact_asv,
     exact_shapley_subset_form,
     global_asv,
@@ -65,7 +66,7 @@ from .values import BackgroundSet, CachedValueFunction, ExactMatchSampler, KNNSa
 logger = logging.getLogger(__name__)
 
 GEN_SCENARIOS = ("fair-admissions", "unfair-admissions", "chain", "collider", "mixed", "markov")
-# Automatic exact enumeration warns above this many consistent orders per point.
+# Automatic exact enumeration warns above this many consistent orders.
 AUTO_EXACT_WARN_ORDERS = math.factorial(8)
 
 
@@ -345,10 +346,10 @@ def _choose_estimator(resolved: dict, spec: OrderingSpec, n_points: int) -> str:
     """--exact or --mc when given, else exact up to the enumeration cap.
 
     Automatic exact enumeration materialises every consistent order once per
-    run, and every point then reduces all of them, so it warns when there are
-    more than AUTO_EXACT_WARN_ORDERS. The count is closed-form for specs
-    without edges; with edges n! is the bound, so the estimate never
-    enumerates.
+    run and merges them into distinct steps, at most n * 2^(n-1), that each
+    point reduces, so it warns when there are more than
+    AUTO_EXACT_WARN_ORDERS orders. The count is closed-form for specs without
+    edges; with edges n! is the bound, so the estimate never enumerates.
     """
     if resolved["exact"] and resolved["mc"]:
         raise ValidationError("--exact and --mc are mutually exclusive")
@@ -360,11 +361,12 @@ def _choose_estimator(resolved: dict, spec: OrderingSpec, n_points: int) -> str:
         return "mc"
     orders = math.factorial(spec.n) if spec.edges else count_consistent(spec)
     if orders > AUTO_EXACT_WARN_ORDERS:
+        steps = spec.n << (spec.n - 1)
         logger.warning(
             "exact estimator chosen automatically for %d features: up to %d consistent orders, "
-            "enumerated once and reduced at each of %d points (%d order rows in all); "
-            "pass --mc to sample instead",
-            spec.n, orders, n_points, orders * n_points,
+            "enumerated once and merged into at most %d distinct steps, which are reduced at each "
+            "of %d points (%d steps in all); pass --mc to sample instead",
+            spec.n, orders, steps, n_points, steps * n_points,
         )
     return "exact"
 
@@ -398,7 +400,7 @@ def cmd_explain(resolved: dict) -> int:
         )
         chains = None
         if estimator == "exact":
-            chains = CoalitionChains(enumerate_consistent(ordering, cap=resolved["cap"]))
+            chains = CoalitionChains(enumerate_consistent(ordering, cap=resolved["cap"])).merged()
         res = point_asv(vf, ordering, estimator, resolved["perms"], chains)
         res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)
         doc = {"mode": "local", "index": row, "class_index": y}
@@ -475,6 +477,7 @@ def cmd_oracle_check(resolved: dict) -> int:
     max_dual_gap = 0.0
     max_eff_gap = 0.0
     max_telescope_gap = 0.0
+    max_merged_gap = 0.0  # merged-step exact means against per-order column means
     covered = 0
     total = 0
     for _ in range(games):
@@ -485,11 +488,12 @@ def cmd_oracle_check(resolved: dict) -> int:
         )
         max_dual_gap = max(max_dual_gap, float(dual_gap))
         spec = random_ordering_spec(n, rng)
-        exact = exact_asv(vf, spec)
+        chains = CoalitionChains(enumerate_consistent(spec))
+        exact = exact_asv(vf, spec, chains.merged())
         max_eff_gap = max(max_eff_gap, abs(exact.efficiency_gap()))
-        first = enumerate_consistent(spec)[:1]
-        row = marginal_contributions(vf, CoalitionChains(first))[0]
-        telescope = math.fsum(row.tolist()) - (exact.total - exact.baseline)
+        D = marginal_contributions(vf, chains)
+        max_merged_gap = max(max_merged_gap, float(np.max(np.abs(exact.means - column_means(D)))))
+        telescope = math.fsum(D[0].tolist()) - (exact.total - exact.baseline)
         max_telescope_gap = max(max_telescope_gap, abs(telescope))
         est = mc_asv(vf, spec, perms, rng)
         for i in range(n):
@@ -500,7 +504,10 @@ def cmd_oracle_check(resolved: dict) -> int:
             else:
                 covered += gap <= 1e-9
     coverage = covered / total
-    ok = max_dual_gap <= 1e-9 and max_eff_gap <= 1e-9 and max_telescope_gap <= 1e-9 and coverage >= 0.99
+    ok = (
+        max_dual_gap <= 1e-9 and max_eff_gap <= 1e-9 and max_telescope_gap <= 1e-9
+        and max_merged_gap == 0.0 and coverage >= 0.99
+    )
     report = {
         "n": n,
         "games": games,
@@ -509,6 +516,7 @@ def cmd_oracle_check(resolved: dict) -> int:
         "max_dual_formula_gap": max_dual_gap,
         "max_efficiency_gap": max_eff_gap,
         "max_telescoping_gap": max_telescope_gap,
+        "max_merged_step_gap": max_merged_gap,
         "mc_within_4_stderr": coverage,
         "pass": bool(ok),
     }
@@ -517,7 +525,8 @@ def cmd_oracle_check(resolved: dict) -> int:
     status = "PASS" if ok else "FAIL"
     print(
         f"{status}: dual-formula gap {max_dual_gap:.2e}, efficiency gap {max_eff_gap:.2e}, "
-        f"telescoping gap {max_telescope_gap:.2e}, MC 4-stderr coverage {coverage:.4f}"
+        f"telescoping gap {max_telescope_gap:.2e}, merged-step gap {max_merged_gap:.2e}, "
+        f"MC 4-stderr coverage {coverage:.4f}"
     )
     return 0 if ok else 4
 

@@ -264,10 +264,15 @@ class Standardizer:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Standardizer":
+        """The standardizer that to_json_dict wrote. Raises SchemaError unless
+        continuous lists integers: an int64 cast would read 1.7 or true as 1."""
+        cont = obj["continuous"]
+        if not isinstance(cont, list) or not all(type(i) is int for i in cont):
+            raise SchemaError(f"standardizer continuous indices must be integers, got {cont!r}")
         return cls(
             np.array(obj["mean"], dtype=np.float64),
             np.array(obj["scale"], dtype=np.float64),
-            np.array(obj["continuous"], dtype=np.int64),
+            np.array(cont, dtype=np.int64),
         )
 
 

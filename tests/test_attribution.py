@@ -1,6 +1,7 @@
 """Exact and Monte Carlo attribution, the dual Shapley formulas, and global sums."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -150,7 +151,10 @@ class TestMarginalContributions:
     def test_chains_are_read_only(self):
         chains = CoalitionChains(enumerate_consistent(OrderingSpec(3)))
         assert (chains.count, chains.n) == (6, 3)
-        for a in (chains.masks, chains.after, chains.before):
+        merged = chains.merged()
+        assert (merged.count, merged.n) == (6, 3)
+        for a in (chains.masks, chains.after, chains.before, chains.counts,
+                  merged.masks, merged.after, merged.before, merged.counts):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0
             with pytest.raises(ValueError):
@@ -163,6 +167,106 @@ class TestMarginalContributions:
         span = vf.value(0b1111) - vf.value(0)
         for r in range(2):
             assert math.fsum(map(float, diffs[r])) == pytest.approx(span, abs=1e-12)
+
+
+def adversarial_table(n, rng):
+    """2^n worths mixing exponents from -1074 to 1000, subnormals, signed zeros
+    and repeated entries, whose differences cancel exactly."""
+    size = 1 << n
+    table = np.ldexp(1.0 + rng.random(size), rng.integers(-1074, 1001, size=size))
+    table *= rng.choice([-1.0, 1.0], size=size)
+    kind = rng.integers(0, 6, size=size)
+    table[kind == 0] = 0.0
+    table[kind == 1] = -0.0
+    sub = kind == 2
+    table[sub] = np.ldexp(rng.random(sub.sum()), rng.integers(-1074, -1022, size=sub.sum()))
+    copies = kind == 3
+    table[copies] = table[rng.integers(0, size, size=copies.sum())]
+    return TableValueFunction(table, n)
+
+
+def expanded_means(vf, spec):
+    """fsum over each feature's per-order column, divided by the number of orders."""
+    P = enumerate_consistent(spec)
+    D = marginal_contributions(vf, CoalitionChains(P))
+    return [math.fsum(D[:, i].tolist()) / P.shape[0] for i in range(spec.n)]
+
+
+def bit_patterns(means):
+    return [struct.pack("<d", x) for x in means]
+
+
+class TestMergedSteps:
+    """Exact means reduce each feature's distinct steps, weighted by their counts."""
+
+    def test_adversarial_games_match_the_expanded_columns_bitwise(self):
+        # Both c * d and a Veltkamp split of d round on some of these games.
+        rng = np.random.default_rng(26)
+        for _ in range(500):
+            n = int(rng.integers(2, 8))
+            vf = adversarial_table(n, rng)
+            spec = random_ordering_spec(n, rng)
+            assert bit_patterns(exact_asv(vf, spec).means.tolist()) == bit_patterns(expanded_means(vf, spec))
+
+    def test_counts_sum_to_the_number_of_orders(self):
+        rng = np.random.default_rng(27)
+        for n in range(2, 8):
+            for _ in range(4):
+                P = enumerate_consistent(random_ordering_spec(n, rng))
+                merged = CoalitionChains(P).merged()
+                assert merged.count == P.shape[0]
+                assert merged.after.shape == merged.before.shape == merged.counts.shape
+                assert (merged.counts.sum(axis=1) == P.shape[0]).all()
+
+    def test_empty_spec_counts_are_the_shapley_weights(self):
+        # |S|! (n - |S| - 1)! of the n! orders add feature i right after S.
+        for n in range(2, 7):
+            merged = CoalitionChains(enumerate_consistent(OrderingSpec(n))).merged()
+            coalitions = np.concatenate([[0], merged.masks])
+            for i in range(n):
+                counts = {}
+                for b, a, c in zip(merged.before[i], merged.after[i], merged.counts[i]):
+                    if c:
+                        S = int(coalitions[b])
+                        assert int(coalitions[a]) == S | 1 << i
+                        counts[S] = int(c)
+                assert sorted(counts) == [S for S in range(1 << n) if not S >> i & 1]
+                for S, c in counts.items():
+                    s = bin(S).count("1")
+                    assert c == math.factorial(s) * math.factorial(n - s - 1)
+
+    def test_order_count_limit(self, monkeypatch):
+        # 2^26 consistent orders take at least 12 features, so the limit is lowered.
+        monkeypatch.setattr(attribution, "MAX_EXACT_ORDERS", 6)
+        vf = random_table(3, np.random.default_rng(28))
+        with pytest.raises(ValidationError, match="fewer than 6 orders, got 6"):
+            exact_asv(vf, OrderingSpec(3))
+        assert exact_asv(vf, OrderingSpec(3, groups=((0,), (1, 2)))).n_samples == 2
+
+    def test_non_finite_worths_give_the_expanded_result_or_error(self):
+        def outcome(means):
+            """The means' bit patterns and kinds, or fsum's error message."""
+            try:
+                values = means()
+            except ValueError as exc:  # -inf + inf
+                return str(exc), {str(exc)}
+            kinds = {"nan" if math.isnan(x) else "finite" if math.isfinite(x) else "inf" for x in values}
+            return bit_patterns(values), kinds
+
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            table = rng.random(1 << n)
+            k = int(rng.integers(1, 3))
+            table[rng.choice(1 << n, size=k, replace=False)] = rng.choice([math.inf, -math.inf, math.nan], size=k)
+            vf = TableValueFunction(table, n)
+            spec = random_ordering_spec(n, rng)
+            with np.errstate(invalid="ignore"):  # inf - inf differences
+                want, kinds = outcome(lambda: expanded_means(vf, spec))
+                assert outcome(lambda: exact_asv(vf, spec).means.tolist())[0] == want
+            seen |= kinds
+        assert seen == {"-inf + inf in fsum", "nan", "inf", "finite"}
 
 
 class TestTwoFeatureClosedForms:
@@ -452,10 +556,19 @@ class TestGlobalAttribution:
             calls.append(args)
             return real(*args, **kwargs)
 
+        merges = []
+        real_merged = CoalitionChains.merged
+
+        def counting_merges(chains):
+            merges.append(chains.count)
+            return real_merged(chains)
+
         monkeypatch.setattr(attribution, "enumerate_consistent", counting)
+        monkeypatch.setattr(CoalitionChains, "merged", counting_merges)
         glob = global_asv(pred, ds, spec, **kwargs)
         assert glob.n_points == 24
         assert len(calls) == 1
+        assert merges == [4]  # the steps of the 2! 2! orders, merged once
         assert np.array_equal(glob.locals, alone.locals)
 
     def test_exact_means_are_the_mean_of_per_point_exact_asv(self):

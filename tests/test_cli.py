@@ -182,6 +182,20 @@ def test_malformed_model_file_exits_2(trained, tmp_path, capsys, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [1.7, True, "1"])
+def test_non_integer_standardizer_index_exits_2(trained, tmp_path, capsys, entry):
+    # Cast to int64, each would read as the score column's index 1 and pass.
+    model = tmp_path / "model.json"
+    model.write_text(_edit_standardizer("continuous", lambda c: [entry])(
+        json.loads((trained / "model.json").read_text())))
+    out = tmp_path / "x.json"
+    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
+                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "standardizer continuous indices must be integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--batch-size", "0"), ("--batch-size", "-5"), ("--epochs", "0"), ("--epochs", "-1"),
                     ("--hidden", "0"), ("--hidden", "10,0")],
@@ -246,6 +260,7 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert report["pass"] is True
     for gap in ("max_dual_formula_gap", "max_efficiency_gap", "max_telescoping_gap"):
         assert report[gap] <= 1e-9
+    assert report["max_merged_step_gap"] == 0.0  # merged-step exact means are the per-order ones
     assert report["mc_within_4_stderr"] >= 0.99
 
 
@@ -320,16 +335,17 @@ def test_auto_exact_warns_above_8_factorial_orders(caplog):
         assert _choose_estimator(AUTO, OrderingSpec(9), 100) == "exact"
     (record,) = caplog.records
     assert str(math.factorial(9)) in record.message
-    assert str(100 * math.factorial(9)) in record.message
+    assert f"({100 * 9 * 2**8} steps in all)" in record.message
 
 
 def test_auto_exact_warning_says_orders_are_enumerated_once_per_run(caplog):
     with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
         assert _choose_estimator(AUTO, OrderingSpec(9), 100) == "exact"
     (record,) = caplog.records
-    assert "enumerated once" in record.message
+    assert "enumerated once and merged into at most 2304 distinct steps" in record.message
     assert "reduced at each of 100 points" in record.message
     assert "per point" not in record.message
+    assert "order rows" not in record.message
 
 
 def test_auto_exact_bounds_edge_specs_by_n_factorial(caplog):

@@ -218,6 +218,13 @@ class TestStandardizer:
         again = Standardizer.from_json_dict(st.to_json_dict())
         assert np.array_equal(again.transform(ds.X), st.transform(ds.X))
 
+    @pytest.mark.parametrize("continuous", [[1.7], [1.0], [True], ["1"], "1", None])
+    def test_non_integer_continuous_indices_rejected(self, continuous):
+        doc = {**Standardizer.fit(small_dataset().X, small_dataset().schema).to_json_dict(),
+               "continuous": continuous}
+        with pytest.raises(SchemaError, match="continuous indices must be integers"):
+            Standardizer.from_json_dict(doc)
+
 
 class TestDesignMatrix:
     def test_shape_and_one_hot_blocks(self):
