@@ -14,7 +14,7 @@ column_means and column_stderrs. An exact run enumerates its orders once and
 merges each feature's identical steps, for many orders add a feature right
 after the same coalition: every point then reduces only the distinct steps,
 each weighted by its integer count, in weighted_column_means, which equals
-the per-order column mean bit for bit.
+the per-order column mean bit for bit while no partial sum overflows.
 Global attributions average local ones over (x, y) pairs from a dataset,
 which ties their sum to an accuracy decomposition: the attribution mass
 equals the model's sampled-label accuracy minus the accuracy left when every
@@ -37,7 +37,7 @@ from .coalitions import (
 )
 from .data import Dataset
 from .errors import ValidationError
-from .values import MAX_MASK_FEATURES, BackgroundSet, CachedValueFunction, ConditionalSampler, as_mask
+from .values import MAX_MASK_FEATURES, BackgroundSet, CachedValueFunction, ConditionalSampler, _stream, as_mask
 
 
 @dataclass
@@ -221,15 +221,17 @@ _HIGH_BITS = np.int64(~((1 << 27) - 1))
 def weighted_column_means(A: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
     """Mean of each column of A with row k of column j repeated counts[j, k] times.
 
-    total is the sum of each row of counts, all below MAX_EXACT_ORDERS. The
-    result is math.fsum over the expanded column divided by total, bit for
-    bit: each entry d splits exactly into hi, d with its low 27 significand
-    bits cleared, and lo = d - hi, so that c * hi and c * lo are exact for
-    c < 2^26 (an error-free transformation), and fsum, correctly rounded, sums
-    those exact terms to the float that it sums the expanded column to. A
-    column with a weighted term that is not finite, from a non-finite entry
-    or an overflowing c * hi, is summed expanded, in step order, for then
-    fsum returns nan or inf or raises, as it does for the expanded column.
+    total is the sum of each row of counts, all below MAX_EXACT_ORDERS. While
+    no partial sum of either fsum overflows, as in any game with probability
+    values, the result is math.fsum over the expanded column divided by
+    total, bit for bit: each entry d splits exactly into hi, d with its low
+    27 significand bits cleared, and lo = d - hi, so that c * hi and c * lo
+    are exact for c < 2^26 (an error-free transformation), and fsum,
+    correctly rounded, sums those exact terms to the float that it sums the
+    expanded column to. A column with a weighted term that is not finite,
+    from a non-finite entry or an overflowing c * hi, is summed expanded, in
+    step order, for then fsum returns nan or inf or raises; where a partial
+    sum overflows, which of those it does depends on the order of the terms.
     """
     C = counts.T
     hi = (A.view(np.int64) & _HIGH_BITS).view(np.float64)
@@ -259,7 +261,9 @@ def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> A
     not: a caller explaining many points under one spec enumerates and merges
     once and passes them to each, so no point repeats the work. Without them
     the orders are enumerated here, under DEFAULT_ENUMERATION_CAP, and merged.
-    Either way the means are the per-order column means, bit for bit.
+    Either way the means are the per-order column means, bit for bit while no
+    partial sum overflows (see weighted_column_means), which holds for every
+    game with probability values.
     """
     spec = _as_spec(spec)
     n = spec.n
@@ -349,8 +353,7 @@ def point_asv(
     """
     if estimator == "exact":
         return exact_asv(vf, ordering, chains)
-    rng = np.random.default_rng(np.random.SeedSequence([vf.seed, 0x9E12, vf.point_index]))
-    return mc_asv(vf, ordering, n_perms, rng)
+    return mc_asv(vf, ordering, n_perms, _stream(vf.seed, 0x9E12, vf.point_index))
 
 
 @dataclass
@@ -397,6 +400,8 @@ class GlobalAttribution:
 
 def _point_budget(n_rows: int, budget, seed: int) -> np.ndarray:
     """The rows of a dataset average, ascending: at least 2, for its across-point stderr."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if budget is not None and budget < 1:
         raise ValidationError(f"point budget must be positive, got {budget}")
     B = n_rows if budget is None else min(budget, n_rows)
@@ -406,8 +411,7 @@ def _point_budget(n_rows: int, budget, seed: int) -> np.ndarray:
         )
     if B == n_rows:
         return np.arange(n_rows)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0D6E7]))
-    return np.sort(rng.choice(n_rows, size=B, replace=False))
+    return np.sort(_stream(seed, 0xB0D6E7).choice(n_rows, size=B, replace=False))
 
 
 def global_asv(

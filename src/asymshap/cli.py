@@ -40,7 +40,6 @@ from .attribution import (
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
     OrderingSpec,
-    count_consistent,
     enumerate_consistent,
     random_ordering_spec,
 )
@@ -66,8 +65,6 @@ from .values import BackgroundSet, CachedValueFunction, ExactMatchSampler, KNNSa
 logger = logging.getLogger(__name__)
 
 GEN_SCENARIOS = ("fair-admissions", "unfair-admissions", "chain", "collider", "mixed", "markov")
-# Automatic exact enumeration warns above this many consistent orders.
-AUTO_EXACT_WARN_ORDERS = math.factorial(8)
 
 
 def _sha256_file(path) -> str:
@@ -342,14 +339,10 @@ def _completion(resolved: dict, ds: Dataset):
     return sampler(ds, k=resolved["k"])
 
 
-def _choose_estimator(resolved: dict, spec: OrderingSpec, n_points: int) -> str:
+def _choose_estimator(resolved: dict, spec: OrderingSpec) -> str:
     """--exact or --mc when given, else exact up to the enumeration cap.
 
-    Automatic exact enumeration materialises every consistent order once per
-    run and merges them into distinct steps, at most n * 2^(n-1), that each
-    point reduces, so it warns when there are more than
-    AUTO_EXACT_WARN_ORDERS orders. The count is closed-form for specs without
-    edges; with edges n! is the bound, so the estimate never enumerates.
+    An exact run over many orders warns from enumerate_consistent, which counts them.
     """
     if resolved["exact"] and resolved["mc"]:
         raise ValidationError("--exact and --mc are mutually exclusive")
@@ -357,18 +350,7 @@ def _choose_estimator(resolved: dict, spec: OrderingSpec, n_points: int) -> str:
         return "exact"
     if resolved["mc"]:
         return "mc"
-    if spec.n > resolved["cap"]:
-        return "mc"
-    orders = math.factorial(spec.n) if spec.edges else count_consistent(spec)
-    if orders > AUTO_EXACT_WARN_ORDERS:
-        steps = spec.n << (spec.n - 1)
-        logger.warning(
-            "exact estimator chosen automatically for %d features: up to %d consistent orders, "
-            "enumerated once and merged into at most %d distinct steps, which are reduced at each "
-            "of %d points (%d steps in all); pass --mc to sample instead",
-            spec.n, orders, steps, n_points, steps * n_points,
-        )
-    return "exact"
+    return "mc" if spec.n > resolved["cap"] else "exact"
 
 
 def cmd_explain(resolved: dict) -> int:
@@ -379,13 +361,7 @@ def cmd_explain(resolved: dict) -> int:
     else:
         ordering = OrderingSpec(ds.n)
     row = resolved["index"]
-    if row is not None:
-        n_points = 1
-    elif resolved["budget"] is None:
-        n_points = ds.n_rows
-    else:
-        n_points = min(resolved["budget"], ds.n_rows)
-    estimator = _choose_estimator(resolved, ordering, n_points)
+    estimator = _choose_estimator(resolved, ordering)
     completion = _completion(resolved, ds)
     if row is not None:
         if not 0 <= row < ds.n_rows:
@@ -480,11 +456,13 @@ def cmd_oracle_check(resolved: dict) -> int:
     max_merged_gap = 0.0  # merged-step exact means against per-order column means
     covered = 0
     total = 0
+    shapley = OrderingSpec(n)
+    shapley_chains = CoalitionChains(enumerate_consistent(shapley)).merged()  # consumes no randomness
     for _ in range(games):
         table = rng.random(1 << n)
         vf = TableValueFunction(table, n)
         dual_gap = np.max(
-            np.abs(exact_asv(vf, OrderingSpec(n)).means - exact_shapley_subset_form(vf).means)
+            np.abs(exact_asv(vf, shapley, shapley_chains).means - exact_shapley_subset_form(vf).means)
         )
         max_dual_gap = max(max_dual_gap, float(dual_gap))
         spec = random_ordering_spec(n, rng)

@@ -13,6 +13,7 @@ package are int bitmasks (bit i set when feature i is in the coalition).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -25,8 +26,12 @@ from .errors import (
     ValidationError,
 )
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_REJECTION_BUDGET = 1_000_000  # rejected draws allowed per requested sample
+# enumerate_consistent warns when it returns more orders than this.
+AUTO_EXACT_WARN_ORDERS = math.factorial(8)
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,9 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
     come in lexicographic order. They are the linear extensions of the
     precedence relation, the support of the uniform distribution the spec
     denotes; an empty spec yields all n! permutations. Only available up to
-    the enumeration cap.
+    the enumeration cap. Every exact run enumerates through here, once, so
+    here it logs one warning when there are more than AUTO_EXACT_WARN_ORDERS
+    orders, before any of them is evaluated.
 
     Orders grow one slot at a time: a prefix is extended by each unplaced
     feature whose predecessors are all placed, in ascending feature order.
@@ -196,6 +203,12 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
         rows, feats = np.nonzero(ok)
         P = np.column_stack([P[rows], feats])
         placed = placed[rows] | bit[feats]
+    if P.shape[0] > AUTO_EXACT_WARN_ORDERS:
+        logger.warning(
+            "exact enumeration yields %d consistent orders over %d features, and an exact "
+            "attribution reduces every one; the Monte Carlo estimator samples orders instead",
+            P.shape[0], spec.n,
+        )
     return P
 
 

@@ -241,7 +241,7 @@ def sampled_label_accuracy(pred, X: np.ndarray, y: np.ndarray) -> float:
     return float(probs[np.arange(len(y)), y].mean())
 
 
-def _fit(ds: Dataset, config: TrainConfig, hidden: tuple[int, ...], kind: str) -> TrainedModel:
+def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
     if np.unique(ds.y).size < 2:
         raise DegenerateDataError("training data contains a single label class")
     train, val = train_test_split(ds, test_fraction=config.val_fraction, seed=config.seed)
@@ -250,7 +250,7 @@ def _fit(ds: Dataset, config: TrainConfig, hidden: tuple[int, ...], kind: str) -
     Xva = one_hot_design(val.X, ds.schema, standardizer)
     ytr, yva = train.y, val.y
     rng = np.random.default_rng(config.seed)
-    sizes = [Xtr.shape[1], *hidden, ds.schema.n_classes]
+    sizes = [Xtr.shape[1], *config.hidden, ds.schema.n_classes]
     net = FeedForwardNet(sizes, config.activation, rng)
     velocity = [np.zeros_like(p) for p in net.weights + net.biases]
     best_val = np.inf
@@ -313,13 +313,15 @@ def _fit(ds: Dataset, config: TrainConfig, hidden: tuple[int, ...], kind: str) -
 
 
 def train_logistic(ds: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
-    return _fit(ds, config, hidden=(), kind="logistic")
+    """A net without hidden layers; config.hidden is ignored, and the model records ()."""
+    return _fit(ds, replace(config, hidden=()), kind="logistic")
 
 
 def train_mlp(ds: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
+    """A net with config.hidden's layers, TrainConfig's default ones when it is empty."""
     if not config.hidden:
-        config = replace(config, hidden=(10, 10))
-    return _fit(ds, config, hidden=config.hidden, kind="mlp")
+        config = replace(config, hidden=TrainConfig.hidden)
+    return _fit(ds, config, kind="mlp")
 
 
 @dataclass

@@ -70,9 +70,6 @@ class BackgroundSet:
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
             raise ValidationError(f"background needs a nonempty 2-d row array, got shape {self.rows.shape}")
 
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
 
 def _mean(col: np.ndarray) -> float:
     """math.fsum(col) / len(col), or col[0] when every value == it (so 0.0 and

@@ -1,5 +1,6 @@
 """Exact and Monte Carlo attribution, the dual Shapley formulas, and global sums."""
 
+import logging
 import math
 import struct
 
@@ -35,7 +36,7 @@ from asymshap import (
     sample_consistent_batch,
     sampled_label_accuracy,
 )
-from asymshap import attribution
+from asymshap import attribution, coalitions
 from asymshap.attribution import column_means
 
 
@@ -542,6 +543,21 @@ class TestGlobalAttribution:
         with pytest.raises(ValidationError, match="at least 2 points"):
             one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
             global_asv(pred, one_row, OrderingSpec(3), completion=BackgroundSet(ds.X), estimator=estimator)
+
+    def test_exact_run_warns_once_not_per_point(self, monkeypatch, caplog):
+        ds = toy_dataset(rows=3)
+        pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
+        monkeypatch.setattr(coalitions, "AUTO_EXACT_WARN_ORDERS", 5)  # below 3! orders
+        with caplog.at_level(logging.WARNING, logger="asymshap.coalitions"):
+            global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=4, seed=0)
+        (record,) = caplog.records
+        assert "6 consistent orders over 3 features" in record.message
+
+    def test_negative_seed_rejected_before_drawing_points(self):
+        ds = toy_dataset()
+        pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), budget=5, seed=-1)
 
     def test_exact_run_enumerates_its_orders_once(self, monkeypatch):
         ds = toy_dataset(rows=24, n=4, seed=6)

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import asymshap
+import asymshap.coalitions
 from asymshap import DEFAULT_ENUMERATION_CAP, OrderingSpec
+from asymshap import cli
 from asymshap.cli import _choose_estimator, _settings, build_parser, main
 
 
@@ -274,6 +276,21 @@ def test_featselect_of_one_trial_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oracle_check_enumerates_the_unconstrained_orders_once(monkeypatch, capsys):
+    specs = []
+    real = cli.enumerate_consistent
+
+    def recording(spec, *args, **kwargs):
+        specs.append(spec)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_consistent", recording)
+    assert main(["oracle-check", "--n", "4", "--games", "3", "--seed", "0"]) == 0
+    # One for the Shapley cross-check, then one per game's random spec.
+    assert len(specs) == 4 and specs[0] == OrderingSpec(4)
+    assert "PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("games", [0, -3])
 def test_oracle_check_without_games_exits_2(capsys, games):
     assert main(["oracle-check", "--games", str(games), "--seed", "0"]) == 2
@@ -330,31 +347,29 @@ def test_runs_as_a_module():
 AUTO = {"exact": None, "mc": None, "cap": 10}
 
 
-def test_auto_exact_warns_above_8_factorial_orders(caplog):
-    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
-        assert _choose_estimator(AUTO, OrderingSpec(9), 100) == "exact"
-    (record,) = caplog.records
-    assert str(math.factorial(9)) in record.message
-    assert f"({100 * 9 * 2**8} steps in all)" in record.message
+@pytest.mark.parametrize(
+    "argv",
+    [["explain", "--exact", "--budget", "4"], ["explain", "--index", "0"],
+     ["fairness", "--resolving", "department", "--sensitive", "gender", "--budget", "4"]],
+    ids=["explain-exact", "explain-index", "fairness"],
+)
+def test_every_exact_path_warns_from_its_enumeration(trained, tmp_path, monkeypatch, caplog, argv):
+    # 3! orders for explain and 3 for the audit, both above a lowered threshold.
+    monkeypatch.setattr(asymshap.coalitions, "AUTO_EXACT_WARN_ORDERS", 2)
+    with caplog.at_level(logging.WARNING, logger="asymshap.coalitions"):
+        assert main([*argv, "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                     "--samples", "4", "--seed", "0", "--out", str(tmp_path / "out.json")]) == 0
+    (record,) = [r for r in caplog.records if r.name == "asymshap.coalitions"]
+    assert "over 3 features" in record.message
 
 
-def test_auto_exact_warning_says_orders_are_enumerated_once_per_run(caplog):
-    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
-        assert _choose_estimator(AUTO, OrderingSpec(9), 100) == "exact"
-    (record,) = caplog.records
-    assert "enumerated once and merged into at most 2304 distinct steps" in record.message
-    assert "reduced at each of 100 points" in record.message
-    assert "per point" not in record.message
-    assert "order rows" not in record.message
-
-
-def test_auto_exact_bounds_edge_specs_by_n_factorial(caplog):
-    # A chain has one consistent order, but counting it would enumerate.
-    chain = OrderingSpec(9, edges=frozenset((i, i + 1) for i in range(8)))
-    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
-        assert _choose_estimator(AUTO, chain, 1) == "exact"
-    (record,) = caplog.records
-    assert str(math.factorial(9)) in record.message
+def test_logistic_model_records_no_hidden_layers(trained, tmp_path):
+    out = tmp_path / "logistic.json"
+    assert main(["train", "--data", str(trained / "data.csv"), "--model", "logistic", "--epochs", "2",
+                 "--seed", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["hidden"] == []
+    assert len(doc["sizes"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -368,8 +383,8 @@ def test_auto_exact_bounds_edge_specs_by_n_factorial(caplog):
     ],
 )
 def test_no_warning_otherwise(caplog, resolved, spec, want):
-    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
-        assert _choose_estimator(resolved, spec, 1000) == want
+    with caplog.at_level(logging.WARNING):
+        assert _choose_estimator(resolved, spec) == want
     assert caplog.records == []
 
 

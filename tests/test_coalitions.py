@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import logging
 import math
 from types import SimpleNamespace
 
@@ -265,6 +266,33 @@ class TestEnumerate:
         assert got.dtype == np.int64
         assert got.shape == (len(want), spec.n)
         assert got.tolist() == [list(order) for order in want]
+
+
+class TestEnumerationWarning:
+    """enumerate_consistent logs one warning when it returns more than AUTO_EXACT_WARN_ORDERS orders."""
+
+    def test_threshold_is_8_factorial(self):
+        assert asymshap.coalitions.AUTO_EXACT_WARN_ORDERS == math.factorial(8)
+
+    def test_warns_once_above_the_threshold(self, monkeypatch, caplog):
+        monkeypatch.setattr(asymshap.coalitions, "AUTO_EXACT_WARN_ORDERS", 5)
+        with caplog.at_level(logging.WARNING, logger="asymshap.coalitions"):
+            assert len(enumerate_consistent(OrderingSpec(3))) == 6
+        (record,) = caplog.records
+        assert "6 consistent orders over 3 features" in record.message
+        assert "Monte Carlo estimator" in record.message
+
+    def test_silent_at_the_threshold(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="asymshap.coalitions"):
+            assert len(enumerate_consistent(OrderingSpec(8))) == math.factorial(8)
+        assert caplog.records == []
+
+    def test_counts_orders_not_features(self, caplog):
+        # Nine features in a chain have one consistent order, far below 8!.
+        chain = OrderingSpec(9, edges=frozenset((i, i + 1) for i in range(8)))
+        with caplog.at_level(logging.WARNING, logger="asymshap.coalitions"):
+            assert enumerate_consistent(chain).tolist() == [list(range(9))]
+        assert caplog.records == []
 
 
 class TestCount:

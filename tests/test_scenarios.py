@@ -8,10 +8,12 @@ The tests marked claim check the paper's four claims; `pytest -m claim` runs the
 
 import functools
 import json
+import logging
 
 import numpy as np
 import pytest
 
+import asymshap.coalitions
 from asymshap import (
     AdmissionsProcess,
     BayesPredictor,
@@ -227,3 +229,15 @@ def test_shared_pools_leave_the_fairness_audit_unchanged():
     # Pools are keyed by the discrete part of (coalition, x on it), so the run
     # holds no more pools than keys.
     assert len(shared._pools) <= len(recorder.keys)
+
+
+def test_default_audit_warns_from_its_enumeration(monkeypatch, caplog):
+    # The admissions spec has 3 consistent orders, above a lowered threshold.
+    monkeypatch.setattr(asymshap.coalitions, "AUTO_EXACT_WARN_ORDERS", 2)
+    process = AdmissionsProcess(unfair=True)
+    ds = process.sample(200, 0)
+    with caplog.at_level(logging.WARNING, logger="asymshap.coalitions"):
+        run_fairness_audit(BayesPredictor(process), ds, ["department"], ["gender"],
+                           ExactMatchSampler(ds), m=4, budget=4, seed=0)
+    (record,) = [r for r in caplog.records if r.name == "asymshap.coalitions"]
+    assert "3 consistent orders over 3 features" in record.message

@@ -625,14 +625,18 @@ STREAM_KEYS = [0, 1, 2**32 - 1, 2**32, 2**61 + 5]
 
 class TestStreamKey:
     """Coalition streams are np.random.SeedSequence([seed, point_index, mask]),
-    seeded from its 32-bit words without numpy's list coercion."""
+    seeded from its 32-bit words without numpy's list coercion; so are the
+    Monte Carlo order stream [seed, 0x9E12, point_index] and the point-budget
+    stream [seed, 0xB0D6E7] of attribution."""
 
     @pytest.mark.parametrize("seed", STREAM_KEYS)
     def test_words_reproduce_the_list_seed_sequence(self, seed):
         for point_index in STREAM_KEYS:
-            for mask in STREAM_KEYS:
-                got = _stream(seed, point_index, mask)
-                want = np.random.default_rng(np.random.SeedSequence([seed, point_index, mask]))
+            for keys in [(seed, point_index, mask) for mask in STREAM_KEYS] + [
+                (seed, 0x9E12, point_index), (seed, 0xB0D6E7),
+            ]:
+                got = _stream(*keys)
+                want = np.random.default_rng(np.random.SeedSequence(list(keys)))
                 assert np.array_equal(
                     got.bit_generator.seed_seq.generate_state(8),
                     want.bit_generator.seed_seq.generate_state(8),
