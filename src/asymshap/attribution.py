@@ -11,10 +11,10 @@ sit among them, is a CoalitionChains, built once per order set, so a point
 only evaluates its own value function on those coalitions and takes
 differences. A Monte Carlo draw keeps one step per order and feature, for
 column_means and column_stderrs. An exact run enumerates its orders once and
-merges each feature's identical steps, for many orders add a feature right
-after the same coalition: every point then reduces only the distinct steps,
-each weighted by its integer count, in weighted_column_means, which equals
-the per-order column mean bit for bit while no partial sum overflows.
+counts each feature's distinct steps from them a column at a time, for many
+orders add a feature right after the same coalition: every point then
+reduces only those steps, each weighted by its integer count, in
+weighted_column_means, which equals the per-order column mean bit for bit.
 Global attributions average local ones over (x, y) pairs from a dataset,
 which ties their sum to an accuracy decomposition: the attribution mass
 equals the model's sampled-label accuracy minus the accuracy left when every
@@ -23,7 +23,6 @@ feature is marginalized away.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -117,24 +116,21 @@ class CoalitionChains:
     P is an int matrix of shape (count, n), one order per row, first feature
     first. masks holds the distinct nonempty coalitions that follow some
     position of some order, ascending. Index 0 stands for the empty coalition
-    and index k + 1 for masks[k], so after[i, r] and before[i, r] locate the
-    coalition of order r with and without feature i among v({}) and v(masks):
-    every coalition before a feature is {} or the coalition after the feature
-    preceding it. Each (before, after) pair is a step and counts[i, r] how
-    many orders take it, here 1. P itself is not kept.
+    and index k + 1 for masks[k], so after[i, k] and before[i, k] locate the
+    coalitions with and without feature i of its step k among v({}) and
+    v(masks): every coalition before a feature is {} or the coalition after
+    the feature preceding it. counts[i, k] is how many orders take that step.
 
-    merged() gives the same steps with each feature's identical pairs taken
-    once and counted, which is what an exact average needs.
-
-    Nothing here depends on a point, so one instance serves every point of a
-    run; its arrays are read-only for that reason.
+    CoalitionChains(P) keeps one step per order and feature, step r being
+    order r's; CoalitionChains.merged(P) takes each feature's identical steps
+    once and counts them, reading P a column at a time, for an exact average.
+    Neither keeps P, and nothing here depends on a point, so one instance
+    serves every point of a run; its arrays are read-only for that reason.
     """
 
     def __init__(self, P):
-        P = np.asarray(P, dtype=np.int64)
+        P = _orders(P)
         R, n = P.shape
-        if n > MAX_MASK_FEATURES:
-            raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {n}")
         after_masks = np.cumsum(np.int64(1) << P, axis=1)
         masks, inv = np.unique(after_masks, return_inverse=True)  # never 0: each mask holds a feature
         del after_masks
@@ -146,49 +142,63 @@ class CoalitionChains:
         after[P, rows] = inv
         before = np.zeros((n, R), dtype=np.intp)  # {} precedes each order's first feature
         before[P[:, 1:], rows] = inv[:, :-1]
-        for a in (masks, after, before):
-            a.flags.writeable = False
-        self.masks = masks
-        self.after = after
-        self.before = before
-        self.counts = np.broadcast_to(np.int64(1), (n, R))  # a read-only view
-        self.count = R
-        self.n = n
+        self._hold(masks, before, after, np.broadcast_to(np.int64(1), (n, R)), R)
 
-    def merged(self) -> "CoalitionChains":
-        """These chains with each feature's identical steps taken once, their counts added.
+    @classmethod
+    def merged(cls, P) -> "CoalitionChains":
+        """The chains of orders P with each feature's identical steps taken once, their counts added.
 
         A step of feature i is fixed by the coalition before it, so row i of
         the (n, K) arrays lists feature i's distinct steps by ascending
         before; a feature with fewer than K of them is padded with (0, 0)
-        steps of count 0. masks, count and n are unchanged, so every row of
-        counts still sums to count. Raises ValidationError from
-        MAX_EXACT_ORDERS orders on, where a count could make a weighted term
-        inexact.
+        steps of count 0. masks, count and n are those of CoalitionChains(P),
+        so every row of counts sums to count. P is read a column at a time,
+        so beside it only vectors of one entry per order and the distinct
+        steps are held. Raises ValidationError from MAX_EXACT_ORDERS orders
+        on, where a count could make a weighted term inexact.
         """
-        if self.count >= MAX_EXACT_ORDERS:
+        P = _orders(P)
+        R, n = P.shape
+        if R >= MAX_EXACT_ORDERS:
             raise ValidationError(
-                f"a merged exact reduction supports fewer than {MAX_EXACT_ORDERS} orders, got {self.count}"
+                f"a merged exact reduction supports fewer than {MAX_EXACT_ORDERS} orders, got {R}"
             )
-        n, width = self.n, self.masks.shape[0] + 1
-        # grid[i, b]: how many orders add feature i right after coalition index b.
-        cells = (self.before + np.arange(n)[:, None] * width).ravel()
-        grid = np.bincount(cells, weights=self.counts.ravel(), minlength=n * width)
-        grid = grid.astype(np.int64).reshape(n, width)  # integer sums below 2^53, exact
-        feats, before = np.nonzero(grid)
+        before = np.zeros(R, dtype=np.int64)  # each order's coalition ahead of the current column
+        seen = np.zeros(1, dtype=np.int64)  # those coalitions, distinct and ascending
+        steps = []
+        for col in P.T:
+            w = seen.shape[0]
+            # Feature-major step keys, below n * w < 2^32 where keys holding masks could overflow.
+            keys, counts = np.unique(col * w + np.searchsorted(seen, before), return_counts=True)
+            feats, befores = keys // w, seen[keys % w]
+            steps.append((feats, befores, counts))
+            # Asking for counts keeps np.unique on its sort path: the plain call imports numpy.ma.
+            seen = np.unique(befores | np.int64(1) << feats, return_counts=True)[0]
+            before |= np.int64(1) << col
+        feats, befores, counts = map(np.concatenate, zip(*steps))
+        order = np.lexsort((befores, feats))
+        feats, befores, counts = feats[order], befores[order], counts[order]
+        afters = befores | np.int64(1) << feats
+        masks = np.unique(afters, return_counts=True)[0]
+        index = np.concatenate([[0], masks]).searchsorted  # a coalition's index among {} and masks
         rank = np.arange(feats.shape[0]) - np.searchsorted(feats, feats)  # position within its row
-        K = int(rank.max()) + 1
-        out = copy.copy(self)
-        out.before = np.zeros((n, K), dtype=np.intp)
-        out.after = np.zeros((n, K), dtype=np.intp)
-        out.counts = np.zeros((n, K), dtype=np.int64)
-        out.before[feats, rank] = before
-        out.counts[feats, rank] = grid[feats, before]
-        coalition = np.concatenate([[0], self.masks])[before] | np.int64(1) << feats
-        out.after[feats, rank] = np.searchsorted(self.masks, coalition) + 1
-        for a in (out.before, out.after, out.counts):
+        layout = np.zeros((3, n, int(rank.max()) + 1), dtype=np.int64)
+        layout[:, feats, rank] = index(befores), index(afters), counts
+        return cls.__new__(cls)._hold(masks, *layout, R)
+
+    def _hold(self, masks, before, after, counts, count) -> "CoalitionChains":
+        for a in (masks, before, after, counts):
             a.flags.writeable = False
-        return out
+        self.masks, self.before, self.after, self.counts = masks, before, after, counts
+        self.count, self.n = count, before.shape[0]
+        return self
+
+
+def _orders(P) -> np.ndarray:
+    P = np.asarray(P, dtype=np.int64)
+    if P.shape[1] > MAX_MASK_FEATURES:
+        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {P.shape[1]}")
+    return P
 
 
 def marginal_contributions(v, chains: CoalitionChains) -> np.ndarray:
@@ -258,9 +268,9 @@ def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> A
 
     With an empty spec this is the plain Shapley value in permutation form.
     chains are the CoalitionChains of spec's consistent orders, merged or
-    not: a caller explaining many points under one spec enumerates and merges
-    once and passes them to each, so no point repeats the work. Without them
-    the orders are enumerated here, under DEFAULT_ENUMERATION_CAP, and merged.
+    not: a caller explaining many points under one spec builds them once
+    with CoalitionChains.merged and passes them to each. Without them the
+    orders are enumerated here, under DEFAULT_ENUMERATION_CAP, and merged.
     Either way the means are the per-order column means, bit for bit while no
     partial sum overflows (see weighted_column_means), which holds for every
     game with probability values.
@@ -268,7 +278,7 @@ def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> A
     spec = _as_spec(spec)
     n = spec.n
     if chains is None:
-        chains = CoalitionChains(enumerate_consistent(spec)).merged()
+        chains = CoalitionChains.merged(enumerate_consistent(spec))
     if chains.n != n:
         raise ValidationError(f"chains cover {chains.n} features, ordering has {n}")
     return AttributionResult(
@@ -435,8 +445,8 @@ def global_asv(
     default all); the stderrs are the spread across them, so at least 2 must.
     Each row gets its own frozen value-function cache and its own derived
     random stream, so a row's result does not depend on the other rows. The
-    exact estimator enumerates the consistent orders and merges their steps
-    once, and every row reduces the same read-only merged CoalitionChains.
+    exact estimator enumerates the consistent orders once, as one int64
+    matrix, and every row reduces the CoalitionChains.merged built from it.
     """
     spec = _as_spec(ordering)
     if spec.n != dataset.n:
@@ -445,7 +455,7 @@ def global_asv(
         raise ValidationError(f"estimator must be 'exact' or 'mc', got {estimator!r}")
     idx = _point_budget(dataset.n_rows, budget, seed)
     B = idx.shape[0]
-    chains = CoalitionChains(enumerate_consistent(spec, cap=cap)).merged() if estimator == "exact" else None
+    chains = CoalitionChains.merged(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
     n = dataset.n
     L = np.empty((B, n))
     ends = np.empty((B, 2))  # v(N) and v({}) per point

@@ -376,7 +376,7 @@ def cmd_explain(resolved: dict) -> int:
         )
         chains = None
         if estimator == "exact":
-            chains = CoalitionChains(enumerate_consistent(ordering, cap=resolved["cap"])).merged()
+            chains = CoalitionChains.merged(enumerate_consistent(ordering, cap=resolved["cap"]))
         res = point_asv(vf, ordering, estimator, resolved["perms"], chains)
         res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)
         doc = {"mode": "local", "index": row, "class_index": y}
@@ -457,7 +457,7 @@ def cmd_oracle_check(resolved: dict) -> int:
     covered = 0
     total = 0
     shapley = OrderingSpec(n)
-    shapley_chains = CoalitionChains(enumerate_consistent(shapley)).merged()  # consumes no randomness
+    shapley_chains = CoalitionChains.merged(enumerate_consistent(shapley))  # consumes no randomness
     for _ in range(games):
         table = rng.random(1 << n)
         vf = TableValueFunction(table, n)
@@ -466,10 +466,10 @@ def cmd_oracle_check(resolved: dict) -> int:
         )
         max_dual_gap = max(max_dual_gap, float(dual_gap))
         spec = random_ordering_spec(n, rng)
-        chains = CoalitionChains(enumerate_consistent(spec))
-        exact = exact_asv(vf, spec, chains.merged())
+        P = enumerate_consistent(spec)
+        exact = exact_asv(vf, spec, CoalitionChains.merged(P))
         max_eff_gap = max(max_eff_gap, abs(exact.efficiency_gap()))
-        D = marginal_contributions(vf, chains)
+        D = marginal_contributions(vf, CoalitionChains(P))  # per order: an independent check
         max_merged_gap = max(max_merged_gap, float(np.max(np.abs(exact.means - column_means(D)))))
         telescope = math.fsum(D[0].tolist()) - (exact.total - exact.baseline)
         max_telescope_gap = max(max_telescope_gap, abs(telescope))

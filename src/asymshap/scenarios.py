@@ -386,7 +386,8 @@ def run_fairness_audit(
 
     Sensitive attributes keeping significant credit once the resolving
     variables come first is the audit's discrimination signal. Its stderr is
-    the spread across audited points, so the audit needs at least two.
+    the spread of the sensitive ASVs' per-point sums over the audited points,
+    at least two, as those ASVs share the points and need not be independent.
     """
     schema = dataset.schema
     r_idx = _resolve_features(schema, resolving)
@@ -408,7 +409,7 @@ def run_fairness_audit(
         seed=seed,
     )
     asv = math.fsum(float(glob.means[i]) for i in s_idx)
-    stderr = math.sqrt(math.fsum(float(glob.stderrs[i]) ** 2 for i in s_idx))
+    stderr = float(column_stderrs(glob.locals[:, list(s_idx)].sum(axis=1)[:, None])[0])
     significance = abs(asv) / stderr if stderr > 0 else (0.0 if asv == 0 else math.inf)
     names = schema.names
     if significance > SIGNIFICANCE_THRESHOLD:

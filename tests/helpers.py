@@ -1,6 +1,23 @@
-"""Tiny predictor doubles shared across the test modules."""
+"""Tiny predictor doubles shared across the test modules, and a memory probe."""
+
+import tracemalloc
 
 import numpy as np
+
+
+def peak_traced_bytes(fn, *args):
+    """The most memory that tracemalloc sees fn(*args) hold above what was held before the call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 class ConstantPredictor:

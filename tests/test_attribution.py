@@ -3,10 +3,17 @@
 import logging
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import ConstantPredictor, CountingGame, FirstFeatureProbPredictor, LinearProbPredictor
+from helpers import (
+    ConstantPredictor,
+    CountingGame,
+    FirstFeatureProbPredictor,
+    LinearProbPredictor,
+    peak_traced_bytes,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,9 +157,10 @@ class TestMarginalContributions:
                             assert res.stderrs[i] == 0.0
 
     def test_chains_are_read_only(self):
-        chains = CoalitionChains(enumerate_consistent(OrderingSpec(3)))
+        P = enumerate_consistent(OrderingSpec(3))
+        chains = CoalitionChains(P)
         assert (chains.count, chains.n) == (6, 3)
-        merged = chains.merged()
+        merged = CoalitionChains.merged(P)
         assert (merged.count, merged.n) == (6, 3)
         for a in (chains.masks, chains.after, chains.before, chains.counts,
                   merged.masks, merged.after, merged.before, merged.counts):
@@ -214,7 +222,7 @@ class TestMergedSteps:
         for n in range(2, 8):
             for _ in range(4):
                 P = enumerate_consistent(random_ordering_spec(n, rng))
-                merged = CoalitionChains(P).merged()
+                merged = CoalitionChains.merged(P)
                 assert merged.count == P.shape[0]
                 assert merged.after.shape == merged.before.shape == merged.counts.shape
                 assert (merged.counts.sum(axis=1) == P.shape[0]).all()
@@ -222,7 +230,7 @@ class TestMergedSteps:
     def test_empty_spec_counts_are_the_shapley_weights(self):
         # |S|! (n - |S| - 1)! of the n! orders add feature i right after S.
         for n in range(2, 7):
-            merged = CoalitionChains(enumerate_consistent(OrderingSpec(n))).merged()
+            merged = CoalitionChains.merged(enumerate_consistent(OrderingSpec(n)))
             coalitions = np.concatenate([[0], merged.masks])
             for i in range(n):
                 counts = {}
@@ -235,6 +243,39 @@ class TestMergedSteps:
                 for S, c in counts.items():
                     s = bin(S).count("1")
                     assert c == math.factorial(s) * math.factorial(n - s - 1)
+
+    def test_steps_match_a_count_over_every_order(self):
+        # Counted in pure Python: how many orders add feature i right after coalition S.
+        rng = np.random.default_rng(30)
+        specs = [random_ordering_spec(int(rng.integers(2, 8)), rng) for _ in range(300)]
+        for spec in specs + [OrderingSpec(8)]:
+            P = enumerate_consistent(spec)
+            want = Counter()
+            for order in P.tolist():
+                S = 0
+                for i in order:
+                    want[i, S] += 1
+                    S |= 1 << i
+            merged = CoalitionChains.merged(P)
+            assert (merged.count, merged.n) == P.shape
+            assert np.array_equal(merged.masks, CoalitionChains(P).masks)
+            coalitions = [0] + merged.masks.tolist()
+            got = {}
+            for i in range(spec.n):
+                steps = list(zip(*(a[i].tolist() for a in (merged.before, merged.after, merged.counts))))
+                taken = [step for step in steps if step[2]]
+                assert steps[len(taken):] == [(0, 0, 0)] * (len(steps) - len(taken))  # padding last
+                assert [b for b, _, _ in taken] == sorted({b for b, _, _ in taken})  # ascending before
+                for b, a, c in taken:
+                    assert coalitions[a] == coalitions[b] | 1 << i
+                    got[i, coalitions[b]] = c
+            assert got == want
+
+    def test_building_holds_less_than_the_orders(self):
+        # Per-column vectors and the 1,024 distinct steps, not an index per order and feature.
+        P = enumerate_consistent(OrderingSpec(8))
+        CoalitionChains.merged(P[:2])  # lazy set-up outside the measurement
+        assert peak_traced_bytes(CoalitionChains.merged, P) < P.nbytes
 
     def test_order_count_limit(self, monkeypatch):
         # 2^26 consistent orders take at least 12 features, so the limit is lowered.
@@ -575,9 +616,9 @@ class TestGlobalAttribution:
         merges = []
         real_merged = CoalitionChains.merged
 
-        def counting_merges(chains):
-            merges.append(chains.count)
-            return real_merged(chains)
+        def counting_merges(P):
+            merges.append(len(P))
+            return real_merged(P)
 
         monkeypatch.setattr(attribution, "enumerate_consistent", counting)
         monkeypatch.setattr(CoalitionChains, "merged", counting_merges)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import peak_traced_bytes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -266,6 +267,12 @@ class TestEnumerate:
         assert got.dtype == np.int64
         assert got.shape == (len(want), spec.n)
         assert got.tolist() == [list(order) for order in want]
+
+    def test_holds_the_orders_once(self):
+        # The int64 result plus the int8 prefixes and per-order vectors it is built from.
+        enumerate_consistent(OrderingSpec(3))  # lazy set-up outside the measurement
+        P = enumerate_consistent(OrderingSpec(8))
+        assert peak_traced_bytes(enumerate_consistent, OrderingSpec(8)) < 2 * P.nbytes
 
 
 class TestEnumerationWarning:

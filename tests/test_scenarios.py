@@ -12,16 +12,22 @@ import logging
 
 import numpy as np
 import pytest
+from helpers import LinearProbPredictor
 
 import asymshap.coalitions
 from asymshap import (
+    CONTINUOUS,
     AdmissionsProcess,
+    BackgroundSet,
     BayesPredictor,
     CachedValueFunction,
+    Dataset,
     ExactMatchSampler,
+    FeatureSpec,
     GenerativeSampler,
     MarkovSeriesProcess,
     OrderingSpec,
+    Schema,
     TwoFeatureGraphProcess,
     exact_asv,
     global_asv,
@@ -229,6 +235,27 @@ def test_shared_pools_leave_the_fairness_audit_unchanged():
     # Pools are keyed by the discrete part of (coalition, x on it), so the run
     # holds no more pools than keys.
     assert len(shared._pools) <= len(recorder.keys)
+
+
+def test_sensitive_stderr_is_the_spread_of_the_per_point_sums():
+    # Features 0 and 1 are copies that the predictor weighs alike and the
+    # audit orders alike, so their per-point ASVs are equal: their sum spreads
+    # exactly twice as far as either, where independent stderrs would add up
+    # to sqrt(2) times one.
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 3))
+    X[:, 1] = X[:, 0]
+    ds = Dataset(X, rng.integers(0, 2, 30), Schema(tuple(FeatureSpec(f"f{i}", CONTINUOUS) for i in range(3))))
+    audit = functools.partial(run_fairness_audit, LinearProbPredictor([1.0, 1.0, -0.5]), ds, [2],
+                              completion=BackgroundSet(X), m=8, seed=0)
+    pair = audit([0, 1])
+    locals_ = pair.attribution.locals
+    assert np.array_equal(locals_[:, 0], locals_[:, 1])
+    assert pair.attribution.stderrs[0] > 0
+    assert pair.sensitive_stderr == 2 * pair.attribution.stderrs[0]
+    # With one sensitive feature the stderr is that feature's, bit for bit.
+    single = audit([0])
+    assert single.sensitive_stderr == single.attribution.stderrs[0]
 
 
 def test_default_audit_warns_from_its_enumeration(monkeypatch, caplog):
