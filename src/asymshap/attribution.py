@@ -355,15 +355,22 @@ def point_asv(
 ) -> AttributionResult:
     """Local attribution of the point vf explains, exact or Monte Carlo.
 
-    The exact estimator reduces chains, the merged CoalitionChains of the
-    ordering's consistent orders that a run builds once for all its points;
-    without them it enumerates the orders under the default cap. The Monte
-    Carlo draws come from a stream keyed by (vf.seed, vf.point_index), so a
-    point gets the same result alone as inside a global run.
+    estimator must be "exact" or "mc"; any other value raises before vf is
+    evaluated. The exact estimator reduces chains, the merged CoalitionChains
+    of the ordering's consistent orders that a run builds once for all its
+    points; without them it enumerates the orders under the default cap. The
+    Monte Carlo draws come from a stream keyed by (vf.seed, vf.point_index),
+    so a point gets the same result alone as inside a global run. The result's
+    metadata records the point's value_evaluations and prediction_rows.
     """
     if estimator == "exact":
-        return exact_asv(vf, ordering, chains)
-    return mc_asv(vf, ordering, n_perms, _stream(vf.seed, 0x9E12, vf.point_index))
+        res = exact_asv(vf, ordering, chains)
+    elif estimator == "mc":
+        res = mc_asv(vf, ordering, n_perms, _stream(vf.seed, 0x9E12, vf.point_index))
+    else:
+        raise ValidationError(f"estimator must be 'exact' or 'mc', got {estimator!r}")
+    res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)
+    return res
 
 
 @dataclass
@@ -451,8 +458,6 @@ def global_asv(
     spec = _as_spec(ordering)
     if spec.n != dataset.n:
         raise ValidationError(f"ordering covers {spec.n} features, dataset has {dataset.n}")
-    if estimator not in ("exact", "mc"):
-        raise ValidationError(f"estimator must be 'exact' or 'mc', got {estimator!r}")
     idx = _point_budget(dataset.n_rows, budget, seed)
     B = idx.shape[0]
     chains = CoalitionChains.merged(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
@@ -466,8 +471,8 @@ def global_asv(
         res = point_asv(vf, spec, estimator, n_perms, chains)
         L[j] = res.means
         ends[j] = (res.total, res.baseline)
-        value_evaluations += vf.evaluations
-        prediction_rows += vf.prediction_rows
+        value_evaluations += res.metadata["value_evaluations"]
+        prediction_rows += res.metadata["prediction_rows"]
     accuracy_full, accuracy_empty = column_means(ends).tolist()
     return GlobalAttribution(
         means=column_means(L),
@@ -498,10 +503,11 @@ def coalition_accuracy(
     m: int = 100,
     budget: int | None = None,
     seed: int = 0,
-) -> tuple[float, float]:
-    """Sampled-label accuracy attainable from the features in U alone:
-    the average of v_{f_y(x)}(U) over at least 2 dataset points. Returns
-    (mean, stderr across the points)."""
+) -> float:
+    """Sampled-label accuracy attainable from the features in U alone: the
+    mean of v_{f_y(x)}(U) over the dataset points a global_asv run with the
+    same budget and seed averages (at least 2). Each point's value uses that
+    run's frozen draws, so v(U) here equals the run's v(U) bit for bit."""
     mask = as_mask(U, dataset.n)
     vals = [
         CachedValueFunction(
@@ -509,73 +515,60 @@ def coalition_accuracy(
         ).value(mask)
         for row in _point_budget(dataset.n_rows, budget, seed).tolist()
     ]
-    col = np.array(vals)[:, None]
-    return float(column_means(col)[0]), float(column_stderrs(col)[0])
+    return float(column_means(np.array(vals)[:, None])[0])
 
 
 def partition_sum_check(
     glob: GlobalAttribution,
     partition,
-    accuracy_fn,
+    pred,
+    dataset: Dataset,
+    completion: BackgroundSet | ConditionalSampler,
 ) -> dict:
     """Check the group-sum identities tying attribution mass to accuracy gains.
 
-    partition must be the ordered groups the global run's ordering was built
-    from. accuracy_fn(coalition mask) -> (mean, stderr) evaluates the
-    features-only accuracy. For each group, the sum of its attributions is
-    compared to the accuracy gained when that group joins the features before
-    it; cumulative sums are compared against accuracy above the empty set.
+    glob is a global_asv run of pred on dataset with this completion, and
+    partition the ordered groups its ordering declared; a run that declared
+    no groups accepts only the single group of all features, the sum rule.
+    For each group, the sum of its attributions is compared to the accuracy
+    gained when it joins the groups before it, and the cumulative sum to the
+    accuracy above the empty set. The accuracies come from coalition_accuracy
+    on the run's own points and draws (its n_points, m and seed), and every
+    consistent order passes through each prefix of groups, so each gap is a
+    float identity: zero up to rounding, not an estimate with an error bar.
     """
-    groups = [tuple(sorted(g)) for g in partition]
-    flat = [i for g in groups for i in g]
-    if sorted(flat) != list(range(glob.n)):
+    groups = [sorted(g) for g in partition]
+    if sorted(i for g in groups for i in g) != list(range(glob.n)):
         raise ValidationError(f"partition {groups} does not cover features 0..{glob.n - 1}")
-    echo = glob.metadata.get("ordering") or {}
-    declared = echo.get("groups")
-    if declared is not None and [list(g) for g in groups] != [sorted(g) for g in declared]:
+    meta = glob.metadata
+    declared = meta["ordering"]["groups"] or [list(range(glob.n))]
+    if groups != [sorted(g) for g in declared]:
         raise ValidationError(
             f"partition {groups} does not match the ordering the attribution was run with: {declared}"
         )
-    acc_empty, se_empty = accuracy_fn(0)
+
+    def accuracy(mask: int) -> float:
+        return coalition_accuracy(pred, dataset, mask, completion, m=meta["m"],
+                                  budget=glob.n_points, seed=meta["seed"])
+
+    acc_empty = prev_acc = accuracy(0)
     rows = []
-    prefix_mask = 0
-    prev_acc, prev_se = acc_empty, se_empty
+    prefix: list[int] = []
     for g in groups:
-        gmask = sum(1 << i for i in g)
-        prefix_mask |= gmask
-        acc, se = accuracy_fn(prefix_mask)
+        prefix += g
+        acc = accuracy(as_mask(prefix, glob.n))
         phi_sum = math.fsum(float(glob.means[i]) for i in g)
-        phi_se = math.sqrt(math.fsum(float(glob.stderrs[i]) ** 2 for i in g))
-        gain = acc - prev_acc
-        gain_se = math.sqrt(se**2 + prev_se**2)
-        cum_phi = math.fsum(float(glob.means[i]) for i in range(glob.n) if prefix_mask >> i & 1)
-        cum_se = math.sqrt(
-            math.fsum(float(glob.stderrs[i]) ** 2 for i in range(glob.n) if prefix_mask >> i & 1)
-        )
-        cum_gain = acc - acc_empty
-        cum_gain_se = math.sqrt(se**2 + se_empty**2)
+        cum_phi = math.fsum(float(glob.means[i]) for i in prefix)
         rows.append(
             {
-                "group": list(g),
+                "group": g,
                 "phi_sum": phi_sum,
-                "phi_stderr": phi_se,
-                "accuracy_gain": gain,
-                "accuracy_gain_stderr": gain_se,
-                "gap": phi_sum - gain,
-                "combined_stderr": math.sqrt(phi_se**2 + gain_se**2),
+                "accuracy_gain": acc - prev_acc,
+                "gap": phi_sum - (acc - prev_acc),
                 "cumulative_phi": cum_phi,
-                "cumulative_gain": cum_gain,
-                "cumulative_gap": cum_phi - cum_gain,
-                "cumulative_combined_stderr": math.sqrt(cum_se**2 + cum_gain_se**2),
+                "cumulative_gain": acc - acc_empty,
+                "cumulative_gap": cum_phi - (acc - acc_empty),
             }
         )
-        prev_acc, prev_se = acc, se
-    gaps = [
-        abs(r["gap"]) / r["combined_stderr"] if r["combined_stderr"] > 0 else 0.0
-        for r in rows
-    ]
-    return {
-        "accuracy_empty": acc_empty,
-        "groups": rows,
-        "max_gap_in_stderr": max(gaps) if gaps else 0.0,
-    }
+        prev_acc = acc
+    return {"accuracy_empty": acc_empty, "groups": rows}

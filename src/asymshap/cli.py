@@ -378,7 +378,6 @@ def cmd_explain(resolved: dict) -> int:
         if estimator == "exact":
             chains = CoalitionChains.merged(enumerate_consistent(ordering, cap=resolved["cap"]))
         res = point_asv(vf, ordering, estimator, resolved["perms"], chains)
-        res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)
         doc = {"mode": "local", "index": row, "class_index": y}
         doc.update(res.to_json_dict(feature_names=ds.schema.names))
     else:

@@ -242,7 +242,7 @@ def sampled_label_accuracy(pred, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
-    if np.unique(ds.y).size < 2:
+    if ds.y.min() == ds.y.max():
         raise DegenerateDataError("training data contains a single label class")
     train, val = train_test_split(ds, test_fraction=config.val_fraction, seed=config.seed)
     standardizer = Standardizer.fit(train.X, ds.schema)

@@ -20,13 +20,18 @@ from hypothesis import strategies as st
 from asymshap import (
     CONTINUOUS,
     DISCRETE,
+    AdmissionsProcess,
     AttributionResult,
     BackgroundSet,
+    BayesPredictor,
     CachedValueFunction,
     CoalitionChains,
     Dataset,
     EnumerationCapError,
+    ExactMatchSampler,
     FeatureSpec,
+    GenerativeSampler,
+    KNNSampler,
     OrderingSpec,
     Schema,
     TableValueFunction,
@@ -39,6 +44,7 @@ from asymshap import (
     marginal_contributions,
     mc_asv,
     partition_sum_check,
+    point_asv,
     random_ordering_spec,
     sample_consistent_batch,
     sampled_label_accuracy,
@@ -645,13 +651,33 @@ class TestGlobalAttribution:
         assert np.array_equal(glob.means, column_means(local))
 
 
+class TestPointAsv:
+    def _vf(self):
+        ds = toy_dataset(rows=6, seed=2)
+        pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
+        return CachedValueFunction(pred, ds.X[1], int(ds.y[1]), BackgroundSet(ds.X), m=4, seed=1, point_index=1)
+
+    def test_unknown_estimator_raises_before_any_evaluation(self):
+        vf = self._vf()
+        with pytest.raises(ValidationError, match="estimator must be 'exact' or 'mc'"):
+            point_asv(vf, OrderingSpec(3), "exat")
+        assert vf.evaluations == 0
+
+    @pytest.mark.parametrize("estimator", ["exact", "mc"])
+    def test_records_the_point_work(self, estimator):
+        vf = self._vf()
+        res = point_asv(vf, OrderingSpec(3), estimator, n_perms=5)
+        assert res.metadata["estimator"] == estimator
+        assert res.metadata["value_evaluations"] == vf.evaluations > 0
+        assert res.metadata["prediction_rows"] == vf.prediction_rows > 0
+
+
 class TestCoalitionAccuracy:
     def test_full_set_is_sampled_label_accuracy(self):
         ds = toy_dataset(rows=25, seed=6)
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
-        acc, err = coalition_accuracy(pred, ds, [0, 1, 2], completion=BackgroundSet(ds.X), m=8)
+        acc = coalition_accuracy(pred, ds, [0, 1, 2], completion=BackgroundSet(ds.X), m=8)
         assert acc == pytest.approx(sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12)
-        assert err > 0.0
 
     def test_perfectly_informative_feature(self):
         # x0 equals the label; the predictor reads it off, so the full set is
@@ -661,8 +687,8 @@ class TestCoalitionAccuracy:
         y = X[:, 0].astype(np.int64)
         ds = Dataset(X, y, schema)
         pred = FirstFeatureProbPredictor(n_features=1)
-        full = coalition_accuracy(pred, ds, [0], completion=BackgroundSet(ds.X), m=ds.n_rows)[0]
-        empty = coalition_accuracy(pred, ds, [], completion=BackgroundSet(ds.X), m=ds.n_rows)[0]
+        full = coalition_accuracy(pred, ds, [0], completion=BackgroundSet(ds.X), m=ds.n_rows)
+        empty = coalition_accuracy(pred, ds, [], completion=BackgroundSet(ds.X), m=ds.n_rows)
         assert full == 1.0
         assert empty == 0.5
 
@@ -671,7 +697,7 @@ class TestCoalitionAccuracy:
         pred = LinearProbPredictor(np.array([0.5, 1.0, -0.75]))
         bg = BackgroundSet(ds.X)
         glob = global_asv(pred, ds, OrderingSpec(3), completion=bg, m=10, seed=4)
-        empty, _ = coalition_accuracy(pred, ds, [], completion=bg, m=10, seed=4)
+        empty = coalition_accuracy(pred, ds, [], completion=bg, m=10, seed=4)
         assert empty == glob.accuracy_empty
 
     def test_one_point_has_no_across_point_stderr(self):
@@ -683,45 +709,77 @@ class TestCoalitionAccuracy:
         one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
         with pytest.raises(ValidationError, match="at least 2 points"):
             coalition_accuracy(pred, one_row, [0, 1], completion=bg)
-        _, err = coalition_accuracy(pred, ds, [0, 1], completion=bg, budget=2)
-        assert err > 0.0
+        assert isinstance(coalition_accuracy(pred, ds, [0, 1], completion=bg, budget=2), float)
 
 
 class TestPartitionSumCheck:
-    def _setup(self, groups, seed=8):
+    def _setup(self, groups, edges=frozenset(), seed=8):
         ds = toy_dataset(rows=16, seed=seed)
         pred = LinearProbPredictor(np.array([1.5, -0.5, 0.75]))
         bg = BackgroundSet(ds.X)
-        spec = OrderingSpec(3, groups=groups)
+        spec = OrderingSpec(3, groups=groups, edges=edges)
         glob = global_asv(pred, ds, spec, completion=bg, m=12, seed=2)
-        acc = lambda mask: coalition_accuracy(pred, ds, mask, completion=bg, m=12, seed=2)
-        return glob, acc
+        return glob, (pred, ds, bg)
 
     def test_single_group_recovers_the_sum_rule(self):
-        glob, acc = self._setup(((0, 1, 2),))
-        report = partition_sum_check(glob, [(0, 1, 2)], acc)
+        glob, run = self._setup(((0, 1, 2),))
+        report = partition_sum_check(glob, [(0, 1, 2)], *run)
         row = report["groups"][0]
         assert abs(row["gap"]) <= 1e-12
         assert abs(row["cumulative_gap"]) <= 1e-12
+        assert report["accuracy_empty"] == glob.accuracy_empty
 
     def test_two_group_split_telescopes(self):
-        glob, acc = self._setup(((0,), (1, 2)))
-        report = partition_sum_check(glob, [(0,), (1, 2)], acc)
+        glob, run = self._setup(((0,), (1, 2)))
+        report = partition_sum_check(glob, [(0,), (1, 2)], *run)
         for row in report["groups"]:
+            assert set(row) == {"group", "phi_sum", "accuracy_gain", "gap",
+                                "cumulative_phi", "cumulative_gain", "cumulative_gap"}
             assert abs(row["gap"]) <= 1e-12
             assert abs(row["cumulative_gap"]) <= 1e-12
-        assert report["max_gap_in_stderr"] <= 0.01
 
     def test_chain_of_singletons(self):
-        glob, acc = self._setup(((2,), (0,), (1,)))
-        report = partition_sum_check(glob, [(2,), (0,), (1,)], acc)
+        glob, run = self._setup(((2,), (0,), (1,)))
+        report = partition_sum_check(glob, [(2,), (0,), (1,)], *run)
         assert [r["group"] for r in report["groups"]] == [[2], [0], [1]]
         for row in report["groups"]:
             assert abs(row["cumulative_gap"]) <= 1e-12
 
     def test_partition_must_match_the_run(self):
-        glob, acc = self._setup(((0,), (1, 2)))
+        glob, run = self._setup(((0,), (1, 2)))
         with pytest.raises(ValidationError):
-            partition_sum_check(glob, [(1,), (0, 2)], acc)
+            partition_sum_check(glob, [(1,), (0, 2)], *run)
         with pytest.raises(ValidationError):
-            partition_sum_check(glob, [(0,), (1,)], acc)
+            partition_sum_check(glob, [(0,), (1,)], *run)
+
+    @pytest.mark.parametrize("edges", [frozenset(), frozenset({(0, 1)})])
+    def test_a_run_without_groups_declares_one_group(self, edges):
+        glob, run = self._setup(None, edges)
+        row, = partition_sum_check(glob, [(2, 0, 1)], *run)["groups"]
+        assert row["group"] == [0, 1, 2]
+        assert abs(row["gap"]) <= 1e-12
+        for partition in ([(0,), (1, 2)], [(0,), (1,), (2,)]):
+            with pytest.raises(ValidationError, match="does not match"):
+                partition_sum_check(glob, partition, *run)
+
+    @pytest.mark.parametrize("estimator", ["exact", "mc"])
+    @pytest.mark.parametrize("completion", ["background", "exact-match", "knn", "generative"])
+    def test_gaps_vanish_for_every_completion(self, completion, estimator):
+        # A budget below the row count, so the check must pick the run's rows.
+        process = AdmissionsProcess()
+        ds = process.sample(40, seed=5)
+        pred = BayesPredictor(process)
+        sampler = {
+            "background": lambda: BackgroundSet(ds.X),
+            "exact-match": lambda: ExactMatchSampler(ds, k=5),
+            "knn": lambda: KNNSampler(ds, k=5),
+            "generative": lambda: GenerativeSampler(process),
+        }[completion]()
+        groups = ((1,), (0, 2))
+        glob = global_asv(pred, ds, OrderingSpec(3, groups=groups), sampler, m=6,
+                          estimator=estimator, n_perms=4, budget=15, seed=3)
+        assert glob.n_points == 15
+        report = partition_sum_check(glob, groups, pred, ds, sampler)
+        for row in report["groups"]:
+            assert abs(row["gap"]) <= 1e-12
+            assert abs(row["cumulative_gap"]) <= 1e-12

@@ -344,6 +344,30 @@ def test_runs_as_a_module():
     assert done.stdout.startswith("usage: asymshap")
 
 
+def test_pipeline_never_imports_numpy_ma(tmp_path):
+    # A fresh interpreter: pytest's may have imported numpy.ma already.
+    src = str(Path(asymshap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = """if True:
+        import sys
+        from asymshap.cli import main
+        d = sys.argv[1]
+        main(["gen-data", "unfair-admissions", "--rows", "200", "--seed", "0", "--out", d + "/data"])
+        main(["train", "--data", d + "/data.csv", "--model", "mlp", "--epochs", "5", "--seed", "0",
+              "--out", d + "/model.json"])
+        common = ["--model", d + "/model.json", "--data", d + "/data.csv", "--budget", "10",
+                  "--samples", "4", "--seed", "0"]
+        main(["explain", *common, "--out", d + "/explain.json"])
+        main(["fairness", *common, "--resolving", "department", "--sensitive", "gender",
+              "--out", d + "/fairness.json"])
+        print("numpy.ma" in sys.modules)
+    """
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 AUTO = {"exact": None, "mc": None, "cap": 10}
 
 
