@@ -113,13 +113,15 @@ MAX_EXACT_ORDERS = 1 << 26
 class CoalitionChains:
     """The coalitions a set of orders passes through, and the steps between them.
 
-    P is an int matrix of shape (count, n), one order per row, first feature
-    first. masks holds the distinct nonempty coalitions that follow some
-    position of some order, ascending. Index 0 stands for the empty coalition
-    and index k + 1 for masks[k], so after[i, k] and before[i, k] locate the
-    coalitions with and without feature i of its step k among v({}) and
-    v(masks): every coalition before a feature is {} or the coalition after
-    the feature preceding it. counts[i, k] is how many orders take that step.
+    P is an integer matrix of shape (count, n), one permutation of 0..n-1 per
+    row, first feature first: int64 as sampled or int8 as enumerated; any
+    other rows raise ValidationError. masks holds the distinct nonempty
+    coalitions that follow some position of some order, ascending. Index 0
+    stands for the empty coalition and index k + 1 for masks[k], so after[i, k]
+    and before[i, k] locate the coalitions with and without feature i of its
+    step k among v({}) and v(masks): every coalition before a feature is {} or
+    the coalition after the feature preceding it. counts[i, k] is how many
+    orders take that step.
 
     CoalitionChains(P) keeps one step per order and feature, step r being
     order r's; CoalitionChains.merged(P) takes each feature's identical steps
@@ -132,6 +134,9 @@ class CoalitionChains:
         P = _orders(P)
         R, n = P.shape
         after_masks = np.cumsum(np.int64(1) << P, axis=1)
+        # n indices in range sum to the full mask only as n distinct bits.
+        if (after_masks[:, -1] != (1 << n) - 1).any():
+            raise ValidationError(f"an order repeats a feature; orders must be permutations of 0..{n - 1}")
         masks, inv = np.unique(after_masks, return_inverse=True)  # never 0: each mask holds a feature
         del after_masks
         inv = inv.reshape(R, n)
@@ -152,10 +157,11 @@ class CoalitionChains:
         the (n, K) arrays lists feature i's distinct steps by ascending
         before; a feature with fewer than K of them is padded with (0, 0)
         steps of count 0. masks, count and n are those of CoalitionChains(P),
-        so every row of counts sums to count. P is read a column at a time,
-        so beside it only vectors of one entry per order and the distinct
-        steps are held. Raises ValidationError from MAX_EXACT_ORDERS orders
-        on, where a count could make a weighted term inexact.
+        so every row of counts sums to count. P is read, widened and checked
+        against the coalitions before it a column at a time, so beside it
+        only vectors of one entry per order and the distinct steps are held.
+        Raises ValidationError from MAX_EXACT_ORDERS orders on, where a count
+        could make a weighted term inexact.
         """
         P = _orders(P)
         R, n = P.shape
@@ -167,9 +173,11 @@ class CoalitionChains:
         seen = np.zeros(1, dtype=np.int64)  # those coalitions, distinct and ascending
         steps = []
         for col in P.T:
+            if (before & np.int64(1) << col).any():
+                raise ValidationError(f"an order repeats a feature; orders must be permutations of 0..{n - 1}")
             w = seen.shape[0]
             # Feature-major step keys, below n * w < 2^32 where keys holding masks could overflow.
-            keys, counts = np.unique(col * w + np.searchsorted(seen, before), return_counts=True)
+            keys, counts = np.unique(col * np.int64(w) + np.searchsorted(seen, before), return_counts=True)
             feats, befores = keys // w, seen[keys % w]
             steps.append((feats, befores, counts))
             # Asking for counts keeps np.unique on its sort path: the plain call imports numpy.ma.
@@ -195,9 +203,21 @@ class CoalitionChains:
 
 
 def _orders(P) -> np.ndarray:
-    P = np.asarray(P, dtype=np.int64)
-    if P.shape[1] > MAX_MASK_FEATURES:
-        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {P.shape[1]}")
+    """P as a nonempty signed-integer matrix of orders, uncopied, its entries checked to lie in [0, n).
+
+    Whether each row is a permutation is left to the caller, which builds the masks that show it.
+    """
+    P = np.asarray(P)
+    if P.ndim != 2 or P.dtype.kind != "i" or not P.size:
+        raise ValidationError(
+            f"orders must be a nonempty signed-integer matrix, got {P.dtype} of shape {P.shape}"
+        )
+    n = P.shape[1]
+    if n > MAX_MASK_FEATURES:
+        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {n}")
+    lo, hi = P.min(), P.max()
+    if lo < 0 or hi >= n:
+        raise ValidationError(f"orders must be permutations of 0..{n - 1}, got entries in [{lo}, {hi}]")
     return P
 
 
@@ -452,7 +472,7 @@ def global_asv(
     default all); the stderrs are the spread across them, so at least 2 must.
     Each row gets its own frozen value-function cache and its own derived
     random stream, so a row's result does not depend on the other rows. The
-    exact estimator enumerates the consistent orders once, as one int64
+    exact estimator enumerates the consistent orders once, as one int8
     matrix, and every row reduces the CoalitionChains.merged built from it.
     """
     spec = _as_spec(ordering)

@@ -5,12 +5,12 @@ ordered partition into groups (every member of an earlier group before every
 member of a later one) or as individual precedence edges, or both. The
 distribution over orders is always uniform over the consistent set.
 
-Orders are int64 matrices of shape (count, n): row r lists the features of
-order r, first to last. Enumeration yields the rows in lexicographic order;
-sampling yields independent uniform draws. Enumeration builds its prefixes
-in int8 and converts once, so it peaks below twice its int64 result, which
-holds 2.6 MB of orders at 8 features and 26 MB at 9. Coalitions elsewhere in
-the package are int bitmasks (bit i set when feature i is in the coalition).
+Orders are integer matrices of shape (count, n): row r lists the features of
+order r, first to last. Enumeration yields the rows in lexicographic order,
+as int8, which holds 0.3 MB of orders at 8 features and 3.3 MB at 9 (a
+coalition mask caps features at 62, so every index fits); sampling yields
+independent uniform draws, as int64. Coalitions elsewhere in the package are
+int bitmasks (bit i set when feature i is in the coalition).
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def is_consistent(P, spec: OrderingSpec) -> np.ndarray:
 
 
 def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Every order consistent with spec, as an int64 matrix of shape (count, n).
+    """Every order consistent with spec, as a C-contiguous int8 matrix of shape (count, n).
 
     Row r lists the features of the r-th order, first to last, and the rows
     come in lexicographic order. They are the linear extensions of the
@@ -190,6 +190,9 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
 
     Orders grow one slot at a time: a prefix is extended by each unplaced
     feature whose predecessors are all placed, in ascending feature order.
+    The last slot takes the one feature left, which is always addable. The
+    result and the prefixes it is stacked from are int8, and no int64 array
+    wider than one entry per prefix is formed.
     """
     if spec.n > cap:
         raise EnumerationCapError(
@@ -200,19 +203,33 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
     need = np.array([bit[list(before)].sum() for before in spec.predecessors], dtype=np.int64)
     P = np.zeros((1, 0), dtype=np.int8)
     placed = np.zeros(1, dtype=np.int64)
-    for _ in range(spec.n):
-        # One feature at a time, so no (prefixes, n) int64 temporary exists.
-        ok = np.column_stack([((placed & b) == 0) & ((placed & r) == r) for b, r in zip(bit, need)])
-        rows, feats = np.nonzero(ok)
-        P = np.column_stack([P[rows], feats.astype(np.int8)])
-        placed = placed[rows] | bit[feats]
+    for _ in range(spec.n - 1):
+        P, placed = _extend(P, placed, bit, need)
+    del placed
+    # The feature left is 0 + 1 + ... + (n - 1) minus those placed; the sum fits int16 for n <= 62.
+    last = spec.n * (spec.n - 1) // 2 - P.sum(axis=1, dtype=np.int16)
+    P = np.column_stack([P, last.astype(np.int8)])
     if P.shape[0] > AUTO_EXACT_WARN_ORDERS:
         logger.warning(
             "exact enumeration yields %d consistent orders over %d features, and an exact "
             "attribution reduces every one; the Monte Carlo estimator samples orders instead",
             P.shape[0], spec.n,
         )
-    return P.astype(np.int64)
+    return P
+
+
+def _extend(P, placed, bit, need) -> tuple[np.ndarray, np.ndarray]:
+    """Each prefix of P extended by every feature it can take next, and the masks of the longer prefixes.
+
+    placed[r] is the mask of prefix r's features, bit[i] feature i's bit and
+    need[i] the mask of its predecessors. The features are tested one at a
+    time, so no (prefixes, n) int64 temporary exists.
+    """
+    ok = np.column_stack([((placed & b) == 0) & ((placed & r) == r) for b, r in zip(bit, need)])
+    counts = ok.sum(axis=1)
+    feats = np.broadcast_to(np.arange(ok.shape[1], dtype=np.int8), ok.shape)[ok]  # row by row, ascending
+    del ok
+    return np.column_stack([np.repeat(P, counts, axis=0), feats]), np.repeat(placed, counts) | bit[feats]
 
 
 def count_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> int:

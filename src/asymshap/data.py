@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -188,6 +189,14 @@ def save_csv(ds: Dataset, csv_path, schema_path) -> None:
 
 
 def load_csv(csv_path, schema_path) -> Dataset:
+    """The dataset that save_csv wrote to csv_path and schema_path.
+
+    Each feature cell is parsed with float() and each label with int(), row
+    by row into packed float64 and int64 buffers that the returned arrays
+    view, so no boxed copy of the table is held. A header other than the
+    schema's raises SchemaError, and so, naming the file and line, does a row
+    of the wrong width, a cell that does not parse or a label outside int64.
+    """
     try:
         with open(schema_path) as fh:
             schema = Schema.from_json_dict(json.load(fh))
@@ -202,18 +211,21 @@ def load_csv(csv_path, schema_path) -> Dataset:
         expected = list(schema.names) + [schema.label]
         if header != expected:
             raise SchemaError(f"CSV header {header} does not match schema {expected}")
-        rows, labels = [], []
+        cells, labels = array("d"), array("q")
         for lineno, rec in enumerate(reader, start=2):
             if len(rec) != len(expected):
                 raise SchemaError(f"{csv_path}:{lineno}: {len(rec)} cells, expected {len(expected)}")
             try:
-                rows.append([float(v) for v in rec[:-1]])
+                cells.fromlist([float(v) for v in rec[:-1]])
                 labels.append(int(rec[-1]))
             except ValueError as exc:
                 raise SchemaError(f"{csv_path}:{lineno}: {exc}") from exc
-    if not rows:
+            except OverflowError:
+                raise SchemaError(f"{csv_path}:{lineno}: label {rec[-1]} is outside the int64 range") from None
+    if not labels:
         raise ValidationError(f"{csv_path} has a header but no rows")
-    return Dataset(np.array(rows), np.array(labels), schema)
+    X = np.frombuffer(cells, dtype=np.float64).reshape(len(labels), schema.n)
+    return Dataset(X, np.frombuffer(labels, dtype=np.int64), schema)
 
 
 def train_test_split(

@@ -175,6 +175,30 @@ class TestMarginalContributions:
             with pytest.raises(ValueError):
                 a += 1
 
+    @pytest.mark.parametrize("build", [CoalitionChains, CoalitionChains.merged])
+    @pytest.mark.parametrize("orders", [
+        [[0, 0, 1]],  # a repeat
+        [[0, 1, 2], [2, 1, 2]],  # a repeat in a later order
+        [[0.7, 1.2, 2.0]],  # not integers
+        np.array([[0.0, 1.0, 2.0]]),
+        [[True, False]],
+        [[0, 1, 3]],  # out of range
+        np.array([[-1, 0, 1]], dtype=np.int8),
+        np.zeros((0, 3), dtype=np.int64),  # no orders
+        [0, 1, 2],  # not a matrix
+    ])
+    def test_orders_must_be_permutations(self, build, orders):
+        with pytest.raises(ValidationError):
+            build(orders)
+
+    @pytest.mark.parametrize("build", [CoalitionChains, CoalitionChains.merged])
+    def test_orders_of_either_width_give_the_same_chains(self, build):
+        P = enumerate_consistent(OrderingSpec(4, groups=((0, 1), (2, 3))))
+        assert P.dtype == np.int8
+        narrow, wide = build(P), build(P.astype(np.int64))
+        for name in ("masks", "before", "after", "counts", "count", "n"):
+            assert np.array_equal(getattr(narrow, name), getattr(wide, name))
+
     def test_rows_telescope(self):
         vf = random_table(4, np.random.default_rng(1))
         P = np.array([[2, 0, 3, 1], [0, 1, 2, 3]])
@@ -281,7 +305,13 @@ class TestMergedSteps:
         # Per-column vectors and the 1,024 distinct steps, not an index per order and feature.
         P = enumerate_consistent(OrderingSpec(8))
         CoalitionChains.merged(P[:2])  # lazy set-up outside the measurement
-        assert peak_traced_bytes(CoalitionChains.merged, P) < P.nbytes
+        assert peak_traced_bytes(CoalitionChains.merged, P) < 8 * P.size  # the bytes of one int64 copy
+
+    def test_exact_global_run_holds_no_int64_copy_of_its_orders(self):
+        ds = toy_dataset(rows=3, n=8)
+        run = lambda: global_asv(ConstantPredictor(n_features=8), ds, OrderingSpec(8), BackgroundSet(ds.X), m=2)
+        run()  # lazy set-up outside the measurement
+        assert peak_traced_bytes(run) < 8 * math.factorial(8) * 8
 
     def test_order_count_limit(self, monkeypatch):
         # 2^26 consistent orders take at least 12 features, so the limit is lowered.

@@ -219,18 +219,27 @@ def test_more_than_one_worker_exits_2(trained, capsys, command):
     assert "--workers: invalid choice" in capsys.readouterr().err
 
 
-def test_non_finite_data_cell_exits_2(trained, tmp_path, capsys):
+def _explain_with_cell(trained, tmp_path, column, value):
+    """Exit code of a local explain on the trained data with line 6's cell in column replaced by value."""
     lines = (trained / "data.csv").read_text().splitlines()
     cells = lines[5].split(",")
-    cells[1] = "inf"  # score, the continuous column
+    cells[column] = value
     lines[5] = ",".join(cells)
     data = tmp_path / "data.csv"
     data.write_text("\n".join(lines) + "\n")
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(data),
+    return main(["explain", "--model", str(trained / "model.json"), "--data", str(data),
                  "--schema", str(trained / "data.schema.json"), "--index", "0", "--samples", "4",
                  "--seed", "0", "--out", str(tmp_path / "x.json")])
-    assert code == 2
+
+
+def test_non_finite_data_cell_exits_2(trained, tmp_path, capsys):
+    assert _explain_with_cell(trained, tmp_path, 1, "inf") == 2  # score, the continuous column
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_label_beyond_int64_exits_2(trained, tmp_path, capsys):
+    assert _explain_with_cell(trained, tmp_path, -1, "99999999999999999999") == 2
+    assert "data.csv:6: label 99999999999999999999 is outside the int64 range" in capsys.readouterr().err
 
 
 def test_exhausted_rejection_sampling_exits_3(tmp_path, capsys):

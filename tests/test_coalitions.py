@@ -244,6 +244,14 @@ class TestEnumerate:
         for n in range(1, 6):
             assert len(enumerate_consistent(OrderingSpec(n))) == math.factorial(n)
 
+    def test_single_feature(self):
+        assert enumerate_consistent(OrderingSpec(1)).tolist() == [[0]]
+
+    def test_forced_last_slot(self):
+        # Feature 0 follows both others, so the slot filled without a test holds it.
+        spec = OrderingSpec(3, edges=frozenset({(1, 0), (2, 0)}))
+        assert enumerate_consistent(spec).tolist() == [[1, 2, 0], [2, 1, 0]]
+
     def test_leading_singleton_group(self):
         spec = OrderingSpec(3, groups=((0,), (1, 2)))
         assert enumerate_consistent(spec).tolist() == [[0, 1, 2], [0, 2, 1]]
@@ -264,15 +272,15 @@ class TestEnumerate:
     def test_matches_brute_force(self, spec):
         got = enumerate_consistent(spec)
         want = sorted(brute_force_consistent(spec))
-        assert got.dtype == np.int64
+        assert got.dtype == np.int8 and got.flags.c_contiguous
         assert got.shape == (len(want), spec.n)
         assert got.tolist() == [list(order) for order in want]
 
     def test_holds_the_orders_once(self):
-        # The int64 result plus the int8 prefixes and per-order vectors it is built from.
+        # The int8 result, the int8 prefixes and per-prefix vectors it is built from: less than one int64 copy.
         enumerate_consistent(OrderingSpec(3))  # lazy set-up outside the measurement
         P = enumerate_consistent(OrderingSpec(8))
-        assert peak_traced_bytes(enumerate_consistent, OrderingSpec(8)) < 2 * P.nbytes
+        assert peak_traced_bytes(enumerate_consistent, OrderingSpec(8)) < 8 * P.size
 
 
 class TestEnumerationWarning:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import peak_traced_bytes
 
 from asymshap import (
     CONTINUOUS,
@@ -167,6 +168,36 @@ class TestCsv:
         csv_path.write_text("a,b,c,y\n")
         with pytest.raises(ValidationError):
             load_csv(csv_path, schema_path)
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809"])
+    def test_label_beyond_int64(self, tmp_path, label):
+        schema_path, csv_path = tmp_path / "d.schema.json", tmp_path / "d.csv"
+        save_csv(small_dataset(rows=3), csv_path, schema_path)
+        csv_path.write_text(f"a,b,c,y\n0,1.0,2,0\n1,0.5,0,{label}\n")
+        with pytest.raises(SchemaError, match=f"d.csv:3: label {label} is outside the int64 range"):
+            load_csv(csv_path, schema_path)
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        cells = ["-0.0", "5e-324", "0.1", "1.7976931348623157e308", " 2.5", "+1e-3"]
+        schema = Schema(tuple(FeatureSpec(f"f{i}", CONTINUOUS) for i in range(len(cells))))
+        schema_path, csv_path = tmp_path / "d.schema.json", tmp_path / "d.csv"
+        save_csv(Dataset(np.zeros((1, len(cells))), [0], schema), csv_path, schema_path)
+        csv_path.write_text(",".join(schema.names) + ",y\n" + ",".join(cells) + ",1\n")
+        got = load_csv(csv_path, schema_path)
+        want = np.array([[float(c) for c in cells]])
+        assert np.array_equal(got.X.view(np.uint64), want.view(np.uint64))
+        assert got.X.dtype == np.float64 and got.y.dtype == np.int64 and got.y.tolist() == [1]
+
+    def test_holds_no_boxed_copy(self, tmp_path):
+        # Packed cells, not a list of Python floats per row, which takes over 4x the bytes.
+        schema = Schema(tuple(FeatureSpec(f"f{i}", CONTINUOUS) for i in range(12)))
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(4000, 12)), rng.integers(0, 2, 4000), schema)
+        schema_path, csv_path = tmp_path / "d.schema.json", tmp_path / "d.csv"
+        save_csv(ds, csv_path, schema_path)
+        load_csv(csv_path, schema_path)  # lazy set-up outside the measurement
+        peak = peak_traced_bytes(load_csv, csv_path, schema_path)
+        assert peak < 3 * (ds.X.nbytes + ds.y.nbytes)
 
 
 class TestSplit:
