@@ -27,6 +27,7 @@ from .errors import (
     SamplingBudgetError,
     ValidationError,
 )
+from .values import MAX_MASK_FEATURES
 
 logger = logging.getLogger(__name__)
 
@@ -184,8 +185,9 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
     come in lexicographic order. They are the linear extensions of the
     precedence relation, the support of the uniform distribution the spec
     denotes; an empty spec yields all n! permutations. Only available up to
-    the enumeration cap. Every exact run enumerates through here, once, so
-    here it logs one warning when there are more than AUTO_EXACT_WARN_ORDERS
+    the enumeration cap, and never above the MAX_MASK_FEATURES features that
+    int64 masks hold. Every exact run enumerates through here, once, so here
+    it logs one warning when there are more than AUTO_EXACT_WARN_ORDERS
     orders, before any of them is evaluated.
 
     Orders grow one slot at a time: a prefix is extended by each unplaced
@@ -199,6 +201,8 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
             f"exact enumeration over {spec.n} features exceeds the cap of {cap}; "
             "use sampling instead"
         )
+    if spec.n > MAX_MASK_FEATURES:
+        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {spec.n}")
     bit = np.int64(1) << np.arange(spec.n, dtype=np.int64)
     need = np.array([bit[list(before)].sum() for before in spec.predecessors], dtype=np.int64)
     P = np.zeros((1, 0), dtype=np.int8)

@@ -2,9 +2,11 @@
 
 Logistic regression and a small MLP share one feed-forward core (logistic is
 the zero-hidden-layer case) trained by mini-batch gradient descent with
-momentum and early stopping on validation loss. A BayesPredictor wraps a
-generative process and emits its exact conditional label probabilities, which
-gives oracle tests a noise-free reference model.
+momentum and early stopping on validation loss. The core holds its parameters
+in one flat vector, so a step updates them in three vector operations; a step
+computes gradients alone, and each epoch's losses take forward passes alone.
+A BayesPredictor wraps a generative process and emits its exact conditional
+label probabilities, which gives oracle tests a noise-free reference model.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -41,8 +44,8 @@ class TrainConfig:
             raise ValidationError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if min(self.epochs, self.batch_size, *self.hidden) < 1:
-            raise ValidationError(f"epochs, batch size and hidden widths must be positive, got {self}")
+        if min(self.epochs, self.batch_size, self.patience, *self.hidden) < 1:
+            raise ValidationError(f"epochs, batch size, patience and hidden widths must be positive, got {self}")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}
@@ -64,19 +67,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class FeedForwardNet:
-    """Dense net with softmax output; an empty hidden list is plain logistic."""
+    """Dense net with softmax output; an empty hidden list is plain logistic. Its parameters are one
+    vector, params (every weight matrix, then every bias, row-major), and weights and biases view it."""
 
     def __init__(self, sizes: list[int], activation: str, rng: np.random.Generator):
         if len(sizes) < 2:
             raise ValidationError(f"need input and output sizes, got {sizes}")
         self.sizes = list(sizes)
         self.activation = activation
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            scale = np.sqrt(1.0 / fan_in)
-            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        shapes = [*zip(sizes, sizes[1:]), *((n,) for n in sizes[1:])]
+        ends = np.cumsum([0, *map(math.prod, shapes)])
+        self.params, self._grad = vectors = np.zeros((2, ends[-1]))  # gradient() fills _grad's views
+        params, grads = ([v[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)] for v in vectors)
+        k = len(sizes) - 1
+        self.weights, self.biases, self._gW, self._gb = params[:k], params[k:], grads[:k], grads[k:]
+        for W in self.weights:
+            W[...] = rng.normal(0.0, np.sqrt(1.0 / W.shape[0]), size=W.shape)
 
     def _act(self, z: np.ndarray) -> np.ndarray:  # in place
         return np.tanh(z, out=z) if self.activation == "tanh" else np.maximum(z, 0.0, out=z)
@@ -98,37 +104,36 @@ class FeedForwardNet:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return _softmax(self._forward(X)[-1])
 
-    def loss_and_grad(self, X: np.ndarray, y: np.ndarray):
-        """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
-        B = X.shape[0]
+    @staticmethod
+    def _log_softmax(logits: np.ndarray) -> np.ndarray:  # in place
+        logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+        logits -= np.log(np.add.reduce(np.exp(logits), axis=1, keepdims=True))
+        return logits
+
+    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
+        """Mean cross-entropy of the labels y, from a forward pass alone."""
+        log_probs = self._log_softmax(self._forward(X)[-1])
+        return -float(log_probs[np.arange(len(y)), y].mean())
+
+    def gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The mean cross-entropy's gradient w.r.t. params, in a buffer the next call overwrites."""
         acts = self._forward(X)
-        logits = acts[-1]
-        z = logits - logits.max(axis=1, keepdims=True)
-        log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        loss = -float(log_probs[np.arange(B), y].mean())
-        delta = np.exp(log_probs)
-        delta[np.arange(B), y] -= 1.0
-        delta /= B
-        gW, gb = [], []
+        delta = np.exp(self._log_softmax(acts[-1]), out=acts[-1])
+        delta[np.arange(len(X)), y] -= 1.0
+        delta /= len(X)
         for l in range(len(self.weights) - 1, -1, -1):
-            gW.append(acts[l].T @ delta)
-            gb.append(delta.sum(axis=0))
+            np.matmul(acts[l].T, delta, out=self._gW[l])
+            np.add.reduce(delta, axis=0, out=self._gb[l])
             if l > 0:
-                delta = (delta @ self.weights[l].T) * self._act_grad(acts[l])
-        return loss, list(reversed(gW)), list(reversed(gb))
+                delta = delta @ self.weights[l].T
+                delta *= self._act_grad(acts[l])
+        return self._grad
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.weights + self.biases])
+        return self.params.copy()
 
     def unflatten(self, vec: np.ndarray) -> None:
-        out = []
-        off = 0
-        for p in self.weights + self.biases:
-            out.append(vec[off : off + p.size].reshape(p.shape))
-            off += p.size
-        k = len(self.weights)
-        self.weights = [a.copy() for a in out[:k]]
-        self.biases = [a.copy() for a in out[k:]]
+        self.params[...] = vec
 
 
 @dataclass
@@ -226,7 +231,7 @@ class TrainedModel:
                 f"model file {path} does not hold a standardizer with a finite mean and a finite positive "
                 f"scale for each of its schema's continuous features {cont.tolist()}"
             )
-        net.weights, net.biases = params[: len(net.weights)], params[len(net.weights) :]
+        net.unflatten(np.concatenate([p.ravel() for p in params]))
         return model
 
 
@@ -242,40 +247,35 @@ def sampled_label_accuracy(pred, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
+    """The net at the epoch of least validation loss. A minibatch step writes only the gradient, into one flat
+    buffer, then moves one flat velocity and the flat parameters; an epoch's losses take forward passes alone.
+    These are the float operations, in order, of a per-array loop that also ran every discarded pass."""
     if ds.y.min() == ds.y.max():
         raise DegenerateDataError("training data contains a single label class")
     train, val = train_test_split(ds, test_fraction=config.val_fraction, seed=config.seed)
     standardizer = Standardizer.fit(train.X, ds.schema)
     Xtr = one_hot_design(train.X, ds.schema, standardizer)
     Xva = one_hot_design(val.X, ds.schema, standardizer)
-    ytr, yva = train.y, val.y
     rng = np.random.default_rng(config.seed)
-    sizes = [Xtr.shape[1], *config.hidden, ds.schema.n_classes]
-    net = FeedForwardNet(sizes, config.activation, rng)
-    velocity = [np.zeros_like(p) for p in net.weights + net.biases]
+    net = FeedForwardNet([Xtr.shape[1], *config.hidden, ds.schema.n_classes], config.activation, rng)
+    velocity = np.zeros_like(net.params)
     best_val = np.inf
     best_params = net.flatten()
     best_epoch = 0
     since_best = 0
-    train_losses: list[float] = []
-    val_losses: list[float] = []
+    train_losses, val_losses = [], []
     B = Xtr.shape[0]
     batch = min(config.batch_size, B)
     for epoch in range(config.epochs):
         order = rng.permutation(B)
+        Xe, ye = Xtr[order], train.y[order]
         for start in range(0, B, batch):
-            sel = order[start : start + batch]
-            _, gW, gb = net.loss_and_grad(Xtr[sel], ytr[sel])
-            grads = gW + gb
-            params = net.weights + net.biases
-            for v, p, g in zip(velocity, params, grads):
-                v *= config.momentum
-                v -= config.learning_rate * g
-                p += v
-        train_loss, _, _ = net.loss_and_grad(Xtr, ytr)
-        val_loss, _, _ = net.loss_and_grad(Xva, yva)
-        train_losses.append(train_loss)
-        val_losses.append(val_loss)
+            grad = net.gradient(Xe[start : start + batch], ye[start : start + batch])
+            velocity *= config.momentum
+            velocity -= config.learning_rate * grad
+            net.params += velocity
+        train_losses.append(net.loss(Xtr, train.y))
+        val_losses.append(val_loss := net.loss(Xva, val.y))
         if val_loss < best_val - 1e-12:
             best_val = val_loss
             best_params = net.flatten()

@@ -1,8 +1,12 @@
-"""Tiny predictor doubles shared across the test modules, and a memory probe."""
+"""Tiny predictor doubles shared across the test modules, a memory probe, and a reference trainer."""
 
 import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+
+from asymshap import Standardizer, one_hot_design, train_test_split
 
 
 def peak_traced_bytes(fn, *args):
@@ -74,3 +78,89 @@ class CountingGame:
     def value(self, mask):
         self.masks.append(int(mask))
         return float(self.table[mask])
+
+
+def forward_out_of_place(net, X):
+    """FeedForwardNet._forward with a fresh array at every step."""
+    acts = [X]
+    h = X
+    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ W + b
+        if l < len(net.weights) - 1:
+            h = np.tanh(h) if net.activation == "tanh" else np.maximum(h, 0.0)
+        acts.append(h)
+    return acts
+
+
+def loss_and_grad(net, X, y):
+    """Mean cross-entropy of the labels y and its gradient w.r.t. every weight and bias, as lists of arrays."""
+    B = X.shape[0]
+    acts = forward_out_of_place(net, X)
+    logits = acts[-1]
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -float(log_probs[np.arange(B), y].mean())
+    delta = np.exp(log_probs)
+    delta[np.arange(B), y] -= 1.0
+    delta /= B
+    gW, gb = [], []
+    for l in range(len(net.weights) - 1, -1, -1):
+        gW.append(acts[l].T @ delta)
+        gb.append(delta.sum(axis=0))
+        if l > 0:
+            a = acts[l]
+            act_grad = 1.0 - a * a if net.activation == "tanh" else (a > 0).astype(np.float64)
+            delta = (delta @ net.weights[l].T) * act_grad
+    return loss, gW[::-1], gb[::-1]
+
+
+def reference_train(ds, config, kind):
+    """What train_logistic or train_mlp fits, by the plain per-array loop.
+
+    Every weight and bias is its own array with its own velocity, every step
+    computes a loss and a backward pass, and each epoch's losses come from
+    full loss_and_grad passes. Returns the best epoch's weights and biases and
+    the history's loss and epoch entries.
+    """
+    if kind == "logistic":
+        config = replace(config, hidden=())
+    train, val = train_test_split(ds, test_fraction=config.val_fraction, seed=config.seed)
+    standardizer = Standardizer.fit(train.X, ds.schema)
+    Xtr = one_hot_design(train.X, ds.schema, standardizer)
+    Xva = one_hot_design(val.X, ds.schema, standardizer)
+    rng = np.random.default_rng(config.seed)
+    sizes = [Xtr.shape[1], *config.hidden, ds.schema.n_classes]
+    net = SimpleNamespace(
+        weights=[rng.normal(0.0, np.sqrt(1.0 / a), size=(a, b)) for a, b in zip(sizes, sizes[1:])],
+        biases=[np.zeros(b) for b in sizes[1:]],
+        activation=config.activation,
+    )
+    params = net.weights + net.biases
+    velocity = [np.zeros_like(p) for p in params]
+    best_val, best, best_epoch, since_best = np.inf, [p.copy() for p in params], 0, 0
+    train_losses, val_losses = [], []
+    B = Xtr.shape[0]
+    batch = min(config.batch_size, B)
+    for epoch in range(config.epochs):
+        order = rng.permutation(B)
+        for start in range(0, B, batch):
+            sel = order[start : start + batch]
+            _, gW, gb = loss_and_grad(net, Xtr[sel], train.y[sel])
+            for v, p, g in zip(velocity, params, gW + gb):
+                v *= config.momentum
+                v -= config.learning_rate * g
+                p += v
+        train_loss, _, _ = loss_and_grad(net, Xtr, train.y)
+        val_loss, _, _ = loss_and_grad(net, Xva, val.y)
+        train_losses.append(train_loss)
+        val_losses.append(val_loss)
+        if val_loss < best_val - 1e-12:
+            best_val, best, best_epoch, since_best = val_loss, [p.copy() for p in params], epoch, 0
+        else:
+            since_best += 1
+            if since_best >= config.patience:
+                break
+    k = len(net.weights)
+    history = {"train_loss": train_losses, "val_loss": val_losses, "best_epoch": best_epoch,
+               "epochs_run": len(train_losses)}
+    return best[:k], best[k:], history

@@ -200,13 +200,25 @@ def test_non_integer_standardizer_index_exits_2(trained, tmp_path, capsys, entry
 
 @pytest.mark.parametrize(
     "flag, value", [("--batch-size", "0"), ("--batch-size", "-5"), ("--epochs", "0"), ("--epochs", "-1"),
-                    ("--hidden", "0"), ("--hidden", "10,0")],
+                    ("--hidden", "0"), ("--hidden", "10,0"), ("--patience", "0"), ("--patience", "-5")],
 )
 def test_degenerate_train_setting_exits_2(trained, tmp_path, capsys, flag, value):
     out = tmp_path / "model.json"
     code = main(["train", "--data", str(trained / "data.csv"), flag, value, "--seed", "0", "--out", str(out)])
     assert code == 2
     assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_file_with_a_patience_below_1_exits_2(trained, tmp_path, capsys):
+    doc = json.loads((trained / "model.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**doc, "config": {**doc["config"], "patience": 0}}))
+    out = tmp_path / "x.json"
+    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
+                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert "patience and hidden widths must be positive" in capsys.readouterr().err
     assert not out.exists()
 
 

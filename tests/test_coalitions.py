@@ -267,6 +267,13 @@ class TestEnumerate:
             enumerate_consistent(OrderingSpec(5), cap=4)
         assert len(enumerate_consistent(OrderingSpec(3), cap=3)) == 6
 
+    def test_mask_width_enforced_above_a_raised_cap(self):
+        # From feature 63 on, the int64 feature bits would overflow.
+        with pytest.raises(ValidationError, match="up to 62 features, got 63"):
+            enumerate_consistent(OrderingSpec(63), cap=70)
+        chain = OrderingSpec(62, edges=frozenset((i, i + 1) for i in range(61)))
+        assert enumerate_consistent(chain, cap=62).tolist() == [list(range(62))]
+
     @given(ordering_specs())
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, spec):

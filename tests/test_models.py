@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import forward_out_of_place, loss_and_grad, reference_train
 
 from asymshap import (
     CONTINUOUS,
@@ -53,10 +54,10 @@ def numeric_gradient(net, X, y, eps=1e-5):
         bumped = theta.copy()
         bumped[k] += eps
         net.unflatten(bumped)
-        up, _, _ = net.loss_and_grad(X, y)
+        up = net.loss(X, y)
         bumped[k] -= 2 * eps
         net.unflatten(bumped)
-        down, _, _ = net.loss_and_grad(X, y)
+        down = net.loss(X, y)
         num[k] = (up - down) / (2 * eps)
     net.unflatten(theta)
     return num
@@ -76,16 +77,23 @@ class TestGradients:
         net = FeedForwardNet(sizes, activation, rng)
         X = rng.normal(size=(16, sizes[0]))
         y = rng.integers(0, sizes[-1], 16)
-        _, gW, gb = net.loss_and_grad(X, y)
-        analytic = np.concatenate([g.ravel() for g in gW + gb])
+        analytic = net.gradient(X, y).copy()
         numeric = numeric_gradient(net, X, y)
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
         assert rel < 1e-4
+        # Bit for bit the per-array form's loss and its gradients, laid out weights first.
+        loss, gW, gb = loss_and_grad(net, X, y)
+        assert net.loss(X, y) == loss
+        assert np.array_equal(analytic, np.concatenate([g.ravel() for g in gW + gb]))
 
     def test_flatten_unflatten_round_trip(self):
         net = FeedForwardNet([3, 5, 2], "tanh", np.random.default_rng(2))
         theta = net.flatten()
         net.unflatten(theta * 2.0)
+        assert np.array_equal(net.flatten(), theta * 2.0)
+        # weights and biases are live views of the vector, and flatten() is a copy of it.
+        assert np.array_equal(np.concatenate([p.ravel() for p in net.weights + net.biases]), theta * 2.0)
+        net.flatten()[:] = 0.0
         assert np.array_equal(net.flatten(), theta * 2.0)
 
 
@@ -138,8 +146,7 @@ class TestTraining:
         assert hist["best_epoch"] <= hist["epochs_run"] - 1
         _, val = train_test_split(ds, config.val_fraction, config.seed)
         design = one_hot_design(val.X, ds.schema, model.standardizer)
-        loss, _, _ = model.net.loss_and_grad(design, val.y)
-        assert loss == min(hist["val_loss"])
+        assert model.net.loss(design, val.y) == min(hist["val_loss"])
 
     def test_mlp_defaults_hidden_layers_when_not_given(self, tmp_path):
         ds = gaussian_blobs(rows=80, seed=7)
@@ -177,7 +184,7 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             TrainConfig(activation="sigmoid")
         for bad in ({"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -5},
-                    {"hidden": (10, 0)}, {"hidden": (-1,)}):
+                    {"hidden": (10, 0)}, {"hidden": (-1,)}, {"patience": 0}, {"patience": -5}):
             with pytest.raises(ValidationError, match="must be positive"):
                 TrainConfig(**bad)
         assert TrainConfig(hidden=()).hidden == ()  # logistic
@@ -244,18 +251,6 @@ def softmax_reduce(logits):
     return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
-def forward_out_of_place(net, X):
-    """FeedForwardNet._forward with a fresh array at every step."""
-    acts = [X]
-    h = X
-    for l, (W, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ W + b
-        if l < len(net.weights) - 1:
-            h = np.tanh(h) if net.activation == "tanh" else np.maximum(h, 0.0)
-        acts.append(h)
-    return acts
-
-
 MODEL_KINDS = [
     ("logistic", TrainConfig(hidden=(), epochs=8, seed=1)),
     ("mlp", TrainConfig(hidden=(6, 5), epochs=8, seed=2, activation="tanh")),
@@ -310,6 +305,42 @@ class TestForwardPassBits:
             patch.setattr(models, "_softmax", softmax_reduce)
             fit(kind, config, ds).save(tmp_path / "plain.json")
         assert (tmp_path / "trimmed.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+GATE_CONFIGS = [
+    ("logistic", TrainConfig(hidden=(), epochs=12, seed=1), False),
+    ("mlp", TrainConfig(hidden=(7, 5), epochs=12, batch_size=50, seed=2, activation="relu"), False),
+    ("mlp", TrainConfig(hidden=(4,), epochs=12, batch_size=10_000, momentum=0.0, seed=3), False),
+    ("mlp", TrainConfig(hidden=(6,), epochs=60, batch_size=17, patience=5, seed=4), True),
+]
+GATE_IDS = ["logistic", "relu-batch-50", "full-batch-no-momentum", "patience-5-batch-17"]
+
+
+class TestTrainingBits:
+    """Training in one flat buffer fits, bit for bit, what the per-array reference loop fits."""
+
+    @pytest.mark.parametrize("kind, config, stops_early", GATE_CONFIGS, ids=GATE_IDS)
+    def test_matches_the_per_array_loop(self, kind, config, stops_early):
+        ds = mixed_blobs(rows=200, seed=7)
+        model = fit(kind, config, ds)
+        weights, biases, history = reference_train(ds, config, kind)
+        assert len(model.net.weights) == len(weights) and len(model.net.biases) == len(biases)
+        for got, want in zip(model.net.weights + model.net.biases, weights + biases):
+            assert np.array_equal(got, want)
+        for key in ("train_loss", "val_loss", "best_epoch", "epochs_run"):
+            assert model.history[key] == history[key]
+        assert (history["epochs_run"] < config.epochs) == stops_early
+
+    @pytest.mark.parametrize("kind, config", MODEL_KINDS, ids=MODEL_IDS)
+    def test_reloaded_model_predicts_the_trained_bits(self, tmp_path, kind, config):
+        ds = mixed_blobs(rows=160, seed=5)
+        model = fit(kind, config, ds)
+        model.save(tmp_path / "model.json")
+        back = TrainedModel.load(tmp_path / "model.json")
+        assert back.predict(ds.X).tobytes() == model.predict(ds.X).tobytes()
+        assert back.net.flatten().tobytes() == model.net.flatten().tobytes()
+        for net in (model.net, back.net):
+            assert all(np.shares_memory(p, net.params) for p in net.weights + net.biases)
 
 
 class TestBayesPredictor:
