@@ -79,7 +79,6 @@ from .values import (
     ExactMatchSampler,
     GenerativeSampler,
     KNNSampler,
-    as_mask,
 )
 
 __version__ = "0.1.0"

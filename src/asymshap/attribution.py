@@ -36,12 +36,12 @@ from .coalitions import (
 )
 from .data import Dataset
 from .errors import ValidationError
-from .values import MAX_MASK_FEATURES, BackgroundSet, CachedValueFunction, ConditionalSampler, _stream, as_mask
+from .values import MAX_MASK_FEATURES, BackgroundSet, CachedValueFunction, ConditionalSampler, _checked_mask, _stream
 
 
 @dataclass
 class TableValueFunction:
-    """v(S) read straight from a table of 2^n values; the exact-oracle workhorse."""
+    """v(S) read straight from entry S, an int bitmask, of a table of 2^n values: the exact oracle."""
 
     table: np.ndarray
     n: int
@@ -53,8 +53,8 @@ class TableValueFunction:
                 f"table has {self.table.shape[0]} entries, expected {1 << self.n}"
             )
 
-    def value(self, S) -> float:
-        return float(self.table[as_mask(S, self.n)])
+    def value(self, mask: int) -> float:
+        return float(self.table[_checked_mask(mask, self.n)])
 
 
 @dataclass
@@ -325,11 +325,9 @@ def exact_shapley_subset_form(v) -> AttributionResult:
     terms: list[list[float]] = [[] for _ in range(n)]
     table = [v.value(mask) for mask in range(1 << n)]
     for mask in range(1 << n):
-        s = bin(mask).count("1")
         for i in range(n):
-            bit = 1 << i
-            if not mask & bit:
-                terms[i].append(weight[s] * (table[mask | bit] - table[mask]))
+            if not mask >> i & 1:
+                terms[i].append(weight[mask.bit_count()] * (table[mask | 1 << i] - table[mask]))
     means = np.array([math.fsum(t) for t in terms])
     return AttributionResult(
         means=means,
@@ -517,18 +515,18 @@ def global_asv(
 def coalition_accuracy(
     pred,
     dataset: Dataset,
-    U,
+    mask: int,
     completion: BackgroundSet | ConditionalSampler,
     *,
     m: int = 100,
     budget: int | None = None,
     seed: int = 0,
 ) -> float:
-    """Sampled-label accuracy attainable from the features in U alone: the
-    mean of v_{f_y(x)}(U) over the dataset points a global_asv run with the
-    same budget and seed averages (at least 2). Each point's value uses that
-    run's frozen draws, so v(U) here equals the run's v(U) bit for bit."""
-    mask = as_mask(U, dataset.n)
+    """Sampled-label accuracy attainable from the coalition U alone, given as
+    mask, an int with bit i set for feature i: the mean of v_{f_y(x)}(U) over
+    the dataset points a global_asv run with the same budget and seed averages
+    (at least 2). Each point uses that run's frozen draws, so v(U) equals the
+    run's v(U) bit for bit."""
     vals = [
         CachedValueFunction(
             pred, dataset.X[row], int(dataset.y[row]), completion, m=m, seed=seed, point_index=row
@@ -573,12 +571,12 @@ def partition_sum_check(
 
     acc_empty = prev_acc = accuracy(0)
     rows = []
-    prefix: list[int] = []
+    mask = 0
     for g in groups:
-        prefix += g
-        acc = accuracy(as_mask(prefix, glob.n))
+        mask |= sum(1 << i for i in g)
+        acc = accuracy(mask)
         phi_sum = math.fsum(float(glob.means[i]) for i in g)
-        cum_phi = math.fsum(float(glob.means[i]) for i in prefix)
+        cum_phi = math.fsum(float(glob.means[i]) for i in range(glob.n) if mask >> i & 1)
         rows.append(
             {
                 "group": g,

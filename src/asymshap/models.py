@@ -186,10 +186,10 @@ class TrainedModel:
     @classmethod
     def load(cls, path) -> "TrainedModel":
         """The model saved at path. Raises SchemaError when the file is not JSON,
-        lacks a key, holds a net that does not map the schema's design columns
-        to its classes through weights and biases of the recorded sizes, or
-        holds a standardizer that does not scale exactly the schema's
-        continuous features by finite means and finite positive scales."""
+        lacks a key, or holds an invalid training config or net, a net not
+        mapping the schema's design columns to its classes through weights and
+        biases of the recorded sizes, or a standardizer not scaling exactly the
+        schema's continuous features by finite means and finite positive scales."""
         with open(path) as fh:
             try:
                 doc = json.load(fh)
@@ -206,7 +206,9 @@ class TrainedModel:
                     config=TrainConfig.from_json_dict(doc["config"]),
                     history=doc.get("history", {}),
                 )
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:  # ValueError: JSONDecodeError
+            except SchemaError:  # the schema, digest and standardizer checks name their fault
+                raise
+            except (KeyError, TypeError, ValueError, ValidationError, ZeroDivisionError) as exc:
                 raise SchemaError(f"malformed model file {path}: {exc!r}") from exc
         # The fresh net's parameters have the shapes that chain its sizes.
         width = schema._design_layout.width

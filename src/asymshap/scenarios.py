@@ -329,6 +329,7 @@ class FairnessReport:
     sensitive: tuple[int, ...]
     sensitive_asv: float
     sensitive_stderr: float
+    detectable_asv: float  # SIGNIFICANCE_THRESHOLD x stderr: the smallest |sensitive_asv| it can flag
     significance: float
     verdict: str
 
@@ -340,6 +341,7 @@ class FairnessReport:
                 "sensitive": [self.feature_names[i] for i in self.sensitive],
                 "sensitive_asv": self.sensitive_asv,
                 "sensitive_stderr": self.sensitive_stderr,
+                "detectable_asv": self.detectable_asv,
                 "significance": self.significance,
                 "verdict": self.verdict,
             }
@@ -427,6 +429,7 @@ def run_fairness_audit(
         sensitive=s_idx,
         sensitive_asv=asv,
         sensitive_stderr=stderr,
+        detectable_asv=SIGNIFICANCE_THRESHOLD * stderr,
         significance=significance,
         verdict=verdict,
     )

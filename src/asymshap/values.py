@@ -1,11 +1,12 @@
 """Coalition value functions: what a prediction is worth when only some features are known.
 
 CachedValueFunction is the game v(S) = E[f_y(x_S, x'_{S-bar})] for one point
-x and class y, memoized per coalition. The out-of-coalition slots x' come from
-its completion, one of two marginalizations. A BackgroundSet is off-manifold:
-it splices unconditional background draws. A ConditionalSampler is
-on-manifold: it draws from p(x' | x_S) by exact match, k-NN, or a generative
-process with closed-form conditionals.
+x and class y, memoized per coalition. A coalition S is an int bitmask with
+bit i set for feature i. The out-of-coalition slots x' come from its
+completion, one of two marginalizations. A BackgroundSet is off-manifold: it
+splices unconditional background draws. A ConditionalSampler is on-manifold:
+it draws from p(x' | x_S) by exact match, k-NN, or a generative process with
+closed-form conditionals.
 
 Per-instance draws are frozen: the off-manifold background subsample is drawn
 once and shared by every coalition, and on-manifold per-coalition draws are
@@ -46,17 +47,12 @@ class Predictor(Protocol):
         ...
 
 
-def as_mask(S, n: int) -> int:
-    """Accept an int bitmask or an iterable of feature indices (duplicates allowed)."""
-    if isinstance(S, (int, np.integer)):
-        mask = int(S)
-        if not 0 <= mask < (1 << n):
-            raise ValidationError(f"mask {mask} outside [0, 2^{n})")
-        return mask
-    members = {operator.index(i) for i in S}
-    if not all(0 <= i < n for i in members):
-        raise ValidationError(f"coalition members {sorted(members)} outside [0, {n})")
-    return sum(1 << i for i in members)
+def _checked_mask(mask, n: int) -> int:
+    """mask as a Python int, which must lie in [0, 2^n)."""
+    mask = operator.index(mask)
+    if not 0 <= mask < (1 << n):
+        raise ValidationError(f"mask {mask} outside [0, 2^{n})")
+    return mask
 
 
 @dataclass
@@ -338,7 +334,7 @@ def _check_point(x: np.ndarray, y: int, pred: Predictor) -> np.ndarray:
 
 
 class CachedValueFunction:
-    """Memoized v(S) for one (predictor, point, class) context.
+    """Memoized v(S) for one (predictor, point, class) context, S an int bitmask.
 
     completion fills the slots outside S. A BackgroundSet (off-manifold)
     splices them from m background draws, frozen once per point from
@@ -402,21 +398,22 @@ class CachedValueFunction:
         self.evaluations = 0
         self.prediction_rows = 0
 
-    def value(self, S) -> float:
-        """Mean of f_y over the completions of x_S."""
-        mask = as_mask(S, self.n)
+    def value(self, mask: int) -> float:
+        """Mean of f_y over the completions of x_S, S given as an int with bit i
+        set for feature i. Raises ValidationError outside [0, 2^n), checked on
+        a cache miss: a cached mask was checked when it first missed."""
         hit = self._cache.get(mask)
         if hit is not None:
             return hit
+        mask = _checked_mask(mask, self.n)
         self.evaluations += 1
-        bits = (mask & self._bit) != 0
         if self.sampler is None:
-            rows = np.where(bits, self.x, self._draws)
-        elif bits.all():
+            rows = np.where(self._bit & mask, self.x, self._draws)
+        elif mask == (1 << self.n) - 1:
             rows = self.x[None, :]
         else:
             rng = _stream(self.seed, self.point_index, mask)
-            rows = self.sampler.complete(self.x, np.flatnonzero(bits), self.m, rng)[0]
+            rows = self.sampler.complete(self.x, np.flatnonzero(self._bit & mask), self.m, rng)[0]
         self.prediction_rows += rows.shape[0]
         out = _mean(self.pred.predict(rows)[:, self.y])
         self._cache[mask] = out

@@ -706,7 +706,7 @@ class TestCoalitionAccuracy:
     def test_full_set_is_sampled_label_accuracy(self):
         ds = toy_dataset(rows=25, seed=6)
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
-        acc = coalition_accuracy(pred, ds, [0, 1, 2], completion=BackgroundSet(ds.X), m=8)
+        acc = coalition_accuracy(pred, ds, 0b111, completion=BackgroundSet(ds.X), m=8)
         assert acc == pytest.approx(sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12)
 
     def test_perfectly_informative_feature(self):
@@ -717,8 +717,8 @@ class TestCoalitionAccuracy:
         y = X[:, 0].astype(np.int64)
         ds = Dataset(X, y, schema)
         pred = FirstFeatureProbPredictor(n_features=1)
-        full = coalition_accuracy(pred, ds, [0], completion=BackgroundSet(ds.X), m=ds.n_rows)
-        empty = coalition_accuracy(pred, ds, [], completion=BackgroundSet(ds.X), m=ds.n_rows)
+        full = coalition_accuracy(pred, ds, 0b1, completion=BackgroundSet(ds.X), m=ds.n_rows)
+        empty = coalition_accuracy(pred, ds, 0, completion=BackgroundSet(ds.X), m=ds.n_rows)
         assert full == 1.0
         assert empty == 0.5
 
@@ -727,7 +727,7 @@ class TestCoalitionAccuracy:
         pred = LinearProbPredictor(np.array([0.5, 1.0, -0.75]))
         bg = BackgroundSet(ds.X)
         glob = global_asv(pred, ds, OrderingSpec(3), completion=bg, m=10, seed=4)
-        empty = coalition_accuracy(pred, ds, [], completion=bg, m=10, seed=4)
+        empty = coalition_accuracy(pred, ds, 0, completion=bg, m=10, seed=4)
         assert empty == glob.accuracy_empty
 
     def test_one_point_has_no_across_point_stderr(self):
@@ -735,11 +735,11 @@ class TestCoalitionAccuracy:
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         bg = BackgroundSet(ds.X)
         with pytest.raises(ValidationError, match="at least 2 points"):
-            coalition_accuracy(pred, ds, [0, 1], completion=bg, budget=1)
+            coalition_accuracy(pred, ds, 0b011, completion=bg, budget=1)
         one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
         with pytest.raises(ValidationError, match="at least 2 points"):
-            coalition_accuracy(pred, one_row, [0, 1], completion=bg)
-        assert isinstance(coalition_accuracy(pred, ds, [0, 1], completion=bg, budget=2), float)
+            coalition_accuracy(pred, one_row, 0b011, completion=bg)
+        assert isinstance(coalition_accuracy(pred, ds, 0b011, completion=bg, budget=2), float)
 
 
 class TestPartitionSumCheck:

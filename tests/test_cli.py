@@ -218,7 +218,9 @@ def test_model_file_with_a_patience_below_1_exits_2(trained, tmp_path, capsys):
     code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
                  "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
     assert code == 2
-    assert "patience and hidden widths must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"malformed model file {model}" in err
+    assert "patience and hidden widths must be positive" in err
     assert not out.exists()
 
 

@@ -20,8 +20,8 @@ from asymshap import (
     KNNSampler,
     Schema,
     SchemaError,
+    TableValueFunction,
     ValidationError,
-    as_mask,
 )
 from asymshap.values import _discrete_mutual_information, _mean, _stream
 
@@ -33,35 +33,34 @@ def sigmoid(z):
 # ---------------------------------------------------------------- primitives
 
 
+@pytest.fixture(params=["cached", "table"])
+def mask_game(request):
+    """A game over 3 features whose v(S) differs for every mask S."""
+    if request.param == "table":
+        return TableValueFunction(np.arange(8.0), 3)
+    pred = LinearProbPredictor(np.array([1.0, 2.0, 4.0]))
+    return CachedValueFunction(pred, np.ones(3), 1, completion=BackgroundSet(np.zeros((1, 3))), m=1)
+
+
 class TestMaskHelpers:
-    def test_as_mask_accepts_three_forms(self):
-        # A Python int mask, a NumPy integer mask, and an iterable of indices.
-        assert as_mask(0b101, 3) == 0b101
-        assert as_mask(np.int64(0b101), 3) == 0b101
-        assert as_mask([2, 0], 3) == 0b101
-        assert as_mask(np.array([2, 0]), 3) == 0b101
+    def test_value_takes_an_int_or_a_numpy_integer_mask(self, mask_game):
+        vals = [mask_game.value(mask) for mask in range(8)]
+        assert len(set(vals)) == 8
+        assert [mask_game.value(np.int64(mask)) for mask in range(8)] == vals
+        assert [mask_game.value(np.uint8(mask)) for mask in range(8)] == vals
 
-    def test_as_mask_validation(self):
-        with pytest.raises(ValidationError):
-            as_mask(8, 3)
-        with pytest.raises(ValidationError):
-            as_mask([3], 3)
+    @pytest.mark.parametrize("bad", [-1, 8, 1 << 62, np.int64(-3)],
+                             ids=["negative", "2^n", "2^62", "negative_int64"])
+    def test_value_rejects_a_mask_outside_the_features(self, mask_game, bad):
+        with pytest.raises(ValidationError, match="outside"):
+            mask_game.value(bad)
 
-    def test_mask_round_trip_all_subsets(self):
-        n = 6
-        for mask in range(1 << n):
-            members = [i for i in range(n) if mask >> i & 1]
-            assert as_mask(members, n) == mask
-            assert as_mask(mask, n) == mask
-
-    def test_set_semantics(self):
-        assert as_mask([1, 1, 2], 4) == as_mask([2, 1], 4) == 0b110
-
-    def test_out_of_range_member_rejected(self):
-        with pytest.raises(ValidationError):
-            as_mask([3], 3)
-        with pytest.raises(ValidationError):
-            as_mask([-1], 3)
+    @pytest.mark.parametrize("bad", [[0, 2], (0, 2), np.array([0, 2]), 5.0],
+                             ids=["list", "tuple", "array", "float"])
+    def test_value_rejects_anything_but_an_integer(self, mask_game, bad):
+        # A coalition is its bitmask, not a collection of feature indices.
+        with pytest.raises(TypeError):
+            mask_game.value(bad)
 
     def test_mask_indices(self):
         # The sampler conditions on the coalition's members, ascending.
@@ -126,17 +125,17 @@ class TestSplice:
     def test_full_and_empty(self):
         x = np.array([1.0, 2.0, 3.0])
         x_prime = np.array([9.0, 8.0, 7.0])
-        assert np.array_equal(spliced([0, 1, 2], x, x_prime), x)
-        assert np.array_equal(spliced([], x, x_prime), x_prime)
+        assert np.array_equal(spliced(0b111, x, x_prime), x)
+        assert np.array_equal(spliced(0, x, x_prime), x_prime)
 
     def test_mixed(self):
         x = np.array([1.0, 2.0, 3.0])
         x_prime = np.array([9.0, 8.0, 7.0])
-        assert np.array_equal(spliced([1], x, x_prime), [9.0, 2.0, 7.0])
+        assert np.array_equal(spliced(0b010, x, x_prime), [9.0, 2.0, 7.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
-            spliced([0], np.zeros(3), np.zeros(4))
+            spliced(0b001, np.zeros(3), np.zeros(4))
 
 
 class TestBackgroundSet:
@@ -163,7 +162,7 @@ class TestOffManifold:
                 [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
             )
         )
-        got = CachedValueFunction(pred, x, 1, completion=bg, m=4).value([0])
+        got = CachedValueFunction(pred, x, 1, completion=bg, m=4).value(0b001)
         hand = (
             sigmoid(0.1 + 1.0)
             + sigmoid(0.1 + 1.0 + 0.5)
@@ -177,7 +176,7 @@ class TestOffManifold:
         x = np.array([0.4, 1.2])
         bg = BackgroundSet(np.random.default_rng(1).normal(size=(50, 2)))
         vf = CachedValueFunction(pred, x, 1, completion=bg, m=10, seed=3)
-        assert vf.value([0, 1]) == float(pred.predict(x[None, :])[0, 1])
+        assert vf.value(0b11) == float(pred.predict(x[None, :])[0, 1])
 
     def test_constant_model_is_constant_for_every_coalition(self):
         pred = ConstantPredictor(p1=0.3, n_features=3)
@@ -203,7 +202,7 @@ class TestOffManifold:
         pred = LinearProbPredictor(np.array([1.0, 1.0]))
         bg = BackgroundSet(np.random.default_rng(5).normal(size=(8, 2)))
         x = np.array([0.5, -0.5])
-        val = CachedValueFunction(pred, x, 1, completion=bg, m=8).value([0])
+        val = CachedValueFunction(pred, x, 1, completion=bg, m=8).value(0b01)
         hand = float(np.mean(pred.predict(np.column_stack([np.full(8, 0.5), bg.rows[:, 1]]))[:, 1]))
         assert val == pytest.approx(hand, abs=1e-12)
 
@@ -231,9 +230,9 @@ class TestCaching:
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.2]))
         bg = BackgroundSet(np.random.default_rng(8).normal(size=(10, 3)))
         vf = CachedValueFunction(pred, np.zeros(3), 1, completion=bg, m=6, seed=0)
-        first = vf.value([0])
+        first = vf.value(0b001)
         rows_after_first = vf.prediction_rows
-        again = vf.value([0])
+        again = vf.value(np.int64(0b001))
         assert again == first
         assert vf.evaluations == 1
         assert vf.prediction_rows == rows_after_first
@@ -292,15 +291,15 @@ class TestExactMatchSampler:
         # Condition on b = 1: matching rows are (0,1) twice; completions keep
         # b = 1 and draw a from those rows, so the mean of f_1 = a is 0.
         x = np.array([1.0, 1.0])
-        assert CachedValueFunction(pred, x, 1, completion=sampler, m=50).value([1]) == 0.0
+        assert CachedValueFunction(pred, x, 1, completion=sampler, m=50).value(0b10) == 0.0
 
     def test_empty_coalition_equals_off_manifold_over_the_same_rows(self):
         ds = discrete_dataset()
         pred = FirstFeatureProbPredictor(n_features=2)
         sampler = ExactMatchSampler(ds)
         x = np.array([0.0, 0.0])
-        on = CachedValueFunction(pred, x, 1, completion=sampler, m=ds.n_rows).value([])
-        off = CachedValueFunction(pred, x, 1, completion=BackgroundSet(ds.X), m=ds.n_rows).value([])
+        on = CachedValueFunction(pred, x, 1, completion=sampler, m=ds.n_rows).value(0)
+        off = CachedValueFunction(pred, x, 1, completion=BackgroundSet(ds.X), m=ds.n_rows).value(0)
         assert on == off
 
     def test_subsamples_when_matches_exceed_m(self):
@@ -308,7 +307,7 @@ class TestExactMatchSampler:
         pred = FirstFeatureProbPredictor(n_features=2)
         sampler = ExactMatchSampler(ds)
         x = np.array([0.0, 0.0])
-        val = CachedValueFunction(pred, x, 1, completion=sampler, m=3, seed=1).value([0])
+        val = CachedValueFunction(pred, x, 1, completion=sampler, m=3, seed=1).value(0b01)
         assert val == 0.0  # every a=0 row predicts 0 regardless of subsampling
 
     def test_zero_matches_fall_back_to_knn(self, caplog):
@@ -328,7 +327,7 @@ class TestExactMatchSampler:
         sampler = ExactMatchSampler(ds)
         x = np.array([1.0, 1.0, 0.0])
         with caplog.at_level(logging.WARNING, logger="asymshap.values"):
-            val = CachedValueFunction(pred, x, 1, completion=sampler, m=20, seed=2).value([0, 1])
+            val = CachedValueFunction(pred, x, 1, completion=sampler, m=20, seed=2).value(0b011)
         assert any("falling back" in r.message for r in caplog.records)
         assert val == 1.0  # completions pin the conditioned features to x
 
@@ -709,7 +708,7 @@ class TestOnManifold:
         ds = discrete_dataset()
         pred = FirstFeatureProbPredictor(n_features=2)
         vf = CachedValueFunction(pred, np.array([1.0, 0.0]), 1, completion=ExactMatchSampler(ds), m=5)
-        assert vf.value([0, 1]) == 1.0
+        assert vf.value(0b11) == 1.0
 
     def test_values_are_keyed_by_coalition_not_query_order(self):
         schema = Schema((FeatureSpec("a", DISCRETE, 2), FeatureSpec("s", CONTINUOUS)))
