@@ -13,7 +13,6 @@ from .attribution import (
     CoalitionChains,
     GlobalAttribution,
     TableValueFunction,
-    coalition_accuracy,
     exact_asv,
     exact_shapley_subset_form,
     global_asv,
@@ -25,7 +24,6 @@ from .attribution import (
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
     OrderingSpec,
-    count_consistent,
     enumerate_consistent,
     is_consistent,
     random_ordering_spec,

@@ -18,13 +18,17 @@ weighted_column_means, which equals the per-order column mean bit for bit.
 Global attributions average local ones over (x, y) pairs from a dataset,
 which ties their sum to an accuracy decomposition: the attribution mass
 equals the model's sampled-label accuracy minus the accuracy left when every
-feature is marginalized away.
+feature is marginalized away. Every consistent order passes through each
+prefix of the ordering's groups, so a global run keeps its points' mean value
+at each prefix, read from their caches, and partition_sum_check checks the
+paper's partition identities on those values with no second evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -395,17 +399,22 @@ def point_asv(
 class GlobalAttribution:
     """Dataset-averaged attribution plus the accuracy terms its sum decomposes into.
 
-    accuracy_full is E[f_y(x)] (sampled-label accuracy of the model);
-    accuracy_empty is what remains with every feature marginalized away.
-    By the sum rule, sum(means) ~ accuracy_full - accuracy_empty. locals holds
-    the per-point attributions, one row per point, that means averages.
+    prefix_accuracies holds, for each prefix U of the ordering's groups, the
+    mean of v_{f_y(x)}(U) over the run's points: the empty set first, then
+    G1, G1 ∪ G2, ..., and the full set last (the empty and full sets alone
+    when no groups were declared). Each is a column mean of values the run
+    already computed. accuracy_empty, the first, is what remains with every
+    feature marginalized away; accuracy_full, the last, is E[f_y(x)], the
+    model's sampled-label accuracy. By the sum rule, sum(means) ~
+    accuracy_full - accuracy_empty, and partition_sum_check checks it group
+    by group. locals holds the per-point attributions, one row per point,
+    that means averages.
     """
 
     means: np.ndarray
     stderrs: np.ndarray
     n_points: int
-    accuracy_full: float
-    accuracy_empty: float
+    prefix_accuracies: tuple[float, ...]
     locals: np.ndarray
     metadata: dict = field(default_factory=dict)
 
@@ -413,11 +422,16 @@ class GlobalAttribution:
     def n(self) -> int:
         return self.means.shape[0]
 
+    @property
+    def accuracy_empty(self) -> float:
+        return self.prefix_accuracies[0]
+
+    @property
+    def accuracy_full(self) -> float:
+        return self.prefix_accuracies[-1]
+
     def sum(self) -> float:
         return math.fsum(map(float, self.means))
-
-    def sum_rule_gap(self) -> float:
-        return self.sum() - (self.accuracy_full - self.accuracy_empty)
 
     def to_json_dict(self, feature_names=None) -> dict:
         d = {
@@ -472,6 +486,9 @@ def global_asv(
     random stream, so a row's result does not depend on the other rows. The
     exact estimator enumerates the consistent orders once, as one int8
     matrix, and every row reduces the CoalitionChains.merged built from it.
+    Every consistent order passes through each prefix of the ordering's
+    groups, so each row's value there is read from its cache, not evaluated
+    again, for prefix_accuracies.
     """
     spec = _as_spec(ordering)
     if spec.n != dataset.n:
@@ -480,25 +497,24 @@ def global_asv(
     B = idx.shape[0]
     chains = CoalitionChains.merged(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
     n = dataset.n
+    prefixes = list(accumulate(sum(1 << i for i in g) for g in (spec.groups or ())[:-1]))
     L = np.empty((B, n))
-    ends = np.empty((B, 2))  # v(N) and v({}) per point
+    V = np.empty((B, len(prefixes) + 2))  # v at {}, at each interior group prefix and at N, per point
     value_evaluations = prediction_rows = 0
     for j, row in enumerate(idx.tolist()):
         vf = CachedValueFunction(pred, dataset.X[row], int(dataset.y[row]), completion,
                                  m=m, seed=seed, point_index=row)
         res = point_asv(vf, spec, estimator, n_perms, chains)
         L[j] = res.means
-        ends[j] = (res.total, res.baseline)
-        value_evaluations += res.metadata["value_evaluations"]
-        prediction_rows += res.metadata["prediction_rows"]
-    accuracy_full, accuracy_empty = column_means(ends).tolist()
+        V[j] = [res.baseline, *(vf._cache[mask] for mask in prefixes), res.total]
+        value_evaluations += vf.evaluations
+        prediction_rows += vf.prediction_rows
     return GlobalAttribution(
         means=column_means(L),
         # Across-point spread of noisy local estimates; absorbs their MC error.
         stderrs=column_stderrs(L),
         n_points=B,
-        accuracy_full=accuracy_full,
-        accuracy_empty=accuracy_empty,
+        prefix_accuracies=tuple(column_means(V).tolist()),
         locals=L,
         metadata={
             "estimator": estimator,
@@ -512,81 +528,35 @@ def global_asv(
     )
 
 
-def coalition_accuracy(
-    pred,
-    dataset: Dataset,
-    mask: int,
-    completion: BackgroundSet | ConditionalSampler,
-    *,
-    m: int = 100,
-    budget: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Sampled-label accuracy attainable from the coalition U alone, given as
-    mask, an int with bit i set for feature i: the mean of v_{f_y(x)}(U) over
-    the dataset points a global_asv run with the same budget and seed averages
-    (at least 2). Each point uses that run's frozen draws, so v(U) equals the
-    run's v(U) bit for bit."""
-    vals = [
-        CachedValueFunction(
-            pred, dataset.X[row], int(dataset.y[row]), completion, m=m, seed=seed, point_index=row
-        ).value(mask)
-        for row in _point_budget(dataset.n_rows, budget, seed).tolist()
-    ]
-    return float(column_means(np.array(vals)[:, None])[0])
-
-
-def partition_sum_check(
-    glob: GlobalAttribution,
-    partition,
-    pred,
-    dataset: Dataset,
-    completion: BackgroundSet | ConditionalSampler,
-) -> dict:
+def partition_sum_check(glob: GlobalAttribution) -> dict:
     """Check the group-sum identities tying attribution mass to accuracy gains.
 
-    glob is a global_asv run of pred on dataset with this completion, and
-    partition the ordered groups its ordering declared; a run that declared
-    no groups accepts only the single group of all features, the sum rule.
-    For each group, the sum of its attributions is compared to the accuracy
+    The partition is the ordered groups glob's ordering declared, or the
+    single group of all features, the sum rule, when it declared none. For
+    each group, the sum of its attributions is compared to the accuracy
     gained when it joins the groups before it, and the cumulative sum to the
-    accuracy above the empty set. The accuracies come from coalition_accuracy
-    on the run's own points and draws (its n_points, m and seed), and every
-    consistent order passes through each prefix of groups, so each gap is a
-    float identity: zero up to rounding, not an estimate with an error bar.
+    accuracy above the empty set. The accuracies are glob.prefix_accuracies,
+    the run's own values at each prefix of groups, averaged over its points,
+    with no second evaluation. Every consistent order passes through each
+    prefix, so each gap is a float identity: zero up to rounding, not an
+    estimate with an error bar.
     """
-    groups = [sorted(g) for g in partition]
-    if sorted(i for g in groups for i in g) != list(range(glob.n)):
-        raise ValidationError(f"partition {groups} does not cover features 0..{glob.n - 1}")
-    meta = glob.metadata
-    declared = meta["ordering"]["groups"] or [list(range(glob.n))]
-    if groups != [sorted(g) for g in declared]:
-        raise ValidationError(
-            f"partition {groups} does not match the ordering the attribution was run with: {declared}"
-        )
-
-    def accuracy(mask: int) -> float:
-        return coalition_accuracy(pred, dataset, mask, completion, m=meta["m"],
-                                  budget=glob.n_points, seed=meta["seed"])
-
-    acc_empty = prev_acc = accuracy(0)
+    groups = glob.metadata["ordering"]["groups"] or [list(range(glob.n))]
+    acc = glob.prefix_accuracies
+    means = glob.means.tolist()
     rows = []
-    mask = 0
-    for g in groups:
-        mask |= sum(1 << i for i in g)
-        acc = accuracy(mask)
-        phi_sum = math.fsum(float(glob.means[i]) for i in g)
-        cum_phi = math.fsum(float(glob.means[i]) for i in range(glob.n) if mask >> i & 1)
+    for k, g in enumerate(groups, 1):
+        phi_sum = math.fsum(means[i] for i in g)
+        cum_phi = math.fsum(means[i] for h in groups[:k] for i in h)
         rows.append(
             {
                 "group": g,
                 "phi_sum": phi_sum,
-                "accuracy_gain": acc - prev_acc,
-                "gap": phi_sum - (acc - prev_acc),
+                "accuracy_gain": acc[k] - acc[k - 1],
+                "gap": phi_sum - (acc[k] - acc[k - 1]),
                 "cumulative_phi": cum_phi,
-                "cumulative_gain": acc - acc_empty,
-                "cumulative_gap": cum_phi - (acc - acc_empty),
+                "cumulative_gain": acc[k] - acc[0],
+                "cumulative_gap": cum_phi - (acc[k] - acc[0]),
             }
         )
-        prev_acc = acc
-    return {"accuracy_empty": acc_empty, "groups": rows}
+    return {"accuracy_empty": acc[0], "groups": rows}

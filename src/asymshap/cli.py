@@ -85,12 +85,13 @@ def _write_json(path, doc: dict, resolved: dict, hashes: dict | None = None) -> 
         fh.write("\n")
 
 
-def _write_rows(path, header, rows) -> None:
-    """A CSV of header and then each row's floats, written as their repr."""
+def _write_rows(path, header, rows: np.ndarray) -> None:
+    """A CSV of header and then each row of the 2-d array rows, as Python
+    numbers: csv.writer writes an int as its digits and a float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([repr(float(v)) for v in row] for row in rows)
+        writer.writerows(rows.tolist())
 
 
 class _CommaList:
@@ -277,11 +278,7 @@ def cmd_gen_data(resolved: dict) -> int:
     }
     if audit is not None:
         audit_path = f"{prefix}.audit.csv"
-        with open(audit_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x4"])
-            for v in audit:
-                writer.writerow([int(v)])
+        _write_rows(audit_path, ["x4"], audit[:, None])
         files["audit"] = {"path": audit_path, "sha256": _sha256_file(audit_path)}
     _write_json(f"{prefix}.manifest.json", {"scenario": scenario, "files": files}, resolved)
     print(f"wrote {csv_path} ({rows} rows), {schema_path}, {prefix}.manifest.json")

@@ -236,20 +236,6 @@ def _extend(P, placed, bit, need) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([np.repeat(P, counts, axis=0), feats]), np.repeat(placed, counts) | bit[feats]
 
 
-def count_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Number of consistent permutations.
-
-    Groups-only specs have the closed form prod(|G|!) and are counted without
-    enumeration (and without the cap). Specs with edges are counted by
-    enumeration, subject to the cap.
-    """
-    if not spec.edges:
-        if spec.groups is None:
-            return math.factorial(spec.n)
-        return math.prod(math.factorial(len(g)) for g in spec.groups)
-    return len(enumerate_consistent(spec, cap=cap))
-
-
 def _sample_group_consistent(
     spec: OrderingSpec, size: int, rng: np.random.Generator
 ) -> np.ndarray:

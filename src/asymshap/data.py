@@ -167,22 +167,16 @@ class Dataset:
         return Dataset(self.X[idx], self.y[idx], self.schema)
 
 
-def _format_cell(value: float, kind: str) -> str:
-    if kind == DISCRETE:
-        return str(int(value))
-    return repr(float(value))
-
-
 def save_csv(ds: Dataset, csv_path, schema_path) -> None:
-    """Write the dataset as CSV plus its schema sidecar. Deterministic bytes."""
-    kinds = [f.kind for f in ds.schema.features]
+    """Write the dataset as CSV plus its schema sidecar. Deterministic bytes:
+    a discrete cell is written as an int, and csv.writer writes a continuous
+    one, a Python float, as its repr, which float() reads back exactly."""
+    cols = [ds.X[:, i].astype(np.int64) if f.kind == DISCRETE else ds.X[:, i]
+            for i, f in enumerate(ds.schema.features)]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(ds.schema.names) + [ds.schema.label])
-        for row, label in zip(ds.X, ds.y):
-            writer.writerow(
-                [_format_cell(v, k) for v, k in zip(row, kinds)] + [str(int(label))]
-            )
+        writer.writerows(zip(*(c.tolist() for c in cols), ds.y.tolist()))
     with open(schema_path, "w") as fh:
         json.dump(ds.schema.to_json_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -467,7 +467,7 @@ def _prefix_dataset(ds: Dataset, t: int) -> Dataset:
     return Dataset(ds.X[:, : t + 1], ds.y, sub_schema)
 
 
-def _empty_coalition_accuracy(model, bg_X: np.ndarray, y_test: np.ndarray) -> float:
+def _empty_set_accuracy(model, bg_X: np.ndarray, y_test: np.ndarray) -> float:
     """E over independent background x' and labels y of f_y(x')."""
     mean_probs = model.predict(bg_X).mean(axis=0)
     return float(np.mean(mean_probs[y_test]))
@@ -516,7 +516,7 @@ def run_feature_selection_study(
             model_t = train_logistic(sub_train, TrainConfig(seed=trial_seed))
             sub_test = _prefix_dataset(test, t)
             acc = sampled_label_accuracy(model_t, sub_test.X, sub_test.y)
-            base_acc = _empty_coalition_accuracy(model_t, sub_train.X, sub_test.y)
+            base_acc = _empty_set_accuracy(model_t, sub_train.X, sub_test.y)
             trial_matrix[r, t] = acc - base_acc
     return FeatureSelectionStudy(
         ts=tuple(range(T)),

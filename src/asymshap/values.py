@@ -400,8 +400,11 @@ class CachedValueFunction:
 
     def value(self, mask: int) -> float:
         """Mean of f_y over the completions of x_S, S given as an int with bit i
-        set for feature i. Raises ValidationError outside [0, 2^n), checked on
-        a cache miss: a cached mask was checked when it first missed."""
+        set for feature i. Anything but an integer raises TypeError, hit or
+        miss, for 3.0 would hash to the entry of 3; a mask outside [0, 2^n)
+        raises ValidationError, checked on a miss: a cached mask was checked
+        when it first missed."""
+        mask = operator.index(mask)
         hit = self._cache.get(mask)
         if hit is not None:
             return hit

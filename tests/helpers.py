@@ -1,12 +1,14 @@
-"""Tiny predictor doubles shared across the test modules, a memory probe, and a reference trainer."""
+"""Tiny predictor doubles shared across the test modules, a memory probe, and reference implementations."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from asymshap import Standardizer, one_hot_design, train_test_split
+from asymshap import CachedValueFunction, Standardizer, one_hot_design, train_test_split
+from asymshap.attribution import _point_budget
 
 
 def peak_traced_bytes(fn, *args):
@@ -65,6 +67,21 @@ class FirstFeatureProbPredictor:
         X = np.atleast_2d(X)
         p1 = np.clip(X[:, 0], 0.0, 1.0)
         return np.column_stack([1.0 - p1, p1])
+
+
+class CountingPredictor:
+    """Delegates to pred, counting its predict calls and the rows they pass."""
+
+    def __init__(self, pred):
+        self.pred = pred
+        self.n_features = pred.n_features
+        self.n_classes = pred.n_classes
+        self.calls = self.rows = 0
+
+    def predict(self, X):
+        self.calls += 1
+        self.rows += len(X)
+        return self.pred.predict(X)
 
 
 class CountingGame:
@@ -164,3 +181,46 @@ def reference_train(ds, config, kind):
     history = {"train_loss": train_losses, "val_loss": val_losses, "best_epoch": best_epoch,
                "epochs_run": len(train_losses)}
     return best[:k], best[k:], history
+
+
+def coalition_accuracy(pred, dataset, mask, completion, *, m=100, budget=None, seed=0):
+    """Mean of v_{f_y(x)}(mask) over the points that a global_asv run with this
+    budget and seed averages, each evaluated in a new CachedValueFunction with
+    that run's frozen draws: the run's value at mask, evaluated again."""
+    vals = [
+        CachedValueFunction(pred, dataset.X[row], int(dataset.y[row]), completion, m=m, seed=seed,
+                            point_index=row).value(mask)
+        for row in _point_budget(dataset.n_rows, budget, seed).tolist()
+    ]
+    return math.fsum(vals) / len(vals)
+
+
+def reference_partition_report(glob, pred, dataset, completion):
+    """partition_sum_check(glob), each prefix accuracy evaluated again by
+    coalition_accuracy on glob's points and draws instead of read from glob."""
+    meta = glob.metadata
+    means = glob.means.tolist()
+
+    def accuracy(mask):
+        return coalition_accuracy(pred, dataset, mask, completion, m=meta["m"], budget=glob.n_points,
+                                  seed=meta["seed"])
+
+    acc_empty = prev_acc = accuracy(0)
+    rows = []
+    mask = 0
+    for g in meta["ordering"]["groups"] or [list(range(glob.n))]:
+        mask |= sum(1 << i for i in g)
+        acc = accuracy(mask)
+        phi_sum = math.fsum(means[i] for i in g)
+        cum_phi = math.fsum(means[i] for i in range(glob.n) if mask >> i & 1)
+        rows.append({
+            "group": g,
+            "phi_sum": phi_sum,
+            "accuracy_gain": acc - prev_acc,
+            "gap": phi_sum - (acc - prev_acc),
+            "cumulative_phi": cum_phi,
+            "cumulative_gain": acc - acc_empty,
+            "cumulative_gap": cum_phi - (acc - acc_empty),
+        })
+        prev_acc = acc
+    return {"accuracy_empty": acc_empty, "groups": rows}

@@ -10,9 +10,12 @@ import pytest
 from helpers import (
     ConstantPredictor,
     CountingGame,
+    CountingPredictor,
     FirstFeatureProbPredictor,
     LinearProbPredictor,
+    coalition_accuracy,
     peak_traced_bytes,
+    reference_partition_report,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +39,6 @@ from asymshap import (
     Schema,
     TableValueFunction,
     ValidationError,
-    coalition_accuracy,
     enumerate_consistent,
     exact_asv,
     exact_shapley_subset_form,
@@ -559,13 +561,13 @@ class TestGlobalAttribution:
         glob = global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=8, seed=0)
         assert np.all(glob.means == 0.0)
         assert glob.accuracy_full == glob.accuracy_empty
-        assert glob.sum_rule_gap() == 0.0
+        assert partition_sum_check(glob)["groups"][-1]["cumulative_gap"] == 0.0
 
     def test_sum_rule(self):
         ds = toy_dataset(rows=20, seed=1)
         pred = LinearProbPredictor(np.array([1.0, -0.5, 0.25]))
         glob = global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=16, seed=3)
-        assert abs(glob.sum_rule_gap()) <= 1e-9
+        assert abs(glob.sum() - (glob.accuracy_full - glob.accuracy_empty)) <= 1e-9
         assert glob.accuracy_full == pytest.approx(
             sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12
         )
@@ -703,11 +705,15 @@ class TestPointAsv:
 
 
 class TestCoalitionAccuracy:
+    """The re-evaluating reference in helpers, and the run's own accuracies against it."""
+
     def test_full_set_is_sampled_label_accuracy(self):
         ds = toy_dataset(rows=25, seed=6)
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
         acc = coalition_accuracy(pred, ds, 0b111, completion=BackgroundSet(ds.X), m=8)
         assert acc == pytest.approx(sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12)
+        glob = global_asv(pred, ds, OrderingSpec(3), BackgroundSet(ds.X), m=8)
+        assert glob.accuracy_full == acc
 
     def test_perfectly_informative_feature(self):
         # x0 equals the label; the predictor reads it off, so the full set is
@@ -721,6 +727,8 @@ class TestCoalitionAccuracy:
         empty = coalition_accuracy(pred, ds, 0, completion=BackgroundSet(ds.X), m=ds.n_rows)
         assert full == 1.0
         assert empty == 0.5
+        glob = global_asv(pred, ds, OrderingSpec(1), BackgroundSet(ds.X), m=ds.n_rows)
+        assert glob.prefix_accuracies == (0.5, 1.0)
 
     def test_empty_set_matches_global_baseline_exactly(self):
         ds = toy_dataset(rows=18, seed=7)
@@ -746,22 +754,21 @@ class TestPartitionSumCheck:
     def _setup(self, groups, edges=frozenset(), seed=8):
         ds = toy_dataset(rows=16, seed=seed)
         pred = LinearProbPredictor(np.array([1.5, -0.5, 0.75]))
-        bg = BackgroundSet(ds.X)
         spec = OrderingSpec(3, groups=groups, edges=edges)
-        glob = global_asv(pred, ds, spec, completion=bg, m=12, seed=2)
-        return glob, (pred, ds, bg)
+        return global_asv(pred, ds, spec, completion=BackgroundSet(ds.X), m=12, seed=2)
 
     def test_single_group_recovers_the_sum_rule(self):
-        glob, run = self._setup(((0, 1, 2),))
-        report = partition_sum_check(glob, [(0, 1, 2)], *run)
+        glob = self._setup(((0, 1, 2),))
+        report = partition_sum_check(glob)
         row = report["groups"][0]
         assert abs(row["gap"]) <= 1e-12
         assert abs(row["cumulative_gap"]) <= 1e-12
         assert report["accuracy_empty"] == glob.accuracy_empty
+        assert row["cumulative_gap"] == glob.sum() - (glob.accuracy_full - glob.accuracy_empty)
 
     def test_two_group_split_telescopes(self):
-        glob, run = self._setup(((0,), (1, 2)))
-        report = partition_sum_check(glob, [(0,), (1, 2)], *run)
+        glob = self._setup(((0,), (1, 2)))
+        report = partition_sum_check(glob)
         for row in report["groups"]:
             assert set(row) == {"group", "phi_sum", "accuracy_gain", "gap",
                                 "cumulative_phi", "cumulative_gain", "cumulative_gap"}
@@ -769,33 +776,34 @@ class TestPartitionSumCheck:
             assert abs(row["cumulative_gap"]) <= 1e-12
 
     def test_chain_of_singletons(self):
-        glob, run = self._setup(((2,), (0,), (1,)))
-        report = partition_sum_check(glob, [(2,), (0,), (1,)], *run)
+        glob = self._setup(((2,), (0,), (1,)))
+        report = partition_sum_check(glob)
         assert [r["group"] for r in report["groups"]] == [[2], [0], [1]]
+        assert len(glob.prefix_accuracies) == 4
         for row in report["groups"]:
             assert abs(row["cumulative_gap"]) <= 1e-12
 
     def test_partition_must_match_the_run(self):
-        glob, run = self._setup(((0,), (1, 2)))
-        with pytest.raises(ValidationError):
-            partition_sum_check(glob, [(1,), (0, 2)], *run)
-        with pytest.raises(ValidationError):
-            partition_sum_check(glob, [(0,), (1,)], *run)
+        # The report's partition is the one the run declared, in its order.
+        for groups in (((1, 0), (2,)), ((2,), (1, 0))):
+            report = partition_sum_check(self._setup(groups))
+            assert [r["group"] for r in report["groups"]] == [sorted(g) for g in groups]
 
     @pytest.mark.parametrize("edges", [frozenset(), frozenset({(0, 1)})])
     def test_a_run_without_groups_declares_one_group(self, edges):
-        glob, run = self._setup(None, edges)
-        row, = partition_sum_check(glob, [(2, 0, 1)], *run)["groups"]
+        glob = self._setup(None, edges)
+        row, = partition_sum_check(glob)["groups"]
         assert row["group"] == [0, 1, 2]
         assert abs(row["gap"]) <= 1e-12
-        for partition in ([(0,), (1, 2)], [(0,), (1,), (2,)]):
-            with pytest.raises(ValidationError, match="does not match"):
-                partition_sum_check(glob, partition, *run)
+        assert len(glob.prefix_accuracies) == 2
 
     @pytest.mark.parametrize("estimator", ["exact", "mc"])
     @pytest.mark.parametrize("completion", ["background", "exact-match", "knn", "generative"])
     def test_gaps_vanish_for_every_completion(self, completion, estimator):
-        # A budget below the row count, so the check must pick the run's rows.
+        # The report equals the one whose prefix accuracies are evaluated
+        # again, bit for bit, and reading them from the run costs no
+        # predictor call. A budget below the row count, so the reference
+        # must pick the run's rows.
         process = AdmissionsProcess()
         ds = process.sample(40, seed=5)
         pred = BayesPredictor(process)
@@ -805,11 +813,15 @@ class TestPartitionSumCheck:
             "knn": lambda: KNNSampler(ds, k=5),
             "generative": lambda: GenerativeSampler(process),
         }[completion]()
-        groups = ((1,), (0, 2))
-        glob = global_asv(pred, ds, OrderingSpec(3, groups=groups), sampler, m=6,
-                          estimator=estimator, n_perms=4, budget=15, seed=3)
-        assert glob.n_points == 15
-        report = partition_sum_check(glob, groups, pred, ds, sampler)
-        for row in report["groups"]:
-            assert abs(row["gap"]) <= 1e-12
-            assert abs(row["cumulative_gap"]) <= 1e-12
+        for groups in (((1,), (0, 2)), ((2,), (0,), (1,))):
+            counting = CountingPredictor(pred)
+            glob = global_asv(counting, ds, OrderingSpec(3, groups=groups), sampler, m=6,
+                              estimator=estimator, n_perms=4, budget=15, seed=3)
+            assert glob.n_points == 15
+            assert glob.metadata["value_evaluations"] == counting.calls
+            assert glob.metadata["prediction_rows"] == counting.rows
+            report = partition_sum_check(glob)
+            assert repr(report) == repr(reference_partition_report(glob, pred, ds, sampler))
+            for row in report["groups"]:
+                assert abs(row["gap"]) <= 1e-12
+                assert abs(row["cumulative_gap"]) <= 1e-12

@@ -20,7 +20,6 @@ from asymshap import (
     OrderingSpec,
     SamplingBudgetError,
     ValidationError,
-    count_consistent,
     enumerate_consistent,
     is_consistent,
     random_ordering_spec,
@@ -318,39 +317,23 @@ class TestEnumerationWarning:
 
 
 class TestCount:
-    def test_matches_enumeration(self):
-        spec = OrderingSpec(4, edges=frozenset({(2, 0), (1, 3)}))
-        assert count_consistent(spec) == len(enumerate_consistent(spec))
+    """How many orders enumerate_consistent returns, against closed forms."""
 
     def test_empty_spec(self):
-        assert count_consistent(OrderingSpec(5)) == 120
+        assert len(enumerate_consistent(OrderingSpec(5))) == 120
 
     def test_total_order_chain(self):
         n = 6
         edges = frozenset((i, i + 1) for i in range(n - 1))
-        assert count_consistent(OrderingSpec(n, edges=edges)) == 1
+        assert len(enumerate_consistent(OrderingSpec(n, edges=edges))) == 1
 
     def test_groups_only_closed_form(self):
         spec = OrderingSpec(5, groups=((0, 1), (2, 3, 4)))
-        assert count_consistent(spec) == math.factorial(2) * math.factorial(3)
-
-    def test_groups_only_closed_form_beats_the_cap(self):
-        # 12 features is over the enumeration cap, but the ordered-partition
-        # count is a product of factorials and needs no enumeration.
-        spec = OrderingSpec(
-            12, groups=(tuple(range(4)), tuple(range(4, 12)))
-        )
-        assert count_consistent(spec) == math.factorial(4) * math.factorial(8)
-        assert count_consistent(spec) == 967680
+        assert len(enumerate_consistent(spec)) == math.factorial(2) * math.factorial(3)
 
     def test_edges_still_capped(self):
         with pytest.raises(EnumerationCapError):
-            count_consistent(OrderingSpec(11, edges=frozenset({(0, 1)})))
-
-    @given(ordering_specs())
-    @settings(max_examples=40, deadline=None)
-    def test_count_property(self, spec):
-        assert count_consistent(spec) == len(brute_force_consistent(spec))
+            enumerate_consistent(OrderingSpec(11, edges=frozenset({(0, 1)})))
 
 
 # ---------------------------------------------------------------- sampling

@@ -237,6 +237,19 @@ class TestCaching:
         assert vf.evaluations == 1
         assert vf.prediction_rows == rows_after_first
 
+    @pytest.mark.parametrize("bad", [3.0, np.float64(3.0)], ids=["float", "float64"])
+    def test_a_hit_rejects_the_keys_a_miss_rejects(self, bad):
+        # 3.0 hashes to the cache entry of 3, so the key's type is checked before the lookup.
+        pred = LinearProbPredictor(np.array([1.0, -1.0, 0.2]))
+        vf = CachedValueFunction(pred, np.zeros(3), 1, completion=BackgroundSet(np.eye(3)), m=3, seed=0)
+        with pytest.raises(TypeError):
+            vf.value(bad)
+        vf.value(3)
+        vf.value(1)
+        with pytest.raises(TypeError):
+            vf.value(bad)
+        assert vf.evaluations == 2
+
     def test_full_sweep_evaluates_each_coalition_once(self):
         n = 5
         pred = LinearProbPredictor(np.random.default_rng(9).normal(size=n))
