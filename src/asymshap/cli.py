@@ -358,6 +358,8 @@ def cmd_explain(resolved: dict) -> int:
     else:
         ordering = OrderingSpec(ds.n)
     row = resolved["index"]
+    if row is not None and resolved["locals_csv"]:
+        raise ValidationError("--locals-csv writes a global run's per-point attributions; drop --index")
     estimator = _choose_estimator(resolved, ordering)
     completion = _completion(resolved, ds)
     if row is not None:

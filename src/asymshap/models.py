@@ -38,8 +38,10 @@ class TrainConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValidationError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.activation not in ("tanh", "relu"):
             raise ValidationError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -187,8 +189,8 @@ class TrainedModel:
     def load(cls, path) -> "TrainedModel":
         """The model saved at path. Raises SchemaError when the file is not JSON,
         lacks a key, or holds an invalid training config or net, a net not
-        mapping the schema's design columns to its classes through weights and
-        biases of the recorded sizes, or a standardizer not scaling exactly the
+        mapping the schema's design columns to its classes through finite weights
+        and biases of the recorded sizes, or a standardizer not scaling exactly the
         schema's continuous features by finite means and finite positive scales."""
         with open(path) as fh:
             try:
@@ -234,6 +236,8 @@ class TrainedModel:
                 f"scale for each of its schema's continuous features {cont.tolist()}"
             )
         net.unflatten(np.concatenate([p.ravel() for p in params]))
+        if not np.isfinite(net.params).all():
+            raise SchemaError(f"model file {path} holds non-finite weights or biases")
         return model
 
 

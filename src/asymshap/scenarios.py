@@ -109,14 +109,13 @@ class AdmissionsProcess:
         joint = 0.5 * lik
         return joint / joint.sum()
 
-    def conditional_samples(self, x, s_idx, m, rng) -> np.ndarray:
-        s = set(int(i) for i in s_idx)
+    def conditional_samples(self, x, mask, m, rng) -> np.ndarray:
         out = np.empty((m, 3))
-        if self.SCORE in s:
+        if mask >> self.SCORE & 1:
             out[:, self.SCORE] = x[self.SCORE]
         else:
             out[:, self.SCORE] = rng.standard_normal(m)
-        g_known, d_known = self.GENDER in s, self.DEPT in s
+        g_known, d_known = mask >> self.GENDER & 1, mask >> self.DEPT & 1
         if g_known and d_known:
             out[:, self.GENDER] = x[self.GENDER]
             out[:, self.DEPT] = x[self.DEPT]
@@ -190,16 +189,15 @@ class TwoFeatureGraphProcess:
         y = (rng.random(n_rows) < p1).astype(np.int64)
         return Dataset(X, y, self.schema)
 
-    def conditional_samples(self, x, s_idx, m, rng) -> np.ndarray:
-        s = set(int(i) for i in s_idx)
+    def conditional_samples(self, x, mask, m, rng) -> np.ndarray:
         out = np.empty((m, 2))
         tab = self.joint_table()
-        if 0 in s and 1 in s:
+        if mask == 0b11:
             out[:, 0], out[:, 1] = x[0], x[1]
-        elif 0 in s:
+        elif mask & 1:
             out[:, 0] = x[0]
             out[:, 1] = rng.random(m) < self.p_x2_given_x1(int(x[0]))[1]
-        elif 1 in s:
+        elif mask & 2:
             out[:, 1] = x[1]
             col = tab[:, int(x[1])]
             out[:, 0] = rng.random(m) < col[1] / col.sum()
@@ -241,7 +239,7 @@ class MarkovSeriesProcess:
         self._L = L
         self._mean1 = L @ self._mu  # E[x | y=1]; y=0 mirrors it
         self._cov = L @ L.T
-        self._cond_cache: dict[tuple[int, ...], tuple] = {}
+        self._cond_cache: dict[int, tuple] = {}
 
     def _innovations(self, X: np.ndarray) -> np.ndarray:
         e = np.array(X, dtype=np.float64, copy=True)
@@ -267,12 +265,12 @@ class MarkovSeriesProcess:
         """Time ordering: each step's group precedes the next."""
         return OrderingSpec(self.T, groups=tuple((t,) for t in range(self.T)))
 
-    def _conditionals_for(self, key: tuple[int, ...]):
-        cached = self._cond_cache.get(key)
+    def _conditionals_for(self, mask: int):
+        cached = self._cond_cache.get(mask)
         if cached is not None:
             return cached
-        G = np.array(key, dtype=np.int64)
-        H = np.array([i for i in range(self.T) if i not in set(key)], dtype=np.int64)
+        known = (mask >> np.arange(self.T)) & 1
+        G, H = np.flatnonzero(known), np.flatnonzero(known == 0)
         SGG = self._cov[np.ix_(G, G)]
         SHG = self._cov[np.ix_(H, G)]
         SHH = self._cov[np.ix_(H, H)]
@@ -282,20 +280,19 @@ class MarkovSeriesProcess:
         cond_cov = 0.5 * (cond_cov + cond_cov.T)
         chol = np.linalg.cholesky(cond_cov + 1e-12 * np.eye(H.size))
         out = (G, H, SGG_inv, gain, chol)
-        self._cond_cache[key] = out
+        self._cond_cache[mask] = out
         return out
 
-    def conditional_samples(self, x, s_idx, m, rng) -> np.ndarray:
+    def conditional_samples(self, x, mask, m, rng) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        key = tuple(sorted(int(i) for i in s_idx))
-        if len(key) == self.T:
+        if mask == (1 << self.T) - 1:
             return np.tile(x, (m, 1))
-        if not key:
+        if not mask:
             y = rng.integers(0, 2, size=m)
             signs = np.where(y == 1, 1.0, -1.0)
             e = rng.standard_normal((m, self.T)) + signs[:, None] * self._mu
             return e @ self._L.T
-        G, H, SGG_inv, gain, chol = self._conditionals_for(key)
+        G, H, SGG_inv, gain, chol = self._conditionals_for(mask)
         xG = x[G]
         # Class posterior from the Gaussian marginal on the observed block.
         log_w = np.empty(2)

@@ -4,9 +4,10 @@ CachedValueFunction is the game v(S) = E[f_y(x_S, x'_{S-bar})] for one point
 x and class y, memoized per coalition. A coalition S is an int bitmask with
 bit i set for feature i. The out-of-coalition slots x' come from its
 completion, one of two marginalizations. A BackgroundSet is off-manifold: it
-splices unconditional background draws. A ConditionalSampler is on-manifold:
-it draws from p(x' | x_S) by exact match, k-NN, or a generative process with
-closed-form conditionals.
+holds unconditional background draws. A ConditionalSampler is on-manifold:
+given x and the coalition's int mask, it draws from p(x' | x_S) by exact
+match, k-NN, or a generative process with closed-form conditionals. Either
+way the value function writes x_S over the draws, in one place.
 
 Per-instance draws are frozen: the off-manifold background subsample is drawn
 once and shared by every coalition, and on-manifold per-coalition draws are
@@ -90,12 +91,16 @@ def _stream(*keys: int) -> np.random.Generator:
 
 
 class ConditionalSampler(Protocol):
-    def complete(
-        self, x: np.ndarray, s_idx: np.ndarray, m: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, bool]:
-        """m rows agreeing with x on s_idx, plus whether they exhaust the
-        conditional population (every match used once)."""
+    def complete(self, x: np.ndarray, mask: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+        """m full rows drawn from p(x' | x_S), S the int mask with bit i set for feature i, and whether
+        they exhaust the conditional population (every match used once). The value function writes
+        x_S over the columns in S."""
         ...
+
+
+def _members(mask: int) -> list[int]:
+    """The features in coalition mask, ascending."""
+    return [i for i in range(operator.index(mask).bit_length()) if mask >> i & 1]
 
 
 def _discrete_mutual_information(codes: np.ndarray, labels: np.ndarray) -> float:
@@ -112,7 +117,7 @@ def _discrete_mutual_information(codes: np.ndarray, labels: np.ndarray) -> float
     return float(np.sum(joint[nz] * np.log(joint[nz] / (pa @ pb)[nz])))
 
 
-def _matching_rows(X: np.ndarray, x: np.ndarray, idx: tuple[int, ...]) -> np.ndarray:
+def _matching_rows(X: np.ndarray, x: np.ndarray, idx: list[int]) -> np.ndarray:
     """Ascending indices of the rows of X equal to x on every feature in idx
     (every row when idx is empty), read-only."""
     keep = np.ones(X.shape[0], dtype=bool)
@@ -173,11 +178,12 @@ class KNNSampler:
     ranking, so the whole candidate set is the neighborhood. Zero exact
     matches on the discrete side are handled by relaxing discrete features
     one at a time, least label-informative first; the warning for each
-    relaxation is logged once, when its pool is built.
+    relaxation is logged once, when its pool is built. complete returns the
+    chosen rows whole; the value function writes x_S over them.
 
     Candidate pools are cached on the sampler and live as long as it does.
-    The rows matching each (discrete conditioning features, x values on
-    them) are found once, in one table keyed by both; a relaxed key maps to
+    The rows matching each (discrete conditioning mask, x values on it) are
+    found once, in one table keyed by both; a relaxed key maps to
     the pool it relaxed to, shared, not copied. With exactly one continuous
     conditioning feature a pool is also kept sorted by that feature, so the
     k nearest are found by bisection instead of a scan. The dataset must not
@@ -194,37 +200,36 @@ class KNNSampler:
         self.dataset = dataset
         self.k = k
         self.schema = dataset.schema
-        self._discrete = set(self.schema.discrete_indices().tolist())
+        discrete = self.schema.discrete_indices().tolist()
+        self._disc_mask = sum(1 << i for i in discrete)
         sd = dataset.X.std(axis=0)
         safe = np.where(sd > 0, sd, 1.0)
         self._inv_scale = np.where(sd > 0, 1.0 / safe, 0.0)
         # Relaxation order: ascending mutual information with the label.
-        mi = {
-            i: _discrete_mutual_information(dataset.X[:, i], dataset.y)
-            for i in sorted(self._discrete)
-        }
+        mi = {i: _discrete_mutual_information(dataset.X[:, i], dataset.y) for i in discrete}
         self._relax_order = sorted(mi, key=lambda i: (mi[i], i))
-        # (discrete features, their x bytes) -> (key of the pool used, its rows)
+        # (discrete features' mask, their x bytes) -> (key of the pool used, its rows)
         self._pools: dict[tuple, tuple[tuple, np.ndarray]] = {}
         # (pool key, continuous feature) -> (sorted values, rows)
         self._lines: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _pool(self, disc: tuple[int, ...], x: np.ndarray) -> tuple[tuple, np.ndarray]:
-        """Rows matching x on disc, relaxing features until some row does,
-        with the key of the pool they came from."""
-        key = (disc, x[list(disc)].tobytes())
+    def _pool(self, disc: int, x: np.ndarray) -> tuple[tuple, np.ndarray]:
+        """Rows matching x on the features in mask disc, relaxing features
+        until some row does, with the key of the pool they came from."""
+        idx = _members(disc)
+        key = (disc, x[idx].tobytes())
         entry = self._pools.get(key)
         if entry is None:
-            rows = _matching_rows(self.dataset.X, x, disc)
+            rows = _matching_rows(self.dataset.X, x, idx)
             if rows.size:
                 entry = (key, rows)
             else:
-                drop = next(i for i in self._relax_order if i in disc)
+                drop = next(i for i in self._relax_order if disc >> i & 1)
                 logger.warning(
                     "no rows match the discrete conditioning set; relaxing feature %r",
                     self.schema.features[drop].name,
                 )
-                entry = self._pool(tuple(i for i in disc if i != drop), x)
+                entry = self._pool(disc & ~(1 << drop), x)
             self._pools[key] = entry
         return entry
 
@@ -240,11 +245,9 @@ class KNNSampler:
             self._lines[line_key] = line
         return self._lines[line_key]
 
-    def complete(self, x, s_idx, m, rng):
-        idx = np.asarray(s_idx).tolist()
-        disc = tuple(i for i in idx if i in self._discrete)
-        cont = [i for i in idx if i not in self._discrete]
-        key, cand = self._pool(disc, x)
+    def complete(self, x, mask, m, rng):
+        cont = _members(mask & ~self._disc_mask)
+        key, cand = self._pool(mask & self._disc_mask, x)
         if not cont:
             pool = cand
         elif len(cont) == 1 and 0.0 < self._inv_scale[cont[0]] < math.inf and math.isfinite(x[cont[0]]):
@@ -255,10 +258,7 @@ class KNNSampler:
             diffs = (self.dataset.X[:, cont][cand] - x[cont]) * self._inv_scale[cont]
             d = np.einsum("ij,ij->i", diffs, diffs)
             pool = cand[np.argsort(d, kind="stable")[: self.k]]
-        sel = pool[rng.integers(0, pool.size, size=m)]
-        out = self.dataset.X[sel]
-        out[:, s_idx] = x[s_idx]
-        return out, False
+        return self.dataset.X[pool[rng.integers(0, pool.size, size=m)]], False
 
 
 class ExactMatchSampler(KNNSampler):
@@ -276,33 +276,29 @@ class ExactMatchSampler(KNNSampler):
     that pool is built.
     """
 
-    def complete(self, x, s_idx, m, rng):
-        idx = tuple(np.asarray(s_idx).tolist())
-        if any(i not in self._discrete for i in idx):
+    def complete(self, x, mask, m, rng):
+        if mask & ~self._disc_mask:
             logger.debug("continuous feature in conditioning set; using k-NN completion")
-            return super().complete(x, s_idx, m, rng)
-        key = (idx, x[list(idx)].tobytes())
-        built = key in self._pools
-        used, cand = self._pool(idx, x)
-        if used != key:
-            if not built:
+            return super().complete(x, mask, m, rng)
+        n_pools = len(self._pools)
+        (used, _), cand = self._pool(mask, x)
+        if used != mask:  # the pool was relaxed: no row matches
+            if len(self._pools) > n_pools:  # built by this call
                 logger.warning(
                     "exact-match conditioning found no rows for features %s; falling back to k-NN",
-                    [self.schema.features[i].name for i in idx],
+                    [self.schema.features[i].name for i in _members(mask)],
                 )
-            return super().complete(x, s_idx, m, rng)
+            return super().complete(x, mask, m, rng)
         exhaustive = cand.size <= m
         sel = cand if exhaustive else cand[rng.integers(0, cand.size, size=m)]
-        out = self.dataset.X[sel]
-        out[:, s_idx] = x[s_idx]
-        return out, exhaustive
+        return self.dataset.X[sel], exhaustive
 
 
 @runtime_checkable
 class GenerativeProcessLike(Protocol):
-    def conditional_samples(
-        self, x: np.ndarray, s_idx: np.ndarray, m: int, rng: np.random.Generator
-    ) -> np.ndarray:
+    def conditional_samples(self, x: np.ndarray, mask: int, m: int, rng: np.random.Generator) -> np.ndarray:
+        """m full rows drawn from p(x | x_S), S the int mask with bit i set for feature i. The value
+        function writes x_S over the columns in S."""
         ...
 
 
@@ -314,11 +310,10 @@ class GenerativeSampler:
             raise ValidationError("generative strategy needs a process with conditional_samples")
         self.process = process
 
-    def complete(self, x, s_idx, m, rng):
-        rows = np.array(self.process.conditional_samples(x, s_idx, m, rng), dtype=np.float64)
+    def complete(self, x, mask, m, rng):
+        rows = np.asarray(self.process.conditional_samples(x, mask, m, rng), dtype=np.float64)
         if rows.shape != (m, x.shape[-1]):
             raise EstimatorError(f"process returned shape {rows.shape}, expected ({m}, {x.shape[-1]})")
-        rows[:, s_idx] = x[s_idx]
         return rows, False
 
 
@@ -337,14 +332,14 @@ class CachedValueFunction:
     """Memoized v(S) for one (predictor, point, class) context, S an int bitmask.
 
     completion fills the slots outside S. A BackgroundSet (off-manifold)
-    splices them from m background draws, frozen once per point from
-    (seed, point_index) and shared by every coalition; an unweighted
-    background no larger than m is used whole, once per row. A sampler, any
-    object with a complete method (on-manifold), draws them from p(x' | x_S),
-    m conditional completions per coalition on a stream keyed by (seed,
-    point_index, mask); the full coalition is the prediction at x. seed and
-    point_index must be nonnegative. v(S) is the mean of f_y over the
-    completions.
+    gives m background draws, frozen once per point from (seed, point_index)
+    and shared by every coalition; an unweighted background no larger than m
+    is used whole, once per row. A sampler, any object with a complete method
+    (on-manifold), draws m rows from p(x' | x_S) per coalition, given x and
+    the mask, on a stream keyed by (seed, point_index, mask); the full
+    coalition is the prediction at x. Either way value writes x_S over the
+    draws, here and nowhere else. seed and point_index must be nonnegative.
+    v(S) is the mean of f_y over the completions.
 
     Each distinct coalition calls the predictor once. evaluations counts the
     distinct coalitions evaluated and prediction_rows the predictor rows; a
@@ -410,13 +405,12 @@ class CachedValueFunction:
             return hit
         mask = _checked_mask(mask, self.n)
         self.evaluations += 1
-        if self.sampler is None:
-            rows = np.where(self._bit & mask, self.x, self._draws)
-        elif mask == (1 << self.n) - 1:
-            rows = self.x[None, :]
+        if self.sampler is not None and mask == (1 << self.n) - 1:
+            rows = self.x[None, :]  # x alone: a one-row product takes another BLAS path than m rows
         else:
-            rng = _stream(self.seed, self.point_index, mask)
-            rows = self.sampler.complete(self.x, np.flatnonzero(self._bit & mask), self.m, rng)[0]
+            draws = self._draws if self.sampler is None else self.sampler.complete(
+                self.x, mask, self.m, _stream(self.seed, self.point_index, mask))[0]
+            rows = np.where(self._bit & mask, self.x, draws)
         self.prediction_rows += rows.shape[0]
         out = _mean(self.pred.predict(rows)[:, self.y])
         self._cache[mask] = out

@@ -184,6 +184,23 @@ def test_malformed_model_file_exits_2(trained, tmp_path, capsys, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["weights", "biases"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_model_parameter_exits_2(trained, tmp_path, capsys, key, bad):
+    # Loaded, it would turn every prediction, mean and accuracy into NaN.
+    doc = json.loads((trained / "model.json").read_text())
+    last = doc[key][-1]  # the output layer's weight matrix or bias vector
+    (last[0] if key == "weights" else last)[0] = bad
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
+                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert f"model file {model} holds non-finite weights or biases" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", [1.7, True, "1"])
 def test_non_integer_standardizer_index_exits_2(trained, tmp_path, capsys, entry):
     # Cast to int64, each would read as the score column's index 1 and pass.
@@ -200,13 +217,17 @@ def test_non_integer_standardizer_index_exits_2(trained, tmp_path, capsys, entry
 
 @pytest.mark.parametrize(
     "flag, value", [("--batch-size", "0"), ("--batch-size", "-5"), ("--epochs", "0"), ("--epochs", "-1"),
-                    ("--hidden", "0"), ("--hidden", "10,0"), ("--patience", "0"), ("--patience", "-5")],
+                    ("--hidden", "0"), ("--hidden", "10,0"), ("--patience", "0"), ("--patience", "-5"),
+                    ("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--val-fraction", "0"),
+                    ("--val-fraction", "nan")],
 )
 def test_degenerate_train_setting_exits_2(trained, tmp_path, capsys, flag, value):
     out = tmp_path / "model.json"
     code = main(["train", "--data", str(trained / "data.csv"), flag, value, "--seed", "0", "--out", str(out)])
     assert code == 2
-    assert "must be positive" in capsys.readouterr().err
+    message = {"--learning-rate": "learning_rate must be positive and finite",
+               "--val-fraction": "val_fraction must be in (0, 1)"}.get(flag, "must be positive")
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -530,6 +551,17 @@ def test_null_config_value_keeps_the_declared_default(trained, tmp_path, monkeyp
                                                "--data", str(trained / "data.csv")]
     assert main([*argv, *inputs, "--config", str(config), "--seed", "0"]) == 0
     assert json.loads((tmp_path / output).read_text())["config"][key] == default
+
+
+def test_local_run_rejects_a_locals_csv(trained, tmp_path, capsys):
+    # A local run has no per-point table to write, so the flag would be dropped silently.
+    out, locals_csv = tmp_path / "local.json", tmp_path / "locals.csv"
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--index", "3", "--samples", "4", "--seed", "0", "--out", str(out),
+                 "--locals-csv", str(locals_csv)])
+    assert code == 2
+    assert "--locals-csv writes a global run's per-point attributions; drop --index" in capsys.readouterr().err
+    assert not out.exists() and not locals_csv.exists()
 
 
 @pytest.mark.parametrize("estimator", ["--exact", "--mc"])

@@ -177,8 +177,12 @@ class TestTraining:
 
 class TestTrainConfig:
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(learning_rate=0.0)
+        for bad in (0.0, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="learning_rate must be positive and finite"):
+                TrainConfig(learning_rate=bad)
+        for bad in (0.0, 1.0, -0.25, 1.5, math.nan, math.inf):
+            with pytest.raises(ValidationError, match=r"val_fraction must be in \(0, 1\)"):
+                TrainConfig(val_fraction=bad)
         with pytest.raises(ValidationError):
             TrainConfig(momentum=1.0)
         with pytest.raises(ValidationError):

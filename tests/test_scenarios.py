@@ -9,6 +9,7 @@ The tests marked claim check the paper's four claims; `pytest -m claim` runs the
 import functools
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ def test_mixed_distal_credits_x1_more_than_proximate():
     assert distal.means[0] - proximate.means[0] > 3 * combined
 
 
+@pytest.mark.parametrize("mask", [0, 0b01, 0b10, 0b11])
+@pytest.mark.parametrize("kind", ["chain", "collider", "mixed"])
+def test_two_feature_draws_follow_the_joint_table(kind, mask):
+    # Each feature outside the mask is drawn from the joint table given the known one.
+    process, x, m = TwoFeatureGraphProcess(kind), np.array([1.0, 0.0]), 4000
+    rows = process.conditional_samples(x, mask, m, np.random.default_rng(mask))
+    tab = process.joint_table()
+    p1 = {0: (tab[1].sum(), tab[:, 1].sum()), 0b01: (1.0, tab[1, 1] / tab[1].sum()),
+          0b10: (tab[1, 0] / tab[:, 0].sum(), 0.0), 0b11: (1.0, 0.0)}[mask]
+    for i in range(2):
+        if mask >> i & 1:
+            assert np.all(rows[:, i] == x[i])
+        else:
+            assert abs(rows[:, i].mean() - p1[i]) <= 4 * math.sqrt(p1[i] * (1 - p1[i]) / m)
+
+
 def markov_conditional_mean(process, x, G):
     """E[x_H | x_G] in closed form, and the same with the class posterior
     replaced by the prior.
@@ -127,7 +144,7 @@ class TestMarkovConditionalSamples:
 
     @pytest.mark.parametrize("G", [[], [0], [0, 2], [3]])
     def test_draws_match_the_closed_form_mixture_mean(self, G):
-        rows = self.PROCESS.conditional_samples(self.X, np.array(G, dtype=np.int64), self.M,
+        rows = self.PROCESS.conditional_samples(self.X, sum(1 << i for i in G), self.M,
                                                 np.random.default_rng(len(G) * 10 + sum(G)))
         assert rows.shape == (self.M, 4)
         assert np.array_equal(rows[:, G], np.tile(self.X[G], (self.M, 1)))
@@ -139,7 +156,7 @@ class TestMarkovConditionalSamples:
             assert np.all(np.abs(without_posterior - want) > 8 * se)
 
     def test_full_set_returns_x_tiled(self):
-        rows = self.PROCESS.conditional_samples(self.X, np.array([2, 0, 3, 1]), 5, np.random.default_rng(0))
+        rows = self.PROCESS.conditional_samples(self.X, 0b1111, 5, np.random.default_rng(0))
         assert np.array_equal(rows, np.tile(self.X, (5, 1)))
 
 
@@ -293,8 +310,8 @@ class FreshSamplerPerCall:
     def __init__(self, dataset):
         self.dataset = dataset
 
-    def complete(self, x, s_idx, m, rng):
-        return ExactMatchSampler(self.dataset).complete(x, s_idx, m, rng)
+    def complete(self, x, mask, m, rng):
+        return ExactMatchSampler(self.dataset).complete(x, mask, m, rng)
 
 
 class KeyRecorder:
@@ -304,9 +321,9 @@ class KeyRecorder:
         self.sampler = sampler
         self.keys = set()
 
-    def complete(self, x, s_idx, m, rng):
-        self.keys.add((tuple(s_idx.tolist()), x[s_idx].tobytes()))
-        return self.sampler.complete(x, s_idx, m, rng)
+    def complete(self, x, mask, m, rng):
+        self.keys.add((mask, x[(mask >> np.arange(x.size)) & 1 == 1].tobytes()))
+        return self.sampler.complete(x, mask, m, rng)
 
 
 def test_shared_pools_leave_the_fairness_audit_unchanged():

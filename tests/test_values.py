@@ -63,34 +63,34 @@ class TestMaskHelpers:
             mask_game.value(bad)
 
     def test_mask_indices(self):
-        # The sampler conditions on the coalition's members, ascending.
+        # The sampler receives the coalition as its int mask, as value got it.
         seen = []
 
         class Recorder:
-            def complete(self, x, s_idx, m, rng):
-                seen.append(list(s_idx))
+            def complete(self, x, mask, m, rng):
+                seen.append(mask)
                 return np.tile(x, (m, 1)), False
 
         vf = CachedValueFunction(
             ConstantPredictor(n_features=3), np.zeros(3), 1, completion=Recorder(), m=2
         )
         vf.value(0b101)
-        vf.value(0)
-        assert seen == [[0, 2], []]
+        vf.value(np.int64(0))
+        assert seen == [0b101, 0] and all(type(mask) is int for mask in seen)
 
     def test_top_mask_bit_reaches_the_sampler(self):
         seen = []
 
         class Recorder:
-            def complete(self, x, s_idx, m, rng):
-                seen.append(s_idx.tolist())
+            def complete(self, x, mask, m, rng):
+                seen.append(mask)
                 return np.tile(x, (m, 1)), False
 
         vf = CachedValueFunction(
             ConstantPredictor(n_features=62), np.zeros(62), 1, completion=Recorder(), m=2
         )
         vf.value((1 << 61) | 0b10)
-        assert seen == [[1, 61]]
+        assert seen == [(1 << 61) | 0b10] and type(seen[0]) is int
 
     def test_more_than_62_features_rejected(self):
         # Coalition masks live in int64.
@@ -103,9 +103,10 @@ class TestMaskHelpers:
 class RowRecorder:
     """Predictor that keeps every row it is asked about."""
 
-    n_features, n_classes = 3, 2
+    n_classes = 2
 
-    def __init__(self):
+    def __init__(self, n_features=3):
+        self.n_features = n_features
         self.rows = []
 
     def predict(self, X):
@@ -353,8 +354,8 @@ class TestExactMatchSampler:
         knn = KNNSampler(ds, k=5)
         x = ds.X[4]
         with caplog.at_level(logging.DEBUG, logger="asymshap.values"):
-            rows_a, ex_a = exact.complete(x, np.array([1]), 6, np.random.default_rng(9))
-        rows_b, ex_b = knn.complete(x, np.array([1]), 6, np.random.default_rng(9))
+            rows_a, ex_a = exact.complete(x, 0b10, 6, np.random.default_rng(9))
+        rows_b, ex_b = knn.complete(x, 0b10, 6, np.random.default_rng(9))
         assert np.array_equal(rows_a, rows_b) and ex_a == ex_b
         assert any("k-NN" in r.message for r in caplog.records)
 
@@ -383,16 +384,17 @@ class TestKNNSampler:
         ds = Dataset(X, np.zeros(5, dtype=int), schema)
         sampler = KNNSampler(ds, k=1)
         x = np.array([0.0, 0.0, 0.0])
-        rows, exhaustive = sampler.complete(x, np.array([0, 1]), 8, np.random.default_rng(0))
+        rows, exhaustive = sampler.complete(x, 0b011, 8, np.random.default_rng(0))
         assert not exhaustive
         assert np.all(rows[:, 2] == 10.0)
-        assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, 1] == 0.0)
+        # The draws are row A whole; the value function writes x over p and q.
+        assert np.all(rows[:, 0] == 0.1) and np.all(rows[:, 1] == 900.0)
 
     def test_discrete_conditioning_matches_exactly(self):
         ds = discrete_dataset()
         sampler = KNNSampler(ds, k=3)
         x = np.array([1.0, 0.0])
-        rows, _ = sampler.complete(x, np.array([0]), 25, np.random.default_rng(1))
+        rows, _ = sampler.complete(x, 0b01, 25, np.random.default_rng(1))
         assert np.all(rows[:, 0] == 1.0)
         # completions draw b only from rows with a = 1, which all have b = 0
         assert np.all(rows[:, 1] == 0.0)
@@ -412,7 +414,7 @@ class TestKNNSampler:
         # the noise feature must be relaxed first.
         x = np.array([2.0, 2.0])
         with caplog.at_level(logging.WARNING, logger="asymshap.values"):
-            sampler.complete(x, np.array([0, 1]), 5, np.random.default_rng(5))
+            sampler.complete(x, 0b11, 5, np.random.default_rng(5))
         relaxed = [r.message for r in caplog.records if "relaxing" in r.message]
         assert relaxed and "'noise'" in relaxed[0]
 
@@ -451,16 +453,22 @@ class TestKNearest:
         sampler = KNNSampler(ds, k=7)
         for trial in range(40):
             x = X[trial]
-            s_idx = np.flatnonzero(rng.random(4) < 0.6)
-            got, _ = sampler.complete(x, s_idx, 16, np.random.default_rng(trial))
-            assert np.array_equal(got, argsort_completion(sampler, x, s_idx, 16, trial))
+            mask = sum(1 << int(i) for i in np.flatnonzero(rng.random(4) < 0.6))
+            got, _ = sampler.complete(x, mask, 16, np.random.default_rng(trial))
+            assert np.array_equal(got, argsort_completion(sampler, x, mask, 16, trial))
 
 
-def argsort_completion(sampler, x, s_idx, m, seed):
+def members(mask, n):
+    """The features of an n-feature coalition mask, ascending."""
+    return [i for i in range(n) if mask >> i & 1]
+
+
+def argsort_completion(sampler, x, mask, m, seed):
     """What KNNSampler.complete draws, recomputed without pools: a full scan
     for matches, relaxation in the sampler's order, einsum distances over
-    np.ix_, and a full stable argsort."""
+    np.ix_, and a full stable argsort. The rows are the dataset's own."""
     X = sampler.dataset.X
+    s_idx = members(mask, X.shape[1])
     discrete = set(sampler.schema.discrete_indices().tolist())
     disc = [i for i in s_idx if i in discrete]
     cont = [i for i in s_idx if i not in discrete]
@@ -471,24 +479,21 @@ def argsort_completion(sampler, x, s_idx, m, seed):
     if cont:
         diffs = (X[np.ix_(cand, cont)] - x[cont]) * sampler._inv_scale[cont]
         cand = cand[argsort_ranking(np.einsum("ij,ij->i", diffs, diffs), sampler.k)]
-    want = X[cand[np.random.default_rng(seed).integers(0, cand.size, size=m)]]
-    want[:, s_idx] = x[s_idx]
-    return want
+    return X[cand[np.random.default_rng(seed).integers(0, cand.size, size=m)]]
 
 
-def exact_match_completion(sampler, x, s_idx, m, seed):
+def exact_match_completion(sampler, x, mask, m, seed):
     """What ExactMatchSampler.complete returns, recomputed without pools."""
     X = sampler.dataset.X
+    s_idx = members(mask, X.shape[1])
     discrete = set(sampler.schema.discrete_indices().tolist())
     cand = np.flatnonzero(np.all(X[:, s_idx] == x[s_idx], axis=1))
     if any(i not in discrete for i in s_idx) or cand.size == 0:
-        return argsort_completion(sampler, x, s_idx, m, seed), False
+        return argsort_completion(sampler, x, mask, m, seed), False
     exhaustive = cand.size <= m
     if not exhaustive:
         cand = cand[np.random.default_rng(seed).integers(0, cand.size, size=m)]
-    want = X[cand]
-    want[:, s_idx] = x[s_idx]
-    return want, exhaustive
+    return X[cand], exhaustive
 
 
 POOLED_CASES = ("grid", "duplicate_rows", "non_finite_x", "two_continuous")
@@ -540,19 +545,15 @@ class TestPooledSamplers:
     def test_matches_the_unpooled_completion(self, case, k):
         ds, points = pooled_case(case)
         knn, exact = KNNSampler(ds, k=k), ExactMatchSampler(ds, k=k)
-        queries = [
-            (x, np.flatnonzero((mask >> np.arange(ds.n)) & 1))
-            for x in points
-            for mask in range(1 << ds.n)
-        ]
+        queries = [(x, mask) for x in points for mask in range(1 << ds.n)]
         rng = np.random.default_rng(k)
         for q in rng.permutation(len(queries)):
-            x, s_idx = queries[q]
-            got, exhaustive = knn.complete(x, s_idx, 16, np.random.default_rng(q))
+            x, mask = queries[q]
+            got, exhaustive = knn.complete(x, mask, 16, np.random.default_rng(q))
             assert not exhaustive
-            assert np.array_equal(got, argsort_completion(knn, x, s_idx, 16, q), equal_nan=True)
-            got, exhaustive = exact.complete(x, s_idx, 16, np.random.default_rng(q))
-            want, want_exhaustive = exact_match_completion(exact, x, s_idx, 16, q)
+            assert np.array_equal(got, argsort_completion(knn, x, mask, 16, q), equal_nan=True)
+            got, exhaustive = exact.complete(x, mask, 16, np.random.default_rng(q))
+            want, want_exhaustive = exact_match_completion(exact, x, mask, 16, q)
             assert np.array_equal(got, want, equal_nan=True) and exhaustive == want_exhaustive
         assert len(knn._pools) < len(queries)
 
@@ -562,7 +563,7 @@ class TestPooledSamplers:
         sampler = ExactMatchSampler(discrete_dataset())
         with caplog.at_level(logging.WARNING, logger="asymshap.values"):
             for seed in range(6):
-                sampler.complete(np.array([1.0, 1.0]), np.array([0, 1]), 4, np.random.default_rng(seed))
+                sampler.complete(np.array([1.0, 1.0]), 0b11, 4, np.random.default_rng(seed))
         messages = [r.message for r in caplog.records]
         assert sum("falling back" in msg for msg in messages) == 1
         assert sum("relaxing" in msg for msg in messages) == 1
@@ -571,8 +572,8 @@ class TestPooledSamplers:
         ds, points = pooled_case("grid")
         knn, exact = KNNSampler(ds), ExactMatchSampler(ds)
         for x in points:
-            knn.complete(x, np.array([0, 1]), 4, np.random.default_rng(0))
-            exact.complete(x, np.array([0, 2]), 4, np.random.default_rng(0))
+            knn.complete(x, 0b011, 4, np.random.default_rng(0))
+            exact.complete(x, 0b101, 4, np.random.default_rng(0))
         arrays = [rows for _, rows in knn._pools.values()]
         arrays += [a for line in knn._lines.values() for a in line]
         arrays += [rows for _, rows in exact._pools.values()]
@@ -662,9 +663,9 @@ class TestStreamKey:
         seed, point_index = 2**32 + 3, 2**40 + 1
         vf = CachedValueFunction(pred, x, 1, completion=sampler, m=9, seed=seed, point_index=point_index)
         for mask in range(7):
-            s_idx = np.flatnonzero((mask >> np.arange(3)) & 1)
             rng = np.random.default_rng(np.random.SeedSequence([seed, point_index, mask]))
-            rows, _ = sampler.complete(x, s_idx, 9, rng)
+            draws, _ = sampler.complete(x, mask, 9, rng)
+            rows = np.where((mask >> np.arange(3)) & 1, x, draws)
             assert same_bits(vf.value(mask), mean_reference(pred.predict(rows)[:, 1]))
 
     @pytest.mark.parametrize("key", ["seed", "point_index"])
@@ -690,7 +691,7 @@ class TestGenerativeSampler:
             self.n = n
             self.wrong_shape = wrong_shape
 
-        def conditional_samples(self, x, s_idx, m, rng):
+        def conditional_samples(self, x, mask, m, rng):
             if self.wrong_shape:
                 return rng.normal(size=(m, self.n + 1))
             return rng.normal(size=(m, self.n))
@@ -698,19 +699,59 @@ class TestGenerativeSampler:
     def test_conditioned_columns_are_pinned(self):
         sampler = GenerativeSampler(self._Stub())
         x = np.array([5.0, -3.0, 2.0])
-        rows, exhaustive = sampler.complete(x, np.array([0, 2]), 10, np.random.default_rng(0))
-        assert not exhaustive
-        assert np.all(rows[:, 0] == 5.0) and np.all(rows[:, 2] == 2.0)
-        assert not np.all(rows[:, 1] == -3.0)
+        assert not sampler.complete(x, 0b101, 10, np.random.default_rng(0))[1]
+        pred = RowRecorder()
+        CachedValueFunction(pred, x, 1, completion=sampler, m=10).value(0b101)
+        got = np.array(pred.rows)
+        assert np.all(got[:, 0] == 5.0) and np.all(got[:, 2] == 2.0)
+        assert not np.all(got[:, 1] == -3.0)
 
     def test_wrong_shape_raises(self):
         sampler = GenerativeSampler(self._Stub(wrong_shape=True))
         with pytest.raises(EstimatorError):
-            sampler.complete(np.zeros(3), np.array([0]), 4, np.random.default_rng(0))
+            sampler.complete(np.zeros(3), 0b001, 4, np.random.default_rng(0))
 
     def test_needs_a_process(self):
         with pytest.raises(ValidationError):
             GenerativeSampler(object())
+
+
+def splice_case(case):
+    """(sampler, x, mask, whether the draws already agree with x on the mask)."""
+    if case == "exact-match":
+        return ExactMatchSampler(discrete_dataset()), np.array([0.0, 1.0]), 0b01, True
+    if case == "exact-match-knn-fallback":
+        # No row has (a, b) = (1, 1), so k-NN relaxes a feature and draws rows off x there.
+        rng = np.random.default_rng(13)
+        ab = np.array([[0, 0], [0, 1], [1, 0]])[rng.integers(0, 3, 40)]
+        X = np.column_stack([ab, rng.integers(0, 2, 40)]).astype(float)
+        schema = Schema(tuple(FeatureSpec(name, DISCRETE, 2) for name in "abc"))
+        return ExactMatchSampler(Dataset(X, rng.integers(0, 2, 40), schema)), np.array([1.0, 1.0, 0.0]), 0b011, False
+    if case == "knn":
+        # c0 = 0.25 lies between grid values, so no neighbour matches it.
+        ds, points = pooled_case("grid")
+        return KNNSampler(ds, k=4), points[12], 0b011, False
+    return GenerativeSampler(TestGenerativeSampler._Stub()), np.array([5.0, -3.0, 2.0]), 0b101, False
+
+
+class TestSamplerSplice:
+    """Samplers return their draws as drawn; the rows the predictor receives
+    hold x on S and the draws off S."""
+
+    @pytest.mark.parametrize("case", ["exact-match", "exact-match-knn-fallback", "knn", "generative"])
+    def test_predictor_rows_are_x_on_s_and_the_draws_off_s(self, case):
+        sampler, x, mask, agree = splice_case(case)
+        seed, point_index, m = 4, 2, 12
+        pred = RowRecorder(x.size)
+        CachedValueFunction(pred, x, 1, completion=sampler, m=m, seed=seed, point_index=point_index).value(mask)
+        draws, exhaustive = sampler.complete(x, mask, m, _stream(seed, point_index, mask))
+        assert exhaustive == (case == "exact-match")
+        got = np.array(pred.rows)
+        known = ((mask >> np.arange(x.size)) & 1).astype(bool)
+        assert got.shape == draws.shape == (5 if exhaustive else m, x.size)  # five rows have a = 0
+        assert np.array_equal(got[:, known], np.tile(x[known], (len(got), 1)))
+        assert np.array_equal(got[:, ~known], draws[:, ~known])
+        assert np.array_equal(draws[:, known], got[:, known]) == agree
 
 
 # ---------------------------------------------------------------- on-manifold
