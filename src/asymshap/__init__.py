@@ -12,6 +12,7 @@ from .attribution import (
     AttributionResult,
     CoalitionChains,
     GlobalAttribution,
+    RunPlan,
     TableValueFunction,
     exact_asv,
     exact_shapley_subset_form,
@@ -19,7 +20,6 @@ from .attribution import (
     marginal_contributions,
     mc_asv,
     partition_sum_check,
-    point_asv,
 )
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,

@@ -15,7 +15,10 @@ counts each feature's distinct steps from them a column at a time, for many
 orders add a feature right after the same coalition: every point then
 reduces only those steps, each weighted by its integer count, in
 weighted_column_means, which equals the per-order column mean bit for bit.
-Global attributions average local ones over (x, y) pairs from a dataset,
+A RunPlan holds what a run's points share, built once per command: the
+predictor, ordering, completion, estimator and its settings, and an exact
+run's merged chains. plan.local explains one point with its own value
+function, and global_asv averages plan.local over (x, y) pairs from a dataset,
 which ties their sum to an accuracy decomposition: the attribution mass
 equals the model's sampled-label accuracy minus the accuracy left when every
 feature is marginalized away. Every consistent order passes through each
@@ -292,7 +295,7 @@ def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> A
 
     With an empty spec this is the plain Shapley value in permutation form.
     chains are the CoalitionChains of spec's consistent orders, merged or
-    not: a caller explaining many points under one spec builds them once
+    not: a RunPlan, explaining many points under one spec, builds them once
     with CoalitionChains.merged and passes them to each. Without them the
     orders are enumerated here, under DEFAULT_ENUMERATION_CAP, and merged.
     Either way the means are the per-order column means, bit for bit while no
@@ -368,31 +371,48 @@ def mc_asv(
     )
 
 
-def point_asv(
-    vf: CachedValueFunction,
-    ordering,
-    estimator: str = "exact",
-    n_perms: int = 200,
-    chains: CoalitionChains | None = None,
-) -> AttributionResult:
-    """Local attribution of the point vf explains, exact or Monte Carlo.
+class RunPlan:
+    """What every point of one run shares, built once per command.
 
-    estimator must be "exact" or "mc"; any other value raises before vf is
-    evaluated. The exact estimator reduces chains, the merged CoalitionChains
-    of the ordering's consistent orders that a run builds once for all its
-    points; without them it enumerates the orders under the default cap. The
-    Monte Carlo draws come from a stream keyed by (vf.seed, vf.point_index),
-    so a point gets the same result alone as inside a global run. The result's
-    metadata records the point's value_evaluations and prediction_rows.
+    pred is explained under spec, its unknown features filled by completion
+    as in CachedValueFunction (a BackgroundSet off-manifold, a sampler
+    on-manifold) with m draws and the run's seed; spec covers pred's features.
+    estimator must be "exact" or "mc", checked before anything is enumerated
+    or evaluated. An exact plan enumerates spec's consistent orders once,
+    under cap, and holds their CoalitionChains.merged as chains; a Monte Carlo
+    plan draws n_perms orders per point and holds no chains.
     """
-    if estimator == "exact":
-        res = exact_asv(vf, ordering, chains)
-    elif estimator == "mc":
-        res = mc_asv(vf, ordering, n_perms, _stream(vf.seed, 0x9E12, vf.point_index))
-    else:
-        raise ValidationError(f"estimator must be 'exact' or 'mc', got {estimator!r}")
-    res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)
-    return res
+
+    def __init__(self, pred, spec: OrderingSpec, completion: BackgroundSet | ConditionalSampler, *,
+                 estimator: str = "exact", n_perms: int = 200, m: int = 100, seed: int = 0,
+                 cap: int = DEFAULT_ENUMERATION_CAP):
+        if estimator not in ("exact", "mc"):
+            raise ValidationError(f"estimator must be 'exact' or 'mc', got {estimator!r}")
+        if seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {seed}")
+        spec = _as_spec(spec)
+        if spec.n != pred.n_features:
+            raise ValidationError(f"ordering covers {spec.n} features, predictor has {pred.n_features}")
+        self.pred, self.spec, self.completion = pred, spec, completion
+        self.estimator, self.n_perms, self.m, self.seed = estimator, n_perms, m, seed
+        self.chains = CoalitionChains.merged(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
+
+    def local(self, x, y: int, point_index: int) -> tuple[AttributionResult, CachedValueFunction]:
+        """The local attribution of class y at point x, and the value function it evaluated.
+
+        The Monte Carlo orders come from a stream keyed by (seed, point_index),
+        as do the point's completions, so a point gets the same result alone
+        as inside a global run. The result's metadata records the point's
+        value_evaluations and prediction_rows.
+        """
+        vf = CachedValueFunction(self.pred, x, y, self.completion, m=self.m, seed=self.seed,
+                                 point_index=point_index)
+        if self.estimator == "exact":
+            res = exact_asv(vf, self.spec, self.chains)
+        else:
+            res = mc_asv(vf, self.spec, self.n_perms, _stream(self.seed, 0x9E12, point_index))
+        res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)
+        return res, vf
 
 
 @dataclass
@@ -449,8 +469,6 @@ class GlobalAttribution:
 
 def _point_budget(n_rows: int, budget, seed: int) -> np.ndarray:
     """The rows of a dataset average, ascending: at least 2, for its across-point stderr."""
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if budget is not None and budget < 1:
         raise ValidationError(f"point budget must be positive, got {budget}")
     B = n_rows if budget is None else min(budget, n_rows)
@@ -463,65 +481,45 @@ def _point_budget(n_rows: int, budget, seed: int) -> np.ndarray:
     return np.sort(_stream(seed, 0xB0D6E7).choice(n_rows, size=B, replace=False))
 
 
-def global_asv(
-    pred,
-    dataset: Dataset,
-    ordering,
-    completion: BackgroundSet | ConditionalSampler,
-    *,
-    m: int = 100,
-    estimator: str = "exact",
-    n_perms: int = 200,
-    budget: int | None = None,
-    seed: int = 0,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> GlobalAttribution:
-    """Average local attributions over (x, y) rows, y taken as the true label.
+def global_asv(plan: RunPlan, dataset: Dataset, *, budget: int | None = None) -> GlobalAttribution:
+    """Average plan's local attributions over (x, y) rows, y taken as the true label.
 
-    completion fills the features outside each coalition, as in
-    CachedValueFunction: a BackgroundSet off-manifold, a sampler on-manifold.
     budget caps how many rows participate (sampled without replacement,
     default all); the stderrs are the spread across them, so at least 2 must.
     Each row gets its own frozen value-function cache and its own derived
-    random stream, so a row's result does not depend on the other rows. The
-    exact estimator enumerates the consistent orders once, as one int8
-    matrix, and every row reduces the CoalitionChains.merged built from it.
-    Every consistent order passes through each prefix of the ordering's
-    groups, so each row's value there is read from its cache, not evaluated
-    again, for prefix_accuracies.
+    random stream, so a row's result does not depend on the other rows. Every
+    consistent order passes through each prefix of the ordering's groups, so
+    each row's value there is a hit in its cache, not evaluated again, for
+    prefix_accuracies.
     """
-    spec = _as_spec(ordering)
+    spec = plan.spec
     if spec.n != dataset.n:
         raise ValidationError(f"ordering covers {spec.n} features, dataset has {dataset.n}")
-    idx = _point_budget(dataset.n_rows, budget, seed)
-    B = idx.shape[0]
-    chains = CoalitionChains.merged(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
-    n = dataset.n
+    idx = _point_budget(dataset.n_rows, budget, plan.seed)
     prefixes = list(accumulate(sum(1 << i for i in g) for g in (spec.groups or ())[:-1]))
-    L = np.empty((B, n))
-    V = np.empty((B, len(prefixes) + 2))  # v at {}, at each interior group prefix and at N, per point
+    L = np.empty((idx.shape[0], spec.n))
+    V = np.empty((idx.shape[0], len(prefixes) + 2))  # v at {}, at each interior group prefix and at N, per point
     value_evaluations = prediction_rows = 0
     for j, row in enumerate(idx.tolist()):
-        vf = CachedValueFunction(pred, dataset.X[row], int(dataset.y[row]), completion,
-                                 m=m, seed=seed, point_index=row)
-        res = point_asv(vf, spec, estimator, n_perms, chains)
+        res, vf = plan.local(dataset.X[row], int(dataset.y[row]), row)
         L[j] = res.means
-        V[j] = [res.baseline, *(vf._cache[mask] for mask in prefixes), res.total]
+        V[j] = [res.baseline, *map(vf.value, prefixes), res.total]
         value_evaluations += vf.evaluations
         prediction_rows += vf.prediction_rows
+        del res, vf  # so the next point is evaluated without this one's cache alive
     return GlobalAttribution(
         means=column_means(L),
         # Across-point spread of noisy local estimates; absorbs their MC error.
         stderrs=column_stderrs(L),
-        n_points=B,
+        n_points=idx.shape[0],
         prefix_accuracies=tuple(column_means(V).tolist()),
         locals=L,
         metadata={
-            "estimator": estimator,
+            "estimator": plan.estimator,
             "ordering": spec.to_json_dict(),
-            "seed": seed,
-            "m": m,
-            "n_perms": n_perms if estimator == "mc" else None,
+            "seed": plan.seed,
+            "m": plan.m,
+            "n_perms": plan.n_perms if plan.estimator == "mc" else None,
             "value_evaluations": value_evaluations,
             "prediction_rows": prediction_rows,
         },

@@ -258,7 +258,11 @@ def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
     These are the float operations, in order, of a per-array loop that also ran every discarded pass."""
     if ds.y.min() == ds.y.max():
         raise DegenerateDataError("training data contains a single label class")
-    train, val = train_test_split(ds, test_fraction=config.val_fraction, seed=config.seed)
+    try:
+        train, val = train_test_split(ds, test_fraction=config.val_fraction, seed=config.seed)
+    except ValidationError as exc:  # TrainConfig has checked the fraction, so the rows are too few
+        raise ValidationError(f"val_fraction {config.val_fraction} leaves no training rows once the inner "
+                              f"validation split takes its share of {ds.n_rows} rows") from exc
     standardizer = Standardizer.fit(train.X, ds.schema)
     Xtr = one_hot_design(train.X, ds.schema, standardizer)
     Xva = one_hot_design(val.X, ds.schema, standardizer)

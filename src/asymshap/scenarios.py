@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attribution import GlobalAttribution, column_means, column_stderrs, global_asv
+from .attribution import GlobalAttribution, RunPlan, column_means, column_stderrs, global_asv
 from .coalitions import OrderingSpec
 from .data import CONTINUOUS, DISCRETE, Dataset, FeatureSpec, Schema, train_test_split
 from .errors import ValidationError
@@ -395,18 +395,9 @@ def run_fairness_audit(
         raise ValidationError(f"resolving and sensitive features overlap: {set(r_idx) & set(s_idx)}")
     if not s_idx:
         raise ValidationError("need at least one sensitive feature")
-    spec = fairness_spec(schema.n, r_idx, s_idx)
-    glob = global_asv(
-        model,
-        dataset,
-        spec,
-        completion,
-        m=m,
-        estimator=estimator,
-        n_perms=n_perms,
-        budget=budget,
-        seed=seed,
-    )
+    plan = RunPlan(model, fairness_spec(schema.n, r_idx, s_idx), completion, estimator=estimator,
+                   n_perms=n_perms, m=m, seed=seed)
+    glob = global_asv(plan, dataset, budget=budget)
     asv = math.fsum(float(glob.means[i]) for i in s_idx)
     stderr = float(column_stderrs(glob.locals[:, list(s_idx)].sum(axis=1)[:, None])[0])
     significance = abs(asv) / stderr if stderr > 0 else (0.0 if asv == 0 else math.inf)
@@ -492,17 +483,10 @@ def run_feature_selection_study(
     base = process.sample(n_rows, seed)
     train, test = train_test_split(base, test_fraction=0.25, seed=seed)
     full_model = train_logistic(train, TrainConfig(seed=seed))
-    glob = global_asv(
-        full_model,
-        test,
-        process.chain_spec(),
-        GenerativeSampler(process),
-        m=m,
-        estimator="mc",
-        n_perms=2,  # the chain has a single consistent order
-        budget=point_budget,
-        seed=seed,
-    )
+    # The chain has a single consistent order, so two Monte Carlo draws give it exactly.
+    plan = RunPlan(full_model, process.chain_spec(), GenerativeSampler(process), estimator="mc", n_perms=2,
+                   m=m, seed=seed)
+    glob = global_asv(plan, test, budget=point_budget)
     local_cum = np.cumsum(glob.locals, axis=1)
     trial_matrix = np.empty((trials, T))
     for r in range(trials):

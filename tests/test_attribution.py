@@ -36,6 +36,7 @@ from asymshap import (
     GenerativeSampler,
     KNNSampler,
     OrderingSpec,
+    RunPlan,
     Schema,
     TableValueFunction,
     ValidationError,
@@ -46,7 +47,6 @@ from asymshap import (
     marginal_contributions,
     mc_asv,
     partition_sum_check,
-    point_asv,
     random_ordering_spec,
     sample_consistent_batch,
     sampled_label_accuracy,
@@ -311,7 +311,7 @@ class TestMergedSteps:
 
     def test_exact_global_run_holds_no_int64_copy_of_its_orders(self):
         ds = toy_dataset(rows=3, n=8)
-        run = lambda: global_asv(ConstantPredictor(n_features=8), ds, OrderingSpec(8), BackgroundSet(ds.X), m=2)
+        run = lambda: global_asv(RunPlan(ConstantPredictor(n_features=8), OrderingSpec(8), BackgroundSet(ds.X), m=2), ds)
         run()  # lazy set-up outside the measurement
         assert peak_traced_bytes(run) < 8 * math.factorial(8) * 8
 
@@ -558,7 +558,7 @@ class TestGlobalAttribution:
     def test_constant_predictor_gets_zero_everywhere(self):
         ds = toy_dataset()
         pred = ConstantPredictor(p1=0.4, n_features=3)
-        glob = global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=8, seed=0)
+        glob = global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), m=8, seed=0), ds)
         assert np.all(glob.means == 0.0)
         assert glob.accuracy_full == glob.accuracy_empty
         assert partition_sum_check(glob)["groups"][-1]["cumulative_gap"] == 0.0
@@ -566,7 +566,7 @@ class TestGlobalAttribution:
     def test_sum_rule(self):
         ds = toy_dataset(rows=20, seed=1)
         pred = LinearProbPredictor(np.array([1.0, -0.5, 0.25]))
-        glob = global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=16, seed=3)
+        glob = global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), m=16, seed=3), ds)
         assert abs(glob.sum() - (glob.accuracy_full - glob.accuracy_empty)) <= 1e-9
         assert glob.accuracy_full == pytest.approx(
             sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12
@@ -575,31 +575,26 @@ class TestGlobalAttribution:
     def test_mc_estimator_is_deterministic_per_seed(self):
         ds = toy_dataset(rows=8, seed=3)
         pred = LinearProbPredictor(np.array([1.0, 0.0, -1.0]))
-        kwargs = dict(
-            completion=BackgroundSet(ds.X), m=8, estimator="mc", n_perms=16, seed=9
-        )
-        a = global_asv(pred, ds, OrderingSpec(3), **kwargs)
-        b = global_asv(pred, ds, OrderingSpec(3), **kwargs)
+        kwargs = dict(m=8, estimator="mc", n_perms=16, seed=9)
+        a = global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), **kwargs), ds)
+        b = global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), **kwargs), ds)
         assert np.array_equal(a.means, b.means)
-        c = global_asv(pred, ds, OrderingSpec(3), **{**kwargs, "seed": 10})
+        c = global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), **{**kwargs, "seed": 10}), ds)
         assert not np.array_equal(a.means, c.means)
 
     def test_point_budget(self):
         ds = toy_dataset(rows=30, seed=4)
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
-        glob = global_asv(
-            pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=4, budget=7, seed=0
-        )
+        plan = RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), m=4, seed=0)
+        glob = global_asv(plan, ds, budget=7)
         assert glob.n_points == 7
         with pytest.raises(ValidationError):
-            global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), budget=0)
+            global_asv(plan, ds, budget=0)
 
     def test_collect_locals_matches_reported_spread(self):
         ds = toy_dataset(rows=15, seed=5)
         pred = LinearProbPredictor(np.array([2.0, -1.0, 0.5]))
-        glob = global_asv(
-            pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=8, seed=1,
-        )
+        glob = global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), m=8, seed=1), ds)
         assert glob.locals.shape == (15, 3)
         manual = np.std(glob.locals, axis=0, ddof=1) / math.sqrt(15)
         assert np.allclose(glob.stderrs, manual, atol=1e-12)
@@ -608,27 +603,30 @@ class TestGlobalAttribution:
         ds = toy_dataset()
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         bg = BackgroundSet(ds.X)
-        with pytest.raises(ValidationError):
-            global_asv(pred, ds, OrderingSpec(4), completion=bg)
-        with pytest.raises(ValidationError):
-            global_asv(pred, ds, OrderingSpec(3), completion=bg, estimator="quasi")
+        with pytest.raises(ValidationError, match="ordering covers 4 features, predictor has 3"):
+            global_asv(RunPlan(pred, OrderingSpec(4), bg), ds)
+        with pytest.raises(ValidationError, match="ordering covers 3 features, dataset has 4"):
+            global_asv(RunPlan(pred, OrderingSpec(3), bg), toy_dataset(n=4))
+        with pytest.raises(ValidationError, match="estimator must be 'exact' or 'mc'"):
+            global_asv(RunPlan(pred, OrderingSpec(3), bg, estimator="quasi"), ds)
 
     @pytest.mark.parametrize("estimator", ["exact", "mc"])
     def test_one_point_has_no_across_point_stderr(self, estimator):
         ds = toy_dataset()
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
+        plan = RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), estimator=estimator)
         with pytest.raises(ValidationError, match="at least 2 points"):
-            global_asv(pred, ds, OrderingSpec(3), BackgroundSet(ds.X), estimator=estimator, budget=1)
+            global_asv(plan, ds, budget=1)
         with pytest.raises(ValidationError, match="at least 2 points"):
             one_row = Dataset(ds.X[:1], ds.y[:1], ds.schema)
-            global_asv(pred, one_row, OrderingSpec(3), completion=BackgroundSet(ds.X), estimator=estimator)
+            global_asv(plan, one_row)
 
     def test_exact_run_warns_once_not_per_point(self, monkeypatch, caplog):
         ds = toy_dataset(rows=3)
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
         monkeypatch.setattr(coalitions, "AUTO_EXACT_WARN_ORDERS", 5)  # below 3! orders
         with caplog.at_level(logging.WARNING, logger="asymshap.coalitions"):
-            global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), m=4, seed=0)
+            global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), m=4, seed=0), ds)
         (record,) = caplog.records
         assert "6 consistent orders over 3 features" in record.message
 
@@ -636,14 +634,14 @@ class TestGlobalAttribution:
         ds = toy_dataset()
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
-            global_asv(pred, ds, OrderingSpec(3), completion=BackgroundSet(ds.X), budget=5, seed=-1)
+            global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), seed=-1), ds, budget=5)
 
     def test_exact_run_enumerates_its_orders_once(self, monkeypatch):
         ds = toy_dataset(rows=24, n=4, seed=6)
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5, 2.0]))
         spec = OrderingSpec(4, groups=((0, 1), (2, 3)))
-        kwargs = dict(completion=BackgroundSet(ds.X), m=4, seed=0)
-        alone = global_asv(pred, ds, spec, **kwargs)
+        make_plan = lambda: RunPlan(pred, spec, BackgroundSet(ds.X), m=4, seed=0)
+        alone = global_asv(make_plan(), ds)
         calls = []
         real = attribution.enumerate_consistent
 
@@ -660,7 +658,7 @@ class TestGlobalAttribution:
 
         monkeypatch.setattr(attribution, "enumerate_consistent", counting)
         monkeypatch.setattr(CoalitionChains, "merged", counting_merges)
-        glob = global_asv(pred, ds, spec, **kwargs)
+        glob = global_asv(make_plan(), ds)
         assert glob.n_points == 24
         assert len(calls) == 1
         assert merges == [4]  # the steps of the 2! 2! orders, merged once
@@ -671,7 +669,7 @@ class TestGlobalAttribution:
         pred = LinearProbPredictor(np.array([0.5, -2.0, 1.0, 0.25]))
         bg = BackgroundSet(ds.X)
         spec = OrderingSpec(4, edges=frozenset({(0, 2), (1, 3)}))
-        glob = global_asv(pred, ds, spec, completion=bg, m=6, seed=2)
+        glob = global_asv(RunPlan(pred, spec, bg, m=6, seed=2), ds)
         local = np.array([
             exact_asv(
                 CachedValueFunction(pred, ds.X[row], int(ds.y[row]), bg, m=6, seed=2, point_index=row),
@@ -683,25 +681,31 @@ class TestGlobalAttribution:
         assert np.array_equal(glob.means, column_means(local))
 
 
-class TestPointAsv:
-    def _vf(self):
+class TestRunPlan:
+    def _setup(self):
         ds = toy_dataset(rows=6, seed=2)
-        pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
-        return CachedValueFunction(pred, ds.X[1], int(ds.y[1]), BackgroundSet(ds.X), m=4, seed=1, point_index=1)
+        return ds, LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
 
-    def test_unknown_estimator_raises_before_any_evaluation(self):
-        vf = self._vf()
+    def test_unknown_estimator_raises_before_any_evaluation(self, monkeypatch):
+        ds, pred = self._setup()
+        counting = CountingPredictor(pred)
+        enumerated = []
+        monkeypatch.setattr(attribution, "enumerate_consistent", lambda *a, **k: enumerated.append(a))
         with pytest.raises(ValidationError, match="estimator must be 'exact' or 'mc'"):
-            point_asv(vf, OrderingSpec(3), "exat")
-        assert vf.evaluations == 0
+            RunPlan(counting, OrderingSpec(3), BackgroundSet(ds.X), estimator="exat")
+        assert counting.calls == 0 and enumerated == []
 
     @pytest.mark.parametrize("estimator", ["exact", "mc"])
     def test_records_the_point_work(self, estimator):
-        vf = self._vf()
-        res = point_asv(vf, OrderingSpec(3), estimator, n_perms=5)
+        ds, pred = self._setup()
+        plan = RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), estimator=estimator, n_perms=5, m=4, seed=1)
+        res, vf = plan.local(ds.X[1], int(ds.y[1]), 1)
+        assert (vf.m, vf.seed, vf.point_index) == (4, 1, 1)
         assert res.metadata["estimator"] == estimator
         assert res.metadata["value_evaluations"] == vf.evaluations > 0
         assert res.metadata["prediction_rows"] == vf.prediction_rows > 0
+        # A point explained alone gets its row of the global run, bit for bit.
+        assert np.array_equal(res.means, global_asv(plan, ds).locals[1])
 
 
 class TestCoalitionAccuracy:
@@ -712,7 +716,7 @@ class TestCoalitionAccuracy:
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.5]))
         acc = coalition_accuracy(pred, ds, 0b111, completion=BackgroundSet(ds.X), m=8)
         assert acc == pytest.approx(sampled_label_accuracy(pred, ds.X, ds.y), abs=1e-12)
-        glob = global_asv(pred, ds, OrderingSpec(3), BackgroundSet(ds.X), m=8)
+        glob = global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), m=8), ds)
         assert glob.accuracy_full == acc
 
     def test_perfectly_informative_feature(self):
@@ -727,14 +731,14 @@ class TestCoalitionAccuracy:
         empty = coalition_accuracy(pred, ds, 0, completion=BackgroundSet(ds.X), m=ds.n_rows)
         assert full == 1.0
         assert empty == 0.5
-        glob = global_asv(pred, ds, OrderingSpec(1), BackgroundSet(ds.X), m=ds.n_rows)
+        glob = global_asv(RunPlan(pred, OrderingSpec(1), BackgroundSet(ds.X), m=ds.n_rows), ds)
         assert glob.prefix_accuracies == (0.5, 1.0)
 
     def test_empty_set_matches_global_baseline_exactly(self):
         ds = toy_dataset(rows=18, seed=7)
         pred = LinearProbPredictor(np.array([0.5, 1.0, -0.75]))
         bg = BackgroundSet(ds.X)
-        glob = global_asv(pred, ds, OrderingSpec(3), completion=bg, m=10, seed=4)
+        glob = global_asv(RunPlan(pred, OrderingSpec(3), bg, m=10, seed=4), ds)
         empty = coalition_accuracy(pred, ds, 0, completion=bg, m=10, seed=4)
         assert empty == glob.accuracy_empty
 
@@ -755,7 +759,7 @@ class TestPartitionSumCheck:
         ds = toy_dataset(rows=16, seed=seed)
         pred = LinearProbPredictor(np.array([1.5, -0.5, 0.75]))
         spec = OrderingSpec(3, groups=groups, edges=edges)
-        return global_asv(pred, ds, spec, completion=BackgroundSet(ds.X), m=12, seed=2)
+        return global_asv(RunPlan(pred, spec, BackgroundSet(ds.X), m=12, seed=2), ds)
 
     def test_single_group_recovers_the_sum_rule(self):
         glob = self._setup(((0, 1, 2),))
@@ -815,8 +819,9 @@ class TestPartitionSumCheck:
         }[completion]()
         for groups in (((1,), (0, 2)), ((2,), (0,), (1,))):
             counting = CountingPredictor(pred)
-            glob = global_asv(counting, ds, OrderingSpec(3, groups=groups), sampler, m=6,
-                              estimator=estimator, n_perms=4, budget=15, seed=3)
+            plan = RunPlan(counting, OrderingSpec(3, groups=groups), sampler, estimator=estimator, n_perms=4,
+                           m=6, seed=3)
+            glob = global_asv(plan, ds, budget=15)
             assert glob.n_points == 15
             assert glob.metadata["value_evaluations"] == counting.calls
             assert glob.metadata["prediction_rows"] == counting.rows

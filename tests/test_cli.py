@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import asymshap
+import asymshap.attribution
 import asymshap.coalitions
 from asymshap import DEFAULT_ENUMERATION_CAP, OrderingSpec
 from asymshap import cli
@@ -219,7 +221,7 @@ def test_non_integer_standardizer_index_exits_2(trained, tmp_path, capsys, entry
     "flag, value", [("--batch-size", "0"), ("--batch-size", "-5"), ("--epochs", "0"), ("--epochs", "-1"),
                     ("--hidden", "0"), ("--hidden", "10,0"), ("--patience", "0"), ("--patience", "-5"),
                     ("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--val-fraction", "0"),
-                    ("--val-fraction", "nan")],
+                    ("--val-fraction", "nan"), ("--val-fraction", "0.999")],
 )
 def test_degenerate_train_setting_exits_2(trained, tmp_path, capsys, flag, value):
     out = tmp_path / "model.json"
@@ -227,6 +229,8 @@ def test_degenerate_train_setting_exits_2(trained, tmp_path, capsys, flag, value
     assert code == 2
     message = {"--learning-rate": "learning_rate must be positive and finite",
                "--val-fraction": "val_fraction must be in (0, 1)"}.get(flag, "must be positive")
+    if value == "0.999":  # inside (0, 1), but the 300 training rows leave no room for the inner split
+        message = "val_fraction 0.999 leaves no training rows once the inner validation split takes its share"
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -333,6 +337,14 @@ def test_oracle_check_enumerates_the_unconstrained_orders_once(monkeypatch, caps
     # One for the Shapley cross-check, then one per game's random spec.
     assert len(specs) == 4 and specs[0] == OrderingSpec(4)
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [5, 7, 8])
+def test_oracle_check_passes_at_its_defaults(capsys, seed):
+    # At these seeds some feature's contribution is the same in every
+    # consistent order, so its Monte Carlo gap and stderr are rounding noise.
+    assert main(["oracle-check", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
 
 
 @pytest.mark.parametrize("games", [0, -3])
@@ -562,6 +574,43 @@ def test_local_run_rejects_a_locals_csv(trained, tmp_path, capsys):
     assert code == 2
     assert "--locals-csv writes a global run's per-point attributions; drop --index" in capsys.readouterr().err
     assert not out.exists() and not locals_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--target", "argmax"], "--target picks the class of a local run"),
+     (["--index", "3", "--budget", "5"], "--budget caps a global run's points; drop --index"),
+     (["--index", "400"], "--index 400 outside [0, 400)")],
+    ids=["global-target", "local-budget", "index-range"],
+)
+def test_explain_rejects_a_flag_its_mode_ignores(trained, tmp_path, monkeypatch, capsys, flags, message):
+    enumerated = []
+    monkeypatch.setattr(asymshap.attribution, "enumerate_consistent", lambda *a, **k: enumerated.append(a))
+    out = tmp_path / "x.json"
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 *flags, "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and enumerated == []  # rejected before the plan enumerates any orders
+
+
+def test_local_run_explains_the_argmax_class(trained, tmp_path):
+    model = asymshap.TrainedModel.load(trained / "model.json")
+    ds = asymshap.load_csv(trained / "data.csv", trained / "data.schema.json")
+    predicted = model.predict(ds.X).argmax(axis=1)
+    r = int(np.flatnonzero(predicted != ds.y)[0])  # a row whose predicted class is not its label
+    docs = {}
+    for target in ("label", "argmax"):
+        out = tmp_path / f"{target}.json"
+        assert main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                     "--index", str(r), "--target", target, "--exact", "--samples", "4", "--seed", "0",
+                     "--out", str(out)]) == 0
+        docs[target] = json.loads(out.read_text())
+    assert docs["label"]["class_index"] == ds.y[r]
+    assert docs["argmax"]["class_index"] == predicted[r]
+    for doc in docs.values():
+        # v(N) is the model's probability of the explained class at the row itself.
+        assert doc["total"] == pytest.approx(model.predict(ds.X[r][None, :])[0, doc["class_index"]], abs=1e-12)
 
 
 @pytest.mark.parametrize("estimator", ["--exact", "--mc"])

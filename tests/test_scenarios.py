@@ -29,6 +29,7 @@ from asymshap import (
     KNNSampler,
     MarkovSeriesProcess,
     OrderingSpec,
+    RunPlan,
     Schema,
     TwoFeatureGraphProcess,
     exact_asv,
@@ -59,8 +60,8 @@ def attributions(kind):
     ds = process.sample(2000, 0)
     return {
         name: global_asv(
-            BayesPredictor(process), ds, ordering,
-            completion=GenerativeSampler(process), m=64, estimator="exact", budget=500, seed=0,
+            RunPlan(BayesPredictor(process), ordering, GenerativeSampler(process), estimator="exact", m=64, seed=0),
+            ds, budget=500,
         )
         for name, ordering in ORDERINGS.items()
     }
@@ -228,8 +229,9 @@ def admissions_audit_locals(sampler=None):
     independent 10,000-row sample."""
     process = AdmissionsProcess(unfair=True)
     completion = GenerativeSampler(process) if sampler is None else sampler(process.sample(10_000, 1), k=10)
-    return global_asv(BayesPredictor(process), process.sample(10_000, 0), fairness_spec(3, (2,), (0,)),
-                      completion, m=64, estimator="exact", budget=2000, seed=0).locals
+    plan = RunPlan(BayesPredictor(process), fairness_spec(3, (2,), (0,)), completion, estimator="exact", m=64,
+                   seed=0)
+    return global_asv(plan, process.sample(10_000, 0), budget=2000).locals
 
 
 @pytest.mark.parametrize("sampler", [ExactMatchSampler, KNNSampler], ids=["exact-match", "knn"])
