@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_EXACT_ORDERS,
     OrderingSpec,
     enumerate_consistent,
     sample_consistent_batch,
@@ -110,11 +112,6 @@ def _as_spec(ordering) -> OrderingSpec:
     if not isinstance(ordering, OrderingSpec):
         raise ValidationError(f"expected an OrderingSpec, got {type(ordering).__name__}")
     return ordering
-
-
-# Below this many orders every step count c is under 2^26, so c times either
-# half of a split difference is exact in float64.
-MAX_EXACT_ORDERS = 1 << 26
 
 
 class CoalitionChains:
@@ -378,9 +375,9 @@ class RunPlan:
     as in CachedValueFunction (a BackgroundSet off-manifold, a sampler
     on-manifold) with m draws and the run's seed; spec covers pred's features.
     estimator must be "exact" or "mc", checked before anything is enumerated
-    or evaluated. An exact plan enumerates spec's consistent orders once,
-    under cap, and holds their CoalitionChains.merged as chains; a Monte Carlo
-    plan draws n_perms orders per point and holds no chains.
+    or evaluated. An exact plan enumerates spec's orders once, under cap,
+    after its first point's checks, and keeps their CoalitionChains.merged;
+    a Monte Carlo plan draws n_perms orders per point.
     """
 
     def __init__(self, pred, spec: OrderingSpec, completion: BackgroundSet | ConditionalSampler, *,
@@ -394,8 +391,11 @@ class RunPlan:
         if spec.n != pred.n_features:
             raise ValidationError(f"ordering covers {spec.n} features, predictor has {pred.n_features}")
         self.pred, self.spec, self.completion = pred, spec, completion
-        self.estimator, self.n_perms, self.m, self.seed = estimator, n_perms, m, seed
-        self.chains = CoalitionChains.merged(enumerate_consistent(spec, cap=cap)) if estimator == "exact" else None
+        self.estimator, self.n_perms, self.m, self.seed, self.cap = estimator, n_perms, m, seed, cap
+
+    @cached_property
+    def _chains(self) -> CoalitionChains:
+        return CoalitionChains.merged(enumerate_consistent(self.spec, cap=self.cap))
 
     def local(self, x, y: int, point_index: int) -> tuple[AttributionResult, CachedValueFunction]:
         """The local attribution of class y at point x, and the value function it evaluated.
@@ -408,7 +408,7 @@ class RunPlan:
         vf = CachedValueFunction(self.pred, x, y, self.completion, m=self.m, seed=self.seed,
                                  point_index=point_index)
         if self.estimator == "exact":
-            res = exact_asv(vf, self.spec, self.chains)
+            res = exact_asv(vf, self.spec, self._chains)
         else:
             res = mc_asv(vf, self.spec, self.n_perms, _stream(self.seed, 0x9E12, point_index))
         res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)

@@ -235,18 +235,15 @@ def _load_ordering(path, ds: Dataset) -> OrderingSpec:
     if not isinstance(obj, dict):
         raise ValidationError(f"ordering spec {path} must be a JSON object")
 
-    obj = {**obj, "n": obj.get("n", ds.n)}
+    n = obj.setdefault("n", ds.n)
+    if isinstance(n, int) and not isinstance(n, bool) and n != ds.n:  # before entries resolve against ds
+        raise ValidationError(f"ordering spec covers {n} features, dataset has {ds.n}")
     for key in ("groups", "edges"):
-        # Names become indices; from_json_dict checks the shape of what is left.
+        # Schema.index_of resolves and checks every entry; from_json_dict checks the lists' shape and n's type.
         value = obj.get(key)
         if isinstance(value, list) and all(isinstance(entry, list) for entry in value):
-            obj[key] = [
-                [ds.schema.index_of(e) if isinstance(e, str) else e for e in entry] for entry in value
-            ]
-    spec = OrderingSpec.from_json_dict(obj)
-    if spec.n != ds.n:
-        raise ValidationError(f"ordering spec covers {spec.n} features, dataset has {ds.n}")
-    return spec
+            obj[key] = [list(map(ds.schema.index_of, entry)) for entry in value]
+    return OrderingSpec.from_json_dict(obj)
 
 
 def _markov_process(resolved: dict) -> MarkovSeriesProcess:

@@ -35,6 +35,9 @@ DEFAULT_ENUMERATION_CAP = 10
 DEFAULT_REJECTION_BUDGET = 1_000_000  # rejected draws allowed per requested sample
 # enumerate_consistent warns when it returns more orders than this.
 AUTO_EXACT_WARN_ORDERS = math.factorial(8)
+# enumerate_consistent refuses this many orders: below it every step count c is
+# under 2^26, so c times either half of a split difference is exact in float64.
+MAX_EXACT_ORDERS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,8 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
     feature whose predecessors are all placed, in ascending feature order.
     The last slot takes the one feature left, which is always addable. The
     result and the prefixes it is stacked from are int8, and no int64 array
-    wider than one entry per prefix is formed.
+    wider than one entry per prefix is formed. Every prefix extends to an
+    order, so MAX_EXACT_ORDERS prefixes raise ValidationError, before they are built.
     """
     if spec.n > cap:
         raise EnumerationCapError(
@@ -231,6 +235,9 @@ def _extend(P, placed, bit, need) -> tuple[np.ndarray, np.ndarray]:
     """
     ok = np.column_stack([((placed & b) == 0) & ((placed & r) == r) for b, r in zip(bit, need)])
     counts = ok.sum(axis=1)
+    if (total := int(counts.sum())) >= MAX_EXACT_ORDERS:
+        raise ValidationError(f"exact enumeration would build at least {total} consistent orders over "
+                              f"{len(bit)} features, {MAX_EXACT_ORDERS} or more; use sampling instead")
     feats = np.broadcast_to(np.arange(ok.shape[1], dtype=np.int8), ok.shape)[ok]  # row by row, ascending
     del ok
     return np.column_stack([np.repeat(P, counts, axis=0), feats]), np.repeat(placed, counts) | bit[feats]

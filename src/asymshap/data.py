@@ -63,11 +63,17 @@ class Schema:
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
-    def index_of(self, name: str) -> int:
-        for i, f in enumerate(self.features):
-            if f.name == name:
-                return i
-        raise SchemaError(f"no feature named {name!r}; have {list(self.names)}")
+    def index_of(self, feature) -> int:
+        """The index of a feature named or given by integer index, numpy's included: the one resolver
+        of feature references from outside the program. An unknown name raises SchemaError; a bool,
+        a float, any other type or an index outside [0, n) raises ValidationError."""
+        if isinstance(feature, str):
+            if feature not in self.names:
+                raise SchemaError(f"no feature named {feature!r}; have {list(self.names)}")
+            return self.names.index(feature)
+        if isinstance(feature, bool) or not isinstance(feature, (int, np.integer)) or not 0 <= feature < self.n:
+            raise ValidationError(f"a feature is a name or an integer index in [0, {self.n}), got {feature!r}")
+        return int(feature)
 
     def discrete_indices(self) -> np.ndarray:
         return np.array([i for i, f in enumerate(self.features) if f.kind == DISCRETE], dtype=np.int64)

@@ -346,19 +346,6 @@ class FairnessReport:
         return d
 
 
-def _resolve_features(schema: Schema, wanted) -> tuple[int, ...]:
-    out = []
-    for f in wanted:
-        if isinstance(f, str):
-            out.append(schema.index_of(f))
-        else:
-            i = int(f)
-            if not 0 <= i < schema.n:
-                raise ValidationError(f"feature index {i} outside [0, {schema.n})")
-            out.append(i)
-    return tuple(out)
-
-
 def fairness_spec(n: int, resolving, sensitive) -> OrderingSpec:
     """Every resolving feature precedes every sensitive one; the rest float."""
     edges = frozenset((r, s) for r in resolving for s in sensitive)
@@ -389,8 +376,7 @@ def run_fairness_audit(
     at least two, as those ASVs share the points and need not be independent.
     """
     schema = dataset.schema
-    r_idx = _resolve_features(schema, resolving)
-    s_idx = _resolve_features(schema, sensitive)
+    r_idx, s_idx = (tuple(map(schema.index_of, features)) for features in (resolving, sensitive))
     if set(r_idx) & set(s_idx):
         raise ValidationError(f"resolving and sensitive features overlap: {set(r_idx) & set(s_idx)}")
     if not s_idx:

@@ -215,7 +215,9 @@ class KNNSampler:
 
     def _pool(self, disc: int, x: np.ndarray) -> tuple[tuple, np.ndarray]:
         """Rows matching x on the features in mask disc, relaxing features
-        until some row does, with the key of the pool they came from."""
+        until some row does, with the key of the pool they came from: the one
+        place, for both samplers, that decides no row matches. Each relaxation
+        logs one warning, naming the features, when its pool is built."""
         idx = _members(disc)
         key = (disc, x[idx].tobytes())
         entry = self._pools.get(key)
@@ -226,8 +228,8 @@ class KNNSampler:
             else:
                 drop = next(i for i in self._relax_order if disc >> i & 1)
                 logger.warning(
-                    "no rows match the discrete conditioning set; relaxing feature %r",
-                    self.schema.features[drop].name,
+                    "no rows match the discrete conditioning set %s; relaxing feature %r",
+                    [self.schema.features[i].name for i in idx], self.schema.features[drop].name,
                 )
                 entry = self._pool(disc & ~(1 << drop), x)
             self._pools[key] = entry
@@ -265,29 +267,19 @@ class ExactMatchSampler(KNNSampler):
     """Conditional completions from rows matching x exactly on the coalition.
 
     Valid for all-discrete conditioning sets; conditioning on a continuous
-    feature (where exact matching is degenerate) or hitting zero matches
-    falls back to the k-NN completion. When the match population fits within
-    m, every match is used once and the conditional mean is exact.
-
-    The matches of an all-discrete coalition are the k-NN sampler's pool for
-    it, read from the same table: an unrelaxed pool is the exact matches, and
-    a relaxed one means there were none. So the sampler keeps nothing beyond
-    what KNNSampler keeps, and the zero-match warning is logged once, when
-    that pool is built.
+    feature, where exact matching is degenerate, is the k-NN completion. The
+    matches of an all-discrete coalition are the k-NN sampler's pool for it,
+    read from the same table, so the sampler keeps nothing of its own. A
+    relaxed pool, which _pool warned of, means there were none, and goes to
+    the k-NN completion. Otherwise, when the matches fit within m, every match
+    is used once and the conditional mean is exact; else m are drawn.
     """
 
     def complete(self, x, mask, m, rng):
         if mask & ~self._disc_mask:
-            logger.debug("continuous feature in conditioning set; using k-NN completion")
             return super().complete(x, mask, m, rng)
-        n_pools = len(self._pools)
         (used, _), cand = self._pool(mask, x)
-        if used != mask:  # the pool was relaxed: no row matches
-            if len(self._pools) > n_pools:  # built by this call
-                logger.warning(
-                    "exact-match conditioning found no rows for features %s; falling back to k-NN",
-                    [self.schema.features[i].name for i in _members(mask)],
-                )
+        if used != mask:
             return super().complete(x, mask, m, rng)
         exhaustive = cand.size <= m
         sel = cand if exhaustive else cand[rng.integers(0, cand.size, size=m)]

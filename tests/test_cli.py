@@ -92,7 +92,7 @@ def test_explain_with_name_based_spec(trained):
     [
         {"n": 4, "groups": [[0, 1], [2, 3]]}, [["gender"]], "{not json", {"direction": "sideways"},
         {"edges": [["score", "gender", "department"]]}, {"edges": 5}, {"groups": [0, 1, 2]},
-        {"n": 3.9}, {"n": "3"}, {"n": True},
+        {"n": 3.9}, {"n": "3"}, {"n": True}, {"edges": [[1.0, 2]]}, {"edges": [["score", 3]]},
     ],
 )
 def test_bad_spec_is_rejected(trained, content):
@@ -101,6 +101,16 @@ def test_bad_spec_is_rejected(trained, content):
     code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
                  "--spec", str(spec), "--index", "0", "--seed", "0", "--out", str(trained / "x.json")])
     assert code == 2
+
+
+def test_spec_of_another_width_names_the_width(trained, capsys):
+    # The width check comes before entries resolve, so index 3 is not blamed.
+    spec = trained / "wide-spec.json"
+    spec.write_text(json.dumps({"n": 4, "groups": [[0, 1], [2, 3]]}))
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--spec", str(spec), "--index", "0", "--seed", "0", "--out", str(trained / "x.json")])
+    assert code == 2
+    assert "ordering spec covers 4 features, dataset has 3" in capsys.readouterr().err
 
 
 def test_fairness_rejects_a_model_of_another_schema(trained, tmp_path, capsys):
@@ -478,6 +488,7 @@ def test_no_warning_otherwise(caplog, resolved, spec, want):
         ({"exact": "no"}, "'exact'"),  # on/off flag takes true, false or null
         ({"strategy": "psychic"}, "'strategy'"),  # outside the flag's choices
         ({"workers": 2}, "'workers'"),  # points run in one thread
+        ({"samples": 4, "sample": 8}, ": ['sample']"),  # not a flag of the command
     ],
 )
 def test_bad_config_value_exits_2(trained, capsys, content, named):
@@ -580,8 +591,9 @@ def test_local_run_rejects_a_locals_csv(trained, tmp_path, capsys):
     "flags, message",
     [(["--target", "argmax"], "--target picks the class of a local run"),
      (["--index", "3", "--budget", "5"], "--budget caps a global run's points; drop --index"),
-     (["--index", "400"], "--index 400 outside [0, 400)")],
-    ids=["global-target", "local-budget", "index-range"],
+     (["--index", "400"], "--index 400 outside [0, 400)"),
+     (["--exact", "--mc"], "--exact and --mc are mutually exclusive")],
+    ids=["global-target", "local-budget", "index-range", "exact-and-mc"],
 )
 def test_explain_rejects_a_flag_its_mode_ignores(trained, tmp_path, monkeypatch, capsys, flags, message):
     enumerated = []
@@ -701,3 +713,117 @@ def test_help_shows_every_default(capsys, command, flag, default):
     argv = [command, "--seed", "0"] + (["markov"] if command == "gen-data" else [])
     flags = [a for a in build_parser().parse_args(argv).parser._actions if a.option_strings]
     assert text.count("(default: ") == len(flags) - 1  # all but --help
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--samples", "0", "--budget", "5"], "sample count must be positive"),
+     (["--samples", "4", "--budget", "1"], "at least 2 points")],
+    ids=["no-samples", "one-point"],
+)
+def test_exact_run_is_checked_before_its_orders_are_enumerated(trained, tmp_path, monkeypatch, capsys, flags,
+                                                                message):
+    enumerated = []
+    monkeypatch.setattr(asymshap.attribution, "enumerate_consistent", lambda *a, **k: enumerated.append(a))
+    out = tmp_path / "x.json"
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--exact", *flags, "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and enumerated == []
+
+
+def test_malformed_config_json_exits_2(trained, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"samples": 4,')
+    out = tmp_path / "x.json"
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--config", str(config), "--index", "0", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    assert f"malformed config JSON {config}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_float_config_value_is_stored_as_a_float(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"ar": 1, "T": 3, "rows": 20}))
+    assert main(["gen-data", "markov", "--config", "config.json", "--seed", "0"]) == 0
+    echoed = json.loads((tmp_path / "markov.manifest.json").read_text())["config"]
+    assert echoed["ar"] == 1.0 and type(echoed["ar"]) is float
+
+
+@pytest.mark.parametrize("value", ["fast", True, [0.1]], ids=["string", "bool", "list"])
+def test_non_numeric_float_config_value_exits_2(tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"learning_rate": value}))
+    assert main(["train", "--config", str(config), "--seed", "0"]) == 2
+    assert "config key 'learning_rate'" in capsys.readouterr().err
+
+
+def test_missing_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-data", "chain", "--rows", "20"]) == 2
+    assert "a seed is required" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_into_a_missing_directory_exits_2(tmp_path, capsys):
+    code = main(["gen-data", "chain", "--rows", "20", "--seed", "0", "--out", str(tmp_path / "missing" / "data")])
+    assert code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", [1, DEFAULT_ENUMERATION_CAP + 1])
+def test_oracle_check_outside_its_feature_range_exits_2(capsys, n):
+    assert main(["oracle-check", "--n", str(n), "--games", "1", "--seed", "0"]) == 2
+    assert f"n must be in [2, {DEFAULT_ENUMERATION_CAP}], got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, features",
+    [("fair-admissions", ["gender", "score", "department"]), ("chain", ["x1", "x2"]),
+     ("collider", ["x1", "x2"]), ("mixed", ["x1", "x2"])],
+)
+def test_gen_data_writes_each_scenario(tmp_path, scenario, features):
+    prefix = tmp_path / "data"
+    assert main(["gen-data", scenario, "--rows", "30", "--seed", "0", "--out", str(prefix)]) == 0
+    ds = asymshap.load_csv(tmp_path / "data.csv", tmp_path / "data.schema.json")
+    assert list(ds.schema.names) == features and ds.X.shape == (30, len(features)) and ds.y.shape == (30,)
+    manifest = json.loads((tmp_path / "data.manifest.json").read_text())
+    assert manifest["scenario"] == scenario and sorted(manifest["files"]) == ["csv", "schema"]
+    for entry in manifest["files"].values():
+        assert entry["sha256"] == cli._sha256_file(entry["path"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.manifest.json", "data.schema.json"]
+
+
+def test_train_warns_when_accuracy_is_within_noise_of_the_majority_rate(tmp_path, caplog):
+    # Labels independent of the features, 19 in 20 of class 0: no model beats the majority rate.
+    rng = np.random.default_rng(0)
+    schema = asymshap.Schema((asymshap.FeatureSpec("a", asymshap.CONTINUOUS),))
+    ds = asymshap.Dataset(rng.normal(size=(400, 1)), (np.arange(400) % 20 == 0).astype(int), schema)
+    asymshap.save_csv(ds, tmp_path / "noise.csv", tmp_path / "noise.schema.json")
+    with caplog.at_level(logging.WARNING, logger="asymshap.cli"):
+        assert main(["train", "--data", str(tmp_path / "noise.csv"), "--model", "logistic", "--epochs", "2",
+                     "--seed", "0", "--out", str(tmp_path / "model.json")]) == 0
+    (record,) = [r for r in caplog.records if r.name == "asymshap.cli"]
+    assert "within noise of the majority-class rate" in record.message
+    metrics = json.loads((tmp_path / "model.metrics.json").read_text())["metrics"]
+    assert metrics["test_max_class_accuracy"] <= metrics["majority_class_rate"] + 0.02
+
+
+def test_featselect_writes_its_json_and_trials_csv(tmp_path, capsys):
+    out = tmp_path / "featselect.json"
+    assert main(["featselect", "--T", "3", "--trials", "2", "--rows", "300", "--samples", "8",
+                 "--budget", "20", "--seed", "0", "--out", str(out)]) == 0
+    trials_csv = tmp_path / "featselect.trials.csv"
+    assert str(trials_csv) in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["ts"] == [0, 1, 2]
+    for key in ("cumulative_asv", "cumulative_stderr", "empirical_mean", "empirical_sd"):
+        assert len(doc[key]) == 3
+    assert np.array(doc["trials"]).shape == (2, 3)
+    assert doc["attribution"]["n_points"] == 20 and doc["config"]["trials"] == 2
+    header, *rows = trials_csv.read_text().splitlines()
+    assert header == "t0,t1,t2"
+    assert [[float(v) for v in row.split(",")] for row in rows] == doc["trials"]

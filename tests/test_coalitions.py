@@ -282,6 +282,18 @@ class TestEnumerate:
         assert got.shape == (len(want), spec.n)
         assert got.tolist() == [list(order) for order in want]
 
+    def test_refuses_an_order_count_past_the_limit_before_building_it(self, monkeypatch):
+        # 2^26 orders take at least 12 features, so the limit is lowered.
+        monkeypatch.setattr(asymshap.coalitions, "MAX_EXACT_ORDERS", 6)
+        with pytest.raises(ValidationError, match="at least 6 consistent orders over 3 features"):
+            enumerate_consistent(OrderingSpec(3))
+        # The 4 * 3 two-feature prefixes of 4! orders already reach the limit: none is extended further.
+        with pytest.raises(ValidationError, match="at least 12 consistent orders over 4 features"):
+            enumerate_consistent(OrderingSpec(4))
+        assert len(enumerate_consistent(OrderingSpec(4, groups=((0, 1), (2,), (3,))))) == 2
+        monkeypatch.setattr(asymshap.coalitions, "MAX_EXACT_ORDERS", 7)
+        assert len(enumerate_consistent(OrderingSpec(3))) == 6
+
     def test_holds_the_orders_once(self):
         # The int8 result, the int8 prefixes and per-prefix vectors it is built from: less than one int64 copy.
         enumerate_consistent(OrderingSpec(3))  # lazy set-up outside the measurement

@@ -72,6 +72,17 @@ class TestSchema:
         assert list(s.discrete_indices()) == [0, 2]
         assert list(s.continuous_indices()) == [1]
 
+    def test_index_of_takes_a_name_or_an_index_in_range(self):
+        s = small_schema()
+        assert [s.index_of(f) for f in ("c", 0, np.int64(2), np.uint8(1))] == [2, 0, 2, 1]
+        assert type(s.index_of(np.int64(2))) is int
+
+    @pytest.mark.parametrize("feature", [2.9, 2.0, True, False, 3, -1, None, [1]])
+    def test_index_of_rejects_anything_but_a_name_or_an_index_in_range(self, feature):
+        # 2.9 would truncate to feature 2 and True would read as feature 1.
+        with pytest.raises(ValidationError):
+            small_schema().index_of(feature)
+
     def test_json_round_trip_and_digest(self):
         s = small_schema()
         assert Schema.from_json_dict(s.to_json_dict()) == s

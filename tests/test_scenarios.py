@@ -10,10 +10,11 @@ import functools
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
-from helpers import LinearProbPredictor
+from helpers import CountingPredictor, LinearProbPredictor
 
 import asymshap.coalitions
 from asymshap import (
@@ -32,6 +33,7 @@ from asymshap import (
     RunPlan,
     Schema,
     TwoFeatureGraphProcess,
+    ValidationError,
     exact_asv,
     fairness_spec,
     global_asv,
@@ -380,3 +382,22 @@ def test_default_audit_warns_from_its_enumeration(monkeypatch, caplog):
                            ExactMatchSampler(ds), m=4, budget=4, seed=0)
     (record,) = [r for r in caplog.records if r.name == "asymshap.coalitions"]
     assert "3 consistent orders over 3 features" in record.message
+
+
+@pytest.mark.parametrize(
+    "resolving, sensitive, message",
+    [
+        (["department", "gender"], ["gender"], "resolving and sensitive features overlap"),
+        ([0, "score"], [], "need at least one sensitive feature"),
+        ([2.9], [True], "integer index in [0, 3), got 2.9"),  # not department, then score
+        (["department"], [3], "integer index in [0, 3), got 3"),
+    ],
+    ids=["overlap", "no-sensitive", "float-and-bool", "index-out-of-range"],
+)
+def test_audit_rejects_its_feature_lists_before_any_evaluation(resolving, sensitive, message):
+    process = AdmissionsProcess(unfair=True)
+    ds = process.sample(50, 0)
+    pred = CountingPredictor(BayesPredictor(process))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_fairness_audit(pred, ds, resolving, sensitive, ExactMatchSampler(ds), m=4, budget=4, seed=0)
+    assert pred.calls == 0
