@@ -13,9 +13,7 @@ from .attribution import (
     CoalitionChains,
     GlobalAttribution,
     RunPlan,
-    TableValueFunction,
     exact_asv,
-    exact_shapley_subset_form,
     global_asv,
     marginal_contributions,
     mc_asv,
@@ -26,7 +24,6 @@ from .coalitions import (
     OrderingSpec,
     enumerate_consistent,
     is_consistent,
-    random_ordering_spec,
     sample_consistent_batch,
 )
 from .data import (

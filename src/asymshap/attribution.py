@@ -45,25 +45,7 @@ from .coalitions import (
 )
 from .data import Dataset
 from .errors import ValidationError
-from .values import MAX_MASK_FEATURES, BackgroundSet, CachedValueFunction, ConditionalSampler, _checked_mask, _stream
-
-
-@dataclass
-class TableValueFunction:
-    """v(S) read straight from entry S, an int bitmask, of a table of 2^n values: the exact oracle."""
-
-    table: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=np.float64).reshape(-1)
-        if self.table.shape[0] != (1 << self.n):
-            raise ValidationError(
-                f"table has {self.table.shape[0]} entries, expected {1 << self.n}"
-            )
-
-    def value(self, mask: int) -> float:
-        return float(self.table[_checked_mask(mask, self.n)])
+from .values import MAX_MASK_FEATURES, BackgroundSet, CachedValueFunction, ConditionalSampler, _stream
 
 
 @dataclass
@@ -312,34 +294,6 @@ def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> A
         baseline=v.value(0),
         total=v.value((1 << n) - 1),
         metadata={"estimator": "exact", "ordering": spec.to_json_dict()},
-    )
-
-
-def exact_shapley_subset_form(v) -> AttributionResult:
-    """Shapley values by the coalition-weighted subset formula.
-
-    phi(i) = sum over S not containing i of |S|!(n-|S|-1)!/n! [v(S+i) - v(S)].
-    Independent of the permutation form; used to cross-check it.
-    """
-    n = v.n
-    if n > MAX_MASK_FEATURES:
-        raise ValidationError(f"subset form supports up to {MAX_MASK_FEATURES} features, got {n}")
-    fact = [math.factorial(k) for k in range(n + 1)]
-    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
-    terms: list[list[float]] = [[] for _ in range(n)]
-    table = [v.value(mask) for mask in range(1 << n)]
-    for mask in range(1 << n):
-        for i in range(n):
-            if not mask >> i & 1:
-                terms[i].append(weight[mask.bit_count()] * (table[mask | 1 << i] - table[mask]))
-    means = np.array([math.fsum(t) for t in terms])
-    return AttributionResult(
-        means=means,
-        stderrs=np.zeros(n),
-        n_samples=1 << n,
-        baseline=table[0],
-        total=table[(1 << n) - 1],
-        metadata={"estimator": "subset-form"},
     )
 
 

@@ -1,6 +1,12 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, explain, fairness, featselect, oracle-check.
+Subcommands:
+    gen-data    sample a synthetic dataset: CSV, schema and manifest
+    train       fit a logistic or MLP model to a dataset
+    explain     local or global attribution of a trained model
+    fairness    audit the attribution that sensitive features keep
+    featselect  cumulative attribution against retraining on a Markov series
+
 Each setting is declared once, as an argparse flag with its type, choices and
 default. A --config file's keys are those flags' dests: main checks the file
 against the flags, installs its non-null values as the subcommand's defaults
@@ -8,8 +14,12 @@ and parses again, so values resolve as declared default < --config file <
 explicit flags. A command reads the resolved {dest: value} settings and
 echoes them into its output JSON together with content hashes of the input
 files. Outputs carry no timestamps, so identical config and seed give
-byte-identical bytes. Exit codes: 0 success, 2 validation error, 3 estimator or sampling
-guard failure, 4 oracle-check failure.
+byte-identical bytes.
+
+Exit codes:
+    0  success
+    2  validation error: a bad flag, config or setting, or a file that cannot be read or written
+    3  estimator or sampling guard failure
 """
 
 from __future__ import annotations
@@ -19,30 +29,14 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .attribution import (
-    CoalitionChains,
-    RunPlan,
-    TableValueFunction,
-    column_means,
-    exact_asv,
-    exact_shapley_subset_form,
-    global_asv,
-    marginal_contributions,
-    mc_asv,
-)
-from .coalitions import (
-    DEFAULT_ENUMERATION_CAP,
-    OrderingSpec,
-    enumerate_consistent,
-    random_ordering_spec,
-)
+from .attribution import RunPlan, global_asv
+from .coalitions import DEFAULT_ENUMERATION_CAP, OrderingSpec
 from .data import Dataset, load_csv, save_csv, train_test_split
 from .errors import EstimatorError, SchemaError, ValidationError
 from .models import (
@@ -429,72 +423,6 @@ def cmd_featselect(resolved: dict) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- oracle-check
-
-
-def cmd_oracle_check(resolved: dict) -> int:
-    n, games, perms = resolved["n"], resolved["games"], resolved["perms"]
-    if not 2 <= n <= DEFAULT_ENUMERATION_CAP:
-        raise ValidationError(f"n must be in [2, {DEFAULT_ENUMERATION_CAP}], got {n}")
-    if games < 1:
-        raise ValidationError(f"games must be at least 1, got {games}")
-    rng = np.random.default_rng(resolved["seed"])
-    max_dual_gap = 0.0
-    max_eff_gap = 0.0
-    max_telescope_gap = 0.0
-    max_merged_gap = 0.0  # merged-step exact means against per-order column means
-    covered = 0
-    total = 0
-    shapley = OrderingSpec(n)
-    shapley_chains = CoalitionChains.merged(enumerate_consistent(shapley))  # consumes no randomness
-    for _ in range(games):
-        table = rng.random(1 << n)
-        vf = TableValueFunction(table, n)
-        dual_gap = np.max(
-            np.abs(exact_asv(vf, shapley, shapley_chains).means - exact_shapley_subset_form(vf).means)
-        )
-        max_dual_gap = max(max_dual_gap, float(dual_gap))
-        spec = random_ordering_spec(n, rng)
-        P = enumerate_consistent(spec)
-        exact = exact_asv(vf, spec, CoalitionChains.merged(P))
-        max_eff_gap = max(max_eff_gap, abs(exact.efficiency_gap()))
-        D = marginal_contributions(vf, CoalitionChains(P))  # per order: an independent check
-        max_merged_gap = max(max_merged_gap, float(np.max(np.abs(exact.means - column_means(D)))))
-        telescope = math.fsum(D[0].tolist()) - (exact.total - exact.baseline)
-        max_telescope_gap = max(max_telescope_gap, abs(telescope))
-        est = mc_asv(vf, spec, perms, rng)
-        # A contribution equal in every consistent order has a stderr of
-        # rounding noise, so the floor of 1e-9 judges it, as it does a stderr of 0.
-        covered += int(np.sum(np.abs(est.means - exact.means) <= np.maximum(4.0 * est.stderrs, 1e-9)))
-        total += n
-    coverage = covered / total
-    ok = (
-        max_dual_gap <= 1e-9 and max_eff_gap <= 1e-9 and max_telescope_gap <= 1e-9
-        and max_merged_gap == 0.0 and coverage >= 0.99
-    )
-    report = {
-        "n": n,
-        "games": games,
-        "perms": perms,
-        "seed": resolved["seed"],
-        "max_dual_formula_gap": max_dual_gap,
-        "max_efficiency_gap": max_eff_gap,
-        "max_telescoping_gap": max_telescope_gap,
-        "max_merged_step_gap": max_merged_gap,
-        "mc_within_4_stderr": coverage,
-        "pass": bool(ok),
-    }
-    if resolved["out"]:
-        _write_json(resolved["out"], report, resolved)
-    status = "PASS" if ok else "FAIL"
-    print(
-        f"{status}: dual-formula gap {max_dual_gap:.2e}, efficiency gap {max_eff_gap:.2e}, "
-        f"telescoping gap {max_telescope_gap:.2e}, merged-step gap {max_merged_gap:.2e}, "
-        f"MC 4-stderr coverage {coverage:.4f}"
-    )
-    return 0 if ok else 4
-
-
 # ---------------------------------------------------------------- wiring
 
 
@@ -592,12 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64, help="conditional draws per coalition")
     p.add_argument("--budget", type=int, default=300, help="max test points for the attribution curve")
     p.add_argument("--out", default="featselect.json", help="output JSON; trials CSV goes beside it")
-
-    p = add("oracle-check", cmd_oracle_check, "cross-check estimators on random games")
-    p.add_argument("--n", type=int, default=6, help="features per random game")
-    p.add_argument("--games", type=int, default=50, help="random games")
-    p.add_argument("--perms", type=int, default=4000, help="Monte Carlo permutation draws per game")
-    p.add_argument("--out", help="also write the report as JSON")
 
     return parser
 

@@ -289,35 +289,3 @@ def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Genera
                 "constraints as ordered groups"
             )
     return np.concatenate(got, axis=0)
-
-
-def random_ordering_spec(n: int, rng: np.random.Generator) -> OrderingSpec:
-    """A random spec: empty, a random ordered partition, or random acyclic edges.
-
-    Meant for self-checks and stress tests that want broad coverage of the
-    constraint families without hand-writing cases.
-    """
-    if n < 2:
-        raise ValidationError(f"need at least 2 features, got {n}")
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        return OrderingSpec(n)
-    if kind == 1:
-        perm = rng.permutation(n)
-        cuts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False))
-        groups, start = [], 0
-        for c in list(cuts) + [n]:
-            groups.append(tuple(int(i) for i in perm[start:c]))
-            start = c
-        return OrderingSpec(n, groups=tuple(groups))
-    # Edges drawn consistent with a hidden base order, hence acyclic.
-    base = rng.permutation(n)
-    pos = np.argsort(base)
-    edges = set()
-    for _ in range(int(rng.integers(1, n))):
-        i, j = rng.choice(n, size=2, replace=False)
-        if pos[i] < pos[j]:
-            edges.add((int(i), int(j)))
-        else:
-            edges.add((int(j), int(i)))
-    return OrderingSpec(n, edges=frozenset(edges))

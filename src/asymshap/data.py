@@ -261,12 +261,6 @@ class Standardizer:
             sd = np.ones(0)
         return cls(mu, sd, cont)
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        out = np.array(X, dtype=np.float64, copy=True)
-        if self.continuous.size:
-            out[:, self.continuous] = (out[:, self.continuous] - self.mean) / self.scale
-        return out
-
     def to_json_dict(self) -> dict:
         return {
             "mean": self.mean.tolist(),
@@ -305,10 +299,10 @@ def one_hot_design(X: np.ndarray, schema: Schema, standardizer: Standardizer) ->
     """Model design matrix: standardized continuous columns, one-hot discrete.
 
     Columns follow the schema's feature order. The matrix is filled in one
-    pass: the continuous columns with (x - mean) / scale, element for element
-    the arithmetic of Standardizer.transform, then every one-hot entry in one
-    indexed write. So it is bitwise the matrix that standardizing X and
-    concatenating the per-feature columns and blocks would give. A discrete
+    pass: each continuous column with (x - mean) / scale, element by element,
+    from the standardizer's mean and scale for that column, then every one-hot
+    entry in one indexed write. So it is bitwise the matrix that standardizing
+    X and concatenating the per-feature columns and blocks would give. A discrete
     code outside [0, cardinality) raises SchemaError rather than landing in a
     neighbouring block.
     """

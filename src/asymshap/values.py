@@ -325,7 +325,7 @@ class CachedValueFunction:
 
     completion fills the slots outside S. A BackgroundSet (off-manifold)
     gives m background draws, frozen once per point from (seed, point_index)
-    and shared by every coalition; an unweighted background no larger than m
+    and shared by every coalition; a background no larger than m
     is used whole, once per row. A sampler, any object with a complete method
     (on-manifold), draws m rows from p(x' | x_S) per coalition, given x and
     the mask, on a stream keyed by (seed, point_index, mask); the full

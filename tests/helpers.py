@@ -1,14 +1,33 @@
-"""Tiny predictor doubles shared across the test modules, a memory probe, and reference implementations."""
+"""Tiny predictor doubles shared across the test modules, a memory probe, and reference implementations.
+
+The exact oracles live here too: TableValueFunction, the subset form of the
+Shapley value, random ordering specs, and estimator_self_check, which ties
+the estimators to each other on random games.
+"""
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from asymshap import CachedValueFunction, Standardizer, one_hot_design, train_test_split
-from asymshap.attribution import _point_budget
+from asymshap import (
+    AttributionResult,
+    CachedValueFunction,
+    CoalitionChains,
+    OrderingSpec,
+    Standardizer,
+    ValidationError,
+    enumerate_consistent,
+    exact_asv,
+    marginal_contributions,
+    mc_asv,
+    one_hot_design,
+    train_test_split,
+)
+from asymshap.attribution import _point_budget, column_means
+from asymshap.values import MAX_MASK_FEATURES, _checked_mask
 
 
 def peak_traced_bytes(fn, *args):
@@ -224,3 +243,131 @@ def reference_partition_report(glob, pred, dataset, completion):
         })
         prev_acc = acc
     return {"accuracy_empty": acc_empty, "groups": rows}
+
+
+def standardize(standardizer, X):
+    """X with each continuous column mapped to (x - mean) / scale: the
+    standardization one_hot_design applies, computed column by column."""
+    out = np.array(X, dtype=np.float64, copy=True)
+    if standardizer.continuous.size:
+        out[:, standardizer.continuous] = (out[:, standardizer.continuous] - standardizer.mean) / standardizer.scale
+    return out
+
+
+@dataclass
+class TableValueFunction:
+    """v(S) read straight from entry S, an int bitmask, of a table of 2^n values: the exact oracle."""
+
+    table: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        self.table = np.asarray(self.table, dtype=np.float64).reshape(-1)
+        if self.table.shape[0] != (1 << self.n):
+            raise ValidationError(
+                f"table has {self.table.shape[0]} entries, expected {1 << self.n}"
+            )
+
+    def value(self, mask: int) -> float:
+        return float(self.table[_checked_mask(mask, self.n)])
+
+
+def exact_shapley_subset_form(v) -> AttributionResult:
+    """Shapley values by the coalition-weighted subset formula.
+
+    phi(i) = sum over S not containing i of |S|!(n-|S|-1)!/n! [v(S+i) - v(S)].
+    Independent of the permutation form; used to cross-check it.
+    """
+    n = v.n
+    if n > MAX_MASK_FEATURES:
+        raise ValidationError(f"subset form supports up to {MAX_MASK_FEATURES} features, got {n}")
+    fact = [math.factorial(k) for k in range(n + 1)]
+    weight = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    terms: list[list[float]] = [[] for _ in range(n)]
+    table = [v.value(mask) for mask in range(1 << n)]
+    for mask in range(1 << n):
+        for i in range(n):
+            if not mask >> i & 1:
+                terms[i].append(weight[mask.bit_count()] * (table[mask | 1 << i] - table[mask]))
+    means = np.array([math.fsum(t) for t in terms])
+    return AttributionResult(
+        means=means,
+        stderrs=np.zeros(n),
+        n_samples=1 << n,
+        baseline=table[0],
+        total=table[(1 << n) - 1],
+        metadata={"estimator": "subset-form"},
+    )
+
+
+def random_ordering_spec(n: int, rng: np.random.Generator) -> OrderingSpec:
+    """A random spec: empty, a random ordered partition, or random acyclic edges.
+
+    Meant for self-checks and stress tests that want broad coverage of the
+    constraint families without hand-writing cases.
+    """
+    if n < 2:
+        raise ValidationError(f"need at least 2 features, got {n}")
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return OrderingSpec(n)
+    if kind == 1:
+        perm = rng.permutation(n)
+        cuts = sorted(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False))
+        groups, start = [], 0
+        for c in list(cuts) + [n]:
+            groups.append(tuple(int(i) for i in perm[start:c]))
+            start = c
+        return OrderingSpec(n, groups=tuple(groups))
+    # Edges drawn consistent with a hidden base order, hence acyclic.
+    base = rng.permutation(n)
+    pos = np.argsort(base)
+    edges = set()
+    for _ in range(int(rng.integers(1, n))):
+        i, j = rng.choice(n, size=2, replace=False)
+        if pos[i] < pos[j]:
+            edges.add((int(i), int(j)))
+        else:
+            edges.add((int(j), int(i)))
+    return OrderingSpec(n, edges=frozenset(edges))
+
+
+def estimator_self_check(n, games, perms, seed):
+    """The estimators checked against each other on random games over n features.
+
+    Each game is a random table drawn from one stream seeded by seed. On it
+    the unconstrained exact ASV meets the subset form (the dual-formula gap).
+    Then, under a random spec, the exact ASV's attributions sum to
+    v(N) - v({}) (the efficiency gap), and its merged-step means equal the
+    per-order column means (the merged-step gap). The first order's
+    contributions telescope to v(N) - v({}) (the telescoping gap). Last, a
+    Monte Carlo run of perms draws lands within 4 stderrs of the exact means.
+    Returns each gap's maximum over the games, and the share of (game,
+    feature) pairs that Monte Carlo covers.
+    """
+    rng = np.random.default_rng(seed)
+    gaps = {"max_dual_formula_gap": 0.0, "max_efficiency_gap": 0.0, "max_telescoping_gap": 0.0,
+            "max_merged_step_gap": 0.0}
+    covered = 0
+    shapley = OrderingSpec(n)
+    shapley_chains = CoalitionChains.merged(enumerate_consistent(shapley))  # consumes no randomness
+
+    def widen(key, gap):
+        gaps[key] = max(gaps[key], float(gap))
+
+    for _ in range(games):
+        vf = TableValueFunction(rng.random(1 << n), n)
+        widen("max_dual_formula_gap", np.max(np.abs(
+            exact_asv(vf, shapley, shapley_chains).means - exact_shapley_subset_form(vf).means)))
+        spec = random_ordering_spec(n, rng)
+        P = enumerate_consistent(spec)
+        exact = exact_asv(vf, spec, CoalitionChains.merged(P))
+        widen("max_efficiency_gap", abs(exact.efficiency_gap()))
+        D = marginal_contributions(vf, CoalitionChains(P))  # per order: an independent check
+        widen("max_merged_step_gap", np.max(np.abs(exact.means - column_means(D))))
+        widen("max_telescoping_gap", abs(math.fsum(D[0].tolist()) - (exact.total - exact.baseline)))
+        est = mc_asv(vf, spec, perms, rng)
+        # A contribution equal in every consistent order has a stderr of
+        # rounding noise, so the floor of 1e-9 judges it, as it does a stderr of 0.
+        covered += int(np.sum(np.abs(est.means - exact.means) <= np.maximum(4.0 * est.stderrs, 1e-9)))
+    return {**gaps, "mc_within_4_stderr": covered / (games * n)}

@@ -13,8 +13,12 @@ from helpers import (
     CountingPredictor,
     FirstFeatureProbPredictor,
     LinearProbPredictor,
+    TableValueFunction,
     coalition_accuracy,
+    estimator_self_check,
+    exact_shapley_subset_form,
     peak_traced_bytes,
+    random_ordering_spec,
     reference_partition_report,
 )
 from hypothesis import given, settings
@@ -38,16 +42,13 @@ from asymshap import (
     OrderingSpec,
     RunPlan,
     Schema,
-    TableValueFunction,
     ValidationError,
     enumerate_consistent,
     exact_asv,
-    exact_shapley_subset_form,
     global_asv,
     marginal_contributions,
     mc_asv,
     partition_sum_check,
-    random_ordering_spec,
     sample_consistent_batch,
     sampled_label_accuracy,
 )
@@ -404,8 +405,6 @@ class TestAxioms:
 
     def test_efficiency_exact_and_constrained(self):
         rng = np.random.default_rng(5)
-        from asymshap import random_ordering_spec
-
         for _ in range(20):
             n = int(rng.integers(2, 7))
             vf = random_table(n, rng)
@@ -482,6 +481,30 @@ class TestDualFormula:
         perm_form = exact_asv(TableValueFunction(table, n), OrderingSpec(n))
         subset_form = exact_shapley_subset_form(TableValueFunction(table, n))
         assert np.max(np.abs(perm_form.means - subset_form.means)) <= 1e-9
+
+
+class TestEstimatorSelfCheck:
+    """The identities that tie the estimators together, on random games: the
+    dual formula, efficiency, telescoping, merged steps equal to per-order
+    means, and Monte Carlo within 4 stderrs of exact."""
+
+    @pytest.mark.parametrize(
+        "n, games, perms, seed",
+        [(6, 20, 4000, 0), (6, 50, 4000, 5), (6, 50, 4000, 7), (6, 50, 4000, 8)],
+        ids=["n6-games20-seed0", "seed5", "seed7", "seed8"],
+    )
+    def test_estimators_agree(self, n, games, perms, seed):
+        # At seeds 5, 7 and 8 some feature's contribution is the same in every
+        # consistent order, so its Monte Carlo gap and stderr are rounding noise.
+        report = estimator_self_check(n, games, perms, seed)
+        for gap in ("max_dual_formula_gap", "max_efficiency_gap", "max_telescoping_gap"):
+            assert report[gap] <= 1e-9
+        assert report["max_merged_step_gap"] == 0.0  # merged-step exact means are the per-order ones
+        assert report["mc_within_4_stderr"] >= 0.99
+
+    def test_two_draws_fail_the_coverage_check(self):
+        # Two permutation draws give stderrs too loose to be meaningful, so the check can fail.
+        assert estimator_self_check(4, 5, 2, 0)["mc_within_4_stderr"] == 0.8
 
 
 class TestMonteCarlo:

@@ -306,22 +306,12 @@ def test_exhausted_rejection_sampling_exits_3(tmp_path, capsys):
     assert "rejection sampling exhausted its budget" in capsys.readouterr().err
 
 
-def test_failed_oracle_check_exits_4(capsys):
-    # Two permutation draws give stderrs too loose to be meaningful: coverage 0.80.
-    assert main(["oracle-check", "--n", "4", "--games", "5", "--perms", "2", "--seed", "0"]) == 4
-    assert capsys.readouterr().out.startswith("FAIL")
-
-
-def test_oracle_check_passes(tmp_path, capsys):
-    out = tmp_path / "oracle.json"
-    assert main(["oracle-check", "--n", "6", "--games", "20", "--seed", "0", "--out", str(out)]) == 0
-    assert capsys.readouterr().out.startswith("PASS")
-    report = json.loads(out.read_text())
-    assert report["pass"] is True
-    for gap in ("max_dual_formula_gap", "max_efficiency_gap", "max_telescoping_gap"):
-        assert report[gap] <= 1e-9
-    assert report["max_merged_step_gap"] == 0.0  # merged-step exact means are the per-order ones
-    assert report["mc_within_4_stderr"] >= 0.99
+def test_oracle_check_is_gone(capsys):
+    # The estimator self-check runs in tier-1 (TestEstimatorSelfCheck), not as a subcommand.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'oracle-check'" in capsys.readouterr().err
 
 
 def test_featselect_of_one_trial_exits_2(tmp_path, capsys):
@@ -332,35 +322,6 @@ def test_featselect_of_one_trial_exits_2(tmp_path, capsys):
     assert code == 2
     assert "at least 2 trials" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_oracle_check_enumerates_the_unconstrained_orders_once(monkeypatch, capsys):
-    specs = []
-    real = cli.enumerate_consistent
-
-    def recording(spec, *args, **kwargs):
-        specs.append(spec)
-        return real(spec, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "enumerate_consistent", recording)
-    assert main(["oracle-check", "--n", "4", "--games", "3", "--seed", "0"]) == 0
-    # One for the Shapley cross-check, then one per game's random spec.
-    assert len(specs) == 4 and specs[0] == OrderingSpec(4)
-    assert "PASS" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("seed", [5, 7, 8])
-def test_oracle_check_passes_at_its_defaults(capsys, seed):
-    # At these seeds some feature's contribution is the same in every
-    # consistent order, so its Monte Carlo gap and stderr are rounding noise.
-    assert main(["oracle-check", "--seed", str(seed)]) == 0
-    assert capsys.readouterr().out.startswith("PASS")
-
-
-@pytest.mark.parametrize("games", [0, -3])
-def test_oracle_check_without_games_exits_2(capsys, games):
-    assert main(["oracle-check", "--games", str(games), "--seed", "0"]) == 2
-    assert "games must be at least 1" in capsys.readouterr().err
 
 
 def test_fairness_audit_of_one_point_exits_2(trained, capsys):
@@ -385,7 +346,7 @@ def test_explain_of_one_point_exits_2(trained, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["gen-data", "markov"], ["train"], ["explain"], ["fairness"], ["featselect"], ["oracle-check"]],
+    "argv", [["gen-data", "markov"], ["train"], ["explain"], ["fairness"], ["featselect"]],
     ids=lambda argv: argv[0],
 )
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -514,8 +475,8 @@ def test_config_values_are_stored_as_their_flag_would(trained):
 @pytest.mark.parametrize(
     "command, content",
     [
-        ("oracle-check", {"out": 1}),  # a path key: an int would be opened as a file descriptor
-        ("oracle-check", {"out": 5}),
+        ("explain", {"out": 1}),  # a path key: an int would be opened as a file descriptor
+        ("explain", {"out": 5}),
         ("explain", {"data": 7}),
         ("explain", {"spec": True}),
         ("train", {"hidden": ["a"]}),  # list entries of hidden must be integers
@@ -677,7 +638,6 @@ DECLARED_DEFAULTS = {
         "ar": 0.7, "shift": 1.0, "decay": 0.7,
         "samples": 64, "budget": 300, "out": "featselect.json",
     },
-    "oracle-check": {"n": 6, "games": 50, "perms": 4000, "seed": None, "out": None},
 }
 
 
@@ -701,7 +661,6 @@ def test_declared_defaults(command):
         ("explain", "--strategy {off-manifold,exact-match,knn}", "off-manifold"),
         ("fairness", "--budget BUDGET", "2000"),
         ("featselect", "--trials TRIALS", "5"),
-        ("oracle-check", "--perms PERMS", "4000"),
     ],
 )
 def test_help_shows_every_default(capsys, command, flag, default):
@@ -772,12 +731,6 @@ def test_write_into_a_missing_directory_exits_2(tmp_path, capsys):
     assert code == 2
     assert "No such file or directory" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("n", [1, DEFAULT_ENUMERATION_CAP + 1])
-def test_oracle_check_outside_its_feature_range_exits_2(capsys, n):
-    assert main(["oracle-check", "--n", str(n), "--games", "1", "--seed", "0"]) == 2
-    assert f"n must be in [2, {DEFAULT_ENUMERATION_CAP}], got {n}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import peak_traced_bytes
+from helpers import peak_traced_bytes, random_ordering_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -22,7 +22,6 @@ from asymshap import (
     ValidationError,
     enumerate_consistent,
     is_consistent,
-    random_ordering_spec,
     sample_consistent_batch,
 )
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ConstantPredictor, FirstFeatureProbPredictor, LinearProbPredictor
+from helpers import ConstantPredictor, FirstFeatureProbPredictor, LinearProbPredictor, TableValueFunction
 
 from asymshap import (
     CONTINUOUS,
@@ -20,7 +20,6 @@ from asymshap import (
     KNNSampler,
     Schema,
     SchemaError,
-    TableValueFunction,
     ValidationError,
 )
 from asymshap.values import _discrete_mutual_information, _mean, _stream
