@@ -36,16 +36,11 @@ from .data import (
     load_csv,
     one_hot_design,
     save_csv,
-    sha256_of,
     train_test_split,
 )
 from .errors import (
     AsymshapError,
-    CyclicOrderingError,
-    DegenerateDataError,
-    EnumerationCapError,
     EstimatorError,
-    SamplingBudgetError,
     SchemaError,
     ValidationError,
 )

@@ -48,6 +48,7 @@ from .models import (
     train_mlp,
 )
 from .scenarios import (
+    TWO_FEATURE_KINDS,
     AdmissionsProcess,
     MarkovSeriesProcess,
     TwoFeatureGraphProcess,
@@ -58,7 +59,7 @@ from .values import BackgroundSet, ExactMatchSampler, KNNSampler
 
 logger = logging.getLogger(__name__)
 
-GEN_SCENARIOS = ("fair-admissions", "unfair-admissions", "chain", "collider", "mixed", "markov")
+GEN_SCENARIOS = ("fair-admissions", "unfair-admissions", *TWO_FEATURE_KINDS, "markov")
 
 
 def _sha256_file(path) -> str:

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CyclicOrderingError,
-    EnumerationCapError,
-    SamplingBudgetError,
-    ValidationError,
-)
+from .errors import EstimatorError, ValidationError
 from .values import MAX_MASK_FEATURES
 
 logger = logging.getLogger(__name__)
@@ -94,7 +89,7 @@ class OrderingSpec:
         while left:
             ready = [i for i in left if placed.issuperset(self.predecessors[i])]
             if not ready:
-                raise CyclicOrderingError(
+                raise ValidationError(
                     "precedence constraints contain a cycle; the consistent set is empty"
                 )
             placed.update(ready)
@@ -201,7 +196,7 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
     order, so MAX_EXACT_ORDERS prefixes raise ValidationError, before they are built.
     """
     if spec.n > cap:
-        raise EnumerationCapError(
+        raise ValidationError(
             f"exact enumeration over {spec.n} features exceeds the cap of {cap}; "
             "use sampling instead"
         )
@@ -246,14 +241,9 @@ def _extend(P, placed, bit, need) -> tuple[np.ndarray, np.ndarray]:
 def _sample_group_consistent(
     spec: OrderingSpec, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform draws respecting the group partition only, shape (size, n)."""
-    if spec.groups is None:
-        base = np.tile(np.arange(spec.n), (size, 1))
-        return rng.permuted(base, axis=1)
-    parts = []
-    for g in spec.groups:
-        block = np.tile(np.array(g, dtype=np.int64), (size, 1))
-        parts.append(rng.permuted(block, axis=1))
+    """Uniform draws respecting the group partition only, shape (size, n); no groups is one group of all."""
+    groups = (range(spec.n),) if spec.groups is None else spec.groups
+    parts = [rng.permuted(np.tile(np.array(g, dtype=np.int64), (size, 1)), axis=1) for g in groups]
     return np.concatenate(parts, axis=1)
 
 
@@ -261,8 +251,8 @@ def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Genera
     """size independent uniform draws from the consistent set, shape (size, n).
 
     Group constraints are sampled directly (exactly uniform); edge constraints
-    are enforced by rejection on top. The rejection guard aborts after
-    DEFAULT_REJECTION_BUDGET rejected draws per requested permutation.
+    are enforced by rejection on top. The rejection guard raises EstimatorError
+    after DEFAULT_REJECTION_BUDGET rejected draws per requested permutation.
     """
     if size < 1:
         raise ValidationError(f"sample size must be positive, got {size}")
@@ -283,7 +273,7 @@ def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Genera
         got.append(keep)
         n_got += keep.shape[0]
         if n_got < size and rejected > DEFAULT_REJECTION_BUDGET * size:
-            raise SamplingBudgetError(
+            raise EstimatorError(
                 f"rejection sampling exhausted its budget ({rejected} rejected draws "
                 f"for {size} requested); enumerate the consistent set or express the "
                 "constraints as ordered groups"

@@ -116,13 +116,9 @@ class Schema:
         return cls(feats, label, n_classes)
 
     def digest(self) -> str:
-        return sha256_of(self.to_json_dict())
-
-
-def sha256_of(obj) -> str:
-    """Stable hash of a JSON-representable object."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+        """SHA-256 of the schema's canonical JSON: sorted keys, no spaces."""
+        blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
+        return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass

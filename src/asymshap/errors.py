@@ -1,9 +1,12 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package: one class per CLI exit code.
 
-ValidationError covers bad inputs detected before any estimation starts
-(schema mismatches, cyclic orderings, cap violations). EstimatorError covers
-failures of the estimation machinery itself (sampling guards, unusable
-conditioning sets). The CLI maps these to distinct exit codes.
+A class says only which exit code an error maps to; its message says what
+went wrong. ValidationError (exit 2) covers bad inputs detected before or
+while a run starts: schema mismatches, cyclic orderings, cap violations,
+single-class training data. SchemaError is the ValidationError for data or a
+model file that does not match its declared schema. EstimatorError (exit 3)
+covers failures of the estimation machinery itself, such as an exhausted
+rejection-sampling budget.
 """
 
 
@@ -19,25 +22,5 @@ class SchemaError(ValidationError):
     """Data does not match its declared schema."""
 
 
-class CyclicOrderingError(ValidationError):
-    """Precedence constraints contain a cycle; no consistent permutation exists."""
-
-
-class EnumerationCapError(ValidationError):
-    """Exact enumeration requested above the configured feature cap; use sampling."""
-
-
 class EstimatorError(AsymshapError):
     """An estimator could not produce a value."""
-
-
-class SamplingBudgetError(EstimatorError):
-    """Rejection sampling exhausted its attempt budget.
-
-    Raised with a diagnostic suggesting exact enumeration or reformulating
-    edge constraints as ordered groups.
-    """
-
-
-class DegenerateDataError(ValidationError):
-    """Training data cannot support fitting (e.g. a single label class)."""

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, Schema, Standardizer, one_hot_design, train_test_split
-from .errors import DegenerateDataError, SchemaError, ValidationError
+from .errors import SchemaError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -131,12 +131,6 @@ class FeedForwardNet:
                 delta *= self._act_grad(acts[l])
         return self._grad
 
-    def flatten(self) -> np.ndarray:
-        return self.params.copy()
-
-    def unflatten(self, vec: np.ndarray) -> None:
-        self.params[...] = vec
-
 
 @dataclass
 class TrainedModel:
@@ -235,7 +229,7 @@ class TrainedModel:
                 f"model file {path} does not hold a standardizer with a finite mean and a finite positive "
                 f"scale for each of its schema's continuous features {cont.tolist()}"
             )
-        net.unflatten(np.concatenate([p.ravel() for p in params]))
+        net.params[...] = np.concatenate([p.ravel() for p in params])
         if not np.isfinite(net.params).all():
             raise SchemaError(f"model file {path} holds non-finite weights or biases")
         return model
@@ -257,7 +251,7 @@ def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
     buffer, then moves one flat velocity and the flat parameters; an epoch's losses take forward passes alone.
     These are the float operations, in order, of a per-array loop that also ran every discarded pass."""
     if ds.y.min() == ds.y.max():
-        raise DegenerateDataError("training data contains a single label class")
+        raise ValidationError("training data contains a single label class")
     try:
         train, val = train_test_split(ds, test_fraction=config.val_fraction, seed=config.seed)
     except ValidationError as exc:  # TrainConfig has checked the fraction, so the rows are too few
@@ -270,7 +264,7 @@ def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
     net = FeedForwardNet([Xtr.shape[1], *config.hidden, ds.schema.n_classes], config.activation, rng)
     velocity = np.zeros_like(net.params)
     best_val = np.inf
-    best_params = net.flatten()
+    best_params = net.params.copy()
     best_epoch = 0
     since_best = 0
     train_losses, val_losses = [], []
@@ -288,14 +282,14 @@ def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
         val_losses.append(val_loss := net.loss(Xva, val.y))
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_params = net.flatten()
+            best_params = net.params.copy()
             best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
-    net.unflatten(best_params)
+    net.params[...] = best_params
     model = TrainedModel(
         kind=kind,
         net=net,

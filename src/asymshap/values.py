@@ -36,6 +36,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_KNN_K = 10
 MAX_MASK_FEATURES = 62  # coalition masks live in int64
+# Seeds and point indices lie below this, so each fills one word of a stream key.
+STREAM_KEY_LIMIT = 1 << 32
 
 
 @runtime_checkable
@@ -330,7 +332,8 @@ class CachedValueFunction:
     (on-manifold), draws m rows from p(x' | x_S) per coalition, given x and
     the mask, on a stream keyed by (seed, point_index, mask); the full
     coalition is the prediction at x. Either way value writes x_S over the
-    draws, here and nowhere else. seed and point_index must be nonnegative.
+    draws, here and nowhere else. seed and point_index must be integers in
+    [0, STREAM_KEY_LIMIT).
     v(S) is the mean of f_y over the completions.
 
     Each distinct coalition calls the predictor once. evaluations counts the
@@ -366,12 +369,10 @@ class CachedValueFunction:
             raise ValidationError(f"sample count must be positive, got {m}")
         self.sampler = None if off_manifold else completion
         self.m = m
-        self.seed = int(seed)
-        self.point_index = int(point_index)
-        if min(self.seed, self.point_index) < 0:
-            raise ValidationError(
-                f"seed and point_index must be nonnegative, got {self.seed}, {self.point_index}"
-            )
+        self.seed, self.point_index = operator.index(seed), operator.index(point_index)
+        if not (0 <= self.seed < STREAM_KEY_LIMIT and 0 <= self.point_index < STREAM_KEY_LIMIT):
+            raise ValidationError(f"seed and point_index must be nonnegative and below 2^32, "
+                                  f"got {self.seed}, {self.point_index}")
         if off_manifold:
             rows = completion.rows
             if rows.shape[1] != self.n:

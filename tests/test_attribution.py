@@ -34,7 +34,6 @@ from asymshap import (
     CachedValueFunction,
     CoalitionChains,
     Dataset,
-    EnumerationCapError,
     ExactMatchSampler,
     FeatureSpec,
     GenerativeSampler,
@@ -543,7 +542,7 @@ class TestMonteCarlo:
 class TestGuards:
     def test_enumeration_cap(self):
         vf = TableValueFunction(np.zeros(2**11), 11)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(ValidationError, match="exceeds the cap"):
             exact_asv(vf, OrderingSpec(11))
 
     def test_ordering_type_checked(self):
@@ -658,6 +657,14 @@ class TestGlobalAttribution:
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
             global_asv(RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), seed=-1), ds, budget=5)
+
+    def test_seed_from_2_to_the_32_rejected(self):
+        ds = toy_dataset()
+        pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValidationError, match=r"below 2\^32, got 4294967296"):
+            RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), seed=2**32)
+        with pytest.raises(TypeError):
+            RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), seed=2.7)
 
     def test_exact_run_enumerates_its_orders_once(self, monkeypatch):
         ds = toy_dataset(rows=24, n=4, seed=6)

@@ -306,6 +306,30 @@ def test_exhausted_rejection_sampling_exits_3(tmp_path, capsys):
     assert "rejection sampling exhausted its budget" in capsys.readouterr().err
 
 
+def test_cyclic_spec_and_exact_over_the_cap_exit_2(trained, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    common = ["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+              "--samples", "4", "--seed", "0", "--out", str(out)]
+    spec = tmp_path / "cycle.json"
+    spec.write_text(json.dumps({"edges": [["gender", "score"], ["score", "gender"]]}))
+    assert main([*common, "--spec", str(spec)]) == 2
+    assert "precedence constraints contain a cycle; the consistent set is empty" in capsys.readouterr().err
+    assert main([*common, "--exact", "--cap", "2"]) == 2
+    assert "exact enumeration over 3 features exceeds the cap of 2; use sampling instead" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_single_class_training_data_exits_2(trained, tmp_path, capsys):
+    header, *rows = (trained / "data.csv").read_text().splitlines()
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + ",0" for row in rows)]) + "\n")
+    out = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--schema", str(trained / "data.schema.json"),
+                 "--model", "logistic", "--epochs", "2", "--seed", "0", "--out", str(out)]) == 2
+    assert "training data contains a single label class" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_check_is_gone(capsys):
     # The estimator self-check runs in tier-1 (TestEstimatorSelfCheck), not as a subcommand.
     with pytest.raises(SystemExit) as exc:
@@ -342,6 +366,16 @@ def test_explain_of_one_point_exits_2(trained, capsys):
                  "--exact", "--budget", "1", "--samples", "4", "--seed", "0", "--out", str(out)])
     assert code == 2
     assert "at least 2 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explain_seed_from_2_to_the_32_exits_2(trained, capsys):
+    # Its two words would be the words of seed 0 and point index 1.
+    out = trained / "wide-seed-explain.json"
+    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+                 "--samples", "4", "--seed", "4294967296", "--out", str(out)])
+    assert code == 2
+    assert "seed must be nonnegative and below 2^32, got 4294967296" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,8 @@
 """Schemas, datasets, CSV round trips, splits, and design matrices."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from helpers import peak_traced_bytes, standardize
@@ -16,7 +19,6 @@ from asymshap import (
     load_csv,
     one_hot_design,
     save_csv,
-    sha256_of,
     train_test_split,
 )
 
@@ -94,8 +96,11 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Schema.from_json_dict({"features": [{"name": "a"}], "label": {}})
 
-    def test_sha256_of_is_order_insensitive(self):
-        assert sha256_of({"a": 1, "b": 2}) == sha256_of({"b": 2, "a": 1})
+    def test_digest_hashes_canonical_json(self):
+        # Model files record this digest, and TrainedModel.load compares against it.
+        s = small_schema()
+        blob = json.dumps(s.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
+        assert s.digest() == hashlib.sha256(blob).hexdigest()
 
 
 class TestDataset:

@@ -12,7 +12,6 @@ from asymshap import (
     AdmissionsProcess,
     BayesPredictor,
     Dataset,
-    DegenerateDataError,
     FeatureSpec,
     Schema,
     SchemaError,
@@ -48,18 +47,18 @@ def gaussian_blobs(rows=400, sep=4.0, seed=0):
 
 
 def numeric_gradient(net, X, y, eps=1e-5):
-    theta = net.flatten()
+    theta = net.params.copy()
     num = np.zeros_like(theta)
     for k in range(theta.size):
         bumped = theta.copy()
         bumped[k] += eps
-        net.unflatten(bumped)
+        net.params[...] = bumped
         up = net.loss(X, y)
         bumped[k] -= 2 * eps
-        net.unflatten(bumped)
+        net.params[...] = bumped
         down = net.loss(X, y)
         num[k] = (up - down) / (2 * eps)
-    net.unflatten(theta)
+    net.params[...] = theta
     return num
 
 
@@ -86,15 +85,15 @@ class TestGradients:
         assert net.loss(X, y) == loss
         assert np.array_equal(analytic, np.concatenate([g.ravel() for g in gW + gb]))
 
-    def test_flatten_unflatten_round_trip(self):
+    def test_weights_and_biases_view_params(self):
         net = FeedForwardNet([3, 5, 2], "tanh", np.random.default_rng(2))
-        theta = net.flatten()
-        net.unflatten(theta * 2.0)
-        assert np.array_equal(net.flatten(), theta * 2.0)
-        # weights and biases are live views of the vector, and flatten() is a copy of it.
+        theta = net.params.copy()
+        net.params[...] = theta * 2.0
+        assert np.array_equal(net.params, theta * 2.0)
+        # weights and biases are live views of the vector, and params.copy() is a copy of it.
         assert np.array_equal(np.concatenate([p.ravel() for p in net.weights + net.biases]), theta * 2.0)
-        net.flatten()[:] = 0.0
-        assert np.array_equal(net.flatten(), theta * 2.0)
+        net.params.copy()[:] = 0.0
+        assert np.array_equal(net.params, theta * 2.0)
 
 
 class TestTraining:
@@ -132,7 +131,7 @@ class TestTraining:
     def test_single_class_data_rejected(self):
         schema = Schema((FeatureSpec("u", CONTINUOUS),))
         ds = Dataset(np.random.default_rng(5).normal(size=(50, 1)), np.zeros(50, dtype=int), schema)
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(ValidationError, match="single label class"):
             train_logistic(ds)
 
     def test_early_stopping_restores_the_best_epoch(self):
@@ -342,7 +341,7 @@ class TestTrainingBits:
         model.save(tmp_path / "model.json")
         back = TrainedModel.load(tmp_path / "model.json")
         assert back.predict(ds.X).tobytes() == model.predict(ds.X).tobytes()
-        assert back.net.flatten().tobytes() == model.net.flatten().tobytes()
+        assert back.net.params.tobytes() == model.net.params.tobytes()
         for net in (model.net, back.net):
             assert all(np.shares_memory(p, net.params) for p in net.weights + net.biases)
 

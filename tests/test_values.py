@@ -661,7 +661,7 @@ class TestStreamKey:
         ds, (x, *_) = pooled_case("grid")
         pred = LinearProbPredictor(np.array([0.4, -0.9, 0.3]))
         sampler = KNNSampler(ds, k=6)
-        seed, point_index = 2**32 + 3, 2**40 + 1
+        seed, point_index = 2**32 - 1, 2**31 + 1
         vf = CachedValueFunction(pred, x, 1, completion=sampler, m=9, seed=seed, point_index=point_index)
         for mask in range(7):
             rng = np.random.default_rng(np.random.SeedSequence([seed, point_index, mask]))
@@ -675,6 +675,30 @@ class TestStreamKey:
         bg = BackgroundSet(np.zeros((3, 2)))
         with pytest.raises(ValidationError, match="nonnegative"):
             CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=2, **{key: -1})
+
+    @pytest.mark.parametrize("key", ["seed", "point_index"])
+    def test_key_from_2_to_the_32_rejected(self, key):
+        # Such a key fills two words of a stream key, so it would share streams with another run.
+        pred = ConstantPredictor(n_features=2)
+        bg = BackgroundSet(np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match=r"nonnegative and below 2\^32"):
+            CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=2, **{key: 2**32})
+        CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=2, **{key: 2**32 - 1})
+
+    @pytest.mark.parametrize("key", ["seed", "point_index"])
+    def test_non_integer_key_rejected(self, key):
+        # int() would read 2.7 as key 2.
+        pred = ConstantPredictor(n_features=2)
+        bg = BackgroundSet(np.zeros((3, 2)))
+        with pytest.raises(TypeError):
+            CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=2, **{key: 2.7})
+
+    def test_wide_seed_words_alias_another_runs_stream(self):
+        # Why a run's seed stays below 2^32: seed 5 + 7 * 2^32 at point 99 splits into the words of
+        # seed 5, point 7, mask 99.
+        wide, narrow = _stream(5 + (7 << 32), 99), _stream(5, 7, 99)
+        assert wide.bit_generator.state == narrow.bit_generator.state
+        assert np.array_equal(wide.integers(0, 2**63, 8), narrow.integers(0, 2**63, 8))
 
 
 class TestMutualInformation:
