@@ -322,9 +322,9 @@ def train_logistic(ds: Dataset, config: TrainConfig = TrainConfig()) -> TrainedM
 
 
 def train_mlp(ds: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
-    """A net with config.hidden's layers, TrainConfig's default ones when it is empty."""
+    """A net with config.hidden's layers, of which it needs at least one."""
     if not config.hidden:
-        config = replace(config, hidden=TrainConfig.hidden)
+        raise ValidationError("an MLP needs at least one hidden layer; train_logistic fits a net without one")
     return _fit(ds, config, kind="mlp")
 
 

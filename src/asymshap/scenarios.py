@@ -2,9 +2,10 @@
 
 Three process families: a two-gate admissions process (fair and unfair
 variants), three two-feature causal graphs, and a label-shifted AR(1) series.
-Each carries closed-form conditionals so on-manifold value functions can be
-evaluated without density estimation, and exact label probabilities so a
-Bayes predictor is available as a noise-free reference.
+Each declares its law once, and its closed-form conditionals condition that
+law, so on-manifold value functions can be evaluated without density
+estimation; exact label probabilities make a Bayes predictor available as a
+noise-free reference.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from .errors import ValidationError
 from .models import TrainConfig, sampled_label_accuracy, train_logistic
 from .values import BackgroundSet, ConditionalSampler, GenerativeSampler
 
-TWO_FEATURE_KINDS = ("chain", "collider", "mixed")
+# P(x2 = 1 | x1) of each two-feature graph, indexed by x1: x2 follows x1 except in the collider.
+_P_X2_GIVEN_X1 = {"chain": (0.1, 0.8), "collider": (0.5, 0.5), "mixed": (0.1, 0.8)}
+TWO_FEATURE_KINDS = tuple(_P_X2_GIVEN_X1)
 
 
 def _sigmoid(z):
@@ -33,14 +36,37 @@ def _probs_from_p1(p1: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - p1, p1], axis=-1)
 
 
+def _binary_joint(p1_given) -> np.ndarray:
+    """P(a, b) as a 2x2 array, for a uniform binary a and P(b = 1 | a) = p1_given[a]."""
+    return 0.5 * _probs_from_p1(p1_given)
+
+
+def _draw_given(table: np.ndarray, codes, known, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m draws from the discrete joint table given the codes on its known axes.
+
+    The table is restricted to the cells that agree with codes where known[a]
+    is set, normalised, and the free axes' cells are drawn from what is left.
+    Returns (m, table.ndim) codes; a known axis holds its code in every row.
+    """
+    sub = table[tuple(int(c) if k else slice(None) for c, k in zip(codes, known))]
+    out = np.tile(np.asarray(codes, dtype=np.float64), (m, 1))
+    free = [a for a, k in enumerate(known) if not k]
+    if free:
+        cells = rng.choice(sub.size, size=m, p=(sub / sub.sum()).ravel())
+        out[:, free] = np.column_stack(np.unravel_index(cells, sub.shape))
+    return out
+
+
 @dataclass
 class AdmissionsProcess:
     """Gender -> department funnel with an exam score, and an optional hidden
     audit channel that leaks gender into the unfair variant's label.
 
-    Features: gender (binary), score (standard normal, independent),
-    department (binary, depends on gender). The unfair variant samples an
-    extra binary X4 from gender that shifts the label logit but is never
+    Features: gender (binary, uniform), score (standard normal, independent),
+    department (binary, P_DEPT1_GIVEN_GENDER): the process declares its law
+    once, and its conditionals condition the joint table of gender and
+    department and draw a free score independently. The unfair variant samples
+    an extra binary X4 from gender that shifts the label logit but is never
     exported as a feature.
     """
 
@@ -102,36 +128,12 @@ class AdmissionsProcess:
         )
         return _probs_from_p1(p1)
 
-    def p_gender_given_dept(self, dept: int) -> np.ndarray:
-        """Posterior over gender; the funnel is symmetric so it mirrors the forward table."""
-        fwd = np.asarray(self.P_DEPT1_GIVEN_GENDER)
-        lik = fwd if dept == 1 else 1.0 - fwd
-        joint = 0.5 * lik
-        return joint / joint.sum()
-
     def conditional_samples(self, x, mask, m, rng) -> np.ndarray:
         out = np.empty((m, 3))
-        if mask >> self.SCORE & 1:
-            out[:, self.SCORE] = x[self.SCORE]
-        else:
-            out[:, self.SCORE] = rng.standard_normal(m)
-        g_known, d_known = mask >> self.GENDER & 1, mask >> self.DEPT & 1
-        if g_known and d_known:
-            out[:, self.GENDER] = x[self.GENDER]
-            out[:, self.DEPT] = x[self.DEPT]
-        elif g_known:
-            out[:, self.GENDER] = x[self.GENDER]
-            p = self.P_DEPT1_GIVEN_GENDER[int(x[self.GENDER])]
-            out[:, self.DEPT] = rng.random(m) < p
-        elif d_known:
-            out[:, self.DEPT] = x[self.DEPT]
-            post = self.p_gender_given_dept(int(x[self.DEPT]))
-            out[:, self.GENDER] = rng.random(m) < post[1]
-        else:
-            gender = rng.integers(0, 2, size=m)
-            out[:, self.GENDER] = gender
-            p = np.asarray(self.P_DEPT1_GIVEN_GENDER)[gender]
-            out[:, self.DEPT] = rng.random(m) < p
+        out[:, self.SCORE] = x[self.SCORE] if mask >> self.SCORE & 1 else rng.standard_normal(m)
+        axes = [self.GENDER, self.DEPT]
+        known = [mask >> a & 1 for a in axes]
+        out[:, axes] = _draw_given(_binary_joint(self.P_DEPT1_GIVEN_GENDER), x[axes], known, m, rng)
         return out
 
 
@@ -139,12 +141,14 @@ class AdmissionsProcess:
 class TwoFeatureGraphProcess:
     """The three two-feature generating graphs: chain (X1 -> X2 -> Y),
     collider (X1 -> Y <- X2 with independent parents), and mixed
-    (X1 -> X2, both into Y)."""
+    (X1 -> X2, both into Y).
+
+    X1 is uniform and the kind declares P(x2 = 1 | x1) once; sampling, the
+    joint table and the conditionals, which condition that table, all read it.
+    """
 
     kind: str
     schema: Schema = field(init=False)
-
-    P_X2_GIVEN_X1 = (0.1, 0.8)  # chain and mixed; collider uses Bern(1/2)
 
     def __post_init__(self):
         if self.kind not in TWO_FEATURE_KINDS:
@@ -155,18 +159,9 @@ class TwoFeatureGraphProcess:
             n_classes=2,
         )
 
-    def p_x2_given_x1(self, x1: int) -> np.ndarray:
-        if self.kind == "collider":
-            return np.array([0.5, 0.5])
-        p1 = self.P_X2_GIVEN_X1[int(x1)]
-        return np.array([1.0 - p1, p1])
-
     def joint_table(self) -> np.ndarray:
         """P(X1=a, X2=b) as a 2x2 array."""
-        tab = np.empty((2, 2))
-        for a in (0, 1):
-            tab[a] = 0.5 * self.p_x2_given_x1(a)
-        return tab
+        return _binary_joint(_P_X2_GIVEN_X1[self.kind])
 
     def label_probs(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -182,7 +177,7 @@ class TwoFeatureGraphProcess:
             raise ValidationError(f"n_rows must be positive, got {n_rows}")
         rng = np.random.default_rng(seed)
         x1 = rng.integers(0, 2, size=n_rows)
-        p2 = np.array([self.p_x2_given_x1(a)[1] for a in (0, 1)])[x1]
+        p2 = np.asarray(_P_X2_GIVEN_X1[self.kind])[x1]
         x2 = (rng.random(n_rows) < p2).astype(np.int64)
         X = np.column_stack([x1, x2]).astype(np.float64)
         p1 = self.label_probs(X)[:, 1]
@@ -190,22 +185,7 @@ class TwoFeatureGraphProcess:
         return Dataset(X, y, self.schema)
 
     def conditional_samples(self, x, mask, m, rng) -> np.ndarray:
-        out = np.empty((m, 2))
-        tab = self.joint_table()
-        if mask == 0b11:
-            out[:, 0], out[:, 1] = x[0], x[1]
-        elif mask & 1:
-            out[:, 0] = x[0]
-            out[:, 1] = rng.random(m) < self.p_x2_given_x1(int(x[0]))[1]
-        elif mask & 2:
-            out[:, 1] = x[1]
-            col = tab[:, int(x[1])]
-            out[:, 0] = rng.random(m) < col[1] / col.sum()
-        else:
-            flat = rng.choice(4, size=m, p=tab.ravel())
-            out[:, 0] = flat // 2
-            out[:, 1] = flat % 2
-        return out
+        return _draw_given(self.joint_table(), x, [mask >> a & 1 for a in (0, 1)], m, rng)
 
 
 @dataclass
@@ -254,12 +234,15 @@ class MarkovSeriesProcess:
     def sample(self, n_rows: int, seed: int) -> Dataset:
         if n_rows < 1:
             raise ValidationError(f"n_rows must be positive, got {n_rows}")
-        rng = np.random.default_rng(seed)
-        y = rng.integers(0, 2, size=n_rows)
-        signs = np.where(y == 1, 1.0, -1.0)
-        e = rng.standard_normal((n_rows, self.T)) + signs[:, None] * self._mu
-        X = e @ self._L.T
+        X, y = self._draw(n_rows, np.random.default_rng(seed))
         return Dataset(X, y, self.schema)
+
+    def _draw(self, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """m rows and labels: a fair label, then x = L e with e ~ N(+-mu, I) on its side."""
+        y = rng.integers(0, 2, size=m)
+        signs = np.where(y == 1, 1.0, -1.0)
+        e = rng.standard_normal((m, self.T)) + signs[:, None] * self._mu
+        return e @ self._L.T, y
 
     def chain_spec(self) -> OrderingSpec:
         """Time ordering: each step's group precedes the next."""
@@ -288,10 +271,7 @@ class MarkovSeriesProcess:
         if mask == (1 << self.T) - 1:
             return np.tile(x, (m, 1))
         if not mask:
-            y = rng.integers(0, 2, size=m)
-            signs = np.where(y == 1, 1.0, -1.0)
-            e = rng.standard_normal((m, self.T)) + signs[:, None] * self._mu
-            return e @ self._L.T
+            return self._draw(m, rng)[0]
         G, H, SGG_inv, gain, chol = self._conditionals_for(mask)
         xG = x[G]
         # Class posterior from the Gaussian marginal on the observed block.

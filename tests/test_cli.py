@@ -457,6 +457,14 @@ def test_logistic_model_records_no_hidden_layers(trained, tmp_path):
     assert len(doc["sizes"]) == 2
 
 
+def test_mlp_without_hidden_layers_exits_2(trained, tmp_path, capsys):
+    out = tmp_path / "mlp.json"
+    assert main(["train", "--data", str(trained / "data.csv"), "--model", "mlp", "--hidden", "", "--epochs", "2",
+                 "--seed", "0", "--out", str(out)]) == 2
+    assert "an MLP needs at least one hidden layer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "resolved, spec, want",
     [

@@ -147,9 +147,11 @@ class TestTraining:
         design = one_hot_design(val.X, ds.schema, model.standardizer)
         assert model.net.loss(design, val.y) == min(hist["val_loss"])
 
-    def test_mlp_defaults_hidden_layers_when_not_given(self, tmp_path):
+    def test_mlp_needs_hidden_layers(self, tmp_path):
         ds = gaussian_blobs(rows=80, seed=7)
-        model = train_mlp(ds, TrainConfig(hidden=(), epochs=5))
+        with pytest.raises(ValidationError, match="an MLP needs at least one hidden layer"):
+            train_mlp(ds, TrainConfig(hidden=(), epochs=5))
+        model = train_mlp(ds, TrainConfig(hidden=(10, 10), epochs=5))
         assert model.net.sizes == [2, 10, 10, 2]
         assert model.kind == "mlp"
         path = tmp_path / "mlp.json"

@@ -109,6 +109,49 @@ def test_two_feature_draws_follow_the_joint_table(kind, mask):
             assert abs(rows[:, i].mean() - p1[i]) <= 4 * math.sqrt(p1[i] * (1 - p1[i]) / m)
 
 
+@pytest.mark.parametrize("kind, table", [("chain", [[0.45, 0.05], [0.10, 0.40]]),
+                                         ("collider", [[0.25, 0.25], [0.25, 0.25]]),
+                                         ("mixed", [[0.45, 0.05], [0.10, 0.40]])])
+def test_two_feature_joint_table_is_the_declared_law(kind, table):
+    # x1 is uniform; x2 = 1 with probability 0.1 or 0.8 as x1 is 0 or 1, except in the collider.
+    assert np.allclose(TwoFeatureGraphProcess(kind).joint_table(), table, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("unfair", [False, True], ids=["fair", "unfair"])
+@pytest.mark.parametrize("mask", range(8))
+def test_admissions_draws_follow_the_joint_law(mask, unfair):
+    # Gender is uniform and department follows P_DEPT1_GIVEN_GENDER, so Bayes'
+    # rule gives each free discrete column's law given the known one; a free
+    # score is an independent N(0, 1).
+    process, x, m = AdmissionsProcess(unfair=unfair), np.array([1.0, 0.3, 0.0]), 4000
+    rows = process.conditional_samples(x, mask, m, np.random.default_rng(mask))
+    p_dept1 = process.P_DEPT1_GIVEN_GENDER
+    gender, dept = int(x[0]), int(x[2])
+    lik = [p if dept else 1 - p for p in p_dept1]  # P(department = dept | gender), by gender
+    p1 = {0: 0.5 * lik[1] / (0.5 * lik[0] + 0.5 * lik[1]) if mask & 0b100 else 0.5,
+          2: p_dept1[gender] if mask & 0b001 else 0.5 * (p_dept1[0] + p_dept1[1])}
+    assert rows.shape == (m, 3)
+    for i in range(3):
+        if mask >> i & 1:
+            assert np.all(rows[:, i] == x[i])
+        elif i == 1:
+            assert abs(rows[:, 1].mean()) <= 4 / math.sqrt(m)
+        else:
+            assert set(np.unique(rows[:, i])) <= {0.0, 1.0}
+            assert abs(rows[:, i].mean() - p1[i]) <= 4 * math.sqrt(p1[i] * (1 - p1[i]) / m)
+    if not mask & 0b101:  # both free: the draws keep the funnel's dependence
+        both = 0.5 * p_dept1[1]
+        share = np.mean((rows[:, 0] == 1) & (rows[:, 2] == 1))
+        assert abs(share - both) <= 4 * math.sqrt(both * (1 - both) / m)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_markov_empty_coalition_draws_are_the_series_sample(seed):
+    process, m = MarkovSeriesProcess(T=5), 50
+    rows = process.conditional_samples(np.zeros(5), 0, m, np.random.default_rng(seed))
+    assert rows.tobytes() == process.sample(m, seed).X.tobytes()
+
+
 def markov_conditional_mean(process, x, G):
     """E[x_H | x_G] in closed form, and the same with the class posterior
     replaced by the prior.
@@ -203,8 +246,8 @@ def test_cumulative_chain_asv_matches_the_retrained_prefix_gain():
 def test_audit_detects_discrimination_in_the_unfair_admissions_process_only():
     # Claim (ii): with department resolving, gender keeps significant credit
     # only when the hidden audit channel leaks it into the label. At these
-    # sizes seeds 0-2 gave significance 5.15-6.34 unfair and 0.20-0.76 fair;
-    # at 2,000 points the unfair audit fell as low as 3.53.
+    # sizes seeds 0-2 gave significance 5.17-6.34 unfair and 0.20-0.76 fair;
+    # at 2,000 points the unfair audit fell as low as 3.51.
     reports = {}
     for unfair in (True, False):
         process = AdmissionsProcess(unfair=unfair)
@@ -242,13 +285,13 @@ def test_data_driven_samplers_estimate_the_closed_form_conditionals(sampler):
     draws from it in closed form, at the same points and keyed streams. So each
     feature's paired per-point difference should average to zero. At seeds 0-2,
     each with the pool drawn at the next seed, the largest |mean / paired
-    stderr| was 1.99; an unbiased estimate passes 4 with probability 6e-5.
+    stderr| was 1.91; an unbiased estimate passes 4 with probability 6e-5.
 
     Each sampler's pool is an independent sample of the process. With the
     audited rows as their own pool, as the CLI runs the audit, each point is
     its own nearest neighbour on score, at distance 0, so 1/k of every
     score-conditioned completion is the point itself. At seeds 0-2 that lifted
-    score's ASV by 2.6-4.2 paired stderrs: an independent pool keeps that bias
+    score's ASV by 2.3-4.8 paired stderrs: an independent pool keeps that bias
     out of this check of the estimate.
     """
     diff = admissions_audit_locals(sampler) - admissions_audit_locals()
