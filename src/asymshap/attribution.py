@@ -41,13 +41,13 @@ from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
     MAX_EXACT_ORDERS,
     OrderingSpec,
+    _orders,
     enumerate_consistent,
     sample_consistent_batch,
 )
 from .data import Dataset
 from .errors import ValidationError
 from .values import (
-    MAX_MASK_FEATURES,
     STREAM_KEY_LIMIT,
     BackgroundSet,
     CachedValueFunction,
@@ -194,25 +194,6 @@ class CoalitionChains:
         self.masks, self.before, self.after, self.counts = masks, before, after, counts
         self.count, self.n = count, before.shape[0]
         return self
-
-
-def _orders(P) -> np.ndarray:
-    """P as a nonempty signed-integer matrix of orders, uncopied, its entries checked to lie in [0, n).
-
-    Whether each row is a permutation is left to the caller, which builds the masks that show it.
-    """
-    P = np.asarray(P)
-    if P.ndim != 2 or P.dtype.kind != "i" or not P.size:
-        raise ValidationError(
-            f"orders must be a nonempty signed-integer matrix, got {P.dtype} of shape {P.shape}"
-        )
-    n = P.shape[1]
-    if n > MAX_MASK_FEATURES:
-        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {n}")
-    lo, hi = P.min(), P.max()
-    if lo < 0 or hi >= n:
-        raise ValidationError(f"orders must be permutations of 0..{n - 1}, got entries in [{lo}, {hi}]")
-    return P
 
 
 def marginal_contributions(v, chains: CoalitionChains) -> np.ndarray:

@@ -155,16 +155,37 @@ def _index_lists(obj: dict, key: str, size: int | None = None) -> tuple[tuple[in
     return tuple(tuple(int(i) for i in entry) for entry in value)
 
 
+def _orders(P) -> np.ndarray:
+    """P as a nonempty signed-integer matrix of orders, uncopied, its entries checked to lie in [0, n).
+
+    Orders over more features than a coalition mask holds are refused. Whether each row is a
+    permutation is left to the caller.
+    """
+    P = np.asarray(P)
+    if P.ndim != 2 or P.dtype.kind != "i" or not P.size:
+        raise ValidationError(
+            f"orders must be a nonempty signed-integer matrix, got {P.dtype} of shape {P.shape}"
+        )
+    n = P.shape[1]
+    if n > MAX_MASK_FEATURES:
+        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {n}")
+    lo, hi = P.min(), P.max()
+    if lo < 0 or hi >= n:
+        raise ValidationError(f"orders must be permutations of 0..{n - 1}, got entries in [{lo}, {hi}]")
+    return P
+
+
 def is_consistent(P, spec: OrderingSpec) -> np.ndarray:
     """Whether each order places every feature after all its predecessors in spec.
 
-    P is an int matrix of orders, shape (count, n), row r listing the features
-    of order r first to last; a single order is a 1-row matrix. Returns one
-    bool per row. Raises ValidationError when the width is not spec.n or a row
-    is not a permutation of 0..n-1.
+    P is a signed-integer matrix of orders, shape (count, n), row r listing the
+    features of order r first to last; a single order is a 1-row matrix. Returns
+    one bool per row. Raises ValidationError, as _orders does, for a float or
+    bool matrix or one over more than MAX_MASK_FEATURES features, and when the
+    width is not spec.n or a row is not a permutation of 0..n-1.
     """
-    P = np.asarray(P, dtype=np.int64)
-    if P.ndim != 2 or P.shape[1] != spec.n:
+    P = _orders(P)
+    if P.shape[1] != spec.n:
         raise ValidationError(f"orders of shape {P.shape} do not fit a spec over {spec.n} features")
     if not (np.sort(P, axis=1) == np.arange(spec.n)).all():
         raise ValidationError(f"not every row is a permutation of 0..{spec.n - 1}")

@@ -32,9 +32,10 @@ class FeatureSpec:
         if self.kind not in (CONTINUOUS, DISCRETE):
             raise SchemaError(f"feature {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == DISCRETE:
-            if self.cardinality is None or self.cardinality < 2:
+            if type(self.cardinality) is not int or self.cardinality < 2:
                 raise SchemaError(
-                    f"feature {self.name!r}: discrete features need cardinality >= 2"
+                    f"feature {self.name!r}: discrete features need an integer cardinality >= 2, "
+                    f"got {self.cardinality!r}"
                 )
         elif self.cardinality is not None:
             raise SchemaError(f"feature {self.name!r}: continuous features take no cardinality")
@@ -52,8 +53,8 @@ class Schema:
             raise SchemaError(f"duplicate feature names: {names}")
         if self.label in names:
             raise SchemaError(f"label column {self.label!r} collides with a feature")
-        if self.n_classes < 2:
-            raise SchemaError(f"need at least 2 classes, got {self.n_classes}")
+        if type(self.n_classes) is not int or self.n_classes < 2:
+            raise SchemaError(f"need an integer count of at least 2 classes, got {self.n_classes!r}")
 
     @property
     def n(self) -> int:
@@ -110,7 +111,7 @@ class Schema:
                 for f in obj["features"]
             )
             label = obj["label"]["name"]
-            n_classes = int(obj["label"]["classes"])
+            n_classes = obj["label"]["classes"]
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed schema JSON: {exc}") from exc
         return cls(feats, label, n_classes)
@@ -239,11 +240,11 @@ def train_test_split(
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-feature affine normalization for continuous columns, fitted on train."""
+    """Per-feature affine normalization for continuous columns, fitted on train. mean and scale hold
+    one entry per continuous feature of the schema it was fitted on, in the schema's feature order."""
 
     mean: np.ndarray
     scale: np.ndarray
-    continuous: np.ndarray
 
     @classmethod
     def fit(cls, X: np.ndarray, schema: Schema) -> "Standardizer":
@@ -255,27 +256,16 @@ class Standardizer:
         else:
             mu = np.zeros(0)
             sd = np.ones(0)
-        return cls(mu, sd, cont)
+        return cls(mu, sd)
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "continuous": self.continuous.tolist(),
-        }
+        return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Standardizer":
-        """The standardizer that to_json_dict wrote. Raises SchemaError unless
-        continuous lists integers: an int64 cast would read 1.7 or true as 1."""
-        cont = obj["continuous"]
-        if not isinstance(cont, list) or not all(type(i) is int for i in cont):
-            raise SchemaError(f"standardizer continuous indices must be integers, got {cont!r}")
-        return cls(
-            np.array(obj["mean"], dtype=np.float64),
-            np.array(obj["scale"], dtype=np.float64),
-            np.array(cont, dtype=np.int64),
-        )
+        """The standardizer that to_json_dict wrote; other keys are ignored. Shapes and values are
+        checked against a schema by TrainedModel.load."""
+        return cls(np.array(obj["mean"], dtype=np.float64), np.array(obj["scale"], dtype=np.float64))
 
 
 @dataclass(frozen=True)

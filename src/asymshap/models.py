@@ -46,8 +46,10 @@ class TrainConfig:
             raise ValidationError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if min(self.epochs, self.batch_size, self.patience, *self.hidden) < 1:
-            raise ValidationError(f"epochs, batch size, patience and hidden widths must be positive, got {self}")
+        # Each count sizes the net or the loop and is saved as a JSON int, so a bool, float or numpy int is refused.
+        if not all(type(c) is int and c >= 1 for c in (self.epochs, self.batch_size, self.patience, *self.hidden)):
+            raise ValidationError(f"epochs, batch size, patience and hidden widths must be positive integers, "
+                                  f"got {self}")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}
@@ -136,12 +138,15 @@ class FeedForwardNet:
 class TrainedModel:
     """A fitted predictor over raw feature rows (encoding handled internally)."""
 
-    kind: str
     net: FeedForwardNet
     schema: Schema
     standardizer: Standardizer
     config: TrainConfig
     history: dict = field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        return "mlp" if self.config.hidden else "logistic"
 
     @property
     def n_features(self) -> int:
@@ -162,9 +167,6 @@ class TrainedModel:
 
     def save(self, path) -> None:
         doc = {
-            "kind": self.kind,
-            "sizes": self.net.sizes,
-            "activation": self.net.activation,
             "weights": [w.tolist() for w in self.net.weights],
             "biases": [b.tolist() for b in self.net.biases],
             "schema": self.schema.to_json_dict(),
@@ -181,58 +183,49 @@ class TrainedModel:
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
-        """The model saved at path. Raises SchemaError when the file is not JSON,
-        lacks a key, or holds an invalid training config or net, a net not
-        mapping the schema's design columns to its classes through finite weights
-        and biases of the recorded sizes, or a standardizer not scaling exactly the
-        schema's continuous features by finite means and finite positive scales."""
+        """The model saved at path. Its net runs config.activation through sizes
+        [schema design width, *config.hidden, schema classes]; keys other than the
+        ones save writes are ignored. Raises SchemaError when the file is not JSON,
+        lacks a key, or holds an invalid schema, schema digest or training config,
+        weights and biases not of that net's shapes or not finite, or a standardizer
+        without a finite mean and a finite positive scale per continuous feature."""
         with open(path) as fh:
             try:
                 doc = json.load(fh)
                 schema = Schema.from_json_dict(doc["schema"])
                 if schema.digest() != doc["schema_digest"]:
                     raise SchemaError("model file schema does not match its recorded digest")
-                net = FeedForwardNet(doc["sizes"], doc["activation"], np.random.default_rng(0))
+                config = TrainConfig.from_json_dict(doc["config"])
                 params = [np.array(p, dtype=np.float64) for p in doc["weights"] + doc["biases"]]
-                model = cls(
-                    kind=doc["kind"],
-                    net=net,
-                    schema=schema,
-                    standardizer=Standardizer.from_json_dict(doc["standardizer"]),
-                    config=TrainConfig.from_json_dict(doc["config"]),
-                    history=doc.get("history", {}),
-                )
-            except SchemaError:  # the schema, digest and standardizer checks name their fault
+                st = Standardizer.from_json_dict(doc["standardizer"])
+                history = doc.get("history", {})
+            except SchemaError:  # the schema and digest checks name their fault
                 raise
-            except (KeyError, TypeError, ValueError, ValidationError, ZeroDivisionError) as exc:
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise SchemaError(f"malformed model file {path}: {exc!r}") from exc
-        # The fresh net's parameters have the shapes that chain its sizes.
-        width = schema._design_layout.width
-        if (
-            [p.shape for p in params] != [p.shape for p in net.weights + net.biases]
-            or (net.sizes[0], net.sizes[-1]) != (width, schema.n_classes)
-            or net.activation not in ("tanh", "relu")
-        ):
+        sizes = [schema._design_layout.width, *config.hidden, schema.n_classes]
+        # Compared before the net is built, so a width the file's arrays do not hold allocates nothing.
+        if [p.shape for p in params] != [*zip(sizes, sizes[1:]), *zip(sizes[1:])]:
             raise SchemaError(
-                f"model file {path} does not hold a tanh or relu net from {width} design columns to "
-                f"{schema.n_classes} classes whose weights and biases chain its sizes {net.sizes}"
+                f"model file {path} does not hold the weights and biases of a net of sizes {sizes}: "
+                f"its schema's design columns, its config's hidden widths and its schema's classes"
             )
-        st, cont = model.standardizer, schema.continuous_indices()
+        n_cont = len(schema.continuous_indices())
         if not (
-            np.array_equal(st.continuous, cont)
-            and st.mean.shape == st.scale.shape == cont.shape
+            st.mean.shape == st.scale.shape == (n_cont,)
             and np.isfinite(st.mean).all()
             and np.isfinite(st.scale).all()
             and (st.scale > 0).all()
         ):
             raise SchemaError(
                 f"model file {path} does not hold a standardizer with a finite mean and a finite positive "
-                f"scale for each of its schema's continuous features {cont.tolist()}"
+                f"scale for each of its schema's {n_cont} continuous features"
             )
+        net = FeedForwardNet(sizes, config.activation, np.random.default_rng(0))
         net.params[...] = np.concatenate([p.ravel() for p in params])
         if not np.isfinite(net.params).all():
             raise SchemaError(f"model file {path} holds non-finite weights or biases")
-        return model
+        return cls(net, schema, st, config, history)
 
 
 def max_class_accuracy(pred, X: np.ndarray, y: np.ndarray) -> float:
@@ -246,7 +239,7 @@ def sampled_label_accuracy(pred, X: np.ndarray, y: np.ndarray) -> float:
     return float(probs[np.arange(len(y)), y].mean())
 
 
-def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
+def _fit(ds: Dataset, config: TrainConfig) -> TrainedModel:
     """The net at the epoch of least validation loss. A minibatch step writes only the gradient, into one flat
     buffer, then moves one flat velocity and the flat parameters; an epoch's losses take forward passes alone.
     These are the float operations, in order, of a per-array loop that also ran every discarded pass."""
@@ -291,7 +284,6 @@ def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
                 break
     net.params[...] = best_params
     model = TrainedModel(
-        kind=kind,
         net=net,
         schema=ds.schema,
         standardizer=standardizer,
@@ -307,7 +299,7 @@ def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
     model.history["val_accuracy"] = max_class_accuracy(model, val.X, val.y)
     logger.debug(
         "%s fit: %d epochs, best epoch %d, train acc %.3f, val acc %.3f",
-        kind,
+        model.kind,
         len(train_losses),
         best_epoch,
         model.history["train_accuracy"],
@@ -318,14 +310,14 @@ def _fit(ds: Dataset, config: TrainConfig, kind: str) -> TrainedModel:
 
 def train_logistic(ds: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
     """A net without hidden layers; config.hidden is ignored, and the model records ()."""
-    return _fit(ds, replace(config, hidden=()), kind="logistic")
+    return _fit(ds, replace(config, hidden=()))
 
 
 def train_mlp(ds: Dataset, config: TrainConfig = TrainConfig()) -> TrainedModel:
     """A net with config.hidden's layers, of which it needs at least one."""
     if not config.hidden:
         raise ValidationError("an MLP needs at least one hidden layer; train_logistic fits a net without one")
-    return _fit(ds, config, kind="mlp")
+    return _fit(ds, config)
 
 
 @dataclass

@@ -245,12 +245,12 @@ def reference_partition_report(glob, pred, dataset, completion):
     return {"accuracy_empty": acc_empty, "groups": rows}
 
 
-def standardize(standardizer, X):
-    """X with each continuous column mapped to (x - mean) / scale: the
-    standardization one_hot_design applies, computed column by column."""
+def standardize(standardizer, continuous, X):
+    """X with each column listed in continuous, a schema's continuous indices, mapped to
+    (x - mean) / scale: the standardization one_hot_design applies, computed column by column."""
     out = np.array(X, dtype=np.float64, copy=True)
-    if standardizer.continuous.size:
-        out[:, standardizer.continuous] = (out[:, standardizer.continuous] - standardizer.mean) / standardizer.scale
+    if continuous.size:
+        out[:, continuous] = (out[:, continuous] - standardizer.mean) / standardizer.scale
     return out
 
 

@@ -163,6 +163,11 @@ def _drop_first_weight_matrix(doc):
     return json.dumps(doc)
 
 
+def _edit_config(key, value):
+    """An edit setting the training config's key to value."""
+    return lambda doc: json.dumps({**doc, "config": {**doc["config"], key: value}})
+
+
 def _edit_standardizer(key, entries):
     """An edit replacing the standardizer's list under key by entries(that list)."""
     def edit(doc):
@@ -175,9 +180,10 @@ def _edit_standardizer(key, entries):
     "edit",
     [
         lambda doc: json.dumps({"kind": "mlp"}), lambda doc: "{not json", _drop_first_weight_matrix,
-        lambda doc: json.dumps({**doc, "activation": "sigmoid"}),  # would run as relu
-        lambda doc: json.dumps({**doc, "sizes": [doc["sizes"][0], 0, *doc["sizes"][2:]]}),
-        _edit_standardizer("continuous", lambda c: []),  # would leave the score column unstandardized
+        _edit_config("activation", "sigmoid"),  # would run as relu
+        _edit_config("hidden", [10, 0]),
+        # would leave the score column unstandardized
+        lambda doc: json.dumps({**doc, "standardizer": {"mean": [], "scale": []}}),
         _edit_standardizer("scale", lambda s: [0.0] * len(s)),  # would divide by zero
         _edit_standardizer("scale", lambda s: [math.nan] * len(s)),
         _edit_standardizer("mean", lambda m: m[:-1]),  # would not broadcast
@@ -213,18 +219,42 @@ def test_non_finite_model_parameter_exits_2(trained, tmp_path, capsys, key, bad)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("entry", [1.7, True, "1"])
-def test_non_integer_standardizer_index_exits_2(trained, tmp_path, capsys, entry):
-    # Cast to int64, each would read as the score column's index 1 and pass.
+def _explain_with_model(trained, tmp_path, doc):
+    """Exit code of a local explain run on trained's data with doc written as its model file."""
     model = tmp_path / "model.json"
-    model.write_text(_edit_standardizer("continuous", lambda c: [entry])(
-        json.loads((trained / "model.json").read_text())))
-    out = tmp_path / "x.json"
-    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
-                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "standardizer continuous indices must be integers" in capsys.readouterr().err
-    assert not out.exists()
+    model.write_text(json.dumps(doc))
+    return main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
+                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(tmp_path / "x.json")])
+
+
+@pytest.mark.parametrize(
+    "key, value", [("epochs", 2.5), ("batch_size", True), ("patience", 3.0), ("hidden", [10.0, 10]),
+                   ("hidden", [True])],
+    ids=["epochs-2.5", "batch_size-true", "patience-3.0", "hidden-10.0", "hidden-true"],
+)
+def test_model_file_with_non_integer_config_counts_exits_2(trained, tmp_path, capsys, key, value):
+    # config.hidden sizes the loaded net, so 10.0 or true must not pass as a width.
+    doc = json.loads((trained / "model.json").read_text())
+    assert _explain_with_model(trained, tmp_path, {**doc, "config": {**doc["config"], key: value}}) == 2
+    err = capsys.readouterr().err
+    assert "malformed model file" in err and "must be positive integers" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda schema: schema["features"][0].update(cardinality=2.5), "integer cardinality >= 2"),
+        (lambda schema: schema["label"].update(classes=2.0), "integer count of at least 2 classes"),
+    ],
+    ids=["cardinality-2.5", "classes-2.0"],
+)
+def test_model_file_with_non_integer_schema_counts_exits_2(trained, tmp_path, capsys, edit, message):
+    doc = json.loads((trained / "model.json").read_text())
+    edit(doc["schema"])
+    assert _explain_with_model(trained, tmp_path, doc) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -454,7 +484,20 @@ def test_logistic_model_records_no_hidden_layers(trained, tmp_path):
                  "--seed", "0", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["config"]["hidden"] == []
-    assert len(doc["sizes"]) == 2
+    assert [np.shape(w) for w in doc["weights"]] == [(5, 2)]  # gender 2 + score 1 + department 2 columns
+
+
+def test_logistic_file_recording_hidden_layers_exits_2(trained, tmp_path, capsys):
+    # Logistic files once echoed --hidden in their config beside a net with no hidden layer. The config
+    # now sizes the net, so such a file names the sizes its weights do not chain.
+    out = tmp_path / "logistic.json"
+    assert main(["train", "--data", str(trained / "data.csv"), "--model", "logistic", "--epochs", "2",
+                 "--seed", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    old = {**doc, "kind": "logistic", "sizes": [5, 2], "activation": "tanh",
+           "config": {**doc["config"], "hidden": [10, 10]}}
+    assert _explain_with_model(trained, tmp_path, old) == 2
+    assert "does not hold the weights and biases of a net of sizes [5, 10, 10, 2]" in capsys.readouterr().err
 
 
 def test_mlp_without_hidden_layers_exits_2(trained, tmp_path, capsys):
@@ -539,7 +582,9 @@ def test_list_valued_config_keys_still_run(trained, tmp_path):
     model = tmp_path / "model.json"
     assert main(["train", "--data", str(trained / "data.csv"), "--config", str(config), "--epochs", "2",
                  "--seed", "0", "--out", str(model)]) == 0
-    assert json.loads(model.read_text())["sizes"][1:3] == [10, 10]
+    doc = json.loads(model.read_text())
+    assert doc["config"]["hidden"] == [10, 10]
+    assert [np.shape(w) for w in doc["weights"]] == [(5, 10), (10, 10), (10, 2)]
     config = tmp_path / "fairness.json"
     config.write_text(json.dumps({"resolving": ["department"]}))
     out = tmp_path / "fairness-out.json"

@@ -224,6 +224,16 @@ class TestIsConsistent:
         with pytest.raises(ValidationError):
             is_consistent([[0, 2]], OrderingSpec(2))
 
+    @pytest.mark.parametrize(
+        "orders", [[[0.7, 1.0]], np.array([[0.9, 1.9]]), np.array([[0, 1.0]]), [[False, True]],
+                   np.array([[0, 1]], dtype=np.uint8)],
+        ids=["float-list", "float-array", "integral-floats", "bool", "unsigned"],
+    )
+    def test_non_signed_integer_orders_rejected(self, orders):
+        # An int64 cast would truncate [[0.7, 1.0]] to [[0, 1]] and call it consistent.
+        with pytest.raises(ValidationError, match="signed-integer matrix"):
+            is_consistent(orders, OrderingSpec(2, edges=frozenset({(0, 1)})))
+
     @given(ordering_specs())
     @settings(max_examples=80, deadline=None)
     def test_matches_definition_on_every_permutation(self, spec):

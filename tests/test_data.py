@@ -58,6 +58,14 @@ class TestSchema:
         with pytest.raises(SchemaError):
             FeatureSpec("a", CONTINUOUS, 3)  # cardinality forbidden
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+    def test_counts_must_be_integers(self, count):
+        # A cardinality of 2.5 would cast to a 2-column block; a label count of "3" or 2.9 would read through int().
+        with pytest.raises(SchemaError, match="integer cardinality >= 2"):
+            FeatureSpec("a", DISCRETE, count)
+        with pytest.raises(SchemaError, match="integer count of at least 2 classes"):
+            Schema((FeatureSpec("a", CONTINUOUS),), n_classes=count)
+
     def test_duplicate_names_and_label_collision(self):
         with pytest.raises(SchemaError):
             Schema((FeatureSpec("a", CONTINUOUS), FeatureSpec("a", CONTINUOUS)))
@@ -185,6 +193,25 @@ class TestCsv:
         with pytest.raises(ValidationError):
             load_csv(csv_path, schema_path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["features"][2].update(cardinality=2.5), "integer cardinality"),
+            (lambda doc: doc["features"][0].update(cardinality=True), "integer cardinality"),
+            (lambda doc: doc["label"].update(classes="3"), "integer count of at least 2 classes"),
+            (lambda doc: doc["label"].update(classes=2.9), "integer count of at least 2 classes"),
+        ],
+        ids=["cardinality-2.5", "cardinality-true", "classes-string", "classes-2.9"],
+    )
+    def test_sidecar_counts_must_be_integers(self, tmp_path, edit, message):
+        csv_path, schema_path = tmp_path / "d.csv", tmp_path / "d.schema.json"
+        save_csv(small_dataset(rows=3), csv_path, schema_path)
+        doc = json.loads(schema_path.read_text())
+        edit(doc)
+        schema_path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=message):
+            load_csv(csv_path, schema_path)
+
     @pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809"])
     def test_label_beyond_int64(self, tmp_path, label):
         schema_path, csv_path = tmp_path / "d.schema.json", tmp_path / "d.csv"
@@ -247,7 +274,7 @@ class TestStandardizer:
     def test_continuous_normalized_discrete_untouched(self):
         ds = small_dataset(rows=500)
         st = Standardizer.fit(ds.X, ds.schema)
-        Z = standardize(st, ds.X)
+        Z = standardize(st, ds.schema.continuous_indices(), ds.X)
         assert abs(Z[:, 1].mean()) < 1e-9
         assert abs(Z[:, 1].std() - 1.0) < 1e-9
         assert np.array_equal(Z[:, 0], ds.X[:, 0])
@@ -257,20 +284,16 @@ class TestStandardizer:
         schema = Schema((FeatureSpec("b", CONTINUOUS),))
         X = np.full((10, 1), 3.5)
         st = Standardizer.fit(X, schema)
-        assert np.array_equal(standardize(st, X), X - 3.5)
+        assert np.array_equal(standardize(st, schema.continuous_indices(), X), X - 3.5)
 
     def test_json_round_trip(self):
         ds = small_dataset()
         st = Standardizer.fit(ds.X, ds.schema)
-        again = Standardizer.from_json_dict(st.to_json_dict())
-        assert np.array_equal(standardize(again, ds.X), standardize(st, ds.X))
-
-    @pytest.mark.parametrize("continuous", [[1.7], [1.0], [True], ["1"], "1", None])
-    def test_non_integer_continuous_indices_rejected(self, continuous):
-        doc = {**Standardizer.fit(small_dataset().X, small_dataset().schema).to_json_dict(),
-               "continuous": continuous}
-        with pytest.raises(SchemaError, match="continuous indices must be integers"):
-            Standardizer.from_json_dict(doc)
+        doc = st.to_json_dict()
+        assert set(doc) == {"mean", "scale"}
+        again = Standardizer.from_json_dict(doc)
+        cont = ds.schema.continuous_indices()
+        assert np.array_equal(standardize(again, cont, ds.X), standardize(st, cont, ds.X))
 
 
 class TestDesignMatrix:
@@ -299,7 +322,7 @@ def concatenated_design(X, schema, standardizer):
     """The matrix one_hot_design fills in one pass, built column by column:
     standardize, then concatenate each feature's column or one-hot block."""
     cols = []
-    Z = standardize(standardizer, X)
+    Z = standardize(standardizer, schema.continuous_indices(), X)
     for i, f in enumerate(schema.features):
         if f.kind == CONTINUOUS:
             cols.append(Z[:, i : i + 1])

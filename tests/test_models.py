@@ -1,5 +1,6 @@
 """Training loop, gradients, persistence, and exact-posterior predictors."""
 
+import json
 import math
 
 import numpy as np
@@ -189,8 +190,11 @@ class TestTrainConfig:
         with pytest.raises(ValidationError):
             TrainConfig(activation="sigmoid")
         for bad in ({"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -5},
-                    {"hidden": (10, 0)}, {"hidden": (-1,)}, {"patience": 0}, {"patience": -5}):
-            with pytest.raises(ValidationError, match="must be positive"):
+                    {"hidden": (10, 0)}, {"hidden": (-1,)}, {"patience": 0}, {"patience": -5},
+                    # config.hidden sizes the net a model file loads, so a count must be an int as JSON writes it
+                    {"hidden": (True,)}, {"hidden": (10.0, 3)}, {"hidden": (np.int64(4),)}, {"epochs": 2.5},
+                    {"epochs": 30.0}, {"batch_size": True}, {"patience": 3.0}, {"patience": "3"}):
+            with pytest.raises(ValidationError, match="must be positive integers"):
                 TrainConfig(**bad)
         assert TrainConfig(hidden=()).hidden == ()  # logistic
 
@@ -346,6 +350,47 @@ class TestTrainingBits:
         assert back.net.params.tobytes() == model.net.params.tobytes()
         for net in (model.net, back.net):
             assert all(np.shares_memory(p, net.params) for p in net.weights + net.biases)
+
+
+class TestFileFormat:
+    """A model file states each fact once: the config sizes the net, the schema the standardizer."""
+
+    @pytest.mark.parametrize("kind, config", MODEL_KINDS, ids=MODEL_IDS)
+    def test_file_states_each_fact_once(self, tmp_path, kind, config):
+        model = fit(kind, config, mixed_blobs(rows=120, seed=6))
+        model.save(tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert set(doc) == {"biases", "config", "history", "schema", "schema_digest", "standardizer", "weights"}
+        assert set(doc["standardizer"]) == {"mean", "scale"}
+        back = TrainedModel.load(tmp_path / "model.json")
+        assert back.kind == kind == ("mlp" if config.hidden else "logistic")
+        assert back.net.sizes == [6, *config.hidden, 3] and back.net.activation == config.activation
+
+    @pytest.mark.parametrize("kind, config", MODEL_KINDS, ids=MODEL_IDS)
+    def test_file_with_the_removed_keys_loads_the_same_bits(self, tmp_path, kind, config):
+        # Files once also recorded kind, sizes, the activation and the standardized columns; load ignores them.
+        ds = mixed_blobs(rows=120, seed=6)
+        model = fit(kind, config, ds)
+        model.save(tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        old = {**doc, "kind": kind, "sizes": model.net.sizes, "activation": config.activation,
+               "standardizer": {**doc["standardizer"], "continuous": [0]}}
+        (tmp_path / "old.json").write_text(json.dumps(old, sort_keys=True, indent=2))
+        back = TrainedModel.load(tmp_path / "old.json")
+        assert back.predict(ds.X).tobytes() == model.predict(ds.X).tobytes()
+        assert back.net.params.tobytes() == model.net.params.tobytes()
+        back.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+    def test_widths_the_weights_do_not_hold_are_refused_before_allocating(self, tmp_path):
+        # Building a net 2^40 wide first would fail with MemoryError, not name the sizes.
+        model = fit(*MODEL_KINDS[1], mixed_blobs(rows=120, seed=6))
+        model.save(tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["config"]["hidden"] = [2**40, 5]
+        (tmp_path / "wide.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"weights and biases of a net of sizes \[6, 1099511627776, 5, 3\]"):
+            TrainedModel.load(tmp_path / "wide.json")
 
 
 class TestBayesPredictor:
