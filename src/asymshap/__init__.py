@@ -23,7 +23,6 @@ from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
     OrderingSpec,
     enumerate_consistent,
-    is_consistent,
     sample_consistent_batch,
 )
 from .data import (

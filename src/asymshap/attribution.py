@@ -30,7 +30,6 @@ paper's partition identities on those values with no second evaluation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -48,11 +47,11 @@ from .coalitions import (
 from .data import Dataset
 from .errors import ValidationError
 from .values import (
-    STREAM_KEY_LIMIT,
     BackgroundSet,
     CachedValueFunction,
     ConditionalSampler,
     _stream,
+    _stream_key,
 )
 
 
@@ -328,9 +327,7 @@ class RunPlan:
                  cap: int = DEFAULT_ENUMERATION_CAP):
         if estimator not in ("exact", "mc"):
             raise ValidationError(f"estimator must be 'exact' or 'mc', got {estimator!r}")
-        seed = operator.index(seed)
-        if not 0 <= seed < STREAM_KEY_LIMIT:
-            raise ValidationError(f"seed must be nonnegative and below 2^32, got {seed}")
+        seed = _stream_key(seed, "seed")
         spec = _as_spec(spec)
         if spec.n != pred.n_features:
             raise ValidationError(f"ordering covers {spec.n} features, predictor has {pred.n_features}")

@@ -234,7 +234,7 @@ def _load_ordering(path, ds: Dataset) -> OrderingSpec:
     if isinstance(n, int) and not isinstance(n, bool) and n != ds.n:  # before entries resolve against ds
         raise ValidationError(f"ordering spec covers {n} features, dataset has {ds.n}")
     for key in ("groups", "edges"):
-        # Schema.index_of resolves and checks every entry; from_json_dict checks the lists' shape and n's type.
+        # Schema.index_of resolves and checks every entry; OrderingSpec checks the lists' shape and n's type.
         value = obj.get(key)
         if isinstance(value, list) and all(isinstance(entry, list) for entry in value):
             obj[key] = [list(map(ds.schema.index_of, entry)) for entry in value]

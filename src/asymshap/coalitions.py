@@ -39,61 +39,70 @@ MAX_EXACT_ORDERS = 1 << 26
 class OrderingSpec:
     """Precedence constraints defining a uniform distribution over consistent permutations.
 
-    groups, when given, must be an ordered partition of {0, ..., n-1}; every
-    feature of an earlier group precedes every feature of a later one. edges
-    are individual (i, j) pairs meaning i must precede j. An empty spec means
-    the uniform distribution over all n! permutations.
+    n is the feature count, an int of at least 1; a numpy int is stored as int.
+    groups, when given, is a list or tuple of lists or tuples forming an ordered
+    partition of {0, ..., n-1}: every feature of an earlier group precedes every
+    feature of a later one. edges is a collection of (i, j) pairs, each meaning i
+    must precede j. Every entry is an int feature index in [0, n), not a bool. An
+    empty spec means the uniform distribution over all n! permutations. This is
+    the one validator of a spec, whether built directly or by from_json_dict: a
+    broken rule raises ValidationError naming the entry, and so does a cycle.
 
-    predecessors[i] lists, ascending, the features directly before feature i:
-    the group before its own and the tails of its incoming edges. Every check reads it.
+    need[i] is the bitmask of the features directly before feature i: the group
+    before its own and the tails of its incoming edges. Features placed so far,
+    as a mask, admit i exactly when (placed & need[i]) == need[i] (_admits); the
+    cycle check, enumeration and sampling all test precedence that one way.
     """
 
     n: int
     groups: tuple[tuple[int, ...], ...] | None = None
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    predecessors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    need: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValidationError(f"ordering spec needs an integer 'n', got {self.n!r}")
         if self.n < 1:
             raise ValidationError(f"feature count must be positive, got {self.n}")
-        preds: list[set[int]] = [set() for _ in range(self.n)]
+        object.__setattr__(self, "n", int(self.n))
+        need = [0] * self.n
         if self.groups is not None:
-            object.__setattr__(
-                self, "groups", tuple(tuple(sorted(g)) for g in self.groups)
-            )
-            seen: set[int] = set()
-            for g in self.groups:
-                if not g:
-                    raise ValidationError("empty group in ordered partition")
-                if seen & set(g):
-                    raise ValidationError("groups are not pairwise disjoint")
-                seen.update(g)
-            if seen != set(range(self.n)):
-                raise ValidationError(
-                    f"groups must partition all {self.n} features, got {sorted(seen)}"
-                )
-            for ga, gb in zip(self.groups, self.groups[1:]):
-                for j in gb:
-                    preds[j].update(ga)
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValidationError(f"edge ({i}, {j}) outside [0, {self.n})")
-            if i == j:
-                raise ValidationError(f"self-loop edge ({i}, {j})")
-            preds[j].add(i)
-        object.__setattr__(self, "predecessors", tuple(tuple(sorted(p)) for p in preds))
-        # Fail fast on cycles: a round that places no feature is stuck on one.
-        placed: set[int] = set()
-        left = range(self.n)
-        while left:
-            ready = [i for i in left if placed.issuperset(self.predecessors[i])]
-            if not ready:
-                raise ValidationError(
-                    "precedence constraints contain a cycle; the consistent set is empty"
-                )
-            placed.update(ready)
-            left = [i for i in left if i not in placed]
+            groups = tuple(tuple(sorted(g)) for g in self._index_tuples("groups", (list, tuple)))
+            object.__setattr__(self, "groups", groups)
+            if not all(groups) or sorted(i for g in groups for i in g) != list(range(self.n)):
+                raise ValidationError(f"groups must be nonempty and partition all {self.n} features, got {groups}")
+            for earlier, later in zip(groups, groups[1:]):
+                for j in later:
+                    need[j] = sum(1 << i for i in earlier)
+        object.__setattr__(self, "edges", frozenset(self._index_tuples("edges", (list, tuple, set, frozenset))))
+        for edge in self.edges:
+            if len(edge) != 2 or edge[0] == edge[1]:
+                raise ValidationError(f"ordering-spec 'edges' entry {edge!r} must be a pair of two features")
+            need[edge[1]] |= 1 << edge[0]
+        object.__setattr__(self, "need", tuple(need))
+        # Fail fast on cycles: place every admitted feature, round by round; a cycle's features never are.
+        placed = 0
+        while ready := ~placed & sum(1 << i for i, r in enumerate(need) if _admits(placed, r)):
+            placed |= ready
+        if placed != (1 << self.n) - 1:
+            raise ValidationError("precedence constraints contain a cycle; the consistent set is empty")
+
+    def _index_tuples(self, key: str, kinds: tuple[type, ...]) -> list[tuple[int, ...]]:
+        """The entries of self.<key>, one of kinds, as tuples of feature indices.
+
+        Raises ValidationError unless each entry is a list or tuple of int
+        feature indices in [0, n), bools and floats refused.
+        """
+        value = getattr(self, key)
+        if not isinstance(value, kinds):
+            raise ValidationError(f"ordering-spec {key!r} must be a list of lists, got {value!r}")
+        for entry in value:
+            if not isinstance(entry, (list, tuple)) or not all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < self.n for i in entry
+            ):
+                raise ValidationError(f"ordering-spec {key!r} entry {entry!r} must hold feature indices "
+                                      f"in [0, {self.n})")
+        return [tuple(int(i) for i in entry) for entry in value]
 
     def reversed(self) -> "OrderingSpec":
         """The spec with every precedence constraint flipped."""
@@ -115,44 +124,44 @@ class OrderingSpec:
         "groups", an optional ordered partition, earliest group first; "edges", an
         optional list of [before, after] pairs; "direction", optional, "distal" (the
         constraints as declared, the default) or "proximate" (every one reversed).
-        "n" and the entries are integers, not bools (the CLI also takes feature
-        names as entries). Any other key or direction, an "n" of another type, or
-        an entry of another shape raises ValidationError.
+        Any other key or direction raises ValidationError here; "n" and the entries
+        are checked by the constructor, as for any spec (the CLI resolves feature
+        names to indices first).
         """
         unknown = sorted(set(obj) - {"n", "groups", "edges", "direction"})
         if unknown:
             raise ValidationError(
                 f"unknown ordering-spec keys {unknown}; expected n, groups, edges, direction"
             )
-        n = obj.get("n")
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise ValidationError(f"ordering spec needs an integer 'n', got {n!r}")
         direction = obj.get("direction", "distal")
         if direction not in ("distal", "proximate"):
             raise ValidationError(f"direction must be 'distal' or 'proximate', got {direction!r}")
-        groups = _index_lists(obj, "groups")
-        edges = frozenset(_index_lists(obj, "edges", size=2) or ())
-        spec = cls(int(n), groups, edges)
+        edges = obj.get("edges")
+        spec = cls(obj.get("n"), obj.get("groups"), frozenset() if edges is None else edges)
         return spec if direction == "distal" else spec.reversed()
 
 
-def _index_lists(obj: dict, key: str, size: int | None = None) -> tuple[tuple[int, ...], ...] | None:
-    """obj[key] as tuples of feature indices, None when it is absent or null.
+def _admits(placed, need):
+    """Whether mask placed holds every feature of mask need: the one precedence test, on ints or int64 arrays."""
+    return (placed & need) == need
 
-    Raises ValidationError unless it is a list of lists of integers, each of
-    length size when given.
-    """
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or not all(isinstance(e, (list, tuple)) for e in value):
-        raise ValidationError(f"ordering-spec {key!r} must be a list of lists, got {value!r}")
-    for entry in value:
-        if size is not None and len(entry) != size:
-            raise ValidationError(f"ordering-spec {key!r} entry {entry!r} must have {size} items")
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in entry):
-            raise ValidationError(f"ordering-spec {key!r} entry {entry!r} must hold feature indices")
-    return tuple(tuple(int(i) for i in entry) for entry in value)
+
+def _mask_table(spec: OrderingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's bit and spec.need, as int64 vectors; more features than a mask holds raise ValidationError."""
+    if spec.n > MAX_MASK_FEATURES:
+        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {spec.n}")
+    return np.int64(1) << np.arange(spec.n, dtype=np.int64), np.array(spec.need, dtype=np.int64)
+
+
+def _consistent(P, spec: OrderingSpec) -> np.ndarray:
+    """Whether each row of P, an order over spec's features, admits every feature where it places it."""
+    bit, need = _mask_table(spec)
+    placed = np.zeros(P.shape[0], dtype=np.int64)
+    ok = np.ones(P.shape[0], dtype=bool)
+    for f in P.T:
+        ok &= _admits(placed, need[f])
+        placed |= bit[f]
+    return ok
 
 
 def _orders(P) -> np.ndarray:
@@ -173,28 +182,6 @@ def _orders(P) -> np.ndarray:
     if lo < 0 or hi >= n:
         raise ValidationError(f"orders must be permutations of 0..{n - 1}, got entries in [{lo}, {hi}]")
     return P
-
-
-def is_consistent(P, spec: OrderingSpec) -> np.ndarray:
-    """Whether each order places every feature after all its predecessors in spec.
-
-    P is a signed-integer matrix of orders, shape (count, n), row r listing the
-    features of order r first to last; a single order is a 1-row matrix. Returns
-    one bool per row. Raises ValidationError, as _orders does, for a float or
-    bool matrix or one over more than MAX_MASK_FEATURES features, and when the
-    width is not spec.n or a row is not a permutation of 0..n-1.
-    """
-    P = _orders(P)
-    if P.shape[1] != spec.n:
-        raise ValidationError(f"orders of shape {P.shape} do not fit a spec over {spec.n} features")
-    if not (np.sort(P, axis=1) == np.arange(spec.n)).all():
-        raise ValidationError(f"not every row is a permutation of 0..{spec.n - 1}")
-    pos = np.argsort(P, axis=1)
-    ok = np.ones(P.shape[0], dtype=bool)
-    for i, before in enumerate(spec.predecessors):
-        if before:
-            ok &= pos[:, list(before)].max(axis=1) < pos[:, i]
-    return ok
 
 
 def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
@@ -221,10 +208,7 @@ def enumerate_consistent(spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP)
             f"exact enumeration over {spec.n} features exceeds the cap of {cap}; "
             "use sampling instead"
         )
-    if spec.n > MAX_MASK_FEATURES:
-        raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {spec.n}")
-    bit = np.int64(1) << np.arange(spec.n, dtype=np.int64)
-    need = np.array([bit[list(before)].sum() for before in spec.predecessors], dtype=np.int64)
+    bit, need = _mask_table(spec)
     P = np.zeros((1, 0), dtype=np.int8)
     placed = np.zeros(1, dtype=np.int64)
     for _ in range(spec.n - 1):
@@ -249,7 +233,7 @@ def _extend(P, placed, bit, need) -> tuple[np.ndarray, np.ndarray]:
     need[i] the mask of its predecessors. The features are tested one at a
     time, so no (prefixes, n) int64 temporary exists.
     """
-    ok = np.column_stack([((placed & b) == 0) & ((placed & r) == r) for b, r in zip(bit, need)])
+    ok = np.column_stack([((placed & b) == 0) & _admits(placed, r) for b, r in zip(bit, need)])
     counts = ok.sum(axis=1)
     if (total := int(counts.sum())) >= MAX_EXACT_ORDERS:
         raise ValidationError(f"exact enumeration would build at least {total} consistent orders over "
@@ -272,11 +256,12 @@ def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Genera
     """size independent uniform draws from the consistent set, shape (size, n).
 
     Group constraints are sampled directly (exactly uniform); edge constraints
-    are enforced by rejection on top. The rejection guard raises EstimatorError
-    after DEFAULT_REJECTION_BUDGET rejected draws per requested permutation.
+    are enforced by rejection on top, by the spec's mask test. The rejection guard
+    raises EstimatorError after DEFAULT_REJECTION_BUDGET rejected draws per
+    requested permutation. size must be a positive int, not a bool.
     """
-    if size < 1:
-        raise ValidationError(f"sample size must be positive, got {size}")
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+        raise ValidationError(f"sample size must be a positive integer, got {size!r}")
     if not spec.edges:
         return _sample_group_consistent(spec, size, rng)
     rejected = 0
@@ -287,7 +272,7 @@ def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Genera
         # Oversample against the observed acceptance rate, within reason.
         batch = min(max(4 * want, 1024), 1_000_000)
         cand = _sample_group_consistent(spec, batch, rng)
-        keep = cand[is_consistent(cand, spec)]
+        keep = cand[_consistent(cand, spec)]
         rejected += batch - keep.shape[0]
         if keep.shape[0] > want:
             keep = keep[:want]

@@ -46,10 +46,13 @@ class TrainConfig:
             raise ValidationError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        # Each count sizes the net or the loop and is saved as a JSON int, so a bool, float or numpy int is refused.
+        # The counts size the net or the loop, the seed keys every draw, and each is saved as a JSON int,
+        # so a bool, float or numpy int is refused.
         if not all(type(c) is int and c >= 1 for c in (self.epochs, self.batch_size, self.patience, *self.hidden)):
             raise ValidationError(f"epochs, batch size, patience and hidden widths must be positive integers, "
                                   f"got {self}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValidationError(f"training seed must be a nonnegative integer, got {self.seed!r}")
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}

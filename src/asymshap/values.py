@@ -40,6 +40,16 @@ MAX_MASK_FEATURES = 62  # coalition masks live in int64
 STREAM_KEY_LIMIT = 1 << 32
 
 
+def _stream_key(key, what: str) -> int:
+    """key, a seed or point index, as an int: a Python or numpy integer, not a bool,
+    in [0, STREAM_KEY_LIMIT). Anything else raises ValidationError naming what."""
+    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {key!r}")
+    if not 0 <= key < STREAM_KEY_LIMIT:
+        raise ValidationError(f"{what} must be nonnegative and below 2^32, got {key}")
+    return int(key)
+
+
 @runtime_checkable
 class Predictor(Protocol):
     n_features: int
@@ -333,7 +343,7 @@ class CachedValueFunction:
     the mask, on a stream keyed by (seed, point_index, mask); the full
     coalition is the prediction at x. Either way value writes x_S over the
     draws, here and nowhere else. seed and point_index must be integers in
-    [0, STREAM_KEY_LIMIT).
+    [0, STREAM_KEY_LIMIT), not bools.
     v(S) is the mean of f_y over the completions.
 
     Each distinct coalition calls the predictor once. evaluations counts the
@@ -365,14 +375,11 @@ class CachedValueFunction:
         if self.n > MAX_MASK_FEATURES:
             raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {self.n}")
         self._bit = np.int64(1) << np.arange(self.n, dtype=np.int64)
-        if m < 1:
-            raise ValidationError(f"sample count must be positive, got {m}")
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValidationError(f"sample count must be positive, got {m!r}")
         self.sampler = None if off_manifold else completion
         self.m = m
-        self.seed, self.point_index = operator.index(seed), operator.index(point_index)
-        if not (0 <= self.seed < STREAM_KEY_LIMIT and 0 <= self.point_index < STREAM_KEY_LIMIT):
-            raise ValidationError(f"seed and point_index must be nonnegative and below 2^32, "
-                                  f"got {self.seed}, {self.point_index}")
+        self.seed, self.point_index = _stream_key(seed, "seed"), _stream_key(point_index, "point_index")
         if off_manifold:
             rows = completion.rows
             if rows.shape[1] != self.n:

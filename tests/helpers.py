@@ -1,8 +1,9 @@
 """Tiny predictor doubles shared across the test modules, a memory probe, and reference implementations.
 
 The exact oracles live here too: TableValueFunction, the subset form of the
-Shapley value, random ordering specs, and estimator_self_check, which ties
-the estimators to each other on random games.
+Shapley value, random ordering specs, is_consistent, which judges orders by
+position, and estimator_self_check, which ties the estimators to each other
+on random games.
 """
 
 import math
@@ -27,6 +28,7 @@ from asymshap import (
     train_test_split,
 )
 from asymshap.attribution import _point_budget, column_means
+from asymshap.coalitions import _orders
 from asymshap.values import MAX_MASK_FEATURES, _checked_mask
 
 
@@ -298,6 +300,32 @@ def exact_shapley_subset_form(v) -> AttributionResult:
         total=table[(1 << n) - 1],
         metadata={"estimator": "subset-form"},
     )
+
+
+def is_consistent(P, spec) -> np.ndarray:
+    """Whether each order puts every feature of an earlier group before every feature of a later one,
+    and i before j for every edge (i, j): the consistency definition by position, read from spec.groups
+    and spec.edges, independent of the precedence masks the package tests.
+
+    P is a signed-integer matrix of orders, shape (count, n), row r listing the
+    features of order r first to last; a single order is a 1-row matrix. Returns
+    one bool per row. Raises ValidationError, as CoalitionChains does, for a float
+    or bool matrix or one over more than MAX_MASK_FEATURES features, and when the
+    width is not spec.n or a row is not a permutation of 0..n-1.
+    """
+    P = _orders(P)
+    if P.shape[1] != spec.n:
+        raise ValidationError(f"orders of shape {P.shape} do not fit a spec over {spec.n} features")
+    if not (np.sort(P, axis=1) == np.arange(spec.n)).all():
+        raise ValidationError(f"not every row is a permutation of 0..{spec.n - 1}")
+    pos = np.argsort(P, axis=1)
+    groups = spec.groups or ()
+    ok = np.ones(P.shape[0], dtype=bool)
+    for earlier, later in zip(groups, groups[1:]):
+        ok &= pos[:, list(earlier)].max(axis=1) < pos[:, list(later)].min(axis=1)
+    for i, j in spec.edges:
+        ok &= pos[:, i] < pos[:, j]
+    return ok
 
 
 def random_ordering_spec(n: int, rng: np.random.Generator) -> OrderingSpec:

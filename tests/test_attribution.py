@@ -663,8 +663,17 @@ class TestGlobalAttribution:
         pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValidationError, match=r"below 2\^32, got 4294967296"):
             RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), seed=2**32)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValidationError, match="seed must be an integer, got 2.7"):
             RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), seed=2.7)
+
+    @pytest.mark.parametrize("seed", [True, np.True_, 1.0, "1"], ids=repr)
+    def test_seed_of_another_type_rejected(self, seed):
+        # operator.index would run True as seed 1.
+        ds = toy_dataset()
+        pred = LinearProbPredictor(np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValidationError, match=f"seed must be an integer, got {seed!r}"):
+            RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), seed=seed)
+        assert RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), seed=np.uint32(1)).seed == 1
 
     def test_exact_run_enumerates_its_orders_once(self, monkeypatch):
         ds = toy_dataset(rows=24, n=4, seed=6)

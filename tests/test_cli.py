@@ -399,6 +399,15 @@ def test_explain_of_one_point_exits_2(trained, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["x", -1, True], ids=repr)
+def test_model_file_with_a_bad_training_seed_exits_2(trained, tmp_path, capsys, seed):
+    # Loaded, "x" would be kept as the model's seed, and true would read as seed 1.
+    doc = json.loads((trained / "model.json").read_text())
+    assert _explain_with_model(trained, tmp_path, {**doc, "config": {**doc["config"], "seed": seed}}) == 2
+    err = capsys.readouterr().err
+    assert "malformed model file" in err and "training seed must be a nonnegative integer" in err
+
+
 def test_explain_seed_from_2_to_the_32_exits_2(trained, capsys):
     # Its two words would be the words of seed 0 and point index 1.
     out = trained / "wide-seed-explain.json"

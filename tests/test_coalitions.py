@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import peak_traced_bytes, random_ordering_spec
+from helpers import is_consistent, peak_traced_bytes, random_ordering_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -19,9 +19,9 @@ from asymshap import (
     OrderingSpec,
     ValidationError,
     enumerate_consistent,
-    is_consistent,
     sample_consistent_batch,
 )
+from asymshap.coalitions import _consistent
 
 
 def oracle_consistent(order, spec):
@@ -127,6 +127,42 @@ class TestOrderingSpec:
                 OrderingSpec(n, groups=groups, edges=edges)
         else:
             assert enumerated(OrderingSpec(n, groups=groups, edges=edges)) == want
+
+    @pytest.mark.parametrize(
+        "n, groups, edges, entry",
+        [
+            (True, None, (), "True"),
+            (3, None, [(True, 2)], "(True, 2)"),  # would construct, then fail enumeration with IndexError
+            (3, None, [(0.5, 1)], "(0.5, 1)"),  # would be reported as a cycle
+            (2, ((0.0,), (1.0,)), (), "(0.0,)"),  # would raise a raw TypeError
+            (2, ((0,), (np.True_,)), (), "(np.True_,)"),
+            (3, [0, 1, 2], (), "0"),
+            (3, None, 5, "5"),
+            (3, None, [(0, 1, 2)], "(0, 1, 2)"),
+            (3, None, [(1, 1)], "(1, 1)"),
+            (3, None, [(0, 3)], "(0, 3)"),
+        ],
+        ids=["bool-n", "bool-endpoint", "float-endpoint", "float-group-entries", "numpy-bool-entry",
+             "flat-groups", "edges-not-a-list", "triple-edge", "self-loop", "endpoint-out-of-range"],
+    )
+    def test_constructor_and_json_reject_alike(self, n, groups, edges, entry):
+        # One validator: the library constructor refuses what a spec file is refused for, in the same words.
+        with pytest.raises(ValidationError) as built:
+            OrderingSpec(n, groups, edges)
+        assert entry in str(built.value)
+        with pytest.raises(ValidationError) as read:
+            OrderingSpec.from_json_dict({"n": n, "groups": groups, "edges": edges})
+        assert str(read.value) == str(built.value)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        spec = OrderingSpec(np.int64(3), groups=[[np.int64(2)], [0, np.int32(1)]], edges=[[np.int8(0), 1]])
+        assert spec == OrderingSpec(3, groups=((2,), (0, 1)), edges=frozenset({(0, 1)}))
+        assert type(spec.n) is int and all(type(i) is int for e in spec.edges for i in e)
+        assert json.dumps(spec.to_json_dict()) == '{"n": 3, "groups": [[2], [0, 1]], "edges": [[0, 1]]}'
+
+    def test_need_masks(self):
+        spec = OrderingSpec(4, groups=((0, 1), (2, 3)), edges=frozenset({(2, 3)}))
+        assert spec.need == (0, 0, 0b0011, 0b0111)
 
     def test_reversed_flips_everything(self):
         spec = OrderingSpec(4, groups=((0, 1), (2, 3)), edges=frozenset({(0, 1)}))
@@ -242,6 +278,19 @@ class TestIsConsistent:
         assert got.shape == (len(orders),)
         for order, ok in zip(orders, got):
             assert ok == oracle_consistent(order, spec)
+        assert _consistent(np.array(orders), spec).tolist() == got.tolist()  # the package's mask test
+
+
+class TestPrecedenceMasks:
+    """The package's one precedence test, (placed & need) == need slot by slot, against the position oracle."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_accepts_exactly_what_the_oracle_accepts(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        spec = random_ordering_spec(n, rng)  # empty, grouped or edge specs
+        P = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+        assert _consistent(P, spec).tolist() == is_consistent(P, spec).tolist()
 
 
 class TestEnumerate:
@@ -405,6 +454,35 @@ class TestSampling:
             seen[tuple(int(i) for i in row)] = seen.get(tuple(int(i) for i in row), 0) + 1
         assert set(seen) == allowed
         assert stats.chisquare(list(seen.values())).pvalue > 0.001
+
+    @pytest.mark.parametrize(
+        "spec",
+        [OrderingSpec(5, edges=frozenset({(3, 0), (3, 1), (2, 0)})),
+         OrderingSpec(5, edges=frozenset((i, i + 1) for i in range(4))),  # 1 in 120 candidates accepted
+         OrderingSpec(5, groups=((0, 1), (2, 3, 4)), edges=frozenset({(1, 0), (4, 2)}))],
+        ids=["fork", "chain", "groups-and-edges"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_edge_draws_are_the_oracle_filtered_candidates(self, spec, seed):
+        # The candidate stream, group by group and batch by batch, filtered by position instead of by mask.
+        size, rng = 40, np.random.default_rng(seed)
+        groups = spec.groups or (tuple(range(spec.n)),)
+        want = np.zeros((0, spec.n), dtype=np.int64)
+        while len(want) < size:
+            batch = max(4 * (size - len(want)), 1024)
+            cand = np.concatenate(
+                [rng.permuted(np.tile(np.array(g, dtype=np.int64), (batch, 1)), axis=1) for g in groups], axis=1)
+            want = np.concatenate([want, cand[is_consistent(cand, spec)]])
+        got = sample_consistent_batch(spec, size, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and got.tobytes() == want[:size].tobytes()
+
+    @pytest.mark.parametrize("size", [True, 2.5, np.float64(3.0), "3", 0], ids=repr)
+    def test_sample_size_must_be_a_positive_integer(self, size):
+        # operator.index would take True as 1; a float would raise a raw TypeError.
+        for spec in (OrderingSpec(3), OrderingSpec(3, edges=frozenset({(0, 1)}))):
+            with pytest.raises(ValidationError, match="sample size must be a positive integer"):
+                sample_consistent_batch(spec, size, np.random.default_rng(0))
+        assert sample_consistent_batch(OrderingSpec(3), np.int64(2), np.random.default_rng(0)).shape == (2, 3)
 
     def test_sample_size_must_be_positive(self):
         with pytest.raises(ValidationError):

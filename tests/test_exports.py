@@ -11,7 +11,7 @@ EXPORTS = [
     "FeatureSpec", "GenerativeSampler", "GlobalAttribution", "KNNSampler", "MarkovSeriesProcess",
     "OrderingSpec", "RunPlan", "Schema", "SchemaError", "Standardizer", "TrainConfig", "TrainedModel",
     "TwoFeatureGraphProcess", "ValidationError", "enumerate_consistent", "exact_asv", "fairness_spec",
-    "global_asv", "is_consistent", "load_csv", "marginal_contributions", "max_class_accuracy", "mc_asv",
+    "global_asv", "load_csv", "marginal_contributions", "max_class_accuracy", "mc_asv",
     "one_hot_design", "partition_sum_check", "run_fairness_audit", "run_feature_selection_study",
     "sample_consistent_batch", "sampled_label_accuracy", "save_csv", "train_logistic", "train_mlp",
     "train_test_split",
@@ -23,7 +23,7 @@ def test_exported_names_are_pinned():
         name for name, obj in vars(asymshap).items()
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     )
-    assert len(EXPORTS) == 48
+    assert len(EXPORTS) == 47
     assert public == EXPORTS
 
 

@@ -198,6 +198,17 @@ class TestTrainConfig:
                 TrainConfig(**bad)
         assert TrainConfig(hidden=()).hidden == ()  # logistic
 
+    @pytest.mark.parametrize("seed", [True, 2.5, 2.0, "x", -1, np.int64(3)], ids=repr)
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        # default_rng would raise its own ValueError or TypeError for most of these, and take True as 1.
+        with pytest.raises(ValidationError, match="training seed must be a nonnegative integer"):
+            TrainConfig(seed=seed)
+
+    def test_seed_of_2_to_the_32_and_above_trains(self):
+        ds = gaussian_blobs(rows=60)
+        for seed in (2**32, 2**64 + 5):
+            assert train_logistic(ds, TrainConfig(hidden=(), epochs=2, seed=seed)).config.seed == seed
+
     def test_json_round_trip(self):
         config = TrainConfig(learning_rate=0.05, hidden=(4, 3), activation="relu")
         assert TrainConfig.from_json_dict(config.to_json_dict()) == config

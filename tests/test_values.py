@@ -687,11 +687,20 @@ class TestStreamKey:
 
     @pytest.mark.parametrize("key", ["seed", "point_index"])
     def test_non_integer_key_rejected(self, key):
-        # int() would read 2.7 as key 2.
+        # int() would read 2.7 as key 2, and operator.index True as key 1.
         pred = ConstantPredictor(n_features=2)
         bg = BackgroundSet(np.zeros((3, 2)))
-        with pytest.raises(TypeError):
-            CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=2, **{key: 2.7})
+        for bad in (2.7, True, np.True_, "1"):
+            with pytest.raises(ValidationError, match=f"{key} must be an integer, got {bad!r}"):
+                CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=2, **{key: bad})
+        assert getattr(CachedValueFunction(pred, np.zeros(2), 1, completion=bg, m=2, **{key: np.int64(3)}), key) == 3
+
+    @pytest.mark.parametrize("m", [True, 2.5, 0], ids=repr)
+    def test_sample_count_must_be_a_positive_integer(self, m):
+        # numpy's choice would raise a raw TypeError for True or 2.5.
+        pred = ConstantPredictor(n_features=2)
+        with pytest.raises(ValidationError, match=f"sample count must be positive, got {m!r}"):
+            CachedValueFunction(pred, np.zeros(2), 1, completion=BackgroundSet(np.zeros((3, 2))), m=m)
 
     def test_wide_seed_words_alias_another_runs_stream(self):
         # Why a run's seed stays below 2^32: seed 5 + 7 * 2^32 at point 99 splits into the words of
