@@ -37,7 +37,7 @@ import numpy as np
 
 from .attribution import RunPlan, global_asv
 from .coalitions import DEFAULT_ENUMERATION_CAP, OrderingSpec
-from .data import Dataset, load_csv, save_csv, train_test_split
+from .data import Dataset, _is_int, load_csv, save_csv, train_test_split
 from .errors import EstimatorError, SchemaError, ValidationError
 from .models import (
     TrainConfig,
@@ -231,7 +231,7 @@ def _load_ordering(path, ds: Dataset) -> OrderingSpec:
         raise ValidationError(f"ordering spec {path} must be a JSON object")
 
     n = obj.setdefault("n", ds.n)
-    if isinstance(n, int) and not isinstance(n, bool) and n != ds.n:  # before entries resolve against ds
+    if _is_int(n) and n != ds.n:  # before entries resolve against ds
         raise ValidationError(f"ordering spec covers {n} features, dataset has {ds.n}")
     for key in ("groups", "edges"):
         # Schema.index_of resolves and checks every entry; OrderingSpec checks the lists' shape and n's type.

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _is_int
 from .errors import EstimatorError, ValidationError
 from .values import MAX_MASK_FEATURES
 
@@ -60,7 +61,7 @@ class OrderingSpec:
     need: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+        if not _is_int(self.n):
             raise ValidationError(f"ordering spec needs an integer 'n', got {self.n!r}")
         if self.n < 1:
             raise ValidationError(f"feature count must be positive, got {self.n}")
@@ -97,9 +98,7 @@ class OrderingSpec:
         if not isinstance(value, kinds):
             raise ValidationError(f"ordering-spec {key!r} must be a list of lists, got {value!r}")
         for entry in value:
-            if not isinstance(entry, (list, tuple)) or not all(
-                isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < self.n for i in entry
-            ):
+            if not isinstance(entry, (list, tuple)) or not all(_is_int(i) and 0 <= i < self.n for i in entry):
                 raise ValidationError(f"ordering-spec {key!r} entry {entry!r} must hold feature indices "
                                       f"in [0, {self.n})")
         return [tuple(int(i) for i in entry) for entry in value]
@@ -260,7 +259,7 @@ def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Genera
     raises EstimatorError after DEFAULT_REJECTION_BUDGET rejected draws per
     requested permutation. size must be a positive int, not a bool.
     """
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+    if not _is_int(size) or size < 1:
         raise ValidationError(f"sample size must be a positive integer, got {size!r}")
     if not spec.edges:
         return _sample_group_consistent(spec, size, rng)

@@ -22,6 +22,11 @@ CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer as the package reads one: a Python or numpy int, never a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     name: str
@@ -72,7 +77,7 @@ class Schema:
             if feature not in self.names:
                 raise SchemaError(f"no feature named {feature!r}; have {list(self.names)}")
             return self.names.index(feature)
-        if isinstance(feature, bool) or not isinstance(feature, (int, np.integer)) or not 0 <= feature < self.n:
+        if not _is_int(feature) or not 0 <= feature < self.n:
             raise ValidationError(f"a feature is a name or an integer index in [0, {self.n}), got {feature!r}")
         return int(feature)
 

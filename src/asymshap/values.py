@@ -29,7 +29,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _is_int
 from .errors import EstimatorError, SchemaError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -43,7 +43,7 @@ STREAM_KEY_LIMIT = 1 << 32
 def _stream_key(key, what: str) -> int:
     """key, a seed or point index, as an int: a Python or numpy integer, not a bool,
     in [0, STREAM_KEY_LIMIT). Anything else raises ValidationError naming what."""
-    if isinstance(key, bool) or not isinstance(key, (int, np.integer)):
+    if not _is_int(key):
         raise ValidationError(f"{what} must be an integer, got {key!r}")
     if not 0 <= key < STREAM_KEY_LIMIT:
         raise ValidationError(f"{what} must be nonnegative and below 2^32, got {key}")
@@ -375,7 +375,7 @@ class CachedValueFunction:
         if self.n > MAX_MASK_FEATURES:
             raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {self.n}")
         self._bit = np.int64(1) << np.arange(self.n, dtype=np.int64)
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        if not _is_int(m) or m < 1:
             raise ValidationError(f"sample count must be positive, got {m!r}")
         self.sampler = None if off_manifold else completion
         self.m = m
