@@ -8,17 +8,17 @@ Subcommands:
     featselect  cumulative attribution against retraining on a Markov series
 
 Each setting is declared once, as an argparse flag with its type, choices and
-default. A --config file's keys are those flags' dests: main checks the file
-against the flags, installs its non-null values as the subcommand's defaults
-and parses again, so values resolve as declared default < --config file <
-explicit flags. A command reads the resolved {dest: value} settings and
-echoes them into its output JSON together with content hashes of the input
-files. Outputs carry no timestamps, so identical config and seed give
+default; a flag must be spelled in full. An argument @FILE stands for the
+arguments in FILE, one per line, which the same flags parse. The last
+occurrence of a flag wins, so values resolve as declared default < @FILE <
+flags given after it. A command reads the resolved {dest: value} settings
+and echoes them into its output JSON together with content hashes of the
+input files. Outputs carry no timestamps, so the same settings and seed give
 byte-identical bytes.
 
 Exit codes:
     0  success
-    2  validation error: a bad flag, config or setting, or a file that cannot be read or written
+    2  validation error: a bad flag or setting, or a file that cannot be read or written
     3  estimator or sampling guard failure
 """
 
@@ -94,18 +94,15 @@ class _CommaList:
 
     Each item must convert to the given type, but the flag stores its string
     as given, which is what the output config echoes; the command reads the
-    items with split. In a --config file the value may be that string or a
-    JSON list of items of the given type.
+    items with split.
     """
 
     def __init__(self, item: type):
         self.item = item
         self.__name__ = f"comma-separated {item.__name__}"  # argparse names the type in errors
 
-    def split(self, value) -> list:
-        """The items of a stored value: a --config list as given, or the string's nonblank parts."""
-        if isinstance(value, list):
-            return value
+    def split(self, value: str) -> list:
+        """The string's nonblank comma-separated parts, each converted to the item type."""
         return [self.item(part.strip()) for part in value.split(",") if part.strip()]
 
     def __call__(self, raw: str) -> str:
@@ -116,72 +113,9 @@ class _CommaList:
 _INTS, _NAMES = _CommaList(int), _CommaList(str)
 
 
-def _config_value(action: argparse.Action, value, path):
-    """A non-null --config value checked against its flag's type and choices, as the flag would store it.
-
-    main drops null keys, so the declared default stands for them. A flag
-    without a type takes a string; a _CommaList flag also takes a JSON list
-    of its item type.
-    """
-
-    def reject(expected):
-        raise ValidationError(f"config key {action.dest!r} in {path} must be {expected}, got {value!r}")
-
-    if action.nargs == 0 and not isinstance(value, bool):
-        reject("true, false or null")
-    if action.type is int:
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if type(value) is not int:
-            reject("an integer")
-    elif action.type is float:
-        if type(value) not in (int, float):
-            reject("a number")
-        value = float(value)
-    elif isinstance(action.type, _CommaList):
-        item = action.type.item
-        if isinstance(value, str):
-            try:
-                action.type(value)
-            except ValueError:
-                reject(f"a comma-separated list of {item.__name__} values")
-        elif not (isinstance(value, list) and all(type(v) is item for v in value)):
-            reject(f"a comma-separated string or a list of {item.__name__} values")
-    elif action.nargs != 0 and not isinstance(value, str):
-        reject("a string")
-    if action.choices is not None and value not in action.choices:
-        reject(f"one of {list(action.choices)}")
-    return value
-
-
-def _setting_actions(parser: argparse.ArgumentParser) -> dict:
-    """dest -> action of every setting a subcommand declares."""
-    return {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
-
-
 def _settings(args: argparse.Namespace) -> dict:
-    """The resolved {dest: value} settings of the parsed subcommand."""
-    return {dest: getattr(args, dest) for dest in _setting_actions(args.parser)}
-
-
-def _load_config(path, parser: argparse.ArgumentParser) -> dict:
-    """The non-null values of a --config file, checked against parser's flags."""
-    try:
-        with open(path) as fh:
-            file_cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed config JSON {path}: {exc}") from exc
-    if not isinstance(file_cfg, dict):
-        raise ValidationError(f"config {path} must be a JSON object")
-    actions = _setting_actions(parser)
-    unknown = set(file_cfg) - set(actions)
-    if unknown:
-        raise ValidationError(f"unknown config keys in {path}: {sorted(unknown)}")
-    return {
-        key: _config_value(actions[key], value, path)
-        for key, value in file_cfg.items()
-        if value is not None
-    }
+    """The resolved {dest: value} settings of the parsed subcommand, without the parser's wiring."""
+    return {dest: value for dest, value in vars(args).items() if dest not in ("command", "func", "parser")}
 
 
 def _require_file(path, what: str) -> str:
@@ -384,7 +318,7 @@ def cmd_explain(resolved: dict) -> int:
 
 
 def cmd_fairness(resolved: dict) -> int:
-    resolving, sensitive = (_NAMES.split(resolved[key] or []) for key in ("resolving", "sensitive"))
+    resolving, sensitive = (_NAMES.split(resolved[key] or "") for key in ("resolving", "sensitive"))
     if not resolving or not sensitive:
         raise ValidationError("--resolving and --sensitive feature lists are required")
     model, ds, hashes = _load_model_and_data(resolved)
@@ -431,14 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asymshap",
         description="Order-aware Shapley feature attribution with causal precedence constraints.",
+        epilog="An argument @FILE reads further arguments from FILE, one per line.",
+        fromfile_prefix_chars="@",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, helptext):
-        p = sub.add_parser(name, help=helptext, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p = sub.add_parser(name, help=helptext, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                           allow_abbrev=False)
         p.set_defaults(func=func, parser=p)
-        p.add_argument("--config", help="JSON file whose keys mirror this command's flags")
-        p.add_argument("--seed", type=int, help="master seed (required here or in --config)")
+        p.add_argument("--seed", type=int, help="master seed (required; no wall-clock default)")
         return p
 
     def add_dataset(p, **model):
@@ -530,9 +467,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            args.parser.set_defaults(**_load_config(args.config, args.parser))
-            args = parser.parse_args(argv)
         resolved = _settings(args)
         if resolved["seed"] is None:
             raise ValidationError("a seed is required (no wall-clock default); pass --seed")

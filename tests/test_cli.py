@@ -427,12 +427,12 @@ def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, argv, via):
     monkeypatch.chdir(tmp_path)
     if via == "flag":
         argv = [*argv, "--seed", "-1"]
-    else:
-        (tmp_path / "config.json").write_text(json.dumps({"seed": -1}))
-        argv = [*argv, "--config", "config.json"]
+    else:  # an args file, one token per line
+        (tmp_path / "config.args").write_text("--seed\n-1\n")
+        argv = [*argv, "@config.args"]
     assert main(argv) == 2
     assert "seed must be nonnegative, got -1" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if via == "config" else [])
+    assert [p.name for p in tmp_path.iterdir()] == (["config.args"] if via == "config" else [])
 
 
 def test_runs_as_a_module():
@@ -533,104 +533,11 @@ def test_no_warning_otherwise(caplog, resolved, spec, want):
     assert caplog.records == []
 
 
-@pytest.mark.parametrize(
-    "content, named",
-    [
-        ({"samples": "many"}, "'samples'"),  # int flag, string value
-        ({"seed": "x"}, "'seed'"),
-        (5, "JSON object"),  # not an object at all
-        ({"samples": 2.7}, "'samples'"),  # int flag, non-integral number
-        ({"exact": "no"}, "'exact'"),  # on/off flag takes true, false or null
-        ({"strategy": "psychic"}, "'strategy'"),  # outside the flag's choices
-        ({"workers": 2}, "'workers'"),  # points run in one thread
-        ({"samples": 4, "sample": 8}, ": ['sample']"),  # not a flag of the command
-    ],
-)
-def test_bad_config_value_exits_2(trained, capsys, content, named):
-    config = trained / "bad-config.json"
-    config.write_text(json.dumps(content))
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--config", str(config), "--index", "0", "--out", str(trained / "x.json")])
-    assert code == 2
-    assert named in capsys.readouterr().err
-
-
-def test_config_values_are_stored_as_their_flag_would(trained):
-    config = trained / "config.json"
-    config.write_text(json.dumps({"samples": 8.0, "exact": True, "mc": None, "seed": 0}))
-    out = trained / "config-explain.json"
-    assert main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--config", str(config), "--index", "0", "--out", str(out)]) == 0
-    echoed = json.loads(out.read_text())["config"]
-    assert echoed["samples"] == 8 and isinstance(echoed["samples"], int)
-    assert echoed["exact"] is True and echoed["mc"] is None
-
-
-@pytest.mark.parametrize(
-    "command, content",
-    [
-        ("explain", {"out": 1}),  # a path key: an int would be opened as a file descriptor
-        ("explain", {"out": 5}),
-        ("explain", {"data": 7}),
-        ("explain", {"spec": True}),
-        ("train", {"hidden": ["a"]}),  # list entries of hidden must be integers
-        ("train", {"hidden": "10,a"}),  # and so must the items of its string form
-    ],
-    ids=["out-1", "out-5", "data-7", "spec-true", "hidden-strings", "hidden-bad-item"],
-)
-def test_untyped_config_value_must_be_a_string(tmp_path, capsys, command, content):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(content))
-    assert main([command, "--config", str(config), "--seed", "0"]) == 2
-    assert repr(next(iter(content))) in capsys.readouterr().err
-
-
-def test_list_valued_config_keys_still_run(trained, tmp_path):
-    config = tmp_path / "train.json"
-    config.write_text(json.dumps({"hidden": [10, 10]}))
-    model = tmp_path / "model.json"
-    assert main(["train", "--data", str(trained / "data.csv"), "--config", str(config), "--epochs", "2",
-                 "--seed", "0", "--out", str(model)]) == 0
-    doc = json.loads(model.read_text())
-    assert doc["config"]["hidden"] == [10, 10]
-    assert [np.shape(w) for w in doc["weights"]] == [(5, 10), (10, 10), (10, 2)]
-    config = tmp_path / "fairness.json"
-    config.write_text(json.dumps({"resolving": ["department"]}))
-    out = tmp_path / "fairness-out.json"
-    assert main(["fairness", "--model", str(model), "--data", str(trained / "data.csv"),
-                 "--config", str(config), "--sensitive", "gender", "--budget", "5", "--samples", "4",
-                 "--seed", "0", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["resolving"] == ["department"]
-
-
 def test_bad_comma_list_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--hidden", "10,a", "--seed", "0"])
     assert exc.value.code == 2
     assert "--hidden" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, key, default, output",
-    [
-        (["explain", "--index", "0"], "samples", 100, "attribution.json"),
-        (["explain", "--index", "0"], "out", "attribution.json", "attribution.json"),
-        (["gen-data", "markov", "--T", "3"], "rows", 10000, "markov.manifest.json"),
-        # null means the declared 2000 points, not every row.
-        (["fairness", "--resolving", "department", "--sensitive", "gender", "--samples", "4"],
-         "budget", 2000, "fairness.json"),
-    ],
-    ids=["explain-samples", "explain-out", "gen-data-rows", "fairness-budget"],
-)
-def test_null_config_value_keeps_the_declared_default(trained, tmp_path, monkeypatch, argv, key, default,
-                                                       output):
-    monkeypatch.chdir(tmp_path)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({key: None}))
-    inputs = [] if argv[0] == "gen-data" else ["--model", str(trained / "model.json"),
-                                               "--data", str(trained / "data.csv")]
-    assert main([*argv, *inputs, "--config", str(config), "--seed", "0"]) == 0
-    assert json.loads((tmp_path / output).read_text())["config"][key] == default
 
 
 def test_local_run_rejects_a_locals_csv(trained, tmp_path, capsys):
@@ -702,7 +609,7 @@ def test_local_run_matches_its_row_of_the_global_run(trained, tmp_path, estimato
             assert local["metadata"]["prediction_rows"] == 64
 
 
-# The settings each command resolves with no flag and no --config besides the seed.
+# The settings each command resolves when given only --seed (and gen-data's scenario).
 DECLARED_DEFAULTS = {
     "gen-data": {
         "scenario": None, "rows": 10000, "seed": None, "out": None,
@@ -788,33 +695,6 @@ def test_exact_run_is_checked_before_its_orders_are_enumerated(trained, tmp_path
     assert not out.exists() and enumerated == []
 
 
-def test_malformed_config_json_exits_2(trained, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text('{"samples": 4,')
-    out = tmp_path / "x.json"
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--config", str(config), "--index", "0", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert f"malformed config JSON {config}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_float_config_value_is_stored_as_a_float(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(json.dumps({"ar": 1, "T": 3, "rows": 20}))
-    assert main(["gen-data", "markov", "--config", "config.json", "--seed", "0"]) == 0
-    echoed = json.loads((tmp_path / "markov.manifest.json").read_text())["config"]
-    assert echoed["ar"] == 1.0 and type(echoed["ar"]) is float
-
-
-@pytest.mark.parametrize("value", ["fast", True, [0.1]], ids=["string", "bool", "list"])
-def test_non_numeric_float_config_value_exits_2(tmp_path, capsys, value):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"learning_rate": value}))
-    assert main(["train", "--config", str(config), "--seed", "0"]) == 2
-    assert "config key 'learning_rate'" in capsys.readouterr().err
-
-
 def test_missing_seed_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["gen-data", "chain", "--rows", "20"]) == 2
@@ -876,3 +756,107 @@ def test_featselect_writes_its_json_and_trials_csv(tmp_path, capsys):
     header, *rows = trials_csv.read_text().splitlines()
     assert header == "t0,t1,t2"
     assert [[float(v) for v in row.split(",")] for row in rows] == doc["trials"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["explain", "--sample", "8"], ["explain", "--perm", "20"], ["explain", "--ex"],
+             ["train", "--hid", "3"], ["explain", "--config", "x.json"]],
+    ids=lambda argv: argv[1],
+)
+def test_abbreviated_or_removed_flag_exits_2(capsys, argv):
+    # Read as --samples, --perms, --exact and --hidden, a typo would run with another setting. An args
+    # file (@FILE) sets flags in place of a --config JSON file.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "0"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lines, named",
+    [
+        (["--samples", "many"], "argument --samples: invalid int value: 'many'"),
+        (["--samples", "2.7"], "argument --samples: invalid int value: '2.7'"),
+        (["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["--exact=no"], "argument --exact: ignored explicit argument 'no'"),
+        (["--strategy", "psychic"], "argument --strategy: invalid choice: 'psychic'"),
+        (["--workers", "2"], "argument --workers: invalid choice: 2"),  # points run in one thread
+        (["--samples", "4", "--sample", "8"], "unrecognized arguments: --sample 8"),
+    ],
+    ids=["samples-many", "samples-2.7", "seed-x", "exact-no", "strategy-psychic", "workers-2", "sample"],
+)
+def test_bad_args_file_value_exits_2(trained, tmp_path, capsys, lines, named):
+    args = tmp_path / "bad.args"
+    args.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+              f"@{args}", "--index", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_float_config_value_is_stored_as_a_float(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.args").write_text("--ar\n1\n--T=3\n--rows\n20\n")
+    assert main(["gen-data", "markov", "@config.args", "--seed", "0"]) == 0
+    echoed = json.loads((tmp_path / "markov.manifest.json").read_text())["config"]
+    assert echoed["ar"] == 1.0 and type(echoed["ar"]) is float
+
+
+def test_non_numeric_float_config_value_exits_2(tmp_path, capsys):
+    args = tmp_path / "config.args"
+    args.write_text("--learning-rate\nfast\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", f"@{args}", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "argument --learning-rate: invalid float value: 'fast'" in capsys.readouterr().err
+
+
+# Non-default settings for each command, spelled both --flag value and --flag=value.
+ARGS_FILE_TOKENS = {
+    "gen-data": "markov --rows 50 --T=4 --ar 0.5 --shift 2 --out series",
+    "train": "--data d.csv --model=logistic --hidden 4,4 --epochs 3 --learning-rate 0.05 --test-fraction=0.5",
+    "explain": "--model m.json --data=d.csv --spec s.json --exact --samples 8 --strategy knn --index 3",
+    "fairness": "--resolving department --sensitive=gender --estimator mc --perms 20 --budget 20",
+    "featselect": "--T 3 --trials 2 --decay 0.5 --samples 8 --out fs.json",
+}
+
+
+@pytest.mark.parametrize("command", list(ARGS_FILE_TOKENS))
+def test_args_file_resolves_as_its_tokens_on_the_command_line(tmp_path, command):
+    tokens = [*ARGS_FILE_TOKENS[command].split(), "--seed", "3"]
+    args = tmp_path / "run.args"
+    args.write_text("\n".join(tokens) + "\n")
+    from_file = _settings(build_parser().parse_args([command, f"@{args}"]))
+    assert from_file == _settings(build_parser().parse_args([command, *tokens]))
+    assert from_file["seed"] == 3
+
+
+def test_args_file_gives_the_same_run(trained, tmp_path):
+    common = ["--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+              "--budget", "20", "--samples", "8", "--seed", "0"]
+    args = tmp_path / "explain.args"
+    args.write_text("\n".join([*common, "--samples", "2"]) + "\n")
+    # The last --samples wins: the file's 2 overrides the 1 before it, and the 8 after it overrides the 2.
+    out = tmp_path / "file.json"
+    assert main(["explain", "--samples", "1", f"@{args}", "--samples", "8", "--out", str(out)]) == 0
+    assert main(["explain", *common, "--out", str(tmp_path / "flags.json")]) == 0
+    assert blank_out(out) == blank_out(tmp_path / "flags.json")
+
+
+def test_value_starting_with_at_is_attached_with_equals(trained, tmp_path, monkeypatch, capsys):
+    # "@missing.json" alone is an args file to read, and a missing one exits 2 naming it; after "=" it is
+    # the flag's value.
+    monkeypatch.chdir(tmp_path)
+    common = ["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
+              "--index", "0", "--samples", "4", "--seed", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main([*common, "--out", "@missing.json"])
+    assert exc.value.code == 2
+    assert "No such file or directory: 'missing.json'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main([*common, "--out=@x.json"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["@x.json"]
+    assert json.loads((tmp_path / "@x.json").read_text())["config"]["out"] == "@x.json"
