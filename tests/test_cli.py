@@ -797,6 +797,20 @@ def test_bad_args_file_value_exits_2(trained, tmp_path, capsys, lines, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, lines, named",
+    [("train", ["--hidden=10,a"], "argument --hidden: invalid comma-separated int value: '10,a'")],
+    ids=["hidden-bad-item"],  # the items of hidden's string form must be integers
+)
+def test_untyped_config_value_must_be_a_string(tmp_path, capsys, command, lines, named):
+    args = tmp_path / "config.args"
+    args.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"@{args}", "--seed", "0"])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_float_config_value_is_stored_as_a_float(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.args").write_text("--ar\n1\n--T=3\n--rows\n20\n")
