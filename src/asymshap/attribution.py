@@ -44,7 +44,7 @@ from .coalitions import (
     enumerate_consistent,
     sample_consistent_batch,
 )
-from .data import Dataset
+from .data import Dataset, _is_int
 from .errors import ValidationError
 from .values import (
     BackgroundSet,
@@ -410,8 +410,8 @@ class GlobalAttribution:
 
 def _point_budget(n_rows: int, budget, seed: int) -> np.ndarray:
     """The rows of a dataset average, ascending: at least 2, for its across-point stderr."""
-    if budget is not None and budget < 1:
-        raise ValidationError(f"point budget must be positive, got {budget}")
+    if budget is not None and (not _is_int(budget) or budget < 1):
+        raise ValidationError(f"point budget must be positive, got {budget!r}")
     B = n_rows if budget is None else min(budget, n_rows)
     if B < 2:
         raise ValidationError(

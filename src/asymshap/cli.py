@@ -369,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         fromfile_prefix_chars="@",
         allow_abbrev=False,
     )
+    parser.convert_arg_line_to_args = lambda line: [line] if line else []  # a blank line is no argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, helptext):

@@ -2,10 +2,10 @@
 
 Three process families: a two-gate admissions process (fair and unfair
 variants), three two-feature causal graphs, and a label-shifted AR(1) series.
-Each declares its law once, and its closed-form conditionals condition that
-law, so on-manifold value functions can be evaluated without density
-estimation; exact label probabilities make a Bayes predictor available as a
-noise-free reference.
+Each declares its law once and conditions it in closed form, without density
+estimation: the finite-law processes complete a coalition exactly, the series
+by Gaussian draws. Exact label probabilities make a Bayes predictor available
+as a noise-free reference.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .attribution import GlobalAttribution, RunPlan, column_means, column_stderrs, global_asv
 from .coalitions import OrderingSpec
-from .data import CONTINUOUS, DISCRETE, Dataset, FeatureSpec, Schema, train_test_split
+from .data import CONTINUOUS, DISCRETE, Dataset, FeatureSpec, Schema, _is_int, train_test_split
 from .errors import ValidationError
 from .models import TrainConfig, sampled_label_accuracy, train_logistic
 from .values import BackgroundSet, ConditionalSampler, GenerativeSampler
@@ -41,20 +41,11 @@ def _binary_joint(p1_given) -> np.ndarray:
     return 0.5 * _probs_from_p1(p1_given)
 
 
-def _draw_given(table: np.ndarray, codes, known, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m draws from the discrete joint table given the codes on its known axes.
-
-    The table is restricted to the cells that agree with codes where known[a]
-    is set, normalised, and the free axes' cells are drawn from what is left.
-    Returns (m, table.ndim) codes; a known axis holds its code in every row.
-    """
-    sub = table[tuple(int(c) if k else slice(None) for c, k in zip(codes, known))]
-    out = np.tile(np.asarray(codes, dtype=np.float64), (m, 1))
-    free = [a for a, k in enumerate(known) if not k]
-    if free:
-        cells = rng.choice(sub.size, size=m, p=(sub / sub.sum()).ravel())
-        out[:, free] = np.column_stack(np.unravel_index(cells, sub.shape))
-    return out
+def _cells_given(table: np.ndarray, codes, known) -> tuple[np.ndarray, np.ndarray]:
+    """The joint table's cells, in C order, that agree with codes where known, as rows, and p(cell | codes)."""
+    cells = [c for c in np.ndindex(table.shape) if all(c[a] == codes[a] for a in range(table.ndim) if known[a])]
+    p = np.array([table[c] for c in cells])
+    return np.array(cells, dtype=np.float64), p / p.sum()
 
 
 @dataclass
@@ -64,8 +55,8 @@ class AdmissionsProcess:
 
     Features: gender (binary, uniform), score (standard normal, independent),
     department (binary, P_DEPT1_GIVEN_GENDER): the process declares its law
-    once, and its conditionals condition the joint table of gender and
-    department and draw a free score independently. The unfair variant samples
+    once, and complete conditions the joint table of gender and department
+    and crosses it with the nodes of a free score. The unfair variant samples
     an extra binary X4 from gender that shifts the label logit but is never
     exported as a feature.
     """
@@ -88,6 +79,7 @@ class AdmissionsProcess:
             label="y",
             n_classes=2,
         )
+        self._score_nodes = np.polynomial.hermite_e.hermegauss(32)  # of N(0, 1): 32 integrate a sigmoid to rounding
 
     def _logit(self, score, dept, audit):
         if self.unfair:
@@ -95,8 +87,8 @@ class AdmissionsProcess:
         return score + 2.0 * dept - 1.0
 
     def sample_with_audit(self, n_rows: int, seed: int) -> tuple[Dataset, np.ndarray | None]:
-        if n_rows < 1:
-            raise ValidationError(f"n_rows must be positive, got {n_rows}")
+        if not _is_int(n_rows) or n_rows < 1:
+            raise ValidationError(f"n_rows must be positive, got {n_rows!r}")
         rng = np.random.default_rng(seed)
         gender = rng.integers(0, 2, size=n_rows)
         score = rng.standard_normal(n_rows)
@@ -128,13 +120,13 @@ class AdmissionsProcess:
         )
         return _probs_from_p1(p1)
 
-    def conditional_samples(self, x, mask, m, rng) -> np.ndarray:
-        out = np.empty((m, 3))
-        out[:, self.SCORE] = x[self.SCORE] if mask >> self.SCORE & 1 else rng.standard_normal(m)
+    def complete(self, x, mask, m, rng) -> tuple[np.ndarray, np.ndarray]:
+        """p(x' | x_S) exactly, ignoring m and rng: _cells_given, crossed with the nodes of a free score."""
         axes = [self.GENDER, self.DEPT]
-        known = [mask >> a & 1 for a in axes]
-        out[:, axes] = _draw_given(_binary_joint(self.P_DEPT1_GIVEN_GENDER), x[axes], known, m, rng)
-        return out
+        cells, p_cells = _cells_given(_binary_joint(self.P_DEPT1_GIVEN_GENDER), x[axes], [mask >> a & 1 for a in axes])
+        scores, w_scores = (x[[self.SCORE]], np.ones(1)) if mask >> self.SCORE & 1 else self._score_nodes
+        rows = np.insert(np.repeat(cells, len(scores), axis=0), self.SCORE, np.tile(scores, len(cells)), axis=1)
+        return rows, np.outer(p_cells, w_scores / w_scores.sum()).ravel()
 
 
 @dataclass
@@ -144,7 +136,7 @@ class TwoFeatureGraphProcess:
     (X1 -> X2, both into Y).
 
     X1 is uniform and the kind declares P(x2 = 1 | x1) once; sampling, the
-    joint table and the conditionals, which condition that table, all read it.
+    joint table and complete, which conditions that table, all read it.
     """
 
     kind: str
@@ -173,8 +165,8 @@ class TwoFeatureGraphProcess:
         return _probs_from_p1(p1)
 
     def sample(self, n_rows: int, seed: int) -> Dataset:
-        if n_rows < 1:
-            raise ValidationError(f"n_rows must be positive, got {n_rows}")
+        if not _is_int(n_rows) or n_rows < 1:
+            raise ValidationError(f"n_rows must be positive, got {n_rows!r}")
         rng = np.random.default_rng(seed)
         x1 = rng.integers(0, 2, size=n_rows)
         p2 = np.asarray(_P_X2_GIVEN_X1[self.kind])[x1]
@@ -184,8 +176,9 @@ class TwoFeatureGraphProcess:
         y = (rng.random(n_rows) < p1).astype(np.int64)
         return Dataset(X, y, self.schema)
 
-    def conditional_samples(self, x, mask, m, rng) -> np.ndarray:
-        return _draw_given(self.joint_table(), x, [mask >> a & 1 for a in (0, 1)], m, rng)
+    def complete(self, x, mask, m, rng) -> tuple[np.ndarray, np.ndarray]:
+        """p(x' | x_S) exactly, ignoring m and rng: the joint table's cells that agree with x_S."""
+        return _cells_given(self.joint_table(), x, [mask >> a & 1 for a in (0, 1)])
 
 
 @dataclass
@@ -203,8 +196,8 @@ class MarkovSeriesProcess:
     schema: Schema = field(init=False)
 
     def __post_init__(self):
-        if not 1 <= self.T <= 16:
-            raise ValidationError(f"T must be in [1, 16], got {self.T}")
+        if not _is_int(self.T) or not 1 <= self.T <= 16:
+            raise ValidationError(f"T must be in [1, 16], got {self.T!r}")
         self.schema = Schema(
             features=tuple(FeatureSpec(f"t{t}", CONTINUOUS) for t in range(self.T)),
             label="y",
@@ -232,8 +225,8 @@ class MarkovSeriesProcess:
         return _probs_from_p1(_sigmoid(score))
 
     def sample(self, n_rows: int, seed: int) -> Dataset:
-        if n_rows < 1:
-            raise ValidationError(f"n_rows must be positive, got {n_rows}")
+        if not _is_int(n_rows) or n_rows < 1:
+            raise ValidationError(f"n_rows must be positive, got {n_rows!r}")
         X, y = self._draw(n_rows, np.random.default_rng(seed))
         return Dataset(X, y, self.schema)
 
@@ -268,8 +261,6 @@ class MarkovSeriesProcess:
 
     def conditional_samples(self, x, mask, m, rng) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if mask == (1 << self.T) - 1:
-            return np.tile(x, (m, 1))
         if not mask:
             return self._draw(m, rng)[0]
         G, H, SGG_inv, gain, chol = self._conditionals_for(mask)
@@ -298,7 +289,13 @@ class MarkovSeriesProcess:
 @dataclass
 class FairnessReport:
     """Global ASVs under a resolving-before-sensitive ordering, with a verdict
-    on whether the sensitive attributes still carry attribution."""
+    on whether the sensitive attributes still carry attribution.
+
+    significance is |sensitive_asv| / max(sensitive_stderr, STDERR_FLOOR), and detectable_asv,
+    SIGNIFICANCE_THRESHOLD times that max, is the smallest |sensitive_asv| it can flag. Values are
+    probabilities, so rounding keeps a point's sensitive ASV within a few x 1.1e-16, while the
+    smallest ASV that any test or job flags is about 3e-3: a floor of 1e-12 keeps an exact fair
+    audit, all rounding, from reading as many stderrs from zero."""
 
     attribution: GlobalAttribution
     feature_names: tuple[str, ...]
@@ -306,7 +303,7 @@ class FairnessReport:
     sensitive: tuple[int, ...]
     sensitive_asv: float
     sensitive_stderr: float
-    detectable_asv: float  # SIGNIFICANCE_THRESHOLD x stderr: the smallest |sensitive_asv| it can flag
+    detectable_asv: float
     significance: float
     verdict: str
 
@@ -333,6 +330,7 @@ def fairness_spec(n: int, resolving, sensitive) -> OrderingSpec:
 
 
 SIGNIFICANCE_THRESHOLD = 3.0
+STDERR_FLOOR = 1e-12  # see FairnessReport
 
 
 def run_fairness_audit(
@@ -366,7 +364,7 @@ def run_fairness_audit(
     glob = global_asv(plan, dataset, budget=budget)
     asv = math.fsum(float(glob.means[i]) for i in s_idx)
     stderr = float(column_stderrs(glob.locals[:, list(s_idx)].sum(axis=1)[:, None])[0])
-    significance = abs(asv) / stderr if stderr > 0 else (0.0 if asv == 0 else math.inf)
+    significance = abs(asv) / max(stderr, STDERR_FLOOR)
     names = schema.names
     if significance > SIGNIFICANCE_THRESHOLD:
         flagged = ", ".join(names[i] for i in s_idx)
@@ -383,7 +381,7 @@ def run_fairness_audit(
         sensitive=s_idx,
         sensitive_asv=asv,
         sensitive_stderr=stderr,
-        detectable_asv=SIGNIFICANCE_THRESHOLD * stderr,
+        detectable_asv=SIGNIFICANCE_THRESHOLD * max(stderr, STDERR_FLOOR),
         significance=significance,
         verdict=verdict,
     )
@@ -443,8 +441,8 @@ def run_feature_selection_study(
     conditionals; the empirical side retrains per (t, trial) on fresh data and
     evaluates on one shared test split.
     """
-    if trials < 2:
-        raise ValidationError(f"the empirical spread needs at least 2 trials, got {trials}")
+    if not _is_int(trials) or trials < 2:
+        raise ValidationError(f"the empirical spread needs at least 2 trials, got {trials!r}")
     T = process.T
     base = process.sample(n_rows, seed)
     train, test = train_test_split(base, test_fraction=0.25, seed=seed)

@@ -5,17 +5,17 @@ x and class y, memoized per coalition. A coalition S is an int bitmask with
 bit i set for feature i. The out-of-coalition slots x' come from its
 completion, one of two marginalizations. A BackgroundSet is off-manifold: it
 holds unconditional background draws. A ConditionalSampler is on-manifold:
-given x and the coalition's int mask, it draws from p(x' | x_S) by exact
-match, k-NN, or a generative process with closed-form conditionals. Either
-way the value function writes x_S over the draws, in one place.
+given x and the coalition's int mask, it returns rows from p(x' | x_S) and their
+weights: draws by exact match, k-NN or a generative process, or a finite process's
+exact support. Either way the value function writes x_S over the rows, in one place.
 
 Per-instance draws are frozen: the off-manifold background subsample is drawn
 once and shared by every coalition, and on-manifold per-coalition draws are
 keyed by (seed, point index, coalition mask). That makes nullity and
 efficiency hold exactly as float identities, not just in expectation.
 
-v(S) is one float, the mean of f_y over the completions. Its uncertainty lives
-in the estimators, as the spread of their averages across orders or points.
+v(S) is one float, the weighted mean of f_y over the completions. Its uncertainty
+lives in the estimators, as the spread of their averages across orders or points.
 """
 
 from __future__ import annotations
@@ -80,14 +80,14 @@ class BackgroundSet:
             raise ValidationError(f"background needs a nonempty 2-d row array, got shape {self.rows.shape}")
 
 
-def _mean(col: np.ndarray) -> float:
-    """math.fsum(col) / len(col), or col[0] when every value == it (so 0.0 and
-    -0.0 are equal), which returns coalitions whose completions all agree
-    (the full set, ignored features, constant models) bit for bit."""
+def _mean(col: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """math.fsum(col) / len(col), or the fsum of weights * col for a probability vector weights;
+    col[0] when every value == it (so 0.0 and -0.0 are equal), which returns coalitions whose
+    completions all agree (the full set, ignored features, constant models) bit for bit."""
     lst = col.tolist()
     if lst.count(lst[0]) == len(lst):
         return lst[0]
-    return math.fsum(lst) / len(lst)
+    return math.fsum(lst) / len(lst) if weights is None else math.fsum(map(operator.mul, weights.tolist(), lst))
 
 
 def _stream(*keys: int) -> np.random.Generator:
@@ -103,10 +103,12 @@ def _stream(*keys: int) -> np.random.Generator:
 
 
 class ConditionalSampler(Protocol):
-    def complete(self, x: np.ndarray, mask: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-        """m full rows drawn from p(x' | x_S), S the int mask with bit i set for feature i, and whether
-        they exhaust the conditional population (every match used once). The value function writes
-        x_S over the columns in S."""
+    def complete(
+        self, x: np.ndarray, mask: int, m: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Full rows for p(x' | x_S), S the int mask with bit i set for feature i, and their weights:
+        None if they count alike (m draws, or every exact match once), else a probability vector
+        over a finite support of any size. The value function writes x_S over the columns in S."""
         ...
 
 
@@ -207,8 +209,8 @@ class KNNSampler:
     """
 
     def __init__(self, dataset: Dataset, k: int = DEFAULT_KNN_K):
-        if k < 1:
-            raise ValidationError(f"k must be positive, got {k}")
+        if not _is_int(k) or k < 1:
+            raise ValidationError(f"k must be positive, got {k!r}")
         self.dataset = dataset
         self.k = k
         self.schema = dataset.schema
@@ -272,7 +274,7 @@ class KNNSampler:
             diffs = (self.dataset.X[:, cont][cand] - x[cont]) * self._inv_scale[cont]
             d = np.einsum("ij,ij->i", diffs, diffs)
             pool = cand[np.argsort(d, kind="stable")[: self.k]]
-        return self.dataset.X[pool[rng.integers(0, pool.size, size=m)]], False
+        return self.dataset.X[pool[rng.integers(0, pool.size, size=m)]], None
 
 
 class ExactMatchSampler(KNNSampler):
@@ -293,9 +295,8 @@ class ExactMatchSampler(KNNSampler):
         (used, _), cand = self._pool(mask, x)
         if used != mask:
             return super().complete(x, mask, m, rng)
-        exhaustive = cand.size <= m
-        sel = cand if exhaustive else cand[rng.integers(0, cand.size, size=m)]
-        return self.dataset.X[sel], exhaustive
+        sel = cand if cand.size <= m else cand[rng.integers(0, cand.size, size=m)]
+        return self.dataset.X[sel], None
 
 
 @runtime_checkable
@@ -307,7 +308,7 @@ class GenerativeProcessLike(Protocol):
 
 
 class GenerativeSampler:
-    """Closed-form conditionals supplied by a synthetic generative process."""
+    """m draws from a process's closed-form conditional_samples: the Markov series' Gaussian block."""
 
     def __init__(self, process: GenerativeProcessLike):
         if not isinstance(process, GenerativeProcessLike):
@@ -318,7 +319,7 @@ class GenerativeSampler:
         rows = np.asarray(self.process.conditional_samples(x, mask, m, rng), dtype=np.float64)
         if rows.shape != (m, x.shape[-1]):
             raise EstimatorError(f"process returned shape {rows.shape}, expected ({m}, {x.shape[-1]})")
-        return rows, False
+        return rows, None
 
 
 def _check_point(x: np.ndarray, y: int, pred: Predictor) -> np.ndarray:
@@ -339,12 +340,11 @@ class CachedValueFunction:
     gives m background draws, frozen once per point from (seed, point_index)
     and shared by every coalition; a background no larger than m
     is used whole, once per row. A sampler, any object with a complete method
-    (on-manifold), draws m rows from p(x' | x_S) per coalition, given x and
-    the mask, on a stream keyed by (seed, point_index, mask); the full
-    coalition is the prediction at x. Either way value writes x_S over the
-    draws, here and nowhere else. seed and point_index must be integers in
-    [0, STREAM_KEY_LIMIT), not bools.
-    v(S) is the mean of f_y over the completions.
+    (on-manifold), returns rows from p(x' | x_S) and their weights per
+    coalition, given x and the mask, on a stream keyed by (seed, point_index,
+    mask); the full coalition is the prediction at x. Either way value writes
+    x_S over the rows, here and nowhere else, and v(S) is the weighted mean of
+    f_y over them. seed and point_index must be integers in [0, STREAM_KEY_LIMIT), not bools.
 
     Each distinct coalition calls the predictor once. evaluations counts the
     distinct coalitions evaluated and prediction_rows the predictor rows; a
@@ -394,7 +394,7 @@ class CachedValueFunction:
         self.prediction_rows = 0
 
     def value(self, mask: int) -> float:
-        """Mean of f_y over the completions of x_S, S given as an int with bit i
+        """Weighted mean of f_y over the completions of x_S, S an int with bit i
         set for feature i. Anything but an integer raises TypeError, hit or
         miss, for 3.0 would hash to the entry of 3; a mask outside [0, 2^n)
         raises ValidationError, checked on a miss: a cached mask was checked
@@ -406,12 +406,12 @@ class CachedValueFunction:
         mask = _checked_mask(mask, self.n)
         self.evaluations += 1
         if self.sampler is not None and mask == (1 << self.n) - 1:
-            rows = self.x[None, :]  # x alone: a one-row product takes another BLAS path than m rows
+            rows, weights = self.x[None, :], None  # x alone: one row takes another BLAS path than m rows
         else:
-            draws = self._draws if self.sampler is None else self.sampler.complete(
-                self.x, mask, self.m, _stream(self.seed, self.point_index, mask))[0]
+            draws, weights = (self._draws, None) if self.sampler is None else self.sampler.complete(
+                self.x, mask, self.m, _stream(self.seed, self.point_index, mask))
             rows = np.where(self._bit & mask, self.x, draws)
         self.prediction_rows += rows.shape[0]
-        out = _mean(self.pred.predict(rows)[:, self.y])
+        out = _mean(self.pred.predict(rows)[:, self.y], weights)
         self._cache[mask] = out
         return out

@@ -36,7 +36,6 @@ from asymshap import (
     Dataset,
     ExactMatchSampler,
     FeatureSpec,
-    GenerativeSampler,
     KNNSampler,
     OrderingSpec,
     RunPlan,
@@ -854,7 +853,7 @@ class TestPartitionSumCheck:
             "background": lambda: BackgroundSet(ds.X),
             "exact-match": lambda: ExactMatchSampler(ds, k=5),
             "knn": lambda: KNNSampler(ds, k=5),
-            "generative": lambda: GenerativeSampler(process),
+            "generative": lambda: process,
         }[completion]()
         for groups in (((1,), (0, 2)), ((2,), (0,), (1,))):
             counting = CountingPredictor(pred)

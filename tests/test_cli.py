@@ -848,6 +848,23 @@ def test_args_file_resolves_as_its_tokens_on_the_command_line(tmp_path, command)
     assert from_file["seed"] == 3
 
 
+def test_blank_lines_in_an_args_file_are_skipped(tmp_path, monkeypatch):
+    # A blank line is no argument, in a file named on the command line or in one nested in another.
+    files = {"plain": {"run.args": "--rows=20\n--seed=0\n"},
+             "blank": {"run.args": "--rows=20\n\n--seed=0\n\n"},
+             "nested": {"run.args": "\n@inner.args\n", "inner.args": "--rows=20\n\n--seed=0\n"}}
+    written = {}
+    for case, texts in files.items():
+        (tmp_path / case).mkdir()
+        monkeypatch.chdir(tmp_path / case)
+        for name, text in texts.items():
+            (tmp_path / case / name).write_text(text)
+        assert main(["gen-data", "chain", "@run.args"]) == 0
+        written[case] = {p.name: p.read_bytes() for p in sorted((tmp_path / case).iterdir()) if p.suffix != ".args"}
+    assert len(written["plain"]) == 3
+    assert written["blank"] == written["nested"] == written["plain"]
+
+
 def test_args_file_gives_the_same_run(trained, tmp_path):
     common = ["--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
               "--budget", "20", "--samples", "8", "--seed", "0"]

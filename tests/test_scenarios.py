@@ -7,6 +7,7 @@ completion pools.
 The tests marked claim check the paper's four claims; `pytest -m claim` runs them."""
 
 import functools
+import itertools
 import json
 import logging
 import math
@@ -14,6 +15,7 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from helpers import CountingPredictor, LinearProbPredictor
 
 import asymshap.coalitions
@@ -41,7 +43,7 @@ from asymshap import (
     run_feature_selection_study,
 )
 from asymshap.attribution import column_stderrs
-from asymshap.scenarios import SIGNIFICANCE_THRESHOLD
+from asymshap.scenarios import SIGNIFICANCE_THRESHOLD, STDERR_FLOOR
 
 X1_BEFORE_X2 = OrderingSpec(2, groups=((0,), (1,)))
 ORDERINGS = {
@@ -55,14 +57,14 @@ ORDERINGS = {
 def attributions(kind):
     """Global ASVs of the Bayes predictor on one graph, under each ordering.
 
-    Every run reads the same per-point draws, keyed by (seed, point, mask), so
-    the three orderings differ only in how they weight the same coalitions.
+    The process completes every coalition exactly, so the three orderings
+    differ only in how they weight the same coalition values.
     """
     process = TwoFeatureGraphProcess(kind)
     ds = process.sample(2000, 0)
     return {
         name: global_asv(
-            RunPlan(BayesPredictor(process), ordering, GenerativeSampler(process), estimator="exact", m=64, seed=0),
+            RunPlan(BayesPredictor(process), ordering, process, estimator="exact", m=64, seed=0),
             ds, budget=500,
         )
         for name, ordering in ORDERINGS.items()
@@ -75,7 +77,7 @@ def test_symmetric_is_the_mean_of_distal_and_proximate(kind):
     # orders that distal and proximate each pin down.
     runs = attributions(kind)
     half = (runs["distal"].means + runs["proximate"].means) / 2
-    assert np.max(np.abs(runs["symmetric"].means - half)) <= 1e-12
+    assert np.max(np.abs(runs["symmetric"].means - half)) <= 1e-16
 
 
 @pytest.mark.claim
@@ -86,27 +88,54 @@ def test_chain_proximate_gives_x1_nothing():
     assert runs["distal"].means[0] > 0.0
 
 
+def law_asv(kind, ordering):
+    """The global ASV of the Bayes predictor over the graph's law itself: each
+    (x, y)'s exact ASV weighted by p(x, y), with no sampled point."""
+    process = TwoFeatureGraphProcess(kind)
+    pred, table = BayesPredictor(process), process.joint_table()
+    total = np.zeros(2)
+    for a, b in itertools.product((0, 1), repeat=2):
+        x = np.array([a, b], dtype=np.float64)
+        for y, p_y in enumerate(process.label_probs(x)[0]):
+            total += table[a, b] * p_y * exact_asv(CachedValueFunction(pred, x, y, process), ordering).means
+    return total
+
+
 def test_mixed_distal_credits_x1_more_than_proximate():
+    assert law_asv("mixed", ORDERINGS["distal"])[0] > law_asv("mixed", ORDERINGS["proximate"])[0]
     runs = attributions("mixed")
     distal, proximate = runs["distal"], runs["proximate"]
     combined = np.hypot(distal.stderrs[0], proximate.stderrs[0])
     assert distal.means[0] - proximate.means[0] > 3 * combined
 
 
+def test_collider_credit_does_not_depend_on_the_ordering():
+    # Distal minus proximate credit to x1 is minus the interaction v({1,2}) - v({1}) - v({2}) + v({}).
+    # With independent fair-coin parents and sigmoid(-z) = 1 - sigmoid(z) it is zero at every point,
+    # so the two orderings' per-point ASVs agree to rounding.
+    runs = attributions("collider")
+    assert np.max(np.abs(runs["distal"].locals - runs["proximate"].locals)) <= np.finfo(float).eps
+
+
+def completion_law(rows, weights):
+    """A completion as {row: weight}, after checking that no row repeats."""
+    law = dict(zip(map(tuple, rows.tolist()), weights.tolist()))
+    assert len(law) == len(rows)
+    return law
+
+
 @pytest.mark.parametrize("mask", [0, 0b01, 0b10, 0b11])
 @pytest.mark.parametrize("kind", ["chain", "collider", "mixed"])
 def test_two_feature_draws_follow_the_joint_table(kind, mask):
-    # Each feature outside the mask is drawn from the joint table given the known one.
-    process, x, m = TwoFeatureGraphProcess(kind), np.array([1.0, 0.0]), 4000
-    rows = process.conditional_samples(x, mask, m, np.random.default_rng(mask))
+    # The completion is every cell that agrees with x on the mask, weighted by Bayes' rule on the joint table.
+    process, x = TwoFeatureGraphProcess(kind), np.array([1.0, 0.0])
     tab = process.joint_table()
-    p1 = {0: (tab[1].sum(), tab[:, 1].sum()), 0b01: (1.0, tab[1, 1] / tab[1].sum()),
-          0b10: (tab[1, 0] / tab[:, 0].sum(), 0.0), 0b11: (1.0, 0.0)}[mask]
-    for i in range(2):
-        if mask >> i & 1:
-            assert np.all(rows[:, i] == x[i])
-        else:
-            assert abs(rows[:, i].mean() - p1[i]) <= 4 * math.sqrt(p1[i] * (1 - p1[i]) / m)
+    cells = [c for c in itertools.product((0, 1), repeat=2) if all(c[i] == x[i] for i in range(2) if mask >> i & 1)]
+    evidence = math.fsum(tab[c] for c in cells)
+    got = completion_law(*process.complete(x, mask, 64, np.random.default_rng(0)))
+    assert got.keys() == set(cells)
+    for c in cells:
+        assert abs(got[c] - tab[c] / evidence) <= 1e-15
 
 
 @pytest.mark.parametrize("kind, table", [("chain", [[0.45, 0.05], [0.10, 0.40]]),
@@ -121,28 +150,27 @@ def test_two_feature_joint_table_is_the_declared_law(kind, table):
 @pytest.mark.parametrize("mask", range(8))
 def test_admissions_draws_follow_the_joint_law(mask, unfair):
     # Gender is uniform and department follows P_DEPT1_GIVEN_GENDER, so Bayes'
-    # rule gives each free discrete column's law given the known one; a free
-    # score is an independent N(0, 1).
-    process, x, m = AdmissionsProcess(unfair=unfair), np.array([1.0, 0.3, 0.0]), 4000
-    rows = process.conditional_samples(x, mask, m, np.random.default_rng(mask))
+    # rule on their joint table weighs each (gender, department) cell that
+    # agrees with x; a free score is an independent N(0, 1), whose nodes
+    # carry each cell's weight with mean 0 and variance 1.
+    process, x = AdmissionsProcess(unfair=unfair), np.array([1.0, 0.3, 0.0])
     p_dept1 = process.P_DEPT1_GIVEN_GENDER
-    gender, dept = int(x[0]), int(x[2])
-    lik = [p if dept else 1 - p for p in p_dept1]  # P(department = dept | gender), by gender
-    p1 = {0: 0.5 * lik[1] / (0.5 * lik[0] + 0.5 * lik[1]) if mask & 0b100 else 0.5,
-          2: p_dept1[gender] if mask & 0b001 else 0.5 * (p_dept1[0] + p_dept1[1])}
-    assert rows.shape == (m, 3)
-    for i in range(3):
-        if mask >> i & 1:
-            assert np.all(rows[:, i] == x[i])
-        elif i == 1:
-            assert abs(rows[:, 1].mean()) <= 4 / math.sqrt(m)
+    joint = {(g, d): 0.5 * (p_dept1[g] if d else 1 - p_dept1[g]) for g, d in itertools.product((0, 1), repeat=2)}
+    cells = {c: p for c, p in joint.items() if all(c[j] == x[i] for j, i in enumerate((0, 2)) if mask >> i & 1)}
+    evidence = math.fsum(cells.values())
+    by_cell = {}
+    for (g, score, d), w in completion_law(*process.complete(x, mask, 64, np.random.default_rng(0))).items():
+        by_cell.setdefault((g, d), []).append((score, w))
+    assert by_cell.keys() == cells.keys()
+    for c, nodes in by_cell.items():
+        p_cell = math.fsum(w for _, w in nodes)
+        assert abs(p_cell - cells[c] / evidence) <= 1e-15
+        if mask & 0b010:
+            assert [score for score, _ in nodes] == [x[1]]
         else:
-            assert set(np.unique(rows[:, i])) <= {0.0, 1.0}
-            assert abs(rows[:, i].mean() - p1[i]) <= 4 * math.sqrt(p1[i] * (1 - p1[i]) / m)
-    if not mask & 0b101:  # both free: the draws keep the funnel's dependence
-        both = 0.5 * p_dept1[1]
-        share = np.mean((rows[:, 0] == 1) & (rows[:, 2] == 1))
-        assert abs(share - both) <= 4 * math.sqrt(both * (1 - both) / m)
+            assert len(nodes) == 32
+            assert abs(math.fsum(w * score for score, w in nodes)) <= 1e-15
+            assert abs(math.fsum(w * score * score for score, w in nodes) / p_cell - 1) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -245,35 +273,40 @@ def test_cumulative_chain_asv_matches_the_retrained_prefix_gain():
 @pytest.mark.claim
 def test_audit_detects_discrimination_in_the_unfair_admissions_process_only():
     # Claim (ii): with department resolving, gender keeps significant credit
-    # only when the hidden audit channel leaks it into the label. At these
-    # sizes seeds 0-2 gave significance 5.17-6.34 unfair and 0.20-0.76 fair;
-    # at 2,000 points the unfair audit fell as low as 3.51.
-    reports = {}
-    for unfair in (True, False):
-        process = AdmissionsProcess(unfair=unfair)
-        ds = process.sample(10_000, 0)
-        reports[unfair] = run_fairness_audit(BayesPredictor(process), ds, ["department"], ["gender"],
-                                             GenerativeSampler(process), m=64, budget=4000, seed=0)
+    # only when the hidden audit channel leaks it into the label. Each process
+    # completes its coalitions exactly, so the fair process's gender ASV is
+    # zero at every point but for rounding, and the unfair one's mean is its
+    # law's, whose quadrature over the score has converged: 64 nodes give the
+    # same mean. At these sizes seeds 0-2 gave unfair significance 5.04-6.77.
+    def audit(process):
+        return run_fairness_audit(BayesPredictor(process), process.sample(10_000, 0), ["department"], ["gender"],
+                                  process, m=64, budget=4000, seed=0)
+
+    reports = {unfair: audit(AdmissionsProcess(unfair=unfair)) for unfair in (True, False)}
     assert reports[True].significance > SIGNIFICANCE_THRESHOLD
     assert reports[True].verdict.startswith("unresolved discrimination detected: gender")
+    assert np.all(np.abs(reports[False].attribution.locals[:, 0]) <= STDERR_FLOOR)
     assert reports[False].significance <= SIGNIFICANCE_THRESHOLD
     assert reports[False].verdict == "no unresolved discrimination detected"
     # The report states the smallest sensitive ASV it could flag, and only the
     # unfair process's ASV clears it.
     for unfair, report in reports.items():
-        assert report.detectable_asv == 3 * report.sensitive_stderr
+        assert report.detectable_asv == 3 * max(report.sensitive_stderr, STDERR_FLOOR)
         assert report.to_json_dict()["detectable_asv"] == report.detectable_asv
         assert (abs(report.sensitive_asv) > report.detectable_asv) == unfair
+    finer = AdmissionsProcess(unfair=True)
+    finer._score_nodes = hermegauss(64)
+    assert np.max(np.abs(audit(finer).attribution.means - reports[True].attribution.means)) <= 1e-12
 
 
 @functools.lru_cache(maxsize=None)
 def admissions_audit_locals(sampler=None):
     """Per-point ASVs of the Bayes predictor on 10,000 unfair admissions rows,
-    department before gender, at the points and draws of one seed. Completions
-    come from the process in closed form, or from sampler (k = 10) over an
-    independent 10,000-row sample."""
+    department before gender, at the points and draws of one seed. The process
+    completes each coalition exactly, or sampler (k = 10) draws completions
+    from an independent 10,000-row sample."""
     process = AdmissionsProcess(unfair=True)
-    completion = GenerativeSampler(process) if sampler is None else sampler(process.sample(10_000, 1), k=10)
+    completion = process if sampler is None else sampler(process.sample(10_000, 1), k=10)
     plan = RunPlan(BayesPredictor(process), fairness_spec(3, (2,), (0,)), completion, estimator="exact", m=64,
                    seed=0)
     return global_asv(plan, process.sample(10_000, 0), budget=2000).locals
@@ -281,11 +314,11 @@ def admissions_audit_locals(sampler=None):
 
 @pytest.mark.parametrize("sampler", [ExactMatchSampler, KNNSampler], ids=["exact-match", "knn"])
 def test_data_driven_samplers_estimate_the_closed_form_conditionals(sampler):
-    """The CLI's samplers estimate p(x' | x_S) from rows; the generative run
-    draws from it in closed form, at the same points and keyed streams. So each
-    feature's paired per-point difference should average to zero. At seeds 0-2,
-    each with the pool drawn at the next seed, the largest |mean / paired
-    stderr| was 1.91; an unbiased estimate passes 4 with probability 6e-5.
+    """The CLI's samplers estimate p(x' | x_S) from rows; the process
+    completes each coalition with p(x' | x_S) exactly, at the same points. So
+    each feature's paired per-point difference should average to zero. At
+    seeds 0-2, each with the pool drawn at the next seed, the largest |mean /
+    paired stderr| was 1.44; an unbiased estimate passes 4 with probability 6e-5.
 
     Each sampler's pool is an independent sample of the process. With the
     audited rows as their own pool, as the CLI runs the audit, each point is
@@ -444,3 +477,34 @@ def test_audit_rejects_its_feature_lists_before_any_evaluation(resolving, sensit
     with pytest.raises(ValidationError, match=re.escape(message)):
         run_fairness_audit(pred, ds, resolving, sensitive, ExactMatchSampler(ds), m=4, budget=4, seed=0)
     assert pred.calls == 0
+
+
+def count_cases():
+    """(call, the message naming the argument) for each library count given a float or a bool."""
+    ds = AdmissionsProcess().sample(50, 0)
+    plan = RunPlan(BayesPredictor(AdmissionsProcess()), OrderingSpec(3), ds)
+    processes = {"admissions": AdmissionsProcess(), "two-feature": TwoFeatureGraphProcess("chain"),
+                 "markov": MarkovSeriesProcess(T=3)}
+    cases = {f"T={bad!r}": (lambda bad=bad: MarkovSeriesProcess(T=bad), f"T must be in [1, 16], got {bad!r}")
+             for bad in (2.5, True)}
+    for name, process in processes.items():
+        for bad in (2.5, True):
+            cases[f"{name}-n_rows={bad!r}"] = (lambda p=process, bad=bad: p.sample(bad, 0),
+                                               f"n_rows must be positive, got {bad!r}")
+    for bad in (2.5, True):
+        cases[f"k={bad!r}"] = (lambda bad=bad: KNNSampler(ds, k=bad), f"k must be positive, got {bad!r}")
+    cases["trials=2.5"] = (lambda: run_feature_selection_study(MarkovSeriesProcess(T=3), trials=2.5),
+                           "at least 2 trials, got 2.5")
+    cases["budget=2.5"] = (lambda: global_asv(plan, ds, budget=2.5), "point budget must be positive, got 2.5")
+    return cases
+
+
+COUNT_CASES = count_cases()
+
+
+@pytest.mark.parametrize("case", list(COUNT_CASES))
+def test_library_counts_must_be_integers(case):
+    # numpy would raise its own TypeError for these, or read True as 1.
+    call, message = COUNT_CASES[case]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import ConstantPredictor, FirstFeatureProbPredictor, LinearProbPred
 from asymshap import (
     CONTINUOUS,
     DISCRETE,
+    AdmissionsProcess,
     BackgroundSet,
     CachedValueFunction,
     Dataset,
@@ -18,8 +20,10 @@ from asymshap import (
     FeatureSpec,
     GenerativeSampler,
     KNNSampler,
+    MarkovSeriesProcess,
     Schema,
     SchemaError,
+    TwoFeatureGraphProcess,
     ValidationError,
 )
 from asymshap.values import _discrete_mutual_information, _mean, _stream
@@ -355,9 +359,9 @@ class TestExactMatchSampler:
         knn = KNNSampler(ds, k=5)
         x = ds.X[4]
         with caplog.at_level(logging.DEBUG, logger="asymshap.values"):
-            rows_a, ex_a = exact.complete(x, 0b10, 6, np.random.default_rng(9))
-        rows_b, ex_b = knn.complete(x, 0b10, 6, np.random.default_rng(9))
-        assert np.array_equal(rows_a, rows_b) and ex_a == ex_b
+            rows_a, weights_a = exact.complete(x, 0b10, 6, np.random.default_rng(9))
+        rows_b, weights_b = knn.complete(x, 0b10, 6, np.random.default_rng(9))
+        assert np.array_equal(rows_a, rows_b) and weights_a is None and weights_b is None
         assert caplog.records == []  # no pool was relaxed, so nothing is logged
 
 
@@ -385,8 +389,8 @@ class TestKNNSampler:
         ds = Dataset(X, np.zeros(5, dtype=int), schema)
         sampler = KNNSampler(ds, k=1)
         x = np.array([0.0, 0.0, 0.0])
-        rows, exhaustive = sampler.complete(x, 0b011, 8, np.random.default_rng(0))
-        assert not exhaustive
+        rows, weights = sampler.complete(x, 0b011, 8, np.random.default_rng(0))
+        assert weights is None and rows.shape == (8, 3)
         assert np.all(rows[:, 2] == 10.0)
         # The draws are row A whole; the value function writes x over p and q.
         assert np.all(rows[:, 0] == 0.1) and np.all(rows[:, 1] == 900.0)
@@ -484,17 +488,17 @@ def argsort_completion(sampler, x, mask, m, seed):
 
 
 def exact_match_completion(sampler, x, mask, m, seed):
-    """What ExactMatchSampler.complete returns, recomputed without pools."""
+    """The rows ExactMatchSampler.complete returns, recomputed without pools:
+    every match once when they fit within m."""
     X = sampler.dataset.X
     s_idx = members(mask, X.shape[1])
     discrete = set(sampler.schema.discrete_indices().tolist())
     cand = np.flatnonzero(np.all(X[:, s_idx] == x[s_idx], axis=1))
     if any(i not in discrete for i in s_idx) or cand.size == 0:
-        return argsort_completion(sampler, x, mask, m, seed), False
-    exhaustive = cand.size <= m
-    if not exhaustive:
+        return argsort_completion(sampler, x, mask, m, seed)
+    if cand.size > m:
         cand = cand[np.random.default_rng(seed).integers(0, cand.size, size=m)]
-    return X[cand], exhaustive
+    return X[cand]
 
 
 POOLED_CASES = ("grid", "duplicate_rows", "non_finite_x", "two_continuous")
@@ -550,12 +554,13 @@ class TestPooledSamplers:
         rng = np.random.default_rng(k)
         for q in rng.permutation(len(queries)):
             x, mask = queries[q]
-            got, exhaustive = knn.complete(x, mask, 16, np.random.default_rng(q))
-            assert not exhaustive
+            got, weights = knn.complete(x, mask, 16, np.random.default_rng(q))
+            assert weights is None and got.shape[0] == 16
             assert np.array_equal(got, argsort_completion(knn, x, mask, 16, q), equal_nan=True)
-            got, exhaustive = exact.complete(x, mask, 16, np.random.default_rng(q))
-            want, want_exhaustive = exact_match_completion(exact, x, mask, 16, q)
-            assert np.array_equal(got, want, equal_nan=True) and exhaustive == want_exhaustive
+            got, weights = exact.complete(x, mask, 16, np.random.default_rng(q))
+            want = exact_match_completion(exact, x, mask, 16, q)
+            assert weights is None and got.shape[0] == want.shape[0] <= 16
+            assert np.array_equal(got, want, equal_nan=True)
         assert len(knn._pools) < len(queries)
 
     def test_fallback_and_relaxation_warn_once_per_pool(self, caplog):
@@ -628,6 +633,15 @@ class TestMeanAndStderr:
 
     def test_single_value(self):
         assert same_bits(_mean(np.array([0.25])), 0.25)
+
+    def test_weighted_mean_is_the_fsum_of_the_products(self):
+        rng = np.random.default_rng(3)
+        v, w = rng.random(33), rng.random(33)
+        w /= w.sum()
+        assert same_bits(_mean(v, w), math.fsum(map(operator.mul, w.tolist(), v.tolist())))
+        # A constant column is its value whatever the weights, so nullity stays an identity.
+        for c in (0.3, -0.0):
+            assert same_bits(_mean(np.full(33, c), w), c)
 
     def test_sum_is_compensated(self):
         # A plain float sum loses the 1.0s to the 1e16s; fsum keeps them.
@@ -733,7 +747,7 @@ class TestGenerativeSampler:
     def test_conditioned_columns_are_pinned(self):
         sampler = GenerativeSampler(self._Stub())
         x = np.array([5.0, -3.0, 2.0])
-        assert not sampler.complete(x, 0b101, 10, np.random.default_rng(0))[1]
+        assert sampler.complete(x, 0b101, 10, np.random.default_rng(0))[1] is None
         pred = RowRecorder()
         CachedValueFunction(pred, x, 1, completion=sampler, m=10).value(0b101)
         got = np.array(pred.rows)
@@ -778,14 +792,58 @@ class TestSamplerSplice:
         seed, point_index, m = 4, 2, 12
         pred = RowRecorder(x.size)
         CachedValueFunction(pred, x, 1, completion=sampler, m=m, seed=seed, point_index=point_index).value(mask)
-        draws, exhaustive = sampler.complete(x, mask, m, _stream(seed, point_index, mask))
-        assert exhaustive == (case == "exact-match")
+        draws, weights = sampler.complete(x, mask, m, _stream(seed, point_index, mask))
+        assert weights is None
         got = np.array(pred.rows)
         known = ((mask >> np.arange(x.size)) & 1).astype(bool)
-        assert got.shape == draws.shape == (5 if exhaustive else m, x.size)  # five rows have a = 0
+        # Five rows have a = 0, fewer than m, so exact matching uses each once.
+        assert got.shape == draws.shape == (5 if case == "exact-match" else m, x.size)
         assert np.array_equal(got[:, known], np.tile(x[known], (len(got), 1)))
         assert np.array_equal(got[:, ~known], draws[:, ~known])
         assert np.array_equal(draws[:, known], got[:, known]) == agree
+
+
+CONTRACT_CASES = ("knn", "exact-match-pool-within-m", "exact-match-pool-beyond-m", "generative-markov",
+                  "admissions", "two-feature")
+
+
+def contract_case(case):
+    """(completion, x, the masks to complete, m) for one TestCompletionContract case."""
+    if case == "knn":
+        ds, points = pooled_case("grid")
+        return KNNSampler(ds, k=4), points[12], [0b011], 12
+    if case.startswith("exact-match"):
+        # Five rows have a = 0: within m = 12 each is used once, and beyond m = 3 m are drawn.
+        return ExactMatchSampler(discrete_dataset()), np.array([0.0, 1.0]), [0b01], 12 if case.endswith("within-m") else 3
+    if case == "generative-markov":
+        return GenerativeSampler(MarkovSeriesProcess(T=4)), np.array([0.8, 0.5, 0.6, 0.55]), [0b0000, 0b0101], 12
+    if case == "admissions":
+        return AdmissionsProcess(unfair=True), np.array([1.0, 0.3, 0.0]), range(7), 12
+    return TwoFeatureGraphProcess("mixed"), np.array([1.0, 0.0]), range(3), 12
+
+
+class TestCompletionContract:
+    """complete returns the rows first, a 2-d array with a column per feature,
+    then their weights: None for rows that count alike, else a probability
+    vector over them. The value function's v(S) is the weighted mean of f_y
+    over the rows with x written over S."""
+
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    def test_rows_then_weights(self, case):
+        completion, x, masks, m = contract_case(case)
+        pred = LinearProbPredictor(np.linspace(0.5, -1.0, x.size))
+        for mask in masks:
+            rows, weights = completion.complete(x, mask, m, _stream(4, 2, mask))
+            assert rows.ndim == 2 and rows.shape[1] == x.size
+            if weights is None:
+                assert 0 < rows.shape[0] <= m
+            else:
+                assert weights.shape == (rows.shape[0],) and np.all(weights >= 0)
+                assert abs(math.fsum(weights.tolist()) - 1) <= 1e-15
+            f = pred.predict(np.where((mask >> np.arange(x.size)) & 1, x, rows))[:, 1]
+            want = mean_reference(f) if weights is None else math.fsum(map(operator.mul, weights.tolist(), f.tolist()))
+            vf = CachedValueFunction(pred, x, 1, completion=completion, m=m, seed=4, point_index=2)
+            assert same_bits(vf.value(mask), want)
 
 
 # ---------------------------------------------------------------- on-manifold
