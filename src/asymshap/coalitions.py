@@ -40,7 +40,7 @@ MAX_EXACT_ORDERS = 1 << 26
 class OrderingSpec:
     """Precedence constraints defining a uniform distribution over consistent permutations.
 
-    n is the feature count, an int of at least 1; a numpy int is stored as int.
+    n is the feature count, an int in [1, 2^63); a numpy int is stored as int.
     groups, when given, is a list or tuple of lists or tuples forming an ordered
     partition of {0, ..., n-1}: every feature of an earlier group precedes every
     feature of a later one. edges is a collection of (i, j) pairs, each meaning i
@@ -63,8 +63,8 @@ class OrderingSpec:
     def __post_init__(self):
         if not _is_int(self.n):
             raise ValidationError(f"ordering spec needs an integer 'n', got {self.n!r}")
-        if self.n < 1:
-            raise ValidationError(f"feature count must be positive, got {self.n}")
+        if not 1 <= self.n < 2**63:
+            raise ValidationError(f"feature count must be positive and below 2^63, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         need = [0] * self.n
         if self.groups is not None:

@@ -34,12 +34,15 @@ class FeatureSpec:
     cardinality: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"feature name {self.name!r} is not a string")
         if self.kind not in (CONTINUOUS, DISCRETE):
             raise SchemaError(f"feature {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == DISCRETE:
-            if type(self.cardinality) is not int or self.cardinality < 2:
+            # Below 2^63, so a cardinality sizes int64 arrays; a sidecar's JSON ints are unbounded.
+            if type(self.cardinality) is not int or not 2 <= self.cardinality < 2**63:
                 raise SchemaError(
-                    f"feature {self.name!r}: discrete features need an integer cardinality >= 2, "
+                    f"feature {self.name!r}: discrete features need an integer cardinality >= 2 and below 2^63, "
                     f"got {self.cardinality!r}"
                 )
         elif self.cardinality is not None:
@@ -54,12 +57,19 @@ class Schema:
 
     def __post_init__(self):
         names = [f.name for f in self.features]
+        if not names:
+            raise SchemaError("a schema needs at least one feature")
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate feature names: {names}")
+        if not isinstance(self.label, str):
+            raise SchemaError(f"label name {self.label!r} is not a string")
         if self.label in names:
             raise SchemaError(f"label column {self.label!r} collides with a feature")
-        if type(self.n_classes) is not int or self.n_classes < 2:
-            raise SchemaError(f"need an integer count of at least 2 classes, got {self.n_classes!r}")
+        if type(self.n_classes) is not int or not 2 <= self.n_classes < 2**63:
+            raise SchemaError(f"need an integer count of at least 2 classes and below 2^63, got {self.n_classes!r}")
+        width = sum(f.cardinality or 1 for f in self.features)
+        if width >= 2**63:
+            raise SchemaError(f"the design of features {names} is {width} columns wide; it must be below 2^63")
 
     @property
     def n(self) -> int:

@@ -189,7 +189,7 @@ class TrainedModel:
         """The model saved at path. Its net runs config.activation through sizes
         [schema design width, *config.hidden, schema classes]; keys other than the
         ones save writes are ignored. Raises SchemaError when the file is not JSON,
-        lacks a key, or holds an invalid schema, schema digest or training config,
+        lacks a key, or holds an invalid schema, schema digest, training config or history,
         weights and biases not of that net's shapes or not finite, or a standardizer
         without a finite mean and a finite positive scale per continuous feature."""
         with open(path) as fh:
@@ -202,6 +202,8 @@ class TrainedModel:
                 params = [np.array(p, dtype=np.float64) for p in doc["weights"] + doc["biases"]]
                 st = Standardizer.from_json_dict(doc["standardizer"])
                 history = doc.get("history", {})
+                if not isinstance(history, dict):
+                    raise SchemaError(f"model file {path} holds a history that is not a JSON object")
             except SchemaError:  # the schema and digest checks name their fault
                 raise
             except (KeyError, TypeError, ValueError, ValidationError) as exc:

@@ -66,6 +66,11 @@ class TestSchema:
         with pytest.raises(SchemaError, match="integer count of at least 2 classes"):
             Schema((FeatureSpec("a", CONTINUOUS),), n_classes=count)
 
+    def test_design_width_must_fit_int64(self):
+        # Each cardinality fits int64 but their sum does not, so numpy's cumsum of the widths would wrap.
+        with pytest.raises(SchemaError, match=r"is 13835058055282163712 columns wide; it must be below 2\^63"):
+            Schema(tuple(FeatureSpec(f"f{i}", DISCRETE, 2**62) for i in range(3)))
+
     def test_duplicate_names_and_label_collision(self):
         with pytest.raises(SchemaError):
             Schema((FeatureSpec("a", CONTINUOUS), FeatureSpec("a", CONTINUOUS)))
