@@ -275,6 +275,20 @@ def test_degenerate_train_setting_exits_2(trained, tmp_path, capsys, flag, value
     assert not out.exists()
 
 
+def test_model_file_with_a_patience_below_1_exits_2(trained, tmp_path, capsys):
+    doc = json.loads((trained / "model.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**doc, "config": {**doc["config"], "patience": 0}}))
+    out = tmp_path / "x.json"
+    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
+                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"malformed model file {model}" in err
+    assert "patience and hidden widths must be positive" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["explain", "fairness"])
 def test_more_than_one_worker_exits_2(trained, capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -282,6 +296,29 @@ def test_more_than_one_worker_exits_2(trained, capsys, command):
               "--workers", "2", "--seed", "0"])
     assert exc.value.code == 2
     assert "--workers: invalid choice" in capsys.readouterr().err
+
+
+def _explain_with_cell(trained, tmp_path, column, value):
+    """Exit code of a local explain on the trained data with line 6's cell in column replaced by value."""
+    lines = (trained / "data.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = value
+    lines[5] = ",".join(cells)
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    return main(["explain", "--model", str(trained / "model.json"), "--data", str(data),
+                 "--schema", str(trained / "data.schema.json"), "--index", "0", "--samples", "4",
+                 "--seed", "0", "--out", str(tmp_path / "x.json")])
+
+
+def test_non_finite_data_cell_exits_2(trained, tmp_path, capsys):
+    assert _explain_with_cell(trained, tmp_path, 1, "inf") == 2  # score, the continuous column
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_label_beyond_int64_exits_2(trained, tmp_path, capsys):
+    assert _explain_with_cell(trained, tmp_path, -1, "99999999999999999999") == 2
+    assert "data.csv:6: label 99999999999999999999 is outside the int64 range" in capsys.readouterr().err
 
 
 def test_exhausted_rejection_sampling_exits_3(tmp_path, capsys):
@@ -360,6 +397,15 @@ def test_explain_of_one_point_exits_2(trained, capsys):
     assert code == 2
     assert "at least 2 points" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["x", -1, True], ids=repr)
+def test_model_file_with_a_bad_training_seed_exits_2(trained, tmp_path, capsys, seed):
+    # Loaded, "x" would be kept as the model's seed, and true would read as seed 1.
+    doc = json.loads((trained / "model.json").read_text())
+    assert _explain_with_model(trained, tmp_path, {**doc, "config": {**doc["config"], "seed": seed}}) == 2
+    err = capsys.readouterr().err
+    assert "malformed model file" in err and "training seed must be a nonnegative integer" in err
 
 
 def test_explain_seed_from_2_to_the_32_exits_2(trained, capsys):
