@@ -9,7 +9,8 @@ one column reduction of such a matrix. What depends on the orders alone, the
 distinct coalitions they pass through and where each step's two coalitions
 sit among them, is a CoalitionChains, built once per order set, so a point
 only evaluates its own value function on those coalitions and takes
-differences. A Monte Carlo draw keeps one step per order and feature, for
+differences: a chunk of coalitions per predictor call, and v(N) in a call of
+its own. A Monte Carlo draw keeps one step per order and feature, for
 column_means and column_stderrs. An exact run enumerates its orders once and
 counts each feature's distinct steps from them a column at a time, for many
 orders add a feature right after the same coalition: every point then
@@ -47,6 +48,7 @@ from .coalitions import (
 from .data import Dataset, _is_int
 from .errors import ValidationError
 from .values import (
+    PREDICT_ROWS,
     BackgroundSet,
     CachedValueFunction,
     ConditionalSampler,
@@ -204,9 +206,15 @@ def marginal_contributions(v, chains: CoalitionChains) -> np.ndarray:
     step adds i to: for per-order chains row k is order k, and each row
     telescopes to v(N) - v({}) up to one rounding per term. v is evaluated on
     {} and then on each of chains.masks in ascending order, once each,
-    regardless of how many orders touch them.
+    regardless of how many orders touch them. v.value takes one or more
+    masks, and v.m is the completion rows a mask takes at most for a sampler
+    that draws, so the masks go in calls of at most max(1, PREDICT_ROWS // v.m),
+    each one predictor call for a CachedValueFunction. v(N), the last, gets a
+    call of its own, for the on-manifold one-row prediction at x.
     """
-    vals = np.array([v.value(0)] + [v.value(mk) for mk in chains.masks.tolist()])
+    *head, full = [0, *chains.masks.tolist()]
+    step = max(1, PREDICT_ROWS // v.m)
+    vals = np.hstack([*(v.value(*head[k:k + step]) for k in range(0, len(head), step)), v.value(full)])
     D = vals[chains.after]
     D -= vals[chains.before]
     return D.T
@@ -344,7 +352,8 @@ class RunPlan:
         The Monte Carlo orders come from a stream keyed by (seed, point_index),
         as do the point's completions, so a point gets the same result alone
         as inside a global run. The result's metadata records the point's
-        value_evaluations and prediction_rows.
+        value_evaluations (predictor calls), coalitions_evaluated and
+        prediction_rows.
         """
         vf = CachedValueFunction(self.pred, x, y, self.completion, m=self.m, seed=self.seed,
                                  point_index=point_index)
@@ -352,7 +361,8 @@ class RunPlan:
             res = exact_asv(vf, self.spec, self._chains)
         else:
             res = mc_asv(vf, self.spec, self.n_perms, _stream(self.seed, 0x9E12, point_index))
-        res.metadata.update(value_evaluations=vf.evaluations, prediction_rows=vf.prediction_rows)
+        res.metadata.update(value_evaluations=vf.evaluations, coalitions_evaluated=vf.coalitions_evaluated,
+                            prediction_rows=vf.prediction_rows)
         return res, vf
 
 
@@ -440,12 +450,13 @@ def global_asv(plan: RunPlan, dataset: Dataset, *, budget: int | None = None) ->
     prefixes = list(accumulate(sum(1 << i for i in g) for g in (spec.groups or ())[:-1]))
     L = np.empty((idx.shape[0], spec.n))
     V = np.empty((idx.shape[0], len(prefixes) + 2))  # v at {}, at each interior group prefix and at N, per point
-    value_evaluations = prediction_rows = 0
+    value_evaluations = coalitions_evaluated = prediction_rows = 0
     for j, row in enumerate(idx.tolist()):
         res, vf = plan.local(dataset.X[row], int(dataset.y[row]), row)
         L[j] = res.means
         V[j] = [res.baseline, *map(vf.value, prefixes), res.total]
         value_evaluations += vf.evaluations
+        coalitions_evaluated += vf.coalitions_evaluated
         prediction_rows += vf.prediction_rows
         del res, vf  # so the next point is evaluated without this one's cache alive
     return GlobalAttribution(
@@ -462,6 +473,7 @@ def global_asv(plan: RunPlan, dataset: Dataset, *, budget: int | None = None) ->
             "m": plan.m,
             "n_perms": plan.n_perms if plan.estimator == "mc" else None,
             "value_evaluations": value_evaluations,
+            "coalitions_evaluated": coalitions_evaluated,
             "prediction_rows": prediction_rows,
         },
     )

@@ -27,6 +27,18 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _has_bool(obj) -> bool:
+    return isinstance(obj, bool) or isinstance(obj, list) and any(map(_has_bool, obj))
+
+
+def _float_array(obj, what: str) -> np.ndarray:
+    """obj, a number or nested lists of numbers read from JSON, as a float64 array. A bool, which
+    numpy would read as 0.0 or 1.0, raises ValidationError naming what, as it does for a count."""
+    if _has_bool(obj):
+        raise ValidationError(f"{what} must hold numbers, not true or false")
+    return np.array(obj, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     name: str
@@ -280,7 +292,7 @@ class Standardizer:
     def from_json_dict(cls, obj: dict) -> "Standardizer":
         """The standardizer that to_json_dict wrote; other keys are ignored. Shapes and values are
         checked against a schema by TrainedModel.load."""
-        return cls(np.array(obj["mean"], dtype=np.float64), np.array(obj["scale"], dtype=np.float64))
+        return cls(_float_array(obj["mean"], "standardizer mean"), _float_array(obj["scale"], "standardizer scale"))
 
 
 @dataclass(frozen=True)

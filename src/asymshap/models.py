@@ -15,11 +15,11 @@ import functools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset, Schema, Standardizer, one_hot_design, train_test_split
+from .data import Dataset, Schema, Standardizer, _float_array, one_hot_design, train_test_split
 from .errors import SchemaError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -38,6 +38,8 @@ class TrainConfig:
     activation: str = "tanh"
 
     def __post_init__(self):
+        if any(isinstance(r, bool) for r in (self.learning_rate, self.val_fraction, self.momentum)):
+            raise ValidationError(f"learning_rate, val_fraction and momentum must be numbers, not bools, got {self}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValidationError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -59,8 +61,13 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TrainConfig":
+        """The config that to_json_dict wrote. Every key it writes is required, for a default
+        would load a model other than the one saved; an unknown key raises TypeError."""
         obj = dict(obj)
-        obj["hidden"] = tuple(obj.get("hidden", ()))
+        missing = [f.name for f in fields(cls) if f.name not in obj]
+        if missing:
+            raise ValidationError(f"training config lacks {', '.join(missing)}")
+        obj["hidden"] = tuple(obj["hidden"])
         return cls(**obj)
 
 
@@ -189,9 +196,10 @@ class TrainedModel:
         """The model saved at path. Its net runs config.activation through sizes
         [schema design width, *config.hidden, schema classes]; keys other than the
         ones save writes are ignored. Raises SchemaError when the file is not JSON,
-        lacks a key, or holds an invalid schema, schema digest, training config or history,
-        weights and biases not of that net's shapes or not finite, or a standardizer
-        without a finite mean and a finite positive scale per continuous feature."""
+        lacks a key (a config key included), or holds an invalid schema, schema digest, training
+        config or history, weights and biases not of that net's shapes, not numbers or not finite,
+        or a standardizer without a finite mean and a finite positive scale per continuous feature;
+        JSON true and false are not numbers."""
         with open(path) as fh:
             try:
                 doc = json.load(fh)
@@ -199,7 +207,7 @@ class TrainedModel:
                 if schema.digest() != doc["schema_digest"]:
                     raise SchemaError("model file schema does not match its recorded digest")
                 config = TrainConfig.from_json_dict(doc["config"])
-                params = [np.array(p, dtype=np.float64) for p in doc["weights"] + doc["biases"]]
+                params = [_float_array(p, "weights and biases") for p in doc["weights"] + doc["biases"]]
                 st = Standardizer.from_json_dict(doc["standardizer"])
                 history = doc.get("history", {})
                 if not isinstance(history, dict):

@@ -36,6 +36,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_KNN_K = 10
 MAX_MASK_FEATURES = 62  # coalition masks live in int64
+# About the rows of one predictor call: marginal_contributions asks a value call for at most
+# max(1, PREDICT_ROWS // m) coalitions.
+PREDICT_ROWS = 1024
 # Seeds and point indices lie below this, so each fills one word of a stream key.
 STREAM_KEY_LIMIT = 1 << 32
 
@@ -346,9 +349,12 @@ class CachedValueFunction:
     x_S over the rows, here and nowhere else, and v(S) is the weighted mean of
     f_y over them. seed and point_index must be integers in [0, STREAM_KEY_LIMIT), not bools.
 
-    Each distinct coalition calls the predictor once. evaluations counts the
-    distinct coalitions evaluated and prediction_rows the predictor rows; a
-    repeated coalition is read from the cache and changes neither.
+    value takes one or more masks and calls the predictor once for all of
+    those not yet cached, so evaluations counts predictor calls,
+    coalitions_evaluated the distinct coalitions and prediction_rows the
+    predictor rows; a repeated coalition is read from the cache and changes
+    none of them. marginal_contributions passes a point's coalitions in
+    chunks of at most max(1, PREDICT_ROWS // m), and v(N) alone.
     """
 
     def __init__(
@@ -393,25 +399,57 @@ class CachedValueFunction:
         self.evaluations = 0
         self.prediction_rows = 0
 
-    def value(self, mask: int) -> float:
+    @property
+    def coalitions_evaluated(self) -> int:
+        """The distinct coalitions evaluated: one cache entry each."""
+        return len(self._cache)
+
+    def value(self, mask: int, *more: int) -> float | list[float]:
         """Weighted mean of f_y over the completions of x_S, S an int with bit i
-        set for feature i. Anything but an integer raises TypeError, hit or
-        miss, for 3.0 would hash to the entry of 3; a mask outside [0, 2^n)
-        raises ValidationError, checked on a miss: a cached mask was checked
-        when it first missed."""
-        mask = operator.index(mask)
-        hit = self._cache.get(mask)
-        if hit is not None:
-            return hit
-        mask = _checked_mask(mask, self.n)
-        self.evaluations += 1
-        if self.sampler is not None and mask == (1 << self.n) - 1:
-            rows, weights = self.x[None, :], None  # x alone: one row takes another BLAS path than m rows
+        set for feature i: a float for one mask, a list of floats, in order,
+        for more. Anything but an integer raises TypeError, hit or miss, for
+        3.0 would hash to the entry of 3; a mask outside [0, 2^n) raises
+        ValidationError, checked on a miss: a cached mask was checked when it
+        first missed. Either is raised before any prediction or cache write.
+
+        The masks not yet cached are evaluated in one predictor call over their
+        stacked completion rows, each v(S) the weighted mean over its own slice
+        of them. A predictor that predicts a row alike in any stack of two or
+        more, as a TrainedModel does, so gives a mask of two or more rows the
+        bits of a call of its own. One row alone takes another BLAS path and
+        can come out an ulp apart: marginal_contributions gives the on-manifold
+        full coalition, x alone, a call of its own for that reason, while a
+        one-row completion in a stack (m = 1, a one-row background or pool)
+        gets the stack's bits.
+        """
+        masks = [operator.index(mask), *map(operator.index, more)]
+        todo = [_checked_mask(mask, self.n) for mask in dict.fromkeys(masks) if mask not in self._cache]
+        if todo:
+            self._evaluate(todo)
+        return self._cache[masks[0]] if not more else [self._cache[mask] for mask in masks]
+
+    def _evaluate(self, masks: list[int]) -> None:
+        """Cache v(S) for each of masks, distinct and checked, from one predictor call."""
+        if self.sampler is None:
+            keep = (np.array(masks, dtype=np.int64)[:, None] & self._bit).astype(bool)
+            rows = np.where(keep[:, None, :], self.x, self._draws).reshape(-1, self.n)
+            parts = [(self._draws.shape[0], None)] * len(masks)
         else:
-            draws, weights = (self._draws, None) if self.sampler is None else self.sampler.complete(
-                self.x, mask, self.m, _stream(self.seed, self.point_index, mask))
-            rows = np.where(self._bit & mask, self.x, draws)
+            blocks, parts = [], []
+            for mask in masks:
+                if mask == (1 << self.n) - 1:
+                    block, weights = self.x[None, :], None
+                else:
+                    draws, weights = self.sampler.complete(
+                        self.x, mask, self.m, _stream(self.seed, self.point_index, mask))
+                    block = np.where(self._bit & mask, self.x, draws)
+                blocks.append(block)
+                parts.append((block.shape[0], weights))
+            rows = np.concatenate(blocks)
+        self.evaluations += 1
         self.prediction_rows += rows.shape[0]
-        out = _mean(self.pred.predict(rows)[:, self.y], weights)
-        self._cache[mask] = out
-        return out
+        f = self.pred.predict(rows)[:, self.y]
+        start = 0
+        for mask, (size, weights) in zip(masks, parts):
+            self._cache[mask] = _mean(f[start:start + size], weights)
+            start += size

@@ -106,16 +106,20 @@ class CountingPredictor:
 
 
 class CountingGame:
-    """A random table game over n features that records every mask it is asked for."""
+    """A random table game over n features that records every mask it is asked for, in order."""
+
+    m = 1  # one worth per coalition
 
     def __init__(self, n, seed=0):
         self.n = n
         self.table = np.random.default_rng(seed).random(1 << n)
         self.masks = []
 
-    def value(self, mask):
-        self.masks.append(int(mask))
-        return float(self.table[mask])
+    def value(self, mask, *more):
+        masks = [int(k) for k in (mask, *more)]
+        self.masks += masks
+        vals = [float(self.table[k]) for k in masks]
+        return vals if more else vals[0]
 
 
 def forward_out_of_place(net, X):
@@ -270,8 +274,11 @@ class TableValueFunction:
                 f"table has {self.table.shape[0]} entries, expected {1 << self.n}"
             )
 
-    def value(self, mask: int) -> float:
-        return float(self.table[_checked_mask(mask, self.n)])
+    m = 1  # one worth per coalition
+
+    def value(self, mask: int, *more: int) -> float | list[float]:
+        vals = [float(self.table[_checked_mask(k, self.n)]) for k in (mask, *more)]
+        return vals if more else vals[0]
 
 
 def exact_shapley_subset_form(v) -> AttributionResult:

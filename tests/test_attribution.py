@@ -52,6 +52,7 @@ from asymshap import (
 )
 from asymshap import attribution, coalitions
 from asymshap.attribution import column_means
+from asymshap.values import PREDICT_ROWS
 
 
 def random_table(n, rng):
@@ -132,6 +133,29 @@ class TestMarginalContributions:
                 game = CountingGame(4)
                 marginal_contributions(game, chains)
                 assert game.masks == sorted(prefix_masks(P))  # each once, ascending
+
+    @pytest.mark.parametrize("m", [1, 2, 300, 2000])
+    def test_coalitions_reach_the_predictor_in_chunks(self, m):
+        # {} and the 30 masks below N go max(1, PREDICT_ROWS // m) to a predictor call, then N alone,
+        # and every value has the bits of a call of its own, but for one-row completions: a row
+        # predicted alone takes another BLAS path than in a stack, which can move its score by an
+        # ulp and so the probability by a few.
+        rng = np.random.default_rng(17)
+        pred = LinearProbPredictor(rng.normal(size=5))
+        bg, x = BackgroundSet(rng.normal(size=(2 * m, 5))), rng.normal(size=5)
+        chains = CoalitionChains(enumerate_consistent(OrderingSpec(5)))
+        counting = CountingPredictor(pred)
+        vf = CachedValueFunction(counting, x, 1, bg, m=m, seed=3)
+        D = marginal_contributions(vf, chains)
+        assert counting.calls == vf.evaluations == math.ceil(31 / max(1, PREDICT_ROWS // m)) + 1
+        assert counting.rows == vf.prediction_rows == 32 * m
+        alone = [CachedValueFunction(pred, x, 1, bg, m=m, seed=3).value(mask) for mask in range(32)]
+        together = [vf.value(mask) for mask in range(32)]
+        if m > 1:
+            assert together == alone
+            assert np.array_equal(D, marginal_contributions(TableValueFunction(alone, 5), chains))
+        else:
+            np.testing.assert_allclose(together, alone, rtol=8 * np.finfo(np.float64).eps, atol=0)
 
     def test_feature_indexed_reduction_is_bitwise(self):
         # D is the position-aligned layout scattered by feature, and the

@@ -468,6 +468,34 @@ def test_pipeline_never_imports_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_output_is_invariant_to_blas_threads(tmp_path):
+    # A 32-wide hidden layer makes a predictor call of PREDICT_ROWS rows large enough for OpenBLAS
+    # to split it across 2 threads.
+    data, model = tmp_path / "data", tmp_path / "model.json"
+    assert main(["gen-data", "markov", "--T", "8", "--rows", "300", "--seed", "0", "--out", str(data)]) == 0
+    assert main(["train", "--data", f"{data}.csv", "--hidden", "32,32", "--epochs", "5", "--seed", "0",
+                 "--out", str(model)]) == 0
+    src = str(Path(asymshap.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads-{threads}"
+        run.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "asymshap", "explain", "--model", str(model), "--data",
+                               f"{data}.csv", "--mc", "--perms", "40", "--samples", "64", "--budget", "3",
+                               "--seed", "0", "--out", "explain.json"],
+                              cwd=run, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append((run / "explain.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    meta = json.loads(outputs[0])["metadata"]
+    # Each point's masks below the full set go PREDICT_ROWS // 64 to a call of PREDICT_ROWS rows, and
+    # the points average more than that many, so some call reaches the cap.
+    assert meta["prediction_rows"] == 64 * meta["coalitions_evaluated"]
+    assert meta["coalitions_evaluated"] / 3 - 1 > asymshap.values.PREDICT_ROWS // 64
+
+
 AUTO = {"exact": None, "mc": None, "cap": 10}
 
 
@@ -604,8 +632,10 @@ def test_local_run_matches_its_row_of_the_global_run(trained, tmp_path, estimato
         local = json.loads(out.read_text())
         assert local["means"] == [float(v) for v in rows[r]]
         if estimator == "--exact":
-            # Every coalition of the 3 features once, with 8 completion rows each.
-            assert local["metadata"]["value_evaluations"] == 8
+            # Every coalition of the 3 features once, with 8 completion rows each, in two predictor
+            # calls: the seven below the full set together, and the full set alone.
+            assert local["metadata"]["coalitions_evaluated"] == 8
+            assert local["metadata"]["value_evaluations"] == 2
             assert local["metadata"]["prediction_rows"] == 64
 
 

@@ -46,6 +46,12 @@ MESSAGES = {
                                                                               "positive"),
     **{("model", "config.seed", edit): ("malformed model file", "training seed must be a nonnegative integer")
        for edit in ("'x'", "-1", "true")},
+    **{("model", f"config.{key}", "delete"): ("malformed model file", f"training config lacks {key}")
+       for key in ("activation", "batch_size", "epochs", "hidden", "learning_rate", "momentum", "patience", "seed",
+                   "val_fraction")},
+    ("model", "config.learning_rate", "true"): "learning_rate, val_fraction and momentum must be numbers, not bools",
+    ("model", "weights.1.0.0", "true"): ("malformed model file", "weights and biases must hold numbers, not true"),
+    ("model", "standardizer.scale.0", "true"): "standardizer scale must hold numbers, not true or false",
     ("model", "schema.features.0.cardinality", "2.5"): "integer cardinality >= 2",
     ("model", "schema.features.0.cardinality", "1e30"): "feature 'gender': discrete features need an integer "
                                                         "cardinality >= 2 and below 2^63",

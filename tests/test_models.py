@@ -187,6 +187,10 @@ class TestTrainConfig:
                 TrainConfig(val_fraction=bad)
         with pytest.raises(ValidationError):
             TrainConfig(momentum=1.0)
+        # True would pass as 1 and False as 0, as a JSON true or false in a model file would.
+        for bad in ({"learning_rate": True}, {"val_fraction": False}, {"momentum": False}):
+            with pytest.raises(ValidationError, match="must be numbers, not bools"):
+                TrainConfig(**bad)
         with pytest.raises(ValidationError):
             TrainConfig(activation="sigmoid")
         for bad in ({"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -5},

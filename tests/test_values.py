@@ -6,7 +6,13 @@ import operator
 
 import numpy as np
 import pytest
-from helpers import ConstantPredictor, FirstFeatureProbPredictor, LinearProbPredictor, TableValueFunction
+from helpers import (
+    ConstantPredictor,
+    CountingPredictor,
+    FirstFeatureProbPredictor,
+    LinearProbPredictor,
+    TableValueFunction,
+)
 
 from asymshap import (
     CONTINUOUS,
@@ -23,8 +29,11 @@ from asymshap import (
     MarkovSeriesProcess,
     Schema,
     SchemaError,
+    TrainConfig,
     TwoFeatureGraphProcess,
     ValidationError,
+    train_logistic,
+    train_mlp,
 )
 from asymshap.values import _discrete_mutual_information, _mean, _stream
 
@@ -253,6 +262,18 @@ class TestCaching:
         with pytest.raises(TypeError):
             vf.value(bad)
         assert vf.evaluations == 2
+
+    @pytest.mark.parametrize("bad, error", [(8, ValidationError), (-1, ValidationError), (2.0, TypeError),
+                                            ([0, 2], TypeError)], ids=["2^n", "negative", "float", "list"])
+    def test_a_bad_mask_anywhere_in_a_call_evaluates_nothing(self, bad, error):
+        counting = CountingPredictor(LinearProbPredictor(np.array([1.0, -1.0, 0.2])))
+        vf = CachedValueFunction(counting, np.zeros(3), 1, completion=BackgroundSet(np.eye(3)), m=3, seed=0)
+        for masks in ((bad, 1, 2), (1, bad, 2), (1, 2, bad)):
+            with pytest.raises(error):
+                vf.value(*masks)
+        assert counting.calls == vf.evaluations == vf.coalitions_evaluated == vf.prediction_rows == 0
+        assert vf.value(1, 2, 1) == [vf.value(1), vf.value(2), vf.value(1)]
+        assert counting.calls == vf.evaluations == 1 and vf.coalitions_evaluated == 2
 
     def test_full_sweep_evaluates_each_coalition_once(self):
         n = 5
@@ -811,10 +832,12 @@ def contract_case(case):
     """(completion, x, the masks to complete, m) for one TestCompletionContract case."""
     if case == "knn":
         ds, points = pooled_case("grid")
-        return KNNSampler(ds, k=4), points[12], [0b011], 12
+        return KNNSampler(ds, k=4), points[12], [0b000, 0b011, 0b101], 12
     if case.startswith("exact-match"):
-        # Five rows have a = 0: within m = 12 each is used once, and beyond m = 3 m are drawn.
-        return ExactMatchSampler(discrete_dataset()), np.array([0.0, 1.0]), [0b01], 12 if case.endswith("within-m") else 3
+        # Eight rows in all, five with a = 0 and two with b = 1: within m = 12 each match is used
+        # once, and beyond m = 3 m are drawn where more match.
+        return (ExactMatchSampler(discrete_dataset()), np.array([0.0, 1.0]), [0b00, 0b01, 0b10],
+                12 if case.endswith("within-m") else 3)
     if case == "generative-markov":
         return GenerativeSampler(MarkovSeriesProcess(T=4)), np.array([0.8, 0.5, 0.6, 0.55]), [0b0000, 0b0101], 12
     if case == "admissions":
@@ -822,28 +845,49 @@ def contract_case(case):
     return TwoFeatureGraphProcess("mixed"), np.array([1.0, 0.0]), range(3), 12
 
 
+def contract_predictors(completion, x):
+    """LinearProbPredictor, and a logistic and an MLP TrainedModel fitted for 2 epochs on data of
+    the completion's schema, whose predict goes through one_hot_design and the net."""
+    ds = getattr(completion, "dataset", None)
+    if ds is None:
+        ds = getattr(completion, "process", completion).sample(60, seed=0)
+    config = TrainConfig(epochs=2, hidden=(3,), seed=0)
+    return [LinearProbPredictor(np.linspace(0.5, -1.0, x.size)), train_logistic(ds, config), train_mlp(ds, config)]
+
+
 class TestCompletionContract:
     """complete returns the rows first, a 2-d array with a column per feature,
     then their weights: None for rows that count alike, else a probability
     vector over them. The value function's v(S) is the weighted mean of f_y
-    over the rows with x written over S."""
+    over the rows with x written over S. value over several masks makes one
+    predictor call and gives each mask, completed by two or more rows here,
+    the bits of a call of its own."""
 
     @pytest.mark.parametrize("case", CONTRACT_CASES)
     def test_rows_then_weights(self, case):
         completion, x, masks, m = contract_case(case)
-        pred = LinearProbPredictor(np.linspace(0.5, -1.0, x.size))
-        for mask in masks:
-            rows, weights = completion.complete(x, mask, m, _stream(4, 2, mask))
-            assert rows.ndim == 2 and rows.shape[1] == x.size
-            if weights is None:
-                assert 0 < rows.shape[0] <= m
-            else:
-                assert weights.shape == (rows.shape[0],) and np.all(weights >= 0)
-                assert abs(math.fsum(weights.tolist()) - 1) <= 1e-15
-            f = pred.predict(np.where((mask >> np.arange(x.size)) & 1, x, rows))[:, 1]
-            want = mean_reference(f) if weights is None else math.fsum(map(operator.mul, weights.tolist(), f.tolist()))
-            vf = CachedValueFunction(pred, x, 1, completion=completion, m=m, seed=4, point_index=2)
-            assert same_bits(vf.value(mask), want)
+        for pred in contract_predictors(completion, x):
+            wants, n_rows = [], 0
+            for mask in masks:
+                rows, weights = completion.complete(x, mask, m, _stream(4, 2, mask))
+                assert rows.ndim == 2 and rows.shape[1] == x.size
+                if weights is None:
+                    assert 0 < rows.shape[0] <= m
+                else:
+                    assert weights.shape == (rows.shape[0],) and np.all(weights >= 0)
+                    assert abs(math.fsum(weights.tolist()) - 1) <= 1e-15
+                f = pred.predict(np.where((mask >> np.arange(x.size)) & 1, x, rows))[:, 1]
+                want = mean_reference(f) if weights is None else math.fsum(map(operator.mul, weights.tolist(), f.tolist()))
+                vf = CachedValueFunction(pred, x, 1, completion=completion, m=m, seed=4, point_index=2)
+                assert same_bits(vf.value(mask), want)
+                wants.append(want)
+                n_rows += rows.shape[0]
+            counting = CountingPredictor(pred)
+            vf = CachedValueFunction(counting, x, 1, completion=completion, m=m, seed=4, point_index=2)
+            assert same_bits(vf.value(*masks), wants)
+            assert counting.calls == vf.evaluations == 1
+            assert counting.rows == vf.prediction_rows == n_rows
+            assert vf.coalitions_evaluated == len(masks)
 
 
 # ---------------------------------------------------------------- on-manifold
