@@ -74,10 +74,6 @@ class AttributionResult:
         if (self.stderrs < 0).any():
             raise ValidationError("negative stderr")
 
-    @property
-    def n(self) -> int:
-        return self.means.shape[0]
-
     def sum(self) -> float:
         return math.fsum(map(float, self.means))
 

@@ -477,10 +477,7 @@ def main(argv=None) -> int:
     except EstimatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -268,7 +268,7 @@ def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Genera
     n_got = 0
     while n_got < size:
         want = size - n_got
-        # Oversample against the observed acceptance rate, within reason.
+        # A fixed 4x oversample of the shortfall, from 1,024 to 1,000,000 draws; no acceptance rate is kept.
         batch = min(max(4 * want, 1024), 1_000_000)
         cand = _sample_group_consistent(spec, batch, rng)
         keep = cand[_consistent(cand, spec)]

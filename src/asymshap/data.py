@@ -12,7 +12,6 @@ import hashlib
 import json
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +78,8 @@ class Schema:
             raise SchemaError(f"label column {self.label!r} collides with a feature")
         if type(self.n_classes) is not int or not 2 <= self.n_classes < 2**63:
             raise SchemaError(f"need an integer count of at least 2 classes and below 2^63, got {self.n_classes!r}")
-        width = sum(f.cardinality or 1 for f in self.features)
-        if width >= 2**63:
-            raise SchemaError(f"the design of features {names} is {width} columns wide; it must be below 2^63")
+        if self.width >= 2**63:
+            raise SchemaError(f"the design of features {names} is {self.width} columns wide; it must be below 2^63")
 
     @property
     def n(self) -> int:
@@ -90,6 +88,11 @@ class Schema:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
+
+    @property
+    def width(self) -> int:
+        """Columns of the design matrix: one per continuous feature, cardinality per discrete one."""
+        return sum(f.cardinality or 1 for f in self.features)
 
     def index_of(self, feature) -> int:
         """The index of a feature named or given by integer index, numpy's included: the one resolver
@@ -108,17 +111,6 @@ class Schema:
 
     def continuous_indices(self) -> np.ndarray:
         return np.array([i for i, f in enumerate(self.features) if f.kind == CONTINUOUS], dtype=np.int64)
-
-    @cached_property
-    def _design_layout(self) -> "_DesignLayout":
-        # Computed once per schema object and kept in its __dict__ (the
-        # dataclass is frozen, not slotted), so one_hot_design never hashes it.
-        widths = np.array([f.cardinality or 1 for f in self.features], dtype=np.int64)
-        first_col = np.concatenate(([0], np.cumsum(widths)[:-1]))
-        cont, disc = self.continuous_indices(), self.discrete_indices()
-        return _DesignLayout(
-            int(widths.sum()), cont, first_col[cont], disc, first_col[disc], widths[disc].astype(np.uint64)
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -276,14 +268,8 @@ class Standardizer:
     @classmethod
     def fit(cls, X: np.ndarray, schema: Schema) -> "Standardizer":
         cont = schema.continuous_indices()
-        if cont.size:
-            mu = X[:, cont].mean(axis=0)
-            sd = X[:, cont].std(axis=0)
-            sd = np.where(sd > 0, sd, 1.0)  # constant columns pass through
-        else:
-            mu = np.zeros(0)
-            sd = np.ones(0)
-        return cls(mu, sd)
+        sd = X[:, cont].std(axis=0)
+        return cls(X[:, cont].mean(axis=0), np.where(sd > 0, sd, 1.0))  # constant columns pass through
 
     def to_json_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
@@ -295,41 +281,31 @@ class Standardizer:
         return cls(_float_array(obj["mean"], "standardizer mean"), _float_array(obj["scale"], "standardizer scale"))
 
 
-@dataclass(frozen=True)
-class _DesignLayout:
-    """Where each feature lands in the design matrix: continuous features fill
-    one column each, discrete ones a block of cardinality columns."""
-
-    width: int
-    cont: np.ndarray  # continuous feature indices
-    cont_col: np.ndarray  # their design columns
-    disc: np.ndarray  # discrete feature indices
-    disc_col: np.ndarray  # first column of each one's one-hot block
-    disc_card: np.ndarray  # their cardinalities, as uint64
-
-
 def one_hot_design(X: np.ndarray, schema: Schema, standardizer: Standardizer) -> np.ndarray:
     """Model design matrix: standardized continuous columns, one-hot discrete.
 
-    Columns follow the schema's feature order. The matrix is filled in one
-    pass: each continuous column with (x - mean) / scale, element by element,
-    from the standardizer's mean and scale for that column, then every one-hot
-    entry in one indexed write. So it is bitwise the matrix that standardizing
-    X and concatenating the per-feature columns and blocks would give. A discrete
-    code outside [0, cardinality) raises SchemaError rather than landing in a
+    Columns follow the schema's feature order: each continuous feature is one
+    column, (x - mean) / scale with the standardizer's mean and scale for it,
+    and each discrete one a block of cardinality columns. A discrete code
+    outside [0, cardinality) raises SchemaError rather than landing in a
     neighbouring block.
     """
     X = np.asarray(X, dtype=np.float64)
-    layout = schema._design_layout
-    if not layout.disc.size:
+    if all(f.kind == CONTINUOUS for f in schema.features):
         out = X - standardizer.mean
         return np.divide(out, standardizer.scale, out=out)
-    codes = X[:, layout.disc].astype(np.int64)
-    # Negative codes wrap to huge unsigned values, so one comparison checks both ends.
-    if (codes.view(np.uint64) >= layout.disc_card).any():
-        raise SchemaError("discrete codes outside [0, cardinality) in the design input")
-    out = np.zeros((X.shape[0], layout.width))
-    if layout.cont.size:
-        out[:, layout.cont_col] = (X[:, layout.cont] - standardizer.mean) / standardizer.scale
-    out[np.arange(X.shape[0])[:, None], codes + layout.disc_col] = 1.0
-    return out
+    rows = np.arange(X.shape[0])
+    blocks, c = [], 0
+    for i, f in enumerate(schema.features):
+        if f.kind == CONTINUOUS:
+            blocks.append(((X[:, i] - standardizer.mean[c]) / standardizer.scale[c])[:, None])
+            c += 1
+            continue
+        codes = X[:, i].astype(np.int64)
+        # Negative codes wrap to huge unsigned values, so one comparison checks both ends.
+        if (codes.view(np.uint64) >= f.cardinality).any():
+            raise SchemaError("discrete codes outside [0, cardinality) in the design input")
+        block = np.zeros((X.shape[0], f.cardinality))
+        block[rows, codes] = 1.0
+        blocks.append(block)
+    return np.concatenate(blocks, axis=1)

@@ -216,7 +216,7 @@ class TrainedModel:
                 raise
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise SchemaError(f"malformed model file {path}: {exc!r}") from exc
-        sizes = [schema._design_layout.width, *config.hidden, schema.n_classes]
+        sizes = [schema.width, *config.hidden, schema.n_classes]
         # Compared before the net is built, so a width the file's arrays do not hold allocates nothing.
         if [p.shape for p in params] != [*zip(sizes, sizes[1:]), *zip(sizes[1:])]:
             raise SchemaError(

@@ -221,7 +221,9 @@ class MarkovSeriesProcess:
 
     def label_probs(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        score = 2.0 * self._innovations(X) @ self._mu
+        # A row-wise sum, not a matrix-vector product: BLAS gemv can take a row on another path by
+        # where it falls in the call, so a row's bits would depend on the rows it is scored with.
+        score = 2.0 * (self._innovations(X) * self._mu).sum(axis=1)
         return _probs_from_p1(_sigmoid(score))
 
     def sample(self, n_rows: int, seed: int) -> Dataset:

@@ -73,7 +73,7 @@ class LinearProbPredictor:
 
     def predict(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        p1 = 1.0 / (1.0 + np.exp(-(X @ self.w + self.b)))
+        p1 = 1.0 / (1.0 + np.exp(-((X * self.w).sum(axis=1) + self.b)))  # row-wise: a row's bits are its own
         return np.column_stack([1.0 - p1, p1])
 
 

@@ -211,6 +211,7 @@ class TestMarginalContributions:
         np.array([[-1, 0, 1]], dtype=np.int8),
         np.zeros((0, 3), dtype=np.int64),  # no orders
         [0, 1, 2],  # not a matrix
+        [list(range(63))],  # wider than a coalition mask
     ])
     def test_orders_must_be_permutations(self, build, orders):
         with pytest.raises(ValidationError):
@@ -345,6 +346,11 @@ class TestMergedSteps:
         with pytest.raises(ValidationError, match="fewer than 6 orders, got 6"):
             exact_asv(vf, OrderingSpec(3))
         assert exact_asv(vf, OrderingSpec(3, groups=((0,), (1, 2)))).n_samples == 2
+
+    def test_chains_of_another_width_rejected(self):
+        vf = random_table(3, np.random.default_rng(28))
+        with pytest.raises(ValidationError, match="chains cover 4 features, ordering has 3"):
+            exact_asv(vf, OrderingSpec(3), CoalitionChains.merged(enumerate_consistent(OrderingSpec(4))))
 
     def test_non_finite_worths_give_the_expanded_result_or_error(self):
         def outcome(means):

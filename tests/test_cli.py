@@ -158,6 +158,19 @@ def test_missing_model_exits_2(trained, capsys):
     assert "model file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [(None, "missing required dataset path"), ("empty.csv", "is empty")],
+                         ids=["no-data", "empty-csv"])
+def test_explain_without_dataset_rows_exits_2(trained, tmp_path, capsys, data, message):
+    flags = []
+    if data:
+        (tmp_path / data).write_text("")
+        flags = ["--data", str(tmp_path / data), "--schema", str(trained / "data.schema.json")]
+    out = tmp_path / "x.json"
+    assert main(["explain", "--model", str(trained / "model.json"), *flags, "--seed", "0", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _drop_first_weight_matrix(doc):
     doc["weights"] = doc["weights"][1:]
     return json.dumps(doc)

@@ -86,6 +86,10 @@ class TestGradients:
         assert net.loss(X, y) == loss
         assert np.array_equal(analytic, np.concatenate([g.ravel() for g in gW + gb]))
 
+    def test_needs_input_and_output_sizes(self):
+        with pytest.raises(ValidationError, match=r"need input and output sizes, got \[3\]"):
+            FeedForwardNet([3], "tanh", np.random.default_rng(2))
+
     def test_weights_and_biases_view_params(self):
         net = FeedForwardNet([3, 5, 2], "tanh", np.random.default_rng(2))
         theta = net.params.copy()

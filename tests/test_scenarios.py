@@ -117,6 +117,11 @@ def test_collider_credit_does_not_depend_on_the_ordering():
     assert np.max(np.abs(runs["distal"].locals - runs["proximate"].locals)) <= np.finfo(float).eps
 
 
+def test_unknown_two_feature_kind_rejected():
+    with pytest.raises(ValidationError, match=re.escape("kind must be one of ('chain', 'collider', 'mixed'), got 'fork'")):
+        TwoFeatureGraphProcess("fork")
+
+
 def completion_law(rows, weights):
     """A completion as {row: weight}, after checking that no row repeats."""
     law = dict(zip(map(tuple, rows.tolist()), weights.tolist()))

@@ -19,6 +19,7 @@ from asymshap import (
     DISCRETE,
     AdmissionsProcess,
     BackgroundSet,
+    BayesPredictor,
     CachedValueFunction,
     Dataset,
     EstimatorError,
@@ -274,6 +275,18 @@ class TestCaching:
         assert counting.calls == vf.evaluations == vf.coalitions_evaluated == vf.prediction_rows == 0
         assert vf.value(1, 2, 1) == [vf.value(1), vf.value(2), vf.value(1)]
         assert counting.calls == vf.evaluations == 1 and vf.coalitions_evaluated == 2
+
+    @pytest.mark.parametrize("T", [8, 12])
+    def test_a_chunked_call_gives_each_mask_the_bits_of_its_own_call(self, T):
+        # A row's score must not depend on the rows predicted with it, as a BLAS gemv's can.
+        process = MarkovSeriesProcess(T=T)
+        ds = process.sample(205, 0)
+        masks = np.random.default_rng(T).integers(1, 1 << T, size=40).tolist()
+        for p in range(5):
+            args = (BayesPredictor(process), ds.X[p], int(ds.y[p]), BackgroundSet(ds.X[5:]))
+            chunked = CachedValueFunction(*args, m=6, seed=0, point_index=p).value(*masks)
+            alone = CachedValueFunction(*args, m=6, seed=0, point_index=p)
+            assert chunked == [alone.value(mask) for mask in masks]
 
     def test_full_sweep_evaluates_each_coalition_once(self):
         n = 5
