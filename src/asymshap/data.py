@@ -301,10 +301,10 @@ def one_hot_design(X: np.ndarray, schema: Schema, standardizer: Standardizer) ->
             blocks.append(((X[:, i] - standardizer.mean[c]) / standardizer.scale[c])[:, None])
             c += 1
             continue
-        codes = X[:, i].astype(np.int64)
-        # Negative codes wrap to huge unsigned values, so one comparison checks both ends.
-        if (codes.view(np.uint64) >= f.cardinality).any():
+        # Checked as floats, before the cast: nan fails both comparisons, and no cast sees it or +-inf.
+        if not ((X[:, i] >= 0) & (X[:, i] < f.cardinality)).all():
             raise SchemaError("discrete codes outside [0, cardinality) in the design input")
+        codes = X[:, i].astype(np.int64)
         block = np.zeros((X.shape[0], f.cardinality))
         block[rows, codes] = 1.0
         blocks.append(block)

@@ -1,4 +1,5 @@
-"""Tiny predictor doubles shared across the test modules, a memory probe, and reference implementations.
+"""Tiny predictor doubles shared across the test modules, a memory probe, the CLI's refusal contract, and
+reference implementations.
 
 The exact oracles live here too: TableValueFunction, the subset form of the
 Shapley value, random ordering specs, is_consistent, which judges orders by
@@ -28,6 +29,7 @@ from asymshap import (
     train_test_split,
 )
 from asymshap.attribution import _point_budget, column_means
+from asymshap.cli import main
 from asymshap.coalitions import _orders
 from asymshap.values import MAX_MASK_FEATURES, _checked_mask
 
@@ -45,6 +47,22 @@ def peak_traced_bytes(fn, *args):
     finally:
         if started:
             tracemalloc.stop()
+
+
+def refusal_fault(capsys, out_dir, argv, *words):
+    """Why the command line run on argv breaks the refusal contract, or None. A refusal exits 2 (argparse's
+    SystemExit(2) counts), prints each of words and no traceback on stderr, and leaves no new file in out_dir."""
+    before = set(out_dir.iterdir())
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    missing = [w for w in words if w not in err]
+    written = sorted(p.name for p in set(out_dir.iterdir()) - before)
+    if code != 2 or missing or written or "Traceback" in err:
+        return f"exit {code}, missing {missing}, wrote {written}, stderr: {err}"
+    return None
 
 
 class ConstantPredictor:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import refusal_fault
 
 import asymshap
 import asymshap.attribution
@@ -87,6 +88,19 @@ def test_explain_with_name_based_spec(trained):
     assert "spec" in doc["input_hashes"]
 
 
+def _on_trained(trained, tmp_path, command, *flags):
+    """command's argv on the trained model and data with flags, writing tmp_path / x.json."""
+    return [command, "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"), *flags,
+            "--out", str(tmp_path / "x.json")]
+
+
+def _with_spec(trained, tmp_path, content, *flags):
+    """An explain argv on the trained model and data with content written as its --spec file."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(content if isinstance(content, str) else json.dumps(content))
+    return _on_trained(trained, tmp_path, "explain", "--spec", str(spec), *flags)
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -95,22 +109,14 @@ def test_explain_with_name_based_spec(trained):
         {"n": 3.9}, {"n": "3"}, {"n": True}, {"edges": [[1.0, 2]]}, {"edges": [["score", 3]]},
     ],
 )
-def test_bad_spec_is_rejected(trained, content):
-    spec = trained / "bad-spec.json"
-    spec.write_text(content if isinstance(content, str) else json.dumps(content))
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--spec", str(spec), "--index", "0", "--seed", "0", "--out", str(trained / "x.json")])
-    assert code == 2
+def test_bad_spec_is_rejected(trained, tmp_path, capsys, content):
+    assert not refusal_fault(capsys, tmp_path, _with_spec(trained, tmp_path, content, "--index", "0", "--seed", "0"))
 
 
-def test_spec_of_another_width_names_the_width(trained, capsys):
+def test_spec_of_another_width_names_the_width(trained, tmp_path, capsys):
     # The width check comes before entries resolve, so index 3 is not blamed.
-    spec = trained / "wide-spec.json"
-    spec.write_text(json.dumps({"n": 4, "groups": [[0, 1], [2, 3]]}))
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--spec", str(spec), "--index", "0", "--seed", "0", "--out", str(trained / "x.json")])
-    assert code == 2
-    assert "ordering spec covers 4 features, dataset has 3" in capsys.readouterr().err
+    argv = _with_spec(trained, tmp_path, {"n": 4, "groups": [[0, 1], [2, 3]]}, "--index", "0", "--seed", "0")
+    assert not refusal_fault(capsys, tmp_path, argv, "ordering spec covers 4 features, dataset has 3")
 
 
 def test_fairness_rejects_a_model_of_another_schema(trained, tmp_path, capsys):
@@ -118,44 +124,30 @@ def test_fairness_rejects_a_model_of_another_schema(trained, tmp_path, capsys):
     data, schema = tmp_path / "renamed.csv", tmp_path / "renamed.schema.json"
     data.write_text((trained / "data.csv").read_text().replace("gender", "sex", 1))
     schema.write_text((trained / "data.schema.json").read_text().replace('"gender"', '"sex"'))
-    out = tmp_path / "fairness.json"
-    code = main(["fairness", "--model", str(trained / "model.json"), "--data", str(data),
-                 "--resolving", "department", "--sensitive", "sex", "--budget", "4",
-                 "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "model and dataset schemas differ" in capsys.readouterr().err
-    assert not out.exists()
+    argv = ["fairness", "--model", str(trained / "model.json"), "--data", str(data), "--resolving", "department",
+            "--sensitive", "sex", "--budget", "4", "--samples", "4", "--seed", "0", "--out", str(tmp_path / "x.json")]
+    assert not refusal_fault(capsys, tmp_path, argv, "model and dataset schemas differ")
 
 
 @pytest.mark.parametrize("resolving, sensitive", [(",", "gender"), ("department", " , ")])
 def test_blank_fairness_feature_list_exits_2(trained, tmp_path, capsys, resolving, sensitive):
     # An empty resolving list would audit without any ordering constraint.
-    out = tmp_path / "fairness.json"
-    code = main(["fairness", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--resolving", resolving, "--sensitive", sensitive, "--budget", "4", "--samples", "4",
-                 "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "feature lists are required" in capsys.readouterr().err
-    assert not out.exists()
+    argv = _on_trained(trained, tmp_path, "fairness", "--resolving", resolving, "--sensitive", sensitive,
+                       "--budget", "4", "--samples", "4", "--seed", "0")
+    assert not refusal_fault(capsys, tmp_path, argv, "feature lists are required")
 
 
-def test_misspelled_spec_keys_exit_2(trained, capsys):
+def test_misspelled_spec_keys_exit_2(trained, tmp_path, capsys):
     # "edge" and "group" are not spec keys; read as absent, they would leave the run unconstrained.
-    spec = trained / "misspelled-spec.json"
-    spec.write_text(json.dumps({"edge": [["gender", "score"]], "group": [["gender", "score", "department"]]}))
-    out = trained / "misspelled.json"
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--spec", str(spec), "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "unknown ordering-spec keys ['edge', 'group']" in capsys.readouterr().err
-    assert not out.exists()
+    argv = _with_spec(trained, tmp_path, {"edge": [["gender", "score"]], "group": [["gender", "score", "department"]]},
+                      "--index", "0", "--samples", "4", "--seed", "0")
+    assert not refusal_fault(capsys, tmp_path, argv, "unknown ordering-spec keys ['edge', 'group']")
 
 
-def test_missing_model_exits_2(trained, capsys):
-    code = main(["explain", "--model", str(trained / "absent.json"), "--data", str(trained / "data.csv"),
-                 "--seed", "0"])
-    assert code == 2
-    assert "model file not found" in capsys.readouterr().err
+def test_missing_model_exits_2(trained, tmp_path, capsys):
+    argv = ["explain", "--model", str(tmp_path / "absent.json"), "--data", str(trained / "data.csv"), "--seed", "0",
+            "--out", str(tmp_path / "x.json")]
+    assert not refusal_fault(capsys, tmp_path, argv, "model file not found")
 
 
 @pytest.mark.parametrize("data, message", [(None, "missing required dataset path"), ("empty.csv", "is empty")],
@@ -165,10 +157,8 @@ def test_explain_without_dataset_rows_exits_2(trained, tmp_path, capsys, data, m
     if data:
         (tmp_path / data).write_text("")
         flags = ["--data", str(tmp_path / data), "--schema", str(trained / "data.schema.json")]
-    out = tmp_path / "x.json"
-    assert main(["explain", "--model", str(trained / "model.json"), *flags, "--seed", "0", "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    argv = ["explain", "--model", str(trained / "model.json"), *flags, "--seed", "0", "--out", str(tmp_path / "x.json")]
+    assert not refusal_fault(capsys, tmp_path, argv, message)
 
 
 def _drop_first_weight_matrix(doc):
@@ -189,6 +179,14 @@ def _edit_standardizer(key, entries):
     return edit
 
 
+def _with_model(trained, tmp_path, doc):
+    """A local explain argv on trained's data with doc (or its JSON text) written as its model file."""
+    model = tmp_path / "model.json"
+    model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return ["explain", "--model", str(model), "--data", str(trained / "data.csv"), "--index", "0", "--samples", "4",
+            "--seed", "0", "--out", str(tmp_path / "x.json")]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -205,39 +203,8 @@ def _edit_standardizer(key, entries):
          "no-continuous-features", "zero-scale", "nan-scale", "mean-entry-short"],
 )
 def test_malformed_model_file_exits_2(trained, tmp_path, capsys, edit):
-    model = tmp_path / "model.json"
-    model.write_text(edit(json.loads((trained / "model.json").read_text())))
-    out = tmp_path / "x.json"
-    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
-                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "model file" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["weights", "biases"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_non_finite_model_parameter_exits_2(trained, tmp_path, capsys, key, bad):
-    # Loaded, it would turn every prediction, mean and accuracy into NaN.
-    doc = json.loads((trained / "model.json").read_text())
-    last = doc[key][-1]  # the output layer's weight matrix or bias vector
-    (last[0] if key == "weights" else last)[0] = bad
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
-    out = tmp_path / "x.json"
-    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
-                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert f"model file {model} holds non-finite weights or biases" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def _explain_with_model(trained, tmp_path, doc):
-    """Exit code of a local explain run on trained's data with doc written as its model file."""
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
-    return main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
-                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(tmp_path / "x.json")])
+    argv = _with_model(trained, tmp_path, edit(json.loads((trained / "model.json").read_text())))
+    assert not refusal_fault(capsys, tmp_path, argv, "model file")
 
 
 @pytest.mark.parametrize(
@@ -248,10 +215,8 @@ def _explain_with_model(trained, tmp_path, doc):
 def test_model_file_with_non_integer_config_counts_exits_2(trained, tmp_path, capsys, key, value):
     # config.hidden sizes the loaded net, so 10.0 or true must not pass as a width.
     doc = json.loads((trained / "model.json").read_text())
-    assert _explain_with_model(trained, tmp_path, {**doc, "config": {**doc["config"], key: value}}) == 2
-    err = capsys.readouterr().err
-    assert "malformed model file" in err and "must be positive integers" in err
-    assert not (tmp_path / "x.json").exists()
+    argv = _with_model(trained, tmp_path, {**doc, "config": {**doc["config"], key: value}})
+    assert not refusal_fault(capsys, tmp_path, argv, "malformed model file", "must be positive integers")
 
 
 @pytest.mark.parametrize(
@@ -265,9 +230,7 @@ def test_model_file_with_non_integer_config_counts_exits_2(trained, tmp_path, ca
 def test_model_file_with_non_integer_schema_counts_exits_2(trained, tmp_path, capsys, edit, message):
     doc = json.loads((trained / "model.json").read_text())
     edit(doc["schema"])
-    assert _explain_with_model(trained, tmp_path, doc) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "x.json").exists()
+    assert not refusal_fault(capsys, tmp_path, _with_model(trained, tmp_path, doc), message)
 
 
 @pytest.mark.parametrize(
@@ -277,61 +240,18 @@ def test_model_file_with_non_integer_schema_counts_exits_2(trained, tmp_path, ca
                     ("--val-fraction", "nan"), ("--val-fraction", "0.999")],
 )
 def test_degenerate_train_setting_exits_2(trained, tmp_path, capsys, flag, value):
-    out = tmp_path / "model.json"
-    code = main(["train", "--data", str(trained / "data.csv"), flag, value, "--seed", "0", "--out", str(out)])
-    assert code == 2
     message = {"--learning-rate": "learning_rate must be positive and finite",
                "--val-fraction": "val_fraction must be in (0, 1)"}.get(flag, "must be positive")
     if value == "0.999":  # inside (0, 1), but the 300 training rows leave no room for the inner split
         message = "val_fraction 0.999 leaves no training rows once the inner validation split takes its share"
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_model_file_with_a_patience_below_1_exits_2(trained, tmp_path, capsys):
-    doc = json.loads((trained / "model.json").read_text())
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({**doc, "config": {**doc["config"], "patience": 0}}))
-    out = tmp_path / "x.json"
-    code = main(["explain", "--model", str(model), "--data", str(trained / "data.csv"),
-                 "--index", "0", "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"malformed model file {model}" in err
-    assert "patience and hidden widths must be positive" in err
-    assert not out.exists()
+    argv = ["train", "--data", str(trained / "data.csv"), flag, value, "--seed", "0", "--out", str(tmp_path / "m.json")]
+    assert not refusal_fault(capsys, tmp_path, argv, message)
 
 
 @pytest.mark.parametrize("command", ["explain", "fairness"])
-def test_more_than_one_worker_exits_2(trained, capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-              "--workers", "2", "--seed", "0"])
-    assert exc.value.code == 2
-    assert "--workers: invalid choice" in capsys.readouterr().err
-
-
-def _explain_with_cell(trained, tmp_path, column, value):
-    """Exit code of a local explain on the trained data with line 6's cell in column replaced by value."""
-    lines = (trained / "data.csv").read_text().splitlines()
-    cells = lines[5].split(",")
-    cells[column] = value
-    lines[5] = ",".join(cells)
-    data = tmp_path / "data.csv"
-    data.write_text("\n".join(lines) + "\n")
-    return main(["explain", "--model", str(trained / "model.json"), "--data", str(data),
-                 "--schema", str(trained / "data.schema.json"), "--index", "0", "--samples", "4",
-                 "--seed", "0", "--out", str(tmp_path / "x.json")])
-
-
-def test_non_finite_data_cell_exits_2(trained, tmp_path, capsys):
-    assert _explain_with_cell(trained, tmp_path, 1, "inf") == 2  # score, the continuous column
-    assert "non-finite" in capsys.readouterr().err
-
-
-def test_label_beyond_int64_exits_2(trained, tmp_path, capsys):
-    assert _explain_with_cell(trained, tmp_path, -1, "99999999999999999999") == 2
-    assert "data.csv:6: label 99999999999999999999 is outside the int64 range" in capsys.readouterr().err
+def test_more_than_one_worker_exits_2(trained, tmp_path, capsys, command):
+    argv = _on_trained(trained, tmp_path, command, "--workers", "2", "--seed", "0")
+    assert not refusal_fault(capsys, tmp_path, argv, "--workers: invalid choice")
 
 
 def test_exhausted_rejection_sampling_exits_3(tmp_path, capsys):
@@ -350,85 +270,52 @@ def test_exhausted_rejection_sampling_exits_3(tmp_path, capsys):
 
 
 def test_cyclic_spec_and_exact_over_the_cap_exit_2(trained, tmp_path, capsys):
-    out = tmp_path / "x.json"
-    common = ["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-              "--samples", "4", "--seed", "0", "--out", str(out)]
-    spec = tmp_path / "cycle.json"
-    spec.write_text(json.dumps({"edges": [["gender", "score"], ["score", "gender"]]}))
-    assert main([*common, "--spec", str(spec)]) == 2
-    assert "precedence constraints contain a cycle; the consistent set is empty" in capsys.readouterr().err
-    assert main([*common, "--exact", "--cap", "2"]) == 2
-    assert "exact enumeration over 3 features exceeds the cap of 2; use sampling instead" in capsys.readouterr().err
-    assert not out.exists()
+    cycle = {"edges": [["gender", "score"], ["score", "gender"]]}
+    assert not refusal_fault(capsys, tmp_path, _with_spec(trained, tmp_path, cycle, "--samples", "4", "--seed", "0"),
+                             "precedence constraints contain a cycle; the consistent set is empty")
+    assert not refusal_fault(capsys, tmp_path, _on_trained(trained, tmp_path, "explain", "--exact", "--cap", "2",
+                                                           "--samples", "4", "--seed", "0"),
+                             "exact enumeration over 3 features exceeds the cap of 2; use sampling instead")
 
 
 def test_single_class_training_data_exits_2(trained, tmp_path, capsys):
     header, *rows = (trained / "data.csv").read_text().splitlines()
     data = tmp_path / "data.csv"
     data.write_text("\n".join([header, *(row.rsplit(",", 1)[0] + ",0" for row in rows)]) + "\n")
-    out = tmp_path / "model.json"
-    assert main(["train", "--data", str(data), "--schema", str(trained / "data.schema.json"),
-                 "--model", "logistic", "--epochs", "2", "--seed", "0", "--out", str(out)]) == 2
-    assert "training data contains a single label class" in capsys.readouterr().err
-    assert not out.exists()
+    argv = ["train", "--data", str(data), "--schema", str(trained / "data.schema.json"), "--model", "logistic",
+            "--epochs", "2", "--seed", "0", "--out", str(tmp_path / "model.json")]
+    assert not refusal_fault(capsys, tmp_path, argv, "training data contains a single label class")
 
 
-def test_oracle_check_is_gone(capsys):
+def test_oracle_check_is_gone(tmp_path, capsys):
     # The estimator self-check runs in tier-1 (TestEstimatorSelfCheck), not as a subcommand.
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle-check", "--seed", "0"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'oracle-check'" in capsys.readouterr().err
+    assert not refusal_fault(capsys, tmp_path, ["oracle-check", "--seed", "0"], "invalid choice: 'oracle-check'")
 
 
 def test_featselect_of_one_trial_exits_2(tmp_path, capsys):
     # The study's empirical spread is the sd across trials; one trial has none.
-    out = tmp_path / "featselect.json"
-    code = main(["featselect", "--T", "3", "--trials", "1", "--rows", "300", "--samples", "8",
-                 "--budget", "20", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "at least 2 trials" in capsys.readouterr().err
-    assert not out.exists()
+    argv = ["featselect", "--T", "3", "--trials", "1", "--rows", "300", "--samples", "8", "--budget", "20",
+            "--seed", "0", "--out", str(tmp_path / "featselect.json")]
+    assert not refusal_fault(capsys, tmp_path, argv, "at least 2 trials")
 
 
-def test_fairness_audit_of_one_point_exits_2(trained, capsys):
+def test_fairness_audit_of_one_point_exits_2(trained, tmp_path, capsys):
     # The audit's stderr is the spread across its points; one point has none.
-    out = trained / "one-point.json"
-    code = main(["fairness", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--resolving", "department", "--sensitive", "gender", "--budget", "1",
-                 "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "at least 2 points" in capsys.readouterr().err
-    assert not out.exists()
+    argv = _on_trained(trained, tmp_path, "fairness", "--resolving", "department", "--sensitive", "gender",
+                       "--budget", "1", "--samples", "4", "--seed", "0")
+    assert not refusal_fault(capsys, tmp_path, argv, "at least 2 points")
 
 
-def test_explain_of_one_point_exits_2(trained, capsys):
+def test_explain_of_one_point_exits_2(trained, tmp_path, capsys):
     # A dataset average's stderr is the spread across its points; one point has none.
-    out = trained / "one-point-explain.json"
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--exact", "--budget", "1", "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert "at least 2 points" in capsys.readouterr().err
-    assert not out.exists()
+    argv = _on_trained(trained, tmp_path, "explain", "--exact", "--budget", "1", "--samples", "4", "--seed", "0")
+    assert not refusal_fault(capsys, tmp_path, argv, "at least 2 points")
 
 
-@pytest.mark.parametrize("seed", ["x", -1, True], ids=repr)
-def test_model_file_with_a_bad_training_seed_exits_2(trained, tmp_path, capsys, seed):
-    # Loaded, "x" would be kept as the model's seed, and true would read as seed 1.
-    doc = json.loads((trained / "model.json").read_text())
-    assert _explain_with_model(trained, tmp_path, {**doc, "config": {**doc["config"], "seed": seed}}) == 2
-    err = capsys.readouterr().err
-    assert "malformed model file" in err and "training seed must be a nonnegative integer" in err
-
-
-def test_explain_seed_from_2_to_the_32_exits_2(trained, capsys):
+def test_explain_seed_from_2_to_the_32_exits_2(trained, tmp_path, capsys):
     # Its two words would be the words of seed 0 and point index 1.
-    out = trained / "wide-seed-explain.json"
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--samples", "4", "--seed", "4294967296", "--out", str(out)])
-    assert code == 2
-    assert "seed must be nonnegative and below 2^32, got 4294967296" in capsys.readouterr().err
-    assert not out.exists()
+    argv = _on_trained(trained, tmp_path, "explain", "--samples", "4", "--seed", "4294967296")
+    assert not refusal_fault(capsys, tmp_path, argv, "seed must be nonnegative and below 2^32, got 4294967296")
 
 
 @pytest.mark.parametrize(
@@ -443,18 +330,20 @@ def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, argv, via):
     else:  # an args file, one token per line
         (tmp_path / "config.args").write_text("--seed\n-1\n")
         argv = [*argv, "@config.args"]
-    assert main(argv) == 2
-    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == (["config.args"] if via == "config" else [])
+    assert not refusal_fault(capsys, tmp_path, argv, "seed must be nonnegative, got -1")
 
 
-def test_runs_as_a_module():
+def test_runs_as_a_module(tmp_path):
     src = str(Path(asymshap.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "asymshap", "--help"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: asymshap")
+    # A refusal's status leaves the process too.
+    done = subprocess.run([sys.executable, "-m", "asymshap", "explain", "--seed", "0"], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "missing required model path" in done.stderr, done.stderr
 
 
 def test_pipeline_never_imports_numpy_ma(tmp_path):
@@ -546,16 +435,14 @@ def test_logistic_file_recording_hidden_layers_exits_2(trained, tmp_path, capsys
     doc = json.loads(out.read_text())
     old = {**doc, "kind": "logistic", "sizes": [5, 2], "activation": "tanh",
            "config": {**doc["config"], "hidden": [10, 10]}}
-    assert _explain_with_model(trained, tmp_path, old) == 2
-    assert "does not hold the weights and biases of a net of sizes [5, 10, 10, 2]" in capsys.readouterr().err
+    assert not refusal_fault(capsys, tmp_path, _with_model(trained, tmp_path, old),
+                             "does not hold the weights and biases of a net of sizes [5, 10, 10, 2]")
 
 
 def test_mlp_without_hidden_layers_exits_2(trained, tmp_path, capsys):
-    out = tmp_path / "mlp.json"
-    assert main(["train", "--data", str(trained / "data.csv"), "--model", "mlp", "--hidden", "", "--epochs", "2",
-                 "--seed", "0", "--out", str(out)]) == 2
-    assert "an MLP needs at least one hidden layer" in capsys.readouterr().err
-    assert not out.exists()
+    argv = ["train", "--data", str(trained / "data.csv"), "--model", "mlp", "--hidden", "", "--epochs", "2",
+            "--seed", "0", "--out", str(tmp_path / "mlp.json")]
+    assert not refusal_fault(capsys, tmp_path, argv, "an MLP needs at least one hidden layer")
 
 
 @pytest.mark.parametrize(
@@ -574,22 +461,16 @@ def test_no_warning_otherwise(caplog, resolved, spec, want):
     assert caplog.records == []
 
 
-def test_bad_comma_list_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--hidden", "10,a", "--seed", "0"])
-    assert exc.value.code == 2
-    assert "--hidden" in capsys.readouterr().err
+def test_bad_comma_list_flag_exits_2(tmp_path, capsys):
+    assert not refusal_fault(capsys, tmp_path, ["train", "--hidden", "10,a", "--seed", "0"], "--hidden")
 
 
 def test_local_run_rejects_a_locals_csv(trained, tmp_path, capsys):
     # A local run has no per-point table to write, so the flag would be dropped silently.
-    out, locals_csv = tmp_path / "local.json", tmp_path / "locals.csv"
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--index", "3", "--samples", "4", "--seed", "0", "--out", str(out),
-                 "--locals-csv", str(locals_csv)])
-    assert code == 2
-    assert "--locals-csv writes a global run's per-point attributions; drop --index" in capsys.readouterr().err
-    assert not out.exists() and not locals_csv.exists()
+    argv = _on_trained(trained, tmp_path, "explain", "--index", "3", "--samples", "4", "--seed", "0",
+                       "--locals-csv", str(tmp_path / "locals.csv"))
+    assert not refusal_fault(capsys, tmp_path, argv,
+                             "--locals-csv writes a global run's per-point attributions; drop --index")
 
 
 @pytest.mark.parametrize(
@@ -603,12 +484,9 @@ def test_local_run_rejects_a_locals_csv(trained, tmp_path, capsys):
 def test_explain_rejects_a_flag_its_mode_ignores(trained, tmp_path, monkeypatch, capsys, flags, message):
     enumerated = []
     monkeypatch.setattr(asymshap.attribution, "enumerate_consistent", lambda *a, **k: enumerated.append(a))
-    out = tmp_path / "x.json"
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 *flags, "--samples", "4", "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists() and enumerated == []  # rejected before the plan enumerates any orders
+    argv = _on_trained(trained, tmp_path, "explain", *flags, "--samples", "4", "--seed", "0")
+    assert not refusal_fault(capsys, tmp_path, argv, message)
+    assert enumerated == []  # rejected before the plan enumerates any orders
 
 
 def test_local_run_explains_the_argmax_class(trained, tmp_path):
@@ -730,26 +608,19 @@ def test_exact_run_is_checked_before_its_orders_are_enumerated(trained, tmp_path
                                                                 message):
     enumerated = []
     monkeypatch.setattr(asymshap.attribution, "enumerate_consistent", lambda *a, **k: enumerated.append(a))
-    out = tmp_path / "x.json"
-    code = main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-                 "--exact", *flags, "--seed", "0", "--out", str(out)])
-    assert code == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists() and enumerated == []
+    argv = _on_trained(trained, tmp_path, "explain", "--exact", *flags, "--seed", "0")
+    assert not refusal_fault(capsys, tmp_path, argv, message)
+    assert enumerated == []
 
 
 def test_missing_seed_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["gen-data", "chain", "--rows", "20"]) == 2
-    assert "a seed is required" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert not refusal_fault(capsys, tmp_path, ["gen-data", "chain", "--rows", "20"], "a seed is required")
 
 
 def test_write_into_a_missing_directory_exits_2(tmp_path, capsys):
-    code = main(["gen-data", "chain", "--rows", "20", "--seed", "0", "--out", str(tmp_path / "missing" / "data")])
-    assert code == 2
-    assert "No such file or directory" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    argv = ["gen-data", "chain", "--rows", "20", "--seed", "0", "--out", str(tmp_path / "missing" / "data")]
+    assert not refusal_fault(capsys, tmp_path, argv, "No such file or directory")
 
 
 @pytest.mark.parametrize(
@@ -806,13 +677,11 @@ def test_featselect_writes_its_json_and_trials_csv(tmp_path, capsys):
              ["train", "--hid", "3"], ["explain", "--config", "x.json"]],
     ids=lambda argv: argv[1],
 )
-def test_abbreviated_or_removed_flag_exits_2(capsys, argv):
+def test_abbreviated_or_removed_flag_exits_2(tmp_path, capsys, argv):
     # Read as --samples, --perms, --exact and --hidden, a typo would run with another setting. An args
     # file (@FILE) sets flags in place of a --config JSON file.
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", "0"])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not refusal_fault(capsys, tmp_path, [*argv, "--seed", "0"],
+                             f"unrecognized arguments: {' '.join(argv[1:])}")
 
 
 @pytest.mark.parametrize(
@@ -831,13 +700,8 @@ def test_abbreviated_or_removed_flag_exits_2(capsys, argv):
 def test_bad_args_file_value_exits_2(trained, tmp_path, capsys, lines, named):
     args = tmp_path / "bad.args"
     args.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "x.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
-              f"@{args}", "--index", "0", "--out", str(out)])
-    assert exc.value.code == 2
-    assert named in capsys.readouterr().err
-    assert not out.exists()
+    assert not refusal_fault(capsys, tmp_path, _on_trained(trained, tmp_path, "explain", f"@{args}", "--index", "0"),
+                             named)
 
 
 @pytest.mark.parametrize(
@@ -848,10 +712,7 @@ def test_bad_args_file_value_exits_2(trained, tmp_path, capsys, lines, named):
 def test_untyped_config_value_must_be_a_string(tmp_path, capsys, command, lines, named):
     args = tmp_path / "config.args"
     args.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SystemExit) as exc:
-        main([command, f"@{args}", "--seed", "0"])
-    assert exc.value.code == 2
-    assert named in capsys.readouterr().err
+    assert not refusal_fault(capsys, tmp_path, [command, f"@{args}", "--seed", "0"], named)
 
 
 def test_float_config_value_is_stored_as_a_float(tmp_path, monkeypatch):
@@ -865,10 +726,8 @@ def test_float_config_value_is_stored_as_a_float(tmp_path, monkeypatch):
 def test_non_numeric_float_config_value_exits_2(tmp_path, capsys):
     args = tmp_path / "config.args"
     args.write_text("--learning-rate\nfast\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["train", f"@{args}", "--seed", "0"])
-    assert exc.value.code == 2
-    assert "argument --learning-rate: invalid float value: 'fast'" in capsys.readouterr().err
+    assert not refusal_fault(capsys, tmp_path, ["train", f"@{args}", "--seed", "0"],
+                             "argument --learning-rate: invalid float value: 'fast'")
 
 
 # Non-default settings for each command, spelled both --flag value and --flag=value.
@@ -926,11 +785,8 @@ def test_value_starting_with_at_is_attached_with_equals(trained, tmp_path, monke
     monkeypatch.chdir(tmp_path)
     common = ["explain", "--model", str(trained / "model.json"), "--data", str(trained / "data.csv"),
               "--index", "0", "--samples", "4", "--seed", "0"]
-    with pytest.raises(SystemExit) as exc:
-        main([*common, "--out", "@missing.json"])
-    assert exc.value.code == 2
-    assert "No such file or directory: 'missing.json'" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert not refusal_fault(capsys, tmp_path, [*common, "--out", "@missing.json"],
+                             "No such file or directory: 'missing.json'")
     assert main([*common, "--out=@x.json"]) == 0
     assert [p.name for p in tmp_path.iterdir()] == ["@x.json"]
     assert json.loads((tmp_path / "@x.json").read_text())["config"]["out"] == "@x.json"

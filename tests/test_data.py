@@ -316,7 +316,7 @@ class TestDesignMatrix:
     def test_out_of_range_codes_rejected(self):
         ds = small_dataset(rows=5)
         st = Standardizer.fit(ds.X, ds.schema)
-        for code in (3.0, -1.0):  # "c" has cardinality 3
+        for code in (3.0, -1.0, np.nan, np.inf, -np.inf):  # "c" has cardinality 3
             X = ds.X.copy()
             X[2, 2] = code
             with pytest.raises(SchemaError):
