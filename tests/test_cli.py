@@ -207,6 +207,17 @@ def test_malformed_model_file_exits_2(trained, tmp_path, capsys, edit):
     assert not refusal_fault(capsys, tmp_path, argv, "model file")
 
 
+@pytest.mark.parametrize("key", ["weights", "biases"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_model_parameter_exits_2(trained, tmp_path, capsys, key, bad):
+    # Loaded, it would turn every prediction, mean and accuracy into NaN.
+    doc = json.loads((trained / "model.json").read_text())
+    last = doc[key][-1]  # the output layer's weight matrix or bias vector
+    (last[0] if key == "weights" else last)[0] = bad
+    assert not refusal_fault(capsys, tmp_path, _with_model(trained, tmp_path, doc),
+                             f"model file {tmp_path / 'model.json'} holds non-finite weights or biases")
+
+
 @pytest.mark.parametrize(
     "key, value", [("epochs", 2.5), ("batch_size", True), ("patience", 3.0), ("hidden", [10.0, 10]),
                    ("hidden", [True])],
@@ -217,6 +228,22 @@ def test_model_file_with_non_integer_config_counts_exits_2(trained, tmp_path, ca
     doc = json.loads((trained / "model.json").read_text())
     argv = _with_model(trained, tmp_path, {**doc, "config": {**doc["config"], key: value}})
     assert not refusal_fault(capsys, tmp_path, argv, "malformed model file", "must be positive integers")
+
+
+def test_model_file_with_a_patience_below_1_exits_2(trained, tmp_path, capsys):
+    doc = json.loads((trained / "model.json").read_text())
+    argv = _with_model(trained, tmp_path, {**doc, "config": {**doc["config"], "patience": 0}})
+    assert not refusal_fault(capsys, tmp_path, argv, f"malformed model file {tmp_path / 'model.json'}",
+                             "patience and hidden widths must be positive")
+
+
+@pytest.mark.parametrize("seed", ["x", -1, True], ids=repr)
+def test_model_file_with_a_bad_training_seed_exits_2(trained, tmp_path, capsys, seed):
+    # Loaded, "x" would be kept as the model's seed, and true would read as seed 1.
+    doc = json.loads((trained / "model.json").read_text())
+    argv = _with_model(trained, tmp_path, {**doc, "config": {**doc["config"], "seed": seed}})
+    assert not refusal_fault(capsys, tmp_path, argv, "malformed model file",
+                             "training seed must be a nonnegative integer")
 
 
 @pytest.mark.parametrize(
@@ -252,6 +279,28 @@ def test_degenerate_train_setting_exits_2(trained, tmp_path, capsys, flag, value
 def test_more_than_one_worker_exits_2(trained, tmp_path, capsys, command):
     argv = _on_trained(trained, tmp_path, command, "--workers", "2", "--seed", "0")
     assert not refusal_fault(capsys, tmp_path, argv, "--workers: invalid choice")
+
+
+def _with_cell(trained, tmp_path, column, value):
+    """A local explain argv on the trained data with line 6's cell in column replaced by value."""
+    lines = (trained / "data.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = value
+    lines[5] = ",".join(cells)
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    return ["explain", "--model", str(trained / "model.json"), "--data", str(tmp_path / "data.csv"), "--schema",
+            str(trained / "data.schema.json"), "--index", "0", "--samples", "4", "--seed", "0",
+            "--out", str(tmp_path / "x.json")]
+
+
+def test_non_finite_data_cell_exits_2(trained, tmp_path, capsys):
+    # score, the continuous column
+    assert not refusal_fault(capsys, tmp_path, _with_cell(trained, tmp_path, 1, "inf"), "non-finite")
+
+
+def test_label_beyond_int64_exits_2(trained, tmp_path, capsys):
+    assert not refusal_fault(capsys, tmp_path, _with_cell(trained, tmp_path, -1, "99999999999999999999"),
+                             "data.csv:6: label 99999999999999999999 is outside the int64 range")
 
 
 def test_exhausted_rejection_sampling_exits_3(tmp_path, capsys):

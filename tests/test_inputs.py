@@ -292,3 +292,13 @@ def test_train_on_a_sidecar_beyond_the_schema_rules_exits_2(files, tmp_path, cap
     assert not refusal_fault(capsys, tmp_path, ["train", "--data", str(files / "data.csv"), "--schema",
                                                 str(tmp_path / "edited.schema.json"), "--hidden", "3", "--epochs", "2",
                                                 "--seed", "0", "--out", str(tmp_path / "model.json")], words)
+
+
+def test_explain_with_a_redigested_cardinality_beyond_int64_exits_2(files, tmp_path, capsys):
+    doc = json.loads((files / "model.json").read_text())
+    doc["schema"]["features"][0]["cardinality"] = 10**30
+    model = _write(tmp_path / "model.json", {**doc, "schema_digest": _digest(doc["schema"])})
+    argv = ["explain", "--model", str(model), "--data", str(files / "data.csv"), "--index", "0", "--samples", "4",
+            "--seed", "0", "--out", str(tmp_path / "x.json")]
+    assert not refusal_fault(capsys, tmp_path, argv,
+                             "feature 'gender': discrete features need an integer cardinality >= 2 and below 2^63")
