@@ -31,6 +31,7 @@ paper's partition identities on those values with no second evaluation.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -45,7 +46,7 @@ from .coalitions import (
     enumerate_consistent,
     sample_consistent_batch,
 )
-from .data import Dataset, _is_int
+from .data import Dataset, _positive
 from .errors import ValidationError
 from .values import (
     PREDICT_ROWS,
@@ -347,9 +348,7 @@ class RunPlan:
 
         The Monte Carlo orders come from a stream keyed by (seed, point_index),
         as do the point's completions, so a point gets the same result alone
-        as inside a global run. The result's metadata records the point's
-        value_evaluations (predictor calls), coalitions_evaluated and
-        prediction_rows.
+        as inside a global run. The result's metadata records vf.counts.
         """
         vf = CachedValueFunction(self.pred, x, y, self.completion, m=self.m, seed=self.seed,
                                  point_index=point_index)
@@ -357,8 +356,7 @@ class RunPlan:
             res = exact_asv(vf, self.spec, self._chains)
         else:
             res = mc_asv(vf, self.spec, self.n_perms, _stream(self.seed, 0x9E12, point_index))
-        res.metadata.update(value_evaluations=vf.evaluations, coalitions_evaluated=vf.coalitions_evaluated,
-                            prediction_rows=vf.prediction_rows)
+        res.metadata.update(vf.counts)
         return res, vf
 
 
@@ -416,8 +414,8 @@ class GlobalAttribution:
 
 def _point_budget(n_rows: int, budget, seed: int) -> np.ndarray:
     """The rows of a dataset average, ascending: at least 2, for its across-point stderr."""
-    if budget is not None and (not _is_int(budget) or budget < 1):
-        raise ValidationError(f"point budget must be positive, got {budget!r}")
+    if budget is not None:
+        _positive(budget, "point budget")
     B = n_rows if budget is None else min(budget, n_rows)
     if B < 2:
         raise ValidationError(
@@ -446,14 +444,12 @@ def global_asv(plan: RunPlan, dataset: Dataset, *, budget: int | None = None) ->
     prefixes = list(accumulate(sum(1 << i for i in g) for g in (spec.groups or ())[:-1]))
     L = np.empty((idx.shape[0], spec.n))
     V = np.empty((idx.shape[0], len(prefixes) + 2))  # v at {}, at each interior group prefix and at N, per point
-    value_evaluations = coalitions_evaluated = prediction_rows = 0
+    counts = Counter()
     for j, row in enumerate(idx.tolist()):
         res, vf = plan.local(dataset.X[row], int(dataset.y[row]), row)
         L[j] = res.means
         V[j] = [res.baseline, *map(vf.value, prefixes), res.total]
-        value_evaluations += vf.evaluations
-        coalitions_evaluated += vf.coalitions_evaluated
-        prediction_rows += vf.prediction_rows
+        counts.update(vf.counts)
         del res, vf  # so the next point is evaluated without this one's cache alive
     return GlobalAttribution(
         means=column_means(L),
@@ -468,9 +464,7 @@ def global_asv(plan: RunPlan, dataset: Dataset, *, budget: int | None = None) ->
             "seed": plan.seed,
             "m": plan.m,
             "n_perms": plan.n_perms if plan.estimator == "mc" else None,
-            "value_evaluations": value_evaluations,
-            "coalitions_evaluated": coalitions_evaluated,
-            "prediction_rows": prediction_rows,
+            **counts,
         },
     )
 

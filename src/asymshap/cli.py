@@ -25,7 +25,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -37,7 +36,7 @@ import numpy as np
 
 from .attribution import RunPlan, global_asv
 from .coalitions import DEFAULT_ENUMERATION_CAP, OrderingSpec
-from .data import Dataset, _is_int, load_csv, save_csv, train_test_split
+from .data import Dataset, _is_int, load_csv, save_csv, train_test_split, write_csv, write_json
 from .errors import EstimatorError, SchemaError, ValidationError
 from .models import (
     TrainConfig,
@@ -75,18 +74,7 @@ def _write_json(path, doc: dict, resolved: dict, hashes: dict | None = None) -> 
     doc = {**doc, "config": resolved}
     if hashes is not None:
         doc["input_hashes"] = hashes
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_rows(path, header, rows: np.ndarray) -> None:
-    """A CSV of header and then each row of the 2-d array rows, as Python
-    numbers: csv.writer writes an int as its digits and a float as its repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows.tolist())
+    write_json(path, doc)
 
 
 class _CommaList:
@@ -204,7 +192,7 @@ def cmd_gen_data(resolved: dict) -> int:
     }
     if audit is not None:
         audit_path = f"{prefix}.audit.csv"
-        _write_rows(audit_path, ["x4"], audit[:, None])
+        write_csv(audit_path, ["x4"], audit[:, None].tolist())
         files["audit"] = {"path": audit_path, "sha256": _sha256_file(audit_path)}
     _write_json(f"{prefix}.manifest.json", {"scenario": scenario, "files": files}, resolved)
     print(f"wrote {csv_path} ({rows} rows), {schema_path}, {prefix}.manifest.json")
@@ -308,7 +296,7 @@ def cmd_explain(resolved: dict) -> int:
         doc = {"mode": "global"}
         doc.update(glob.to_json_dict(feature_names=ds.schema.names))
         if resolved["locals_csv"]:
-            _write_rows(resolved["locals_csv"], ds.schema.names, glob.locals)
+            write_csv(resolved["locals_csv"], ds.schema.names, glob.locals.tolist())
     _write_json(resolved["out"], doc, resolved, hashes)
     print(f"wrote {resolved['out']}")
     return 0
@@ -349,7 +337,7 @@ def cmd_featselect(resolved: dict) -> int:
     )
     _write_json(resolved["out"], study.to_json_dict(), resolved)
     trials_path = str(Path(resolved["out"]).with_suffix("")) + ".trials.csv"
-    _write_rows(trials_path, [f"t{t}" for t in study.ts], study.trial_matrix)
+    write_csv(trials_path, [f"t{t}" for t in study.ts], study.trial_matrix.tolist())
     gaps = np.abs(study.cumulative_asv - study.empirical_mean)
     print(
         f"wrote {resolved['out']} and {trials_path}; "

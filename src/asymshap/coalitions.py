@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _is_int
+from .data import _is_int, _positive
 from .errors import EstimatorError, ValidationError
 from .values import MAX_MASK_FEATURES
 
@@ -259,8 +259,7 @@ def sample_consistent_batch(spec: OrderingSpec, size: int, rng: np.random.Genera
     raises EstimatorError after DEFAULT_REJECTION_BUDGET rejected draws per
     requested permutation. size must be a positive int, not a bool.
     """
-    if not _is_int(size) or size < 1:
-        raise ValidationError(f"sample size must be a positive integer, got {size!r}")
+    _positive(size, "sample size")
     if not spec.edges:
         return _sample_group_consistent(spec, size, rng)
     rejected = 0

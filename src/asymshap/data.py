@@ -26,6 +26,12 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _positive(x, what: str) -> None:
+    """The one count check: x must be a positive integer as _is_int reads one, else ValidationError."""
+    if not _is_int(x) or x < 1:
+        raise ValidationError(f"{what} must be positive, got {x!r}")
+
+
 def _has_bool(obj) -> bool:
     return isinstance(obj, bool) or isinstance(obj, list) and any(map(_has_bool, obj))
 
@@ -189,19 +195,28 @@ class Dataset:
         return Dataset(self.X[idx], self.y[idx], self.schema)
 
 
+def write_json(path, doc) -> None:
+    """doc in the package's one JSON format: sorted keys, a two-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """header, then each row of Python numbers, in the package's one CSV format: csv.writer with "\\n"
+    line ends writes an int as its digits and a float as its repr, which float() reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(ds: Dataset, csv_path, schema_path) -> None:
-    """Write the dataset as CSV plus its schema sidecar. Deterministic bytes:
-    a discrete cell is written as an int, and csv.writer writes a continuous
-    one, a Python float, as its repr, which float() reads back exactly."""
+    """Write the dataset as CSV, a discrete cell as an int, plus its schema sidecar."""
     cols = [ds.X[:, i].astype(np.int64) if f.kind == DISCRETE else ds.X[:, i]
             for i, f in enumerate(ds.schema.features)]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(ds.schema.names) + [ds.schema.label])
-        writer.writerows(zip(*(c.tolist() for c in cols), ds.y.tolist()))
-    with open(schema_path, "w") as fh:
-        json.dump(ds.schema.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_csv(csv_path, list(ds.schema.names) + [ds.schema.label], zip(*(c.tolist() for c in cols), ds.y.tolist()))
+    write_json(schema_path, ds.schema.to_json_dict())
 
 
 def load_csv(csv_path, schema_path) -> Dataset:
@@ -288,7 +303,7 @@ def one_hot_design(X: np.ndarray, schema: Schema, standardizer: Standardizer) ->
     column, (x - mean) / scale with the standardizer's mean and scale for it,
     and each discrete one a block of cardinality columns. A discrete code
     outside [0, cardinality) raises SchemaError rather than landing in a
-    neighbouring block.
+    neighbouring block, and so does a fractional one rather than being truncated.
     """
     X = np.asarray(X, dtype=np.float64)
     if all(f.kind == CONTINUOUS for f in schema.features):
@@ -305,6 +320,8 @@ def one_hot_design(X: np.ndarray, schema: Schema, standardizer: Standardizer) ->
         if not ((X[:, i] >= 0) & (X[:, i] < f.cardinality)).all():
             raise SchemaError("discrete codes outside [0, cardinality) in the design input")
         codes = X[:, i].astype(np.int64)
+        if not (codes == X[:, i]).all():
+            raise SchemaError("non-integer discrete codes in the design input")
         block = np.zeros((X.shape[0], f.cardinality))
         block[rows, codes] = 1.0
         blocks.append(block)

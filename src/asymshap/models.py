@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Dataset, Schema, Standardizer, _float_array, one_hot_design, train_test_split
+from .data import Dataset, Schema, Standardizer, _float_array, one_hot_design, train_test_split, write_json
 from .errors import SchemaError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -69,6 +69,16 @@ class TrainConfig:
             raise ValidationError(f"training config lacks {', '.join(missing)}")
         obj["hidden"] = tuple(obj["hidden"])
         return cls(**obj)
+
+
+def _rows(X, schema: Schema, who: str) -> np.ndarray:
+    """X, one row or a 2-d array of rows, as float64 rows of schema's width; who names the predictor."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    if X.shape[1] != schema.n:
+        raise SchemaError(f"input has {X.shape[1]} features, {who} expects {schema.n}")
+    return X
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -167,13 +177,7 @@ class TrainedModel:
         return self.schema.n_classes
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.schema.n:
-            raise SchemaError(f"input has {X.shape[1]} features, model expects {self.schema.n}")
-        design = one_hot_design(X, self.schema, self.standardizer)
-        return self.net.predict_proba(design)
+        return self.net.predict_proba(one_hot_design(_rows(X, self.schema, "model"), self.schema, self.standardizer))
 
     def save(self, path) -> None:
         doc = {
@@ -187,9 +191,7 @@ class TrainedModel:
                 k: v for k, v in self.history.items() if k not in ("train_loss", "val_loss")
             },
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, doc)
 
     @classmethod
     def load(cls, path) -> "TrainedModel":
@@ -348,9 +350,4 @@ class BayesPredictor:
         return self.process.schema.n_classes
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_features:
-            raise SchemaError(f"input has {X.shape[1]} features, process expects {self.n_features}")
-        return self.process.label_probs(X)
+        return self.process.label_probs(_rows(X, self.process.schema, "process"))

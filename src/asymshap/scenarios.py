@@ -17,7 +17,7 @@ import numpy as np
 
 from .attribution import GlobalAttribution, RunPlan, column_means, column_stderrs, global_asv
 from .coalitions import OrderingSpec
-from .data import CONTINUOUS, DISCRETE, Dataset, FeatureSpec, Schema, _is_int, train_test_split
+from .data import CONTINUOUS, DISCRETE, Dataset, FeatureSpec, Schema, _is_int, _positive, train_test_split
 from .errors import ValidationError
 from .models import TrainConfig, sampled_label_accuracy, train_logistic
 from .values import BackgroundSet, ConditionalSampler, GenerativeSampler
@@ -87,8 +87,7 @@ class AdmissionsProcess:
         return score + 2.0 * dept - 1.0
 
     def sample_with_audit(self, n_rows: int, seed: int) -> tuple[Dataset, np.ndarray | None]:
-        if not _is_int(n_rows) or n_rows < 1:
-            raise ValidationError(f"n_rows must be positive, got {n_rows!r}")
+        _positive(n_rows, "n_rows")
         rng = np.random.default_rng(seed)
         gender = rng.integers(0, 2, size=n_rows)
         score = rng.standard_normal(n_rows)
@@ -165,8 +164,7 @@ class TwoFeatureGraphProcess:
         return _probs_from_p1(p1)
 
     def sample(self, n_rows: int, seed: int) -> Dataset:
-        if not _is_int(n_rows) or n_rows < 1:
-            raise ValidationError(f"n_rows must be positive, got {n_rows!r}")
+        _positive(n_rows, "n_rows")
         rng = np.random.default_rng(seed)
         x1 = rng.integers(0, 2, size=n_rows)
         p2 = np.asarray(_P_X2_GIVEN_X1[self.kind])[x1]
@@ -227,8 +225,7 @@ class MarkovSeriesProcess:
         return _probs_from_p1(_sigmoid(score))
 
     def sample(self, n_rows: int, seed: int) -> Dataset:
-        if not _is_int(n_rows) or n_rows < 1:
-            raise ValidationError(f"n_rows must be positive, got {n_rows!r}")
+        _positive(n_rows, "n_rows")
         X, y = self._draw(n_rows, np.random.default_rng(seed))
         return Dataset(X, y, self.schema)
 

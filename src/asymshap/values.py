@@ -25,11 +25,11 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
-from .data import Dataset, _is_int
+from .data import Dataset, _is_int, _positive
 from .errors import EstimatorError, SchemaError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -53,7 +53,6 @@ def _stream_key(key, what: str) -> int:
     return int(key)
 
 
-@runtime_checkable
 class Predictor(Protocol):
     n_features: int
     n_classes: int
@@ -212,8 +211,7 @@ class KNNSampler:
     """
 
     def __init__(self, dataset: Dataset, k: int = DEFAULT_KNN_K):
-        if not _is_int(k) or k < 1:
-            raise ValidationError(f"k must be positive, got {k!r}")
+        _positive(k, "k")
         self.dataset = dataset
         self.k = k
         self.schema = dataset.schema
@@ -302,19 +300,12 @@ class ExactMatchSampler(KNNSampler):
         return self.dataset.X[sel], None
 
 
-@runtime_checkable
-class GenerativeProcessLike(Protocol):
-    def conditional_samples(self, x: np.ndarray, mask: int, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m full rows drawn from p(x | x_S), S the int mask with bit i set for feature i. The value
-        function writes x_S over the columns in S."""
-        ...
-
-
 class GenerativeSampler:
-    """m draws from a process's closed-form conditional_samples: the Markov series' Gaussian block."""
+    """m draws from a process's closed-form conditional_samples(x, mask, m, rng), the Markov series'
+    Gaussian block: m full rows from p(x | x_S), over which the value function writes x_S."""
 
-    def __init__(self, process: GenerativeProcessLike):
-        if not isinstance(process, GenerativeProcessLike):
+    def __init__(self, process):
+        if not callable(getattr(process, "conditional_samples", None)):
             raise ValidationError("generative strategy needs a process with conditional_samples")
         self.process = process
 
@@ -350,11 +341,10 @@ class CachedValueFunction:
     f_y over them. seed and point_index must be integers in [0, STREAM_KEY_LIMIT), not bools.
 
     value takes one or more masks and calls the predictor once for all of
-    those not yet cached, so evaluations counts predictor calls,
-    coalitions_evaluated the distinct coalitions and prediction_rows the
-    predictor rows; a repeated coalition is read from the cache and changes
-    none of them. marginal_contributions passes a point's coalitions in
-    chunks of at most max(1, PREDICT_ROWS // m), and v(N) alone.
+    those not yet cached. counts holds the work: evaluations (predictor calls),
+    coalitions_evaluated and prediction_rows, which a repeated coalition, read
+    from the cache, does not change. marginal_contributions passes a point's
+    coalitions in chunks of at most max(1, PREDICT_ROWS // m), and v(N) alone.
     """
 
     def __init__(
@@ -381,8 +371,7 @@ class CachedValueFunction:
         if self.n > MAX_MASK_FEATURES:
             raise ValidationError(f"coalition masks support up to {MAX_MASK_FEATURES} features, got {self.n}")
         self._bit = np.int64(1) << np.arange(self.n, dtype=np.int64)
-        if not _is_int(m) or m < 1:
-            raise ValidationError(f"sample count must be positive, got {m!r}")
+        _positive(m, "sample count")
         self.sampler = None if off_manifold else completion
         self.m = m
         self.seed, self.point_index = _stream_key(seed, "seed"), _stream_key(point_index, "point_index")
@@ -403,6 +392,12 @@ class CachedValueFunction:
     def coalitions_evaluated(self) -> int:
         """The distinct coalitions evaluated: one cache entry each."""
         return len(self._cache)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The work counts a run reports, by their names in its output."""
+        return {"value_evaluations": self.evaluations, "coalitions_evaluated": self.coalitions_evaluated,
+                "prediction_rows": self.prediction_rows}
 
     def value(self, mask: int, *more: int) -> float | list[float]:
         """Weighted mean of f_y over the completions of x_S, S an int with bit i

@@ -447,6 +447,45 @@ def test_output_is_invariant_to_blas_threads(tmp_path):
     assert meta["coalitions_evaluated"] / 3 - 1 > asymshap.values.PREDICT_ROWS // 64
 
 
+def _seed_blanked(path):
+    """The output JSON at path with the run's seed and out path blanked, wherever they are echoed."""
+    doc = json.loads(path.read_text())
+    doc["config"]["seed"] = doc["config"]["out"] = None
+    doc["metadata"]["seed"] = None
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A 60-row chain dataset and a logistic model trained on it."""
+    d = tmp_path_factory.mktemp("chain")
+    assert main(["gen-data", "chain", "--rows", "60", "--seed", "0", "--out", str(d / "data")]) == 0
+    assert main(["train", "--data", str(d / "data.csv"), "--model", "logistic", "--epochs", "20", "--seed", "0",
+                 "--out", str(d / "model.json")]) == 0
+    return d
+
+
+@pytest.mark.parametrize(
+    "flags, seed_free",
+    [(["explain", "--exact", "--samples", "100"], True),
+     (["explain", "--exact", "--strategy", "exact-match", "--samples", "100"], True),
+     (["fairness", "--strategy", "off-manifold", "--samples", "100", "--budget", "100",
+       "--resolving", "x1", "--sensitive", "x2"], True),
+     (["explain", "--exact", "--strategy", "exact-match", "--samples", "8"], False)],
+    ids=["off-manifold", "exact-match", "fairness-off-manifold", "exact-match-sampled"],
+)
+def test_a_run_that_samples_nothing_does_not_depend_on_its_seed(chain, tmp_path, flags, seed_free):
+    # 60 rows fit in 100 samples: the background is used whole, each exact-match pool once, and an exact
+    # run draws no orders. Pools of more than 8 rows are drawn from, so the last run depends on its seed.
+    docs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed-{seed}.json"
+        assert main([*flags, "--model", str(chain / "model.json"), "--data", str(chain / "data.csv"),
+                     "--seed", seed, "--out", str(out)]) == 0
+        docs.append(_seed_blanked(out))
+    assert (docs[0] == docs[1]) is seed_free
+
+
 AUTO = {"exact": None, "mc": None, "cap": 10}
 
 

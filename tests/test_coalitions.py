@@ -480,7 +480,7 @@ class TestSampling:
         # operator.index would take True as 1; a float would raise a raw TypeError.
         for size in (0, True, 2.5, np.float64(3.0), "3"):
             for spec in (OrderingSpec(3), OrderingSpec(3, edges=frozenset({(0, 1)}))):
-                with pytest.raises(ValidationError, match="sample size must be a positive integer"):
+                with pytest.raises(ValidationError, match="sample size must be positive, got"):
                     sample_consistent_batch(spec, size, np.random.default_rng(0))
         assert sample_consistent_batch(OrderingSpec(3), np.int64(2), np.random.default_rng(0)).shape == (2, 3)
 

@@ -316,7 +316,8 @@ class TestDesignMatrix:
     def test_out_of_range_codes_rejected(self):
         ds = small_dataset(rows=5)
         st = Standardizer.fit(ds.X, ds.schema)
-        for code in (3.0, -1.0, np.nan, np.inf, -np.inf):  # "c" has cardinality 3
+        # "c" has cardinality 3; a cast would truncate 0.5 to code 0 and 2.9 to code 2.
+        for code in (3.0, -1.0, np.nan, np.inf, -np.inf, 0.5, 2.9):
             X = ds.X.copy()
             X[2, 2] = code
             with pytest.raises(SchemaError):

@@ -41,6 +41,7 @@ from asymshap import (
     global_asv,
     run_fairness_audit,
     run_feature_selection_study,
+    sample_consistent_batch,
 )
 from asymshap.attribution import column_stderrs
 from asymshap.scenarios import SIGNIFICANCE_THRESHOLD, STDERR_FLOOR
@@ -485,22 +486,28 @@ def test_audit_rejects_its_feature_lists_before_any_evaluation(resolving, sensit
 
 
 def count_cases():
-    """(call, the message naming the argument) for each library count given a float or a bool."""
+    """(call, the message naming the argument) for each library count given a float, a bool or 0."""
     ds = AdmissionsProcess().sample(50, 0)
-    plan = RunPlan(BayesPredictor(AdmissionsProcess()), OrderingSpec(3), ds)
+    pred = BayesPredictor(AdmissionsProcess())
+    plan = RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X))
     processes = {"admissions": AdmissionsProcess(), "two-feature": TwoFeatureGraphProcess("chain"),
                  "markov": MarkovSeriesProcess(T=3)}
-    cases = {f"T={bad!r}": (lambda bad=bad: MarkovSeriesProcess(T=bad), f"T must be in [1, 16], got {bad!r}")
-             for bad in (2.5, True)}
-    for name, process in processes.items():
-        for bad in (2.5, True):
+    cases = {}
+    for bad in (2.5, True, 0):
+        cases[f"T={bad!r}"] = (lambda bad=bad: MarkovSeriesProcess(T=bad), f"T must be in [1, 16], got {bad!r}")
+        for name, process in processes.items():
             cases[f"{name}-n_rows={bad!r}"] = (lambda p=process, bad=bad: p.sample(bad, 0),
                                                f"n_rows must be positive, got {bad!r}")
-    for bad in (2.5, True):
         cases[f"k={bad!r}"] = (lambda bad=bad: KNNSampler(ds, k=bad), f"k must be positive, got {bad!r}")
-    cases["trials=2.5"] = (lambda: run_feature_selection_study(MarkovSeriesProcess(T=3), trials=2.5),
-                           "at least 2 trials, got 2.5")
-    cases["budget=2.5"] = (lambda: global_asv(plan, ds, budget=2.5), "point budget must be positive, got 2.5")
+        cases[f"m={bad!r}"] = (lambda bad=bad: CachedValueFunction(pred, ds.X[0], 1, BackgroundSet(ds.X), m=bad),
+                               f"sample count must be positive, got {bad!r}")
+        cases[f"size={bad!r}"] = (
+            lambda bad=bad: sample_consistent_batch(OrderingSpec(3), bad, np.random.default_rng(0)),
+            f"sample size must be positive, got {bad!r}")
+        cases[f"trials={bad!r}"] = (lambda bad=bad: run_feature_selection_study(MarkovSeriesProcess(T=3), trials=bad),
+                                    f"at least 2 trials, got {bad!r}")
+        cases[f"budget={bad!r}"] = (lambda bad=bad: global_asv(plan, ds, budget=bad),
+                                    f"point budget must be positive, got {bad!r}")
     return cases
 
 
