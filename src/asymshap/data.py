@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -219,14 +220,61 @@ def save_csv(ds: Dataset, csv_path, schema_path) -> None:
     write_json(schema_path, ds.schema.to_json_dict())
 
 
+def _plain_lines(fh):
+    """fh's lines, up to the first that np.loadtxt would read otherwise than _load_rows, where it
+    raises ValueError: a blank line, which loadtxt skips, or one holding an ASCII separator, U+001C
+    to U+001F, which loadtxt strips from a cell as whitespace and float() and int() do not."""
+    for line in fh:
+        if line.isspace() or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("a line np.loadtxt would read otherwise")
+        yield line
+
+
+def _load_table(fh, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of n float cells and an int label that fh holds, read by numpy's C reader, which
+    parses a cell with PyOS_string_to_double, as float() does. ValueError, or a warning raised here
+    as an error, means that reader would read some row otherwise than _load_rows, or not at all: a
+    line _plain_lines stops at, a quoted or empty cell, "1_0", a non-ASCII digit, a wrong width, a
+    label that is not an integer within int64 (numpy 1.x reads "1.0" as 1, with a warning) or no
+    rows (only a warning)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(_plain_lines(fh), dtype=[("X", np.float64, (n,)), ("y", np.int64)],
+                           delimiter=",", comments=None, ndmin=1)
+    return np.ascontiguousarray(table["X"]), np.ascontiguousarray(table["y"])
+
+
+def _load_rows(fh, csv_path, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows that fh holds, each parsed by csv.reader, float() and int() into packed float64 and
+    int64 buffers that the returned arrays view. A row of the wrong width, a cell that does not
+    parse or a label outside int64 raises SchemaError naming the file and line, and no row at all
+    ValidationError."""
+    cells, labels = array("d"), array("q")
+    for lineno, rec in enumerate(csv.reader(fh), start=2):
+        if len(rec) != width:
+            raise SchemaError(f"{csv_path}:{lineno}: {len(rec)} cells, expected {width}")
+        try:
+            cells.fromlist([float(v) for v in rec[:-1]])
+            labels.append(int(rec[-1]))
+        except ValueError as exc:
+            raise SchemaError(f"{csv_path}:{lineno}: {exc}") from exc
+        except OverflowError:
+            raise SchemaError(f"{csv_path}:{lineno}: label {rec[-1]} is outside the int64 range") from None
+    if not labels:
+        raise ValidationError(f"{csv_path} has a header but no rows")
+    X = np.frombuffer(cells, dtype=np.float64).reshape(len(labels), width - 1)
+    return X, np.frombuffer(labels, dtype=np.int64)
+
+
 def load_csv(csv_path, schema_path) -> Dataset:
     """The dataset that save_csv wrote to csv_path and schema_path.
 
-    Each feature cell is parsed with float() and each label with int(), row
-    by row into packed float64 and int64 buffers that the returned arrays
-    view, so no boxed copy of the table is held. A header other than the
-    schema's raises SchemaError, and so, naming the file and line, does a row
-    of the wrong width, a cell that does not parse or a label outside int64.
+    The header, read with csv.reader, must be the schema's, else SchemaError.
+    The rows go through numpy's C reader, which parses a cell with the routine
+    float() calls, into one packed table, so no boxed copy of it is held. A
+    file with a row that reader rejects or would read otherwise (_load_table
+    lists them) is read again by _load_rows, with float() and int(). So the
+    files accepted, their bits and every refusal are those of _load_rows.
     """
     try:
         with open(schema_path) as fh:
@@ -234,29 +282,20 @@ def load_csv(csv_path, schema_path) -> Dataset:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed schema JSON in {schema_path}: {exc}") from exc
     with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(iter(fh.readline, "")))  # readline, so tell() gives where the body starts
         except StopIteration:
             raise SchemaError(f"{csv_path} is empty") from None
         expected = list(schema.names) + [schema.label]
         if header != expected:
             raise SchemaError(f"CSV header {header} does not match schema {expected}")
-        cells, labels = array("d"), array("q")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(expected):
-                raise SchemaError(f"{csv_path}:{lineno}: {len(rec)} cells, expected {len(expected)}")
-            try:
-                cells.fromlist([float(v) for v in rec[:-1]])
-                labels.append(int(rec[-1]))
-            except ValueError as exc:
-                raise SchemaError(f"{csv_path}:{lineno}: {exc}") from exc
-            except OverflowError:
-                raise SchemaError(f"{csv_path}:{lineno}: label {rec[-1]} is outside the int64 range") from None
-    if not labels:
-        raise ValidationError(f"{csv_path} has a header but no rows")
-    X = np.frombuffer(cells, dtype=np.float64).reshape(len(labels), schema.n)
-    return Dataset(X, np.frombuffer(labels, dtype=np.int64), schema)
+        body = fh.tell()
+        try:
+            X, y = _load_table(fh, schema.n)
+        except (ValueError, Warning):
+            fh.seek(body)
+            X, y = _load_rows(fh, csv_path, len(expected))
+    return Dataset(X, y, schema)
 
 
 def train_test_split(

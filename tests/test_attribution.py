@@ -51,7 +51,7 @@ from asymshap import (
     sampled_label_accuracy,
 )
 from asymshap import attribution, coalitions
-from asymshap.attribution import column_means
+from asymshap.attribution import _point_budget, column_means
 from asymshap.values import PREDICT_ROWS
 
 
@@ -642,6 +642,12 @@ class TestGlobalAttribution:
         with pytest.raises(ValidationError):
             global_asv(plan, ds, budget=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_point_budget_rows_are_distinct(self, seed):
+        # 29 of 30 rows: 29 draws with replacement would repeat a row but for odds of 30!/30^29, about 4e-11.
+        idx = _point_budget(30, 29, seed).tolist()
+        assert idx == sorted(set(idx)) and len(idx) == 29
+
     def test_collect_locals_matches_reported_spread(self):
         ds = toy_dataset(rows=15, seed=5)
         pred = LinearProbPredictor(np.array([2.0, -1.0, 0.5]))
@@ -774,6 +780,14 @@ class TestRunPlan:
         assert res.metadata["prediction_rows"] == vf.prediction_rows > 0
         # A point explained alone gets its row of the global run, bit for bit.
         assert np.array_equal(res.means, global_asv(plan, ds).locals[1])
+
+    def test_identical_points_at_two_indices_draw_their_own_orders(self):
+        ds, pred = self._setup()
+        # A background of m rows is used whole, once per row, so only the order stream sees the index.
+        plan = RunPlan(pred, OrderingSpec(3), BackgroundSet(ds.X), estimator="mc", n_perms=4, m=ds.n_rows, seed=1)
+        (a, vf_a), (b, vf_b) = (plan.local(ds.X[1], int(ds.y[1]), j) for j in (1, 2))
+        assert [vf_a.value(mask) for mask in range(8)] == [vf_b.value(mask) for mask in range(8)]
+        assert not np.array_equal(a.means, b.means)
 
 
 class TestCoalitionAccuracy:

@@ -1,7 +1,9 @@
 """Schemas, datasets, CSV round trips, splits, and design matrices."""
 
+import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +158,69 @@ class TestDataset:
         assert np.array_equal(sub.X[0], ds.X[3])
 
 
+def read_row_by_row(csv_path, schema_path):
+    """The oracle for load_csv: the schema's header, then csv.reader with float() and int() on each row,
+    raising what load_csv raises for a row of the wrong width, a cell that does not parse, a label
+    outside int64 or no rows, and building the Dataset, which refuses the rest."""
+    schema = Schema.from_json_dict(json.loads(schema_path.read_text()))
+    with open(csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [*schema.names, schema.label]
+    X, y = [], []
+    for lineno, rec in enumerate(rows, start=2):
+        if len(rec) != len(header):
+            raise SchemaError(f"{csv_path}:{lineno}: {len(rec)} cells, expected {len(header)}")
+        try:
+            X.append([float(v) for v in rec[:-1]])
+            y.append(int(rec[-1]))
+        except ValueError as exc:
+            raise SchemaError(f"{csv_path}:{lineno}: {exc}") from exc
+        if not -(2**63) <= y[-1] < 2**63:
+            raise SchemaError(f"{csv_path}:{lineno}: label {rec[-1]} is outside the int64 range")
+    if not y:
+        raise ValidationError(f"{csv_path} has a header but no rows")
+    return Dataset(np.array(X, dtype=np.float64), np.array(y, dtype=np.int64), schema)
+
+
+def read_outcome(read, csv_path, schema_path):
+    """What read gives: X's bits and y, or the exception's type and message."""
+    try:
+        ds = read(csv_path, schema_path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.X.shape, ds.X.view(np.uint64).tolist(), ds.y.dtype, ds.y.tolist()
+
+
+# Each file's header is "a,b,y" unless it names its own.
+BODIES = {
+    "plain": "1,2,0\n3.5,-4e-3,1\n",
+    "no-final-newline": "1,2,0\n3,4,1",
+    "blank-line-in-the-middle": "1,2,0\n\n3,4,1\n",
+    "blank-line-at-the-end": "1,2,0\n3,4,1\n\n",
+    "whitespace-only-line": "1,2,0\n \t\n3,4,1\n",
+    "crlf": "a,b,y\r\n1,2,0\r\n3,4,1\r\n",
+    "lone-cr": "a,b,y\r1,2,0\r3,4,1\r",
+    "quoted-cell": '"1.5",2,0\n',
+    "quoted-header-with-comma": '"a,b",c,y\n1,2,0\n',
+    "underscore": "1_0,2,0\n",
+    "arabic-indic-digit": "\u0661,2,0\n",
+    "no-break-space": "1\xa0,\xa02,0\n",
+    "file-separator": "1\x1c,2,0\n",
+    "signed-zero-and-subnormal": "-0.0,5e-324,1\n",
+    "17-digits": "0.30000000000000004,-1.2345678901234567e-300,0\n2.2250738585072014e-308,1.7976931348623157e308,1\n",
+    "label-1.0": "1,2,1.0\n",
+    "label-plus-1": "1,2,+1\n",
+    "label-space-1": "1,2, 1\n",
+    "label-2^63": "1,2,9223372036854775808\n",
+    "label-minus-2^63": "1,2,-9223372036854775808\n",
+    "label-minus-2^63-1": "1,2,-9223372036854775809\n",
+    "trailing-comma": "1,2,0,\n",
+    "empty-cell": "1,,0\n",
+    "nul-byte": "1\x00,2,0\n",
+    "header-only": "",
+}
+
+
 class TestCsv:
     def test_round_trip_is_exact(self, tmp_path):
         ds = small_dataset()
@@ -235,6 +300,20 @@ class TestCsv:
         want = np.array([[float(c) for c in cells]])
         assert np.array_equal(got.X.view(np.uint64), want.view(np.uint64))
         assert got.X.dtype == np.float64 and got.y.dtype == np.int64 and got.y.tolist() == [1]
+
+    @pytest.mark.parametrize("body", BODIES.values(), ids=BODIES.keys())
+    def test_reads_as_csv_reader_with_float_and_int(self, tmp_path, body):
+        # numpy's C reader takes what it parses as float() and int() do; anything else goes row by row.
+        names = ("a,b", "c") if body.startswith('"a,b"') else ("a", "b")
+        schema = Schema(tuple(FeatureSpec(name, CONTINUOUS) for name in names))
+        schema_path, csv_path = tmp_path / "d.schema.json", tmp_path / "d.csv"
+        save_csv(Dataset(np.zeros((1, 2)), [0], schema), csv_path, schema_path)
+        text = body if body.startswith(('"a,b"', "a,b,y")) else "a,b,y\n" + body
+        csv_path.write_text(text, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # so no refusal rests on the caller's filter making a warning an error
+            got = read_outcome(load_csv, csv_path, schema_path)
+        assert got == read_outcome(read_row_by_row, csv_path, schema_path)
 
     def test_holds_no_boxed_copy(self, tmp_path):
         # Packed cells, not a list of Python floats per row, which takes over 4x the bytes.

@@ -361,6 +361,15 @@ class TestExactMatchSampler:
         val = CachedValueFunction(pred, x, 1, completion=sampler, m=3, seed=1).value(0b01)
         assert val == 0.0  # every a=0 row predicts 0 regardless of subsampling
 
+    def test_exactly_m_matches_are_the_pool_in_row_order(self):
+        ds = discrete_dataset()
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        # a = 0 matches rows 0, 1, 2, 3 and 7: with m = 5 each is used once, and nothing is drawn.
+        rows, weights = ExactMatchSampler(ds).complete(np.array([0.0, 1.0]), 0b01, 5, rng)
+        assert rows.tobytes() == ds.X[[0, 1, 2, 3, 7]].tobytes() and weights is None
+        assert rng.bit_generator.state == state
+
     def test_zero_matches_fall_back_to_knn(self, caplog):
         schema = Schema(
             (
