@@ -206,8 +206,9 @@ def marginal_contributions(v, chains: CoalitionChains) -> np.ndarray:
     regardless of how many orders touch them. v.value takes one or more
     masks, and v.m is the completion rows a mask takes at most for a sampler
     that draws, so the masks go in calls of at most max(1, PREDICT_ROWS // v.m),
-    each one predictor call for a CachedValueFunction. v(N), the last, gets a
-    call of its own, for the on-manifold one-row prediction at x.
+    each one predictor call of about PREDICT_ROWS = 2,048 rows for a
+    CachedValueFunction, whose means come from that call's one list. v(N), the
+    last, gets a call of its own, for the on-manifold one-row prediction at x.
     """
     *head, full = [0, *chains.masks.tolist()]
     step = max(1, PREDICT_ROWS // v.m)

@@ -92,9 +92,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 class FeedForwardNet:
     """Dense net with softmax output; an empty hidden list is plain logistic. Its parameters are one
-    vector, params (every weight matrix, then every bias, row-major), and weights and biases view it."""
+    vector, params (every weight matrix, then every bias, row-major), and weights and biases view it.
+    rng draws the initial weights; without one every parameter starts at 0, for a caller that sets
+    params, as TrainedModel.load does."""
 
-    def __init__(self, sizes: list[int], activation: str, rng: np.random.Generator):
+    def __init__(self, sizes: list[int], activation: str, rng: np.random.Generator | None = None):
         if len(sizes) < 2:
             raise ValidationError(f"need input and output sizes, got {sizes}")
         self.sizes = list(sizes)
@@ -105,8 +107,9 @@ class FeedForwardNet:
         params, grads = ([v[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)] for v in vectors)
         k = len(sizes) - 1
         self.weights, self.biases, self._gW, self._gb = params[:k], params[k:], grads[:k], grads[k:]
-        for W in self.weights:
-            W[...] = rng.normal(0.0, np.sqrt(1.0 / W.shape[0]), size=W.shape)
+        if rng is not None:
+            for W in self.weights:
+                W[...] = rng.normal(0.0, np.sqrt(1.0 / W.shape[0]), size=W.shape)
 
     def _act(self, z: np.ndarray) -> np.ndarray:  # in place
         return np.tanh(z, out=z) if self.activation == "tanh" else np.maximum(z, 0.0, out=z)
@@ -236,7 +239,7 @@ class TrainedModel:
                 f"model file {path} does not hold a standardizer with a finite mean and a finite positive "
                 f"scale for each of its schema's {n_cont} continuous features"
             )
-        net = FeedForwardNet(sizes, config.activation, np.random.default_rng(0))
+        net = FeedForwardNet(sizes, config.activation)
         net.params[...] = np.concatenate([p.ravel() for p in params])
         if not np.isfinite(net.params).all():
             raise SchemaError(f"model file {path} holds non-finite weights or biases")

@@ -37,8 +37,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_KNN_K = 10
 MAX_MASK_FEATURES = 62  # coalition masks live in int64
 # About the rows of one predictor call: marginal_contributions asks a value call for at most
-# max(1, PREDICT_ROWS // m) coalitions.
-PREDICT_ROWS = 1024
+# max(1, PREDICT_ROWS // m) coalitions. On explain_mc_markov12 (T = 12, m = 64, a 12-wide design)
+# run in-process on a 2-vCPU VM, a point took 15.2-15.7 / 14.5 / 13.6-13.9 / 14.1 / 18.2 ms at
+# 1,024 / 1,536 / 2,048 / 3,072 / 4,096 rows: larger calls fall out of cache.
+PREDICT_ROWS = 2048
 # Seeds and point indices lie below this, so each fills one word of a stream key.
 STREAM_KEY_LIMIT = 1 << 32
 
@@ -82,13 +84,15 @@ class BackgroundSet:
             raise ValidationError(f"background needs a nonempty 2-d row array, got shape {self.rows.shape}")
 
 
-def _mean(col: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """math.fsum(col) / len(col), or the fsum of weights * col for a probability vector weights;
-    col[0] when every value == it (so 0.0 and -0.0 are equal), which returns coalitions whose
-    completions all agree (the full set, ignored features, constant models) bit for bit."""
-    lst = col.tolist()
-    if lst.count(lst[0]) == len(lst):
-        return lst[0]
+def _mean(lst: list[float], weights: np.ndarray | None = None) -> float:
+    """math.fsum(lst) / len(lst), or the fsum of weights * lst for a probability vector weights;
+    lst[0] when every value == it (so 0.0 and -0.0 are equal), which returns coalitions whose
+    completions all agree (the full set, ignored features, constant models) bit for bit. lst is
+    a list of floats, a slice of one predictor call's tolist(); the count scan runs only when the
+    last entry is or == the first, which every column the scan would accept passes."""
+    first = lst[0]
+    if (lst[-1] is first or lst[-1] == first) and lst.count(first) == len(lst):
+        return first
     return math.fsum(lst) / len(lst) if weights is None else math.fsum(map(operator.mul, weights.tolist(), lst))
 
 
@@ -345,6 +349,10 @@ class CachedValueFunction:
     coalitions_evaluated and prediction_rows, which a repeated coalition, read
     from the cache, does not change. marginal_contributions passes a point's
     coalitions in chunks of at most max(1, PREDICT_ROWS // m), and v(N) alone.
+    Off-manifold, a chunk's rows come from one 2-d np.where: its masks' bits,
+    tiled once per draw, pick between x tiled and the draws flattened. The
+    predictor's class column is turned into one list per call, and each v(S)
+    is _mean over its slice of that list.
     """
 
     def __init__(
@@ -384,6 +392,10 @@ class CachedValueFunction:
             else:
                 sel = _stream(self.seed, self.point_index).choice(len(rows), size=m, replace=True)
                 self._draws = rows[sel]
+            # A mask's k completion rows, flattened, are x tiled k times where its bits are set and
+            # the k draws flattened elsewhere, k = self._draws.shape[0].
+            self._x_tiled = np.tile(self.x, self._draws.shape[0])
+            self._draws_flat = self._draws.ravel()
         self._cache: dict[int, float] = {}
         self.evaluations = 0
         self.prediction_rows = 0
@@ -426,9 +438,10 @@ class CachedValueFunction:
     def _evaluate(self, masks: list[int]) -> None:
         """Cache v(S) for each of masks, distinct and checked, from one predictor call."""
         if self.sampler is None:
+            k = self._draws.shape[0]
             keep = (np.array(masks, dtype=np.int64)[:, None] & self._bit).astype(bool)
-            rows = np.where(keep[:, None, :], self.x, self._draws).reshape(-1, self.n)
-            parts = [(self._draws.shape[0], None)] * len(masks)
+            rows = np.where(np.tile(keep, k), self._x_tiled, self._draws_flat).reshape(-1, self.n)
+            parts = [(k, None)] * len(masks)
         else:
             blocks, parts = [], []
             for mask in masks:
@@ -443,7 +456,7 @@ class CachedValueFunction:
             rows = np.concatenate(blocks)
         self.evaluations += 1
         self.prediction_rows += rows.shape[0]
-        f = self.pred.predict(rows)[:, self.y]
+        f = self.pred.predict(rows)[:, self.y].tolist()
         start = 0
         for mask, (size, weights) in zip(masks, parts):
             self._cache[mask] = _mean(f[start:start + size], weights)

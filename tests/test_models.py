@@ -401,6 +401,22 @@ class TestFileFormat:
         back.save(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
 
+    @pytest.mark.parametrize("kind, config", MODEL_KINDS, ids=MODEL_IDS)
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch, kind, config):
+        # The file holds every parameter, so load builds the net without an initial draw to overwrite.
+        ds = mixed_blobs(rows=120, seed=6)
+        model = fit(kind, config, ds)
+        model.save(tmp_path / "model.json")
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load drew from a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        back = TrainedModel.load(tmp_path / "model.json")
+        back.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+        assert back.predict(ds.X).tobytes() == model.predict(ds.X).tobytes()
+
     def test_widths_the_weights_do_not_hold_are_refused_before_allocating(self, tmp_path):
         # Building a net 2^40 wide first would fail with MemoryError, not name the sizes.
         model = fit(*MODEL_KINDS[1], mixed_blobs(rows=120, seed=6))

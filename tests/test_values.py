@@ -36,7 +36,7 @@ from asymshap import (
     train_logistic,
     train_mlp,
 )
-from asymshap.values import _discrete_mutual_information, _mean, _stream
+from asymshap.values import PREDICT_ROWS, _discrete_mutual_information, _mean, _stream
 
 
 def sigmoid(z):
@@ -276,17 +276,31 @@ class TestCaching:
         assert vf.value(1, 2, 1) == [vf.value(1), vf.value(2), vf.value(1)]
         assert counting.calls == vf.evaluations == 1 and vf.coalitions_evaluated == 2
 
-    @pytest.mark.parametrize("T", [8, 12])
-    def test_a_chunked_call_gives_each_mask_the_bits_of_its_own_call(self, T):
+    @pytest.mark.parametrize("T, background, n_masks", [
+        pytest.param(8, 200, 40, id="8"),
+        pytest.param(12, 200, 40, id="12"),
+        # Fewer background rows than m: each mask takes all 3, and the call holds as many masks as
+        # marginal_contributions puts in one.
+        pytest.param(12, 3, max(1, PREDICT_ROWS // 6), id="12-background-3-full-chunk"),
+    ])
+    def test_a_chunked_call_gives_each_mask_the_bits_of_its_own_call(self, T, background, n_masks):
         # A row's score must not depend on the rows predicted with it, as a BLAS gemv's can.
         process = MarkovSeriesProcess(T=T)
-        ds = process.sample(205, 0)
-        masks = np.random.default_rng(T).integers(1, 1 << T, size=40).tolist()
+        pred = BayesPredictor(process)
+        ds = process.sample(5 + background, 0)
+        masks = np.random.default_rng(T).choice(np.arange(1, 1 << T), size=n_masks, replace=False).tolist()
+        bits = 1 << np.arange(T)
         for p in range(5):
-            args = (BayesPredictor(process), ds.X[p], int(ds.y[p]), BackgroundSet(ds.X[5:]))
+            args = (pred, ds.X[p], int(ds.y[p]), BackgroundSet(ds.X[5:]))
             chunked = CachedValueFunction(*args, m=6, seed=0, point_index=p).value(*masks)
             alone = CachedValueFunction(*args, m=6, seed=0, point_index=p)
             assert chunked == [alone.value(mask) for mask in masks]
+            if background <= 6:
+                # The whole background, in row order, so each value is the mean over x on S spliced
+                # into every background row.
+                for mask, got in zip(masks, chunked):
+                    rows = np.where(bits & mask, ds.X[p], ds.X[5:])
+                    assert same_bits(got, mean_reference(pred.predict(rows)[:, int(ds.y[p])]))
 
     def test_full_sweep_evaluates_each_coalition_once(self):
         n = 5
@@ -641,14 +655,14 @@ def same_bits(got, want):
 
 
 class TestMeanAndStderr:
-    """_mean, the coalition mean: fsum over m, or the common value of a constant column."""
+    """_mean, the coalition mean of a list: fsum over m, or the common value of a constant column."""
 
     @pytest.mark.parametrize("m", [2, 3, 8, 9, 64, 100, 129, 1000, 10007])
     def test_matches_fsum_and_np_std_bitwise(self, m):
         rng = np.random.default_rng(m)
         for loc, scale in ((0.5, 0.2), (1e3, 1.0), (0.0, 1e-9), (-7.0, 1e4)):
             v = rng.normal(loc, scale, m)
-            assert same_bits(_mean(v), mean_reference(v))
+            assert same_bits(_mean(v.tolist()), mean_reference(v))
 
     @pytest.mark.parametrize("m", [2, 5, 64, 300])
     def test_strided_probability_column(self, m):
@@ -659,36 +673,50 @@ class TestMeanAndStderr:
         for y in (0, 1):
             col = probs[:, y]
             assert not col.flags.c_contiguous
-            assert same_bits(_mean(col), mean_reference(col))
+            assert same_bits(_mean(col.tolist()), mean_reference(col))
 
     @pytest.mark.parametrize("m", [1, 2, 64])
     def test_constant_vectors_short_circuit(self, m):
         for c in (0.0, -0.0, 0.3, 1e300):
             v = np.full(m, c)
-            assert same_bits(_mean(v), c)
-            assert same_bits(_mean(v), mean_reference(v))
+            assert same_bits(_mean(v.tolist()), c)
+            assert same_bits(_mean(v.tolist()), mean_reference(v))
         # 0.0 == -0.0, so a column of both is constant and returns its first entry.
         for first, rest in ((0.0, -0.0), (-0.0, 0.0)):
             v = np.full(m, rest)
             v[0] = first
-            assert same_bits(_mean(v), first)
-            assert same_bits(_mean(v), mean_reference(v))
+            assert same_bits(_mean(v.tolist()), first)
+            assert same_bits(_mean(v.tolist()), mean_reference(v))
+
+    @pytest.mark.parametrize("col", [[0.5, 0.25, 0.5], [0.0, 0.3, -0.0], [0.3, 0.3, 0.7, 0.3], [-0.0, 1.0, 1.0, 0.0],
+                                     [1e300, -1e300, 1e300]], ids=lambda col: "_".join(map(repr, col)))
+    def test_equal_ends_with_a_different_middle_are_averaged(self, col):
+        # The first and last entries agree, so only the count scan sees the middle one.
+        assert same_bits(_mean(col), mean_reference(np.array(col)))
 
     def test_single_value(self):
-        assert same_bits(_mean(np.array([0.25])), 0.25)
+        assert same_bits(_mean([0.25]), 0.25)
+        assert same_bits(_mean([-0.0]), -0.0)
+
+    def test_a_repeated_object_is_its_own_mean(self):
+        # list.count matches by identity first, so one nan object repeated is constant, as it was when
+        # the column was an array's tolist(); nan entries that are distinct objects are summed.
+        nan = float("nan")
+        assert _mean([nan] * 3) is nan
+        assert math.isnan(_mean(np.full(3, np.nan).tolist()))
 
     def test_weighted_mean_is_the_fsum_of_the_products(self):
         rng = np.random.default_rng(3)
         v, w = rng.random(33), rng.random(33)
         w /= w.sum()
-        assert same_bits(_mean(v, w), math.fsum(map(operator.mul, w.tolist(), v.tolist())))
+        assert same_bits(_mean(v.tolist(), w), math.fsum(map(operator.mul, w.tolist(), v.tolist())))
         # A constant column is its value whatever the weights, so nullity stays an identity.
         for c in (0.3, -0.0):
-            assert same_bits(_mean(np.full(33, c), w), c)
+            assert same_bits(_mean(np.full(33, c).tolist(), w), c)
 
     def test_sum_is_compensated(self):
         # A plain float sum loses the 1.0s to the 1e16s; fsum keeps them.
-        assert _mean(np.array([1e16, 1.0, -1e16, 1.0])) == 0.5
+        assert _mean([1e16, 1.0, -1e16, 1.0]) == 0.5
 
 
 STREAM_KEYS = [0, 1, 2**32 - 1, 2**32, 2**61 + 5]
