@@ -40,7 +40,6 @@ import numpy as np
 
 from .coalitions import (
     DEFAULT_ENUMERATION_CAP,
-    MAX_EXACT_ORDERS,
     OrderingSpec,
     _orders,
     enumerate_consistent,
@@ -116,10 +115,10 @@ class CoalitionChains:
     orders take that step.
 
     CoalitionChains(P) keeps one step per order and feature, step r being
-    order r's; CoalitionChains.merged(P) takes each feature's identical steps
-    once and counts them, reading P a column at a time, for an exact average.
-    Neither keeps P, and nothing here depends on a point, so one instance
-    serves every point of a run; its arrays are read-only for that reason.
+    order r's; CoalitionChains.merged(spec, cap) takes each feature's
+    identical steps once and counts them, for an exact average. Neither keeps
+    the orders, and nothing here depends on a point, so one instance serves
+    every point of a run; its arrays are read-only for that reason.
     """
 
     def __init__(self, P):
@@ -142,31 +141,24 @@ class CoalitionChains:
         self._hold(masks, before, after, np.broadcast_to(np.int64(1), (n, R)), R)
 
     @classmethod
-    def merged(cls, P) -> "CoalitionChains":
-        """The chains of orders P with each feature's identical steps taken once, their counts added.
+    def merged(cls, spec: OrderingSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> "CoalitionChains":
+        """Chains of spec's consistent orders, each feature's identical steps taken once and counted.
 
-        A step of feature i is fixed by the coalition before it, so row i of
-        the (n, K) arrays lists feature i's distinct steps by ascending
-        before; a feature with fewer than K of them is padded with (0, 0)
-        steps of count 0. masks, count and n are those of CoalitionChains(P),
-        so every row of counts sums to count. P is read, widened and checked
-        against the coalitions before it a column at a time, so beside it
-        only vectors of one entry per order and the distinct steps are held.
-        Raises ValidationError from MAX_EXACT_ORDERS orders on, where a count
-        could make a weighted term inexact.
+        The orders are enumerate_consistent(spec, cap), whose checks are every
+        limit of an exact run. A step of feature i is fixed by the coalition
+        before it, so row i of the (n, K) arrays lists feature i's distinct
+        steps by ascending before; a feature with fewer than K of them is
+        padded with (0, 0) steps of count 0. masks, count and n are those of
+        CoalitionChains of the same orders, so every row of counts sums to
+        count. The orders are read a column at a time, so beside them only
+        vectors of one entry per order and the distinct steps are held.
         """
-        P = _orders(P)
+        P = enumerate_consistent(spec, cap)
         R, n = P.shape
-        if R >= MAX_EXACT_ORDERS:
-            raise ValidationError(
-                f"a merged exact reduction supports fewer than {MAX_EXACT_ORDERS} orders, got {R}"
-            )
         before = np.zeros(R, dtype=np.int64)  # each order's coalition ahead of the current column
         seen = np.zeros(1, dtype=np.int64)  # those coalitions, distinct and ascending
         steps = []
         for col in P.T:
-            if (before & np.int64(1) << col).any():
-                raise ValidationError(f"an order repeats a feature; orders must be permutations of 0..{n - 1}")
             w = seen.shape[0]
             # Feature-major step keys, below n * w < 2^32 where keys holding masks could overflow.
             keys, counts = np.unique(col * np.int64(w) + np.searchsorted(seen, before), return_counts=True)
@@ -267,18 +259,18 @@ def exact_asv(v, spec: OrderingSpec, chains: CoalitionChains | None = None) -> A
     """Attribution averaged over every permutation consistent with spec.
 
     With an empty spec this is the plain Shapley value in permutation form.
-    chains are the CoalitionChains of spec's consistent orders, merged or
-    not: a RunPlan, explaining many points under one spec, builds them once
-    with CoalitionChains.merged and passes them to each. Without them the
-    orders are enumerated here, under DEFAULT_ENUMERATION_CAP, and merged.
-    Either way the means are the per-order column means, bit for bit while no
-    partial sum overflows (see weighted_column_means), which holds for every
-    game with probability values.
+    chains are the CoalitionChains of spec's consistent orders, merged or not:
+    a RunPlan, explaining many points under one spec, builds them once with
+    CoalitionChains.merged and passes them to each; without them they are
+    CoalitionChains.merged(spec), under DEFAULT_ENUMERATION_CAP. Either way
+    the means are the per-order column means, bit for bit while no partial sum
+    overflows (see weighted_column_means), which holds for every game with
+    probability values.
     """
     spec = _as_spec(spec)
     n = spec.n
     if chains is None:
-        chains = CoalitionChains.merged(enumerate_consistent(spec))
+        chains = CoalitionChains.merged(spec)
     if chains.n != n:
         raise ValidationError(f"chains cover {chains.n} features, ordering has {n}")
     return AttributionResult(
@@ -323,9 +315,9 @@ class RunPlan:
     as in CachedValueFunction (a BackgroundSet off-manifold, a sampler
     on-manifold) with m draws and the run's seed; spec covers pred's features.
     estimator must be "exact" or "mc", checked before anything is enumerated
-    or evaluated. An exact plan enumerates spec's orders once, under cap,
-    after its first point's checks, and keeps their CoalitionChains.merged;
-    a Monte Carlo plan draws n_perms orders per point.
+    or evaluated. An exact plan builds CoalitionChains.merged(spec, cap) once,
+    after its first point's checks; a Monte Carlo plan draws n_perms orders
+    per point.
     """
 
     def __init__(self, pred, spec: OrderingSpec, completion: BackgroundSet | ConditionalSampler, *,
@@ -342,7 +334,7 @@ class RunPlan:
 
     @cached_property
     def _chains(self) -> CoalitionChains:
-        return CoalitionChains.merged(enumerate_consistent(self.spec, cap=self.cap))
+        return CoalitionChains.merged(self.spec, self.cap)
 
     def local(self, x, y: int, point_index: int) -> tuple[AttributionResult, CachedValueFunction]:
         """The local attribution of class y at point x, and the value function it evaluated.
@@ -422,8 +414,6 @@ def _point_budget(n_rows: int, budget, seed: int) -> np.ndarray:
         raise ValidationError(
             f"a dataset average needs at least 2 points for its across-point stderr, got {B}"
         )
-    if B == n_rows:
-        return np.arange(n_rows)
     return np.sort(_stream(seed, 0xB0D6E7).choice(n_rows, size=B, replace=False))
 
 

@@ -103,7 +103,7 @@ _INTS, _NAMES = _CommaList(int), _CommaList(str)
 
 def _settings(args: argparse.Namespace) -> dict:
     """The resolved {dest: value} settings of the parsed subcommand, without the parser's wiring."""
-    return {dest: value for dest, value in vars(args).items() if dest not in ("command", "func", "parser")}
+    return {dest: value for dest, value in vars(args).items() if dest not in ("command", "func")}
 
 
 def _require_file(path, what: str) -> str:
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, helptext):
         p = sub.add_parser(name, help=helptext, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
                            allow_abbrev=False)
-        p.set_defaults(func=func, parser=p)
+        p.set_defaults(func=func)
         p.add_argument("--seed", type=int, help="master seed (required; no wall-clock default)")
         return p
 

@@ -74,7 +74,7 @@ def _checked_mask(mask, n: int) -> int:
 
 @dataclass
 class BackgroundSet:
-    """Rows standing in for p(x')."""
+    """Finite rows standing in for p(x')."""
 
     rows: np.ndarray
 
@@ -82,6 +82,8 @@ class BackgroundSet:
         self.rows = np.asarray(self.rows, dtype=np.float64)
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
             raise ValidationError(f"background needs a nonempty 2-d row array, got shape {self.rows.shape}")
+        if not np.isfinite(self.rows).all():
+            raise SchemaError("background has non-finite feature values")
 
 
 def _mean(lst: list[float], weights: np.ndarray | None = None) -> float:
@@ -326,8 +328,8 @@ def _check_point(x: np.ndarray, y: int, pred: Predictor) -> np.ndarray:
         raise SchemaError(f"point has {x.shape[0]} features, predictor expects {pred.n_features}")
     if not np.isfinite(x).all():
         raise SchemaError(f"point has non-finite feature values: {x.tolist()}")
-    if not 0 <= y < pred.n_classes:
-        raise ValidationError(f"class index {y} outside [0, {pred.n_classes})")
+    if not (_is_int(y) and 0 <= y < pred.n_classes):
+        raise ValidationError(f"class index {y!r} must be an integer in [0, {pred.n_classes})")
     return x
 
 
@@ -412,11 +414,11 @@ class CachedValueFunction:
                 "prediction_rows": self.prediction_rows}
 
     def value(self, mask: int, *more: int) -> float | list[float]:
-        """Weighted mean of f_y over the completions of x_S, S an int with bit i
-        set for feature i: a float for one mask, a list of floats, in order,
-        for more. Anything but an integer raises TypeError, hit or miss, for
-        3.0 would hash to the entry of 3; a mask outside [0, 2^n) raises
-        ValidationError, checked on a miss: a cached mask was checked when it
+        """Weighted mean of f_y over the completions of x_S, S an int with bit i set
+        for feature i: a float for one mask, a list of floats, in order, for more.
+        Anything but an integer, a bool too, raises TypeError, hit or miss, for 3.0
+        and True would hash to the entries of 3 and 1; a mask outside [0, 2^n)
+        raises ValidationError, checked on a miss: a cached mask was checked when it
         first missed. Either is raised before any prediction or cache write.
 
         The masks not yet cached are evaluated in one predictor call over their
@@ -429,6 +431,8 @@ class CachedValueFunction:
         one-row completion in a stack (m = 1, a one-row background or pool)
         gets the stack's bits.
         """
+        if type(mask) is bool or bool in map(type, more):
+            raise TypeError("a mask must be an integer, not a bool")
         masks = [operator.index(mask), *map(operator.index, more)]
         todo = [_checked_mask(mask, self.n) for mask in dict.fromkeys(masks) if mask not in self._cache]
         if todo:

@@ -403,7 +403,7 @@ def estimator_self_check(n, games, perms, seed):
             "max_merged_step_gap": 0.0}
     covered = 0
     shapley = OrderingSpec(n)
-    shapley_chains = CoalitionChains.merged(enumerate_consistent(shapley))  # consumes no randomness
+    shapley_chains = CoalitionChains.merged(shapley)  # consumes no randomness
 
     def widen(key, gap):
         gaps[key] = max(gaps[key], float(gap))
@@ -413,10 +413,9 @@ def estimator_self_check(n, games, perms, seed):
         widen("max_dual_formula_gap", np.max(np.abs(
             exact_asv(vf, shapley, shapley_chains).means - exact_shapley_subset_form(vf).means)))
         spec = random_ordering_spec(n, rng)
-        P = enumerate_consistent(spec)
-        exact = exact_asv(vf, spec, CoalitionChains.merged(P))
+        exact = exact_asv(vf, spec, CoalitionChains.merged(spec))
         widen("max_efficiency_gap", abs(exact.efficiency_gap()))
-        D = marginal_contributions(vf, CoalitionChains(P))  # per order: an independent check
+        D = marginal_contributions(vf, CoalitionChains(enumerate_consistent(spec)))  # per order: an independent check
         widen("max_merged_step_gap", np.max(np.abs(exact.means - column_means(D))))
         widen("max_telescoping_gap", abs(math.fsum(D[0].tolist()) - (exact.total - exact.baseline)))
         est = mc_asv(vf, spec, perms, rng)

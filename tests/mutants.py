@@ -33,7 +33,8 @@ class Mutant:
     kills: tuple[str, ...]
 
 
-V, A, S = "tests/test_values.py::", "tests/test_attribution.py::", "tests/test_scenarios.py::"
+V, A, S, C = ("tests/test_values.py::", "tests/test_attribution.py::", "tests/test_scenarios.py::",
+              "tests/test_coalitions.py::")
 
 MUTANTS = [
     Mutant("stderr-ddof-0", "attribution.py",
@@ -99,6 +100,23 @@ MUTANTS = [
            "rows = np.where(np.tile(keep, k), self._x_tiled, self._draws_flat).reshape(-1, self.n)",
            "rows = np.where(np.repeat(keep, k, axis=1), self._x_tiled, self._draws_flat).reshape(-1, self.n)",
            (V + "TestCaching::test_a_chunked_call_gives_each_mask_the_bits_of_its_own_call[12-background-3-full-chunk]",)),
+    Mutant("enumeration-admits-the-order-limit", "coalitions.py",
+           "if (total := int(counts.sum())) >= MAX_EXACT_ORDERS:",
+           "if (total := int(counts.sum())) > MAX_EXACT_ORDERS:",
+           (C + "TestEnumerate::test_refuses_an_order_count_past_the_limit_before_building_it",)),
+    Mutant("class-index-of-any-number", "values.py",
+           "if not (_is_int(y) and 0 <= y < pred.n_classes):",
+           "if not 0 <= y < pred.n_classes:",
+           (V + "TestOffManifold::test_validation",)),
+    Mutant("bool-mask-read-as-int", "values.py",
+           "if type(mask) is bool or bool in map(type, more):",
+           "if False:",
+           (V + "TestCaching::test_a_hit_rejects_the_keys_a_miss_rejects[bool]",
+            V + "TestCaching::test_a_bad_mask_anywhere_in_a_call_evaluates_nothing[bool]")),
+    Mutant("background-non-finite-accepted", "values.py",
+           "if not np.isfinite(self.rows).all():",
+           "if False:",
+           (V + "TestBackgroundSet::test_validation",)),
 ]
 
 

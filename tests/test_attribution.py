@@ -191,7 +191,7 @@ class TestMarginalContributions:
         P = enumerate_consistent(OrderingSpec(3))
         chains = CoalitionChains(P)
         assert (chains.count, chains.n) == (6, 3)
-        merged = CoalitionChains.merged(P)
+        merged = CoalitionChains.merged(OrderingSpec(3))
         assert (merged.count, merged.n) == (6, 3)
         for a in (chains.masks, chains.after, chains.before, chains.counts,
                   merged.masks, merged.after, merged.before, merged.counts):
@@ -200,7 +200,7 @@ class TestMarginalContributions:
             with pytest.raises(ValueError):
                 a += 1
 
-    @pytest.mark.parametrize("build", [CoalitionChains, CoalitionChains.merged])
+    @pytest.mark.parametrize("build", [CoalitionChains])
     @pytest.mark.parametrize("orders", [
         [[0, 0, 1]],  # a repeat
         [[0, 1, 2], [2, 1, 2]],  # a repeat in a later order
@@ -217,7 +217,7 @@ class TestMarginalContributions:
         with pytest.raises(ValidationError):
             build(orders)
 
-    @pytest.mark.parametrize("build", [CoalitionChains, CoalitionChains.merged])
+    @pytest.mark.parametrize("build", [CoalitionChains])
     def test_orders_of_either_width_give_the_same_chains(self, build):
         P = enumerate_consistent(OrderingSpec(4, groups=((0, 1), (2, 3))))
         assert P.dtype == np.int8
@@ -277,8 +277,8 @@ class TestMergedSteps:
         rng = np.random.default_rng(27)
         for n in range(2, 8):
             for _ in range(4):
-                P = enumerate_consistent(random_ordering_spec(n, rng))
-                merged = CoalitionChains.merged(P)
+                spec = random_ordering_spec(n, rng)
+                P, merged = enumerate_consistent(spec), CoalitionChains.merged(spec)
                 assert merged.count == P.shape[0]
                 assert merged.after.shape == merged.before.shape == merged.counts.shape
                 assert (merged.counts.sum(axis=1) == P.shape[0]).all()
@@ -286,7 +286,7 @@ class TestMergedSteps:
     def test_empty_spec_counts_are_the_shapley_weights(self):
         # |S|! (n - |S| - 1)! of the n! orders add feature i right after S.
         for n in range(2, 7):
-            merged = CoalitionChains.merged(enumerate_consistent(OrderingSpec(n)))
+            merged = CoalitionChains.merged(OrderingSpec(n))
             coalitions = np.concatenate([[0], merged.masks])
             for i in range(n):
                 counts = {}
@@ -312,7 +312,7 @@ class TestMergedSteps:
                 for i in order:
                     want[i, S] += 1
                     S |= 1 << i
-            merged = CoalitionChains.merged(P)
+            merged = CoalitionChains.merged(spec)
             assert (merged.count, merged.n) == P.shape
             assert np.array_equal(merged.masks, CoalitionChains(P).masks)
             coalitions = [0] + merged.masks.tolist()
@@ -328,10 +328,10 @@ class TestMergedSteps:
             assert got == want
 
     def test_building_holds_less_than_the_orders(self):
-        # Per-column vectors and the 1,024 distinct steps, not an index per order and feature.
-        P = enumerate_consistent(OrderingSpec(8))
-        CoalitionChains.merged(P[:2])  # lazy set-up outside the measurement
-        assert peak_traced_bytes(CoalitionChains.merged, P) < 8 * P.size  # the bytes of one int64 copy
+        # The int8 orders, per-column vectors and the 1,024 distinct steps, not an index per order and feature.
+        CoalitionChains.merged(OrderingSpec(2))  # lazy set-up outside the measurement
+        orders = math.factorial(8) * 8
+        assert peak_traced_bytes(CoalitionChains.merged, OrderingSpec(8)) < 8 * orders  # the bytes of one int64 copy
 
     def test_exact_global_run_holds_no_int64_copy_of_its_orders(self):
         ds = toy_dataset(rows=3, n=8)
@@ -341,16 +341,16 @@ class TestMergedSteps:
 
     def test_order_count_limit(self, monkeypatch):
         # 2^26 consistent orders take at least 12 features, so the limit is lowered.
-        monkeypatch.setattr(attribution, "MAX_EXACT_ORDERS", 6)
+        monkeypatch.setattr(coalitions, "MAX_EXACT_ORDERS", 6)
         vf = random_table(3, np.random.default_rng(28))
-        with pytest.raises(ValidationError, match="fewer than 6 orders, got 6"):
+        with pytest.raises(ValidationError, match="at least 6 consistent orders over 3 features, 6 or more"):
             exact_asv(vf, OrderingSpec(3))
         assert exact_asv(vf, OrderingSpec(3, groups=((0,), (1, 2)))).n_samples == 2
 
     def test_chains_of_another_width_rejected(self):
         vf = random_table(3, np.random.default_rng(28))
         with pytest.raises(ValidationError, match="chains cover 4 features, ordering has 3"):
-            exact_asv(vf, OrderingSpec(3), CoalitionChains.merged(enumerate_consistent(OrderingSpec(4))))
+            exact_asv(vf, OrderingSpec(3), CoalitionChains.merged(OrderingSpec(4)))
 
     def test_non_finite_worths_give_the_expanded_result_or_error(self):
         def outcome(means):
@@ -726,9 +726,10 @@ class TestGlobalAttribution:
         merges = []
         real_merged = CoalitionChains.merged
 
-        def counting_merges(P):
-            merges.append(len(P))
-            return real_merged(P)
+        def counting_merges(spec, cap):
+            chains = real_merged(spec, cap)
+            merges.append(chains.count)
+            return chains
 
         monkeypatch.setattr(attribution, "enumerate_consistent", counting)
         monkeypatch.setattr(CoalitionChains, "merged", counting_merges)

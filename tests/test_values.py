@@ -158,6 +158,11 @@ class TestBackgroundSet:
             BackgroundSet(np.zeros((0, 2)))
         with pytest.raises(ValidationError):
             BackgroundSet(np.zeros(3))
+        for bad in (np.nan, np.inf, -np.inf):  # one bad cell makes nan or inf of every mean drawing its row
+            rows = np.zeros((50, 3))
+            rows[7, 1] = bad
+            with pytest.raises(SchemaError, match="non-finite"):
+                BackgroundSet(rows)
 
 
 # ---------------------------------------------------------------- off-manifold
@@ -229,8 +234,9 @@ class TestOffManifold:
             CachedValueFunction(pred, np.zeros(3), 1, completion=bg, m=5)
         with pytest.raises(SchemaError):
             CachedValueFunction(pred, np.zeros(2), 1, completion=BackgroundSet(np.zeros((3, 4))), m=5)
-        with pytest.raises(ValidationError):
-            CachedValueFunction(pred, np.zeros(2), 2, completion=bg, m=5)
+        for y in (2, -1, 1.5, True, np.float64(1.0)):  # out of range or not an integer as _is_int reads one
+            with pytest.raises(ValidationError, match="class index"):
+                CachedValueFunction(pred, np.zeros(2), y, completion=bg, m=5)
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(SchemaError, match="non-finite"):
                 CachedValueFunction(pred, np.array([0.0, bad]), 1, completion=bg, m=5)
@@ -251,9 +257,10 @@ class TestCaching:
         assert vf.evaluations == 1
         assert vf.prediction_rows == rows_after_first
 
-    @pytest.mark.parametrize("bad", [3.0, np.float64(3.0)], ids=["float", "float64"])
+    @pytest.mark.parametrize("bad", [3.0, np.float64(3.0), True], ids=["float", "float64", "bool"])
     def test_a_hit_rejects_the_keys_a_miss_rejects(self, bad):
-        # 3.0 hashes to the cache entry of 3, so the key's type is checked before the lookup.
+        # 3.0 hashes to the cache entry of 3 and True to that of 1, so the key's type is checked before
+        # the lookup.
         pred = LinearProbPredictor(np.array([1.0, -1.0, 0.2]))
         vf = CachedValueFunction(pred, np.zeros(3), 1, completion=BackgroundSet(np.eye(3)), m=3, seed=0)
         with pytest.raises(TypeError):
@@ -265,7 +272,8 @@ class TestCaching:
         assert vf.evaluations == 2
 
     @pytest.mark.parametrize("bad, error", [(8, ValidationError), (-1, ValidationError), (2.0, TypeError),
-                                            ([0, 2], TypeError)], ids=["2^n", "negative", "float", "list"])
+                                            ([0, 2], TypeError), (True, TypeError)],
+                             ids=["2^n", "negative", "float", "list", "bool"])
     def test_a_bad_mask_anywhere_in_a_call_evaluates_nothing(self, bad, error):
         counting = CountingPredictor(LinearProbPredictor(np.array([1.0, -1.0, 0.2])))
         vf = CachedValueFunction(counting, np.zeros(3), 1, completion=BackgroundSet(np.eye(3)), m=3, seed=0)
